@@ -6,6 +6,8 @@ import sys
 import numpy as np
 import pytest
 
+from test_golden import GOLDEN, VERIFY_QUICK, cli_env
+
 BASE = [sys.executable, "-m", "mssim.cli"]
 
 
@@ -78,7 +80,8 @@ def test_paths_emits_valid_trajectories(tmp_path):
 
 
 def test_verify_quick_small_scale_passes():
-    res = run_cli("verify", "--quick", "--scale", "0.1", "--seed", "1234")
+    res = run_cli(*VERIFY_QUICK, env=cli_env())
     assert res.returncode == 0, res.stderr
     assert "# command=verify" in res.stdout
     assert ",false" not in res.stdout
+    assert res.stdout == (GOLDEN / "verify_quick.csv").read_text()
