@@ -9,13 +9,10 @@ from .ctrw import (
     BernoulliWalk,
     CtrwPath,
     SlowlyVaryingFamily,
-    ctrw_process,
-    family_from_name,
     inverse_ctrw,
     norming_an,
     norming_bnk,
     partial_sum_path,
-    sample_jnk,
     tail_function,
 )
 from .errors import DegenerateSampleError, HorizonExceededError
@@ -28,12 +25,11 @@ from .experiments import (
     run_verify,
 )
 from .inverse_mfpp import (
-    MfppSample,
     PoissonPath,
+    first_passage,
     inverse,
-    inverse_many,
-    mfpp_value,
     sample_poisson_path,
+    time_changed_count,
 )
 from .ppp import (
     PointPattern,
@@ -41,10 +37,10 @@ from .ppp import (
     expected_count_window,
     sample_stationary,
     sample_threshold,
-    small_jump_mass,
+    small_jump_mass_window,
     solve_truncation,
 )
-from .rng import RngStream, split
+from .rng import RngStream
 from .stability import StabilityIndex
 from .stats import (
     McEstimate,
@@ -60,7 +56,6 @@ from .subordinator import (
     eval_at,
     eval_many,
     gamma_fn,
-    increment,
     laplace_transform,
 )
 
@@ -71,7 +66,6 @@ __all__ = [
     "HorizonExceededError",
     "JumpPath",
     "McEstimate",
-    "MfppSample",
     "PointPattern",
     "PoissonPath",
     "Report",
@@ -80,22 +74,18 @@ __all__ = [
     "StabilityIndex",
     "Truncation",
     "build_path",
-    "ctrw_process",
     "empirical_laplace",
     "eval_at",
     "eval_many",
     "expected_count_window",
-    "family_from_name",
+    "first_passage",
     "gamma_fn",
-    "increment",
     "increment_correlation",
     "inverse",
     "inverse_ctrw",
-    "inverse_many",
     "ks_critical_value",
     "ks_two_sample",
     "laplace_transform",
-    "mfpp_value",
     "mittag_leffler",
     "norming_an",
     "norming_bnk",
@@ -105,12 +95,11 @@ __all__ = [
     "run_mfpp",
     "run_paths",
     "run_verify",
-    "sample_jnk",
     "sample_poisson_path",
     "sample_stationary",
     "sample_threshold",
-    "small_jump_mass",
+    "small_jump_mass_window",
     "solve_truncation",
-    "split",
     "tail_function",
+    "time_changed_count",
 ]

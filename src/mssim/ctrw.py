@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import HorizonExceededError
+from .quadrature import bisect
 
 _BISECT_TOL = 1e-12
 
@@ -41,10 +42,6 @@ class SlowlyVaryingFamily:
 
 UNIT = SlowlyVaryingFamily("unit")
 LOG = SlowlyVaryingFamily("log")
-
-
-def family_from_name(name):
-    return SlowlyVaryingFamily(name)
 
 
 @dataclass(frozen=True)
@@ -115,12 +112,6 @@ def _invert_log_tail(u, beta, beta_sup):
     return 0.5 * (lo + hi)
 
 
-def sample_jnk(stream, n, k, idx, L):
-    """One draw of the row-n, cell-k summand."""
-    beta = idx.evaluate(k / n)
-    return float(_jnk_from_uniforms(np.asarray(stream.uniform()), beta, idx.beta_sup, L))
-
-
 def norming_an(n, L, beta_sup):
     """The row scaling: the solution a of a**(-beta_sup) * L(a) = 1/n.
 
@@ -145,18 +136,11 @@ def norming_an(n, L, beta_sup):
         if not 1.0 <= a <= math.e * (1.0 + 1e-12):
             raise RuntimeError(f"no bracket for a_n at n={n}, beta_sup={beta_sup}")
         return a
-    lo = hump_top
-    hi = 2.0 * lo
+    hi = 2.0 * hump_top
     while f(hi) >= target:
         hi *= 4.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECT_TOL * lo:
-            break
+    lo, hi = bisect(lambda a: f(a) >= target, hump_top, hi,
+                    lambda lo, hi: hi - lo <= _BISECT_TOL * lo)
     return 0.5 * (lo + hi)
 
 
@@ -228,24 +212,3 @@ class BernoulliWalk:
             self._cum = np.cumsum(self._steps)
         return int(self._cum[m - 1])
 
-
-def bernoulli_walk(stream, p, t):
-    """One-shot walk value at t."""
-    return BernoulliWalk(stream, p).value(t)
-
-
-def ctrw_process(jump_stream, walk_stream, n, p_n, lam, t, idx, L):
-    """The composed walk S^(p_n)(lam * E_n(t) / p_n) from a fresh path.
-
-    The two streams must be distinct: the Bernoulli steps are independent
-    of the heavy-tailed summands."""
-    if (jump_stream.master_seed, jump_stream.stream_id) == (
-        walk_stream.master_seed,
-        walk_stream.stream_id,
-    ):
-        raise ValueError("jump and walk streams must be distinct")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    path = partial_sum_path(jump_stream, n, idx.horizon, idx, L)
-    e_n = inverse_ctrw(path, t)
-    return bernoulli_walk(walk_stream, p_n, lam * e_n / p_n)

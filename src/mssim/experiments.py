@@ -91,10 +91,6 @@ class Report:
         i = self.columns.index("pass")
         return all(bool(r[i]) for r in self.rows)
 
-    def column(self, name):
-        i = self.columns.index(name)
-        return [r[i] for r in self.rows]
-
     def to_csv(self):
         out = io.StringIO()
         out.write(f"# command={self.command}\n")
@@ -162,8 +158,6 @@ def choose_horizon(beta_spec, level, candidates=_T_END_CANDIDATES):
     Returns ``(index, tail_bound)``."""
     best = None
     for T in candidates:
-        if T < level * 0.0:  # levels do not constrain the horizon directly
-            continue
         try:
             idx = StabilityIndex.from_spec(beta_spec, T)
         except ValueError:
@@ -203,22 +197,11 @@ class PassagePlan:
 
 
 def _solve_eps_for_count(idx, t0, t1, cap):
-    lo, hi = -300.0, -1e-9  # log10(eps); count decreases in eps
-
     def count(logp):
         return ppp.expected_count_window(idx, t0, t1, ppp.Truncation("threshold", 10.0**logp))
 
-    if count(lo) <= cap:
-        return 10.0**lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if count(mid) > cap:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 10.0**hi
+    # log10(eps) in (-300, 0); the count decreases in eps
+    return ppp.log_bisect(count, cap, -300.0, -1e-9, False)
 
 
 def plan_passage(idx, levels, tail_bound, mass_rate=DEFAULT_MASS_BUDGET,
@@ -262,13 +245,8 @@ def _passage_rep(stream, plan):
             x = blk.eps * stream.uniform(k) ** (-1.0 / beta)
             order = np.argsort(t, kind="stable")
             prefix = total + np.cumsum(x[order])
-            ts = t[order]
-            while nxt < len(levels):
-                pos = int(np.searchsorted(prefix, levels[nxt], side="left"))
-                if pos >= k:
-                    break
-                e[nxt] = ts[pos]
-                nxt += 1
+            e[nxt:] = inverse_mfpp.first_passage(t[order], prefix, levels[nxt:])
+            nxt = int(np.count_nonzero(~np.isnan(e)))
             total = float(prefix[-1])
         if nxt >= len(levels):
             break
@@ -321,18 +299,14 @@ def _monotone_chunk(lo, hi, cfg):
         if path.prefix[0] <= 0.0 or (len(path.prefix) > 1 and (np.diff(path.prefix) <= 0.0).any()):
             bad[i] += 1
         # first-passage consistency: D(E(r)) >= r and the path is still
-        # below r just before E(r); and E(D(t)) <= t wherever D(t) > 0
+        # below r just before E(r); and E(D(t)) <= t for every t
         rs = s.uniform(probes) * path.total
-        for r in rs:
-            e = inverse_mfpp.inverse(path, float(r))
-            pos = int(np.searchsorted(path.times, e, side="left"))
-            before = 0.0 if pos == 0 else float(path.prefix[pos - 1])
-            if subordinator.eval_at(path, e) < r or before >= r:
-                bad[i] += 1
-        for t in T * s.uniform(probes):
-            v = subordinator.eval_at(path, float(t))
-            if v > 0.0 and inverse_mfpp.inverse(path, v) > t * (1.0 + 1e-12):
-                bad[i] += 1
+        e = inverse_mfpp.first_passage(path.times, path.prefix, rs)
+        before = np.concatenate(([0.0], path.prefix))[np.searchsorted(path.times, e, side="left")]
+        bad[i] += int(((subordinator.eval_many(path, e) < rs) | (before >= rs)).sum())
+        ts = T * s.uniform(probes)
+        e = inverse_mfpp.first_passage(path.times, path.prefix, subordinator.eval_many(path, ts))
+        bad[i] += int((e > ts * (1.0 + 1e-12)).sum())
     return {"bad": bad}
 
 
@@ -347,21 +321,14 @@ def _passage_chunk(lo, hi, cfg):
     for i, rep in enumerate(range(lo, hi)):
         s = stream_for(cfg["seed"], cfg["channel"], rep)
         if m is not None:
-            pat = ppp.sample_stationary(s, plan.t_end, m, plan.idx)
-            path = subordinator.build_path(pat)
-            prefix, times = path.prefix, path.times
-            pos = np.searchsorted(prefix, plan.levels, side="left")
-            ok = pos < len(prefix)
-            row = np.full(nl, np.nan)
-            row[ok] = times[pos[ok]]
-            e[i] = row
+            path = subordinator.build_path(ppp.sample_stationary(s, plan.t_end, m, plan.idx))
+            e[i] = inverse_mfpp.first_passage(path.times, path.prefix, plan.levels)
         else:
             e[i] = _passage_rep(s, plan)
         if rate is not None:
             sa = stream_for(cfg["seed"], cfg["arr_channel"], rep)
             npath = inverse_mfpp.sample_poisson_path(sa, rate, plan.t_end)
-            ok = ~np.isnan(e[i])
-            x[i, ok] = np.searchsorted(npath.arrivals, e[i, ok], side="right")
+            x[i] = inverse_mfpp.time_changed_count(npath.arrivals, e[i])
     out = {"e": e}
     if rate is not None:
         out["x"] = x
@@ -419,18 +386,11 @@ def _paths_chunk(lo, hi, cfg):
         sa = stream_for(cfg["seed"], cfg["arr_channel"], rep)
         npath = inverse_mfpp.sample_poisson_path(sa, lam, T)
         d = subordinator.eval_many(path, ts)
-        pos = np.searchsorted(path.prefix, ts, side="left")
-        reached = (pos < len(path.prefix)) & (ts > 0)
-        e = np.full(len(ts), np.nan)
-        e[ts == 0.0] = 0.0
-        e[reached] = path.times[pos[reached]]
-        x = np.full(len(ts), np.nan)
-        have = ~np.isnan(e)
-        x[have] = np.searchsorted(npath.arrivals, e[have], side="right")
+        e = inverse_mfpp.first_passage(path.times, path.prefix, ts)
+        x = inverse_mfpp.time_changed_count(npath.arrivals, e)
         flags = np.isnan(e)
         nflag[i] = int(flags.sum())
-        dd, xx = d, x[have]
-        if (np.diff(dd) < 0).any() or (np.diff(xx) < 0).any():
+        if (np.diff(d) < 0).any() or (np.diff(x[~flags]) < 0).any():
             ok[i] = False
         rows = [
             (float(ts[j]), float(d[j]), float(e[j]), float(x[j]), bool(flags[j]))
@@ -463,6 +423,11 @@ def _require(cond, msg):
         raise ValueError(msg)
 
 
+def _positive(v):
+    """A positive, finite real: NaN and infinity fail, like non-positive values."""
+    return 0.0 < v < math.inf
+
+
 def _check_common(reps, seed):
     _require(isinstance(reps, (int, np.integer)) and reps >= 2, f"reps must be >= 2, got {reps}")
     _require(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64,
@@ -477,12 +442,14 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
     _check_common(reps, seed)
     thetas = [float(v) for v in thetas]
     ts = [float(v) for v in ts]
-    _require(thetas and all(v > 0 for v in thetas), f"theta values must be positive, got {thetas}")
-    _require(ts and all(v > 0 for v in ts), f"t values must be positive, got {ts}")
+    _require(thetas and all(_positive(v) for v in thetas),
+             f"theta values must be positive and finite, got {thetas}")
+    _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
+    _require(_positive(mass_budget), f"mass budget must be positive and finite, got {mass_budget}")
     T = max(ts)
     idx = StabilityIndex.from_spec(beta_spec, T)
     if trunc_m is not None:
-        _require(trunc_m > 0, f"trunc-m must be positive, got {trunc_m}")
+        _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc = ppp.Truncation("stationary", float(trunc_m))
     else:
         trunc = ppp.Truncation(
@@ -492,11 +459,11 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
     res = _map_reps(_dvalues_chunk, int(reps), workers, cfg)
     rows = []
     for theta in thetas:
-        for j, t in enumerate(sorted(range(len(ts)), key=lambda j: ts[j])):
+        for t in sorted(range(len(ts)), key=lambda j: ts[j]):
             tv = ts[t]
             est = stats.empirical_laplace(res["d"][:, t], theta)
             oracle = subordinator.laplace_transform(idx, theta, tv)
-            bias = theta * ppp.small_jump_mass(idx, tv, trunc)
+            bias = theta * ppp.small_jump_mass_window(idx, 0.0, tv, trunc)
             ok = abs(est.mean - oracle) <= 3.0 * est.se + bias
             rows.append((idx.spec_string(), theta, tv, est.mean, est.se, oracle, bias, ok))
     header = {
@@ -506,7 +473,7 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
         "theta": ",".join(_fmt(v) for v in thetas),
         "t": ",".join(_fmt(v) for v in ts),
         "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
-        "excluded_mass": ppp.small_jump_mass(idx, T, trunc),
+        "excluded_mass": ppp.small_jump_mass_window(idx, 0.0, T, trunc),
     }
     return Report("laplace", header,
                   ("beta_spec", "theta", "t", "mc_mean", "mc_se", "oracle", "bias_bound", "pass"),
@@ -520,9 +487,11 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None,
     The oracle exists only for a constant index at k = 0 (a Mittag-Leffler
     value); other rows are emitted without a pass judgement of their own."""
     _check_common(reps, seed)
-    _require(lam > 0, f"lambda must be positive, got {lam}")
+    _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     ts = sorted(float(v) for v in ts)
-    _require(ts and all(v > 0 for v in ts), f"t values must be positive, got {ts}")
+    _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
+    if trunc_m is not None:
+        _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
     idx, tail = choose_horizon(beta_spec, max(ts))
     plan = plan_passage(idx, ts, tail, mass_rate=mass_rate)
     cfg = {
@@ -530,7 +499,6 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None,
         "plan": plan, "rate": float(lam),
     }
     if trunc_m is not None:
-        _require(trunc_m > 0, f"trunc-m must be positive, got {trunc_m}")
         cfg["stationary_m"] = float(trunc_m)
     res = _map_reps(_passage_chunk, int(reps), workers, cfg)
     xs = res["x"]
@@ -583,12 +551,12 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     level t vs the first-passage time E(t), and the composed walk vs the
     time-changed count X(t)."""
     _check_common(reps, seed)
-    _require(lam > 0, f"lambda must be positive, got {lam}")
-    L = ctrw.family_from_name(lfamily)
+    _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
+    L = ctrw.SlowlyVaryingFamily(lfamily)
     ns = [int(v) for v in ns]
     _require(ns and all(v >= 2 for v in ns), f"n values must be integers >= 2, got {ns}")
     ts = sorted(float(v) for v in ts)
-    _require(ts and all(v > 0 for v in ts), f"t values must be positive, got {ts}")
+    _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
     idx, tail = choose_horizon(beta_spec, max(ts))
     # reference samples, shared by every n
     trunc_ref = ppp.Truncation(
@@ -647,8 +615,8 @@ def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101,
     _check_common(reps, seed)
     _require(isinstance(grid, (int, np.integer)) and grid >= 2,
              f"grid must be an integer >= 2, got {grid}")
-    _require(t_max > 0, f"t must be positive, got {t_max}")
-    _require(lam > 0, f"lambda must be positive, got {lam}")
+    _require(_positive(t_max), f"t must be positive and finite, got {t_max}")
+    _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     idx = StabilityIndex.from_spec(beta_spec, float(t_max))
     trunc = ppp.Truncation(
         "threshold", ppp.solve_truncation(idx, float(t_max), "threshold", mass_budget)
@@ -692,7 +660,7 @@ def _count_inversions(seq, tol=1e-12):
 
 def run_verify(seed, workers=1, quick=False, scale=1.0):
     """The full property suite; one row per check, grouped by criterion."""
-    _require(scale > 0, f"scale must be positive, got {scale}")
+    _require(_positive(scale), f"scale must be positive and finite, got {scale}")
     _require(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64,
              f"seed must be an unsigned 64-bit integer, got {seed}")
     if quick:
@@ -760,7 +728,7 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
         "seed": int(seed), "channel": CH_INCREMENTS, "idx": idx_c, "ts": None,
         "T": 1.0, "trunc": trunc4, "windows": [(0.0, 0.5), (0.5, 1.0)],
     })["inc"]
-    corr = abs(float(np.corrcoef(inc4[:, 0], inc4[:, 1])[0, 1]))
+    corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]).mean)
     bound4 = 3.0 / math.sqrt(n4)
     rows.append((4, "increment correlation (0,0.5] vs (0.5,1]", corr, bound4, corr <= bound4))
 
@@ -807,7 +775,6 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
         for col, name in ((2, "S_n(1) vs D(1)"), (3, "E_n(1) vs E(1)"), (4, "walk vs X(1)")):
             seq = [r[col] for r in rep8.rows]
             inv = _count_inversions(seq)
-            ok = inv <= 1 and seq[-1] < crit8
             rows.append((8, f"ctrw {spec} {name} final KS", seq[-1], crit8, seq[-1] < crit8))
             rows.append((8, f"ctrw {spec} {name} inversions", inv, 1, inv <= 1))
 

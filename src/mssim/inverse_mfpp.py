@@ -17,15 +17,6 @@ class PoissonPath:
     horizon: float
 
 
-@dataclass(frozen=True)
-class MfppSample:
-    """One realization of the time-changed process: a jump path for the
-    operational clock plus an independent arrival path."""
-
-    d_path: object  # JumpPath
-    n_path: PoissonPath
-
-
 def sample_poisson_path(stream, rate, horizon):
     """Arrivals as cumulative sums of Exp(rate) gaps, truncated at ``horizon``."""
     if rate <= 0:
@@ -43,46 +34,43 @@ def sample_poisson_path(stream, rate, horizon):
     return PoissonPath(arrivals[arrivals <= horizon], float(rate), float(horizon))
 
 
-def inverse(path, r):
-    """E(r) = inf{t : D(t) >= r}, the first jump time whose prefix sum reaches r.
+def first_passage(times, prefix, levels):
+    """E(r) = inf{t : D(t) >= r} at each level r, for the step path that
+    jumps to ``prefix[i]`` at ``times[i]`` (both ascending).
 
-    ``inverse(0) = 0`` by convention (the infimum over {t : D(t) >= 0}).
+    The first jump whose prefix sum reaches r is found by binary search.
+    Levels the path never reaches give NaN, and level 0 gives 0 (the
+    infimum over {t : D(t) >= 0})."""
+    levels = np.asarray(levels, dtype=float)
+    pos = np.searchsorted(prefix, levels, side="left")
+    reached = pos < len(prefix)
+    e = np.full(levels.shape, np.nan)
+    e[reached] = times[pos[reached]]
+    e[levels == 0.0] = 0.0
+    return e
+
+
+def inverse(path, r):
+    """``first_passage`` at one level r of a JumpPath, as a float.
+
     Levels above the accumulated mass raise HorizonExceededError: the caller
     must enlarge the simulation horizon, clamping would bias the law."""
     if not np.isfinite(r) or r < 0:
         raise ValueError(f"level r must be finite and non-negative, got {r}")
-    if r == 0.0:
-        return 0.0
-    if len(path.prefix) == 0 or r > path.prefix[-1]:
+    e = first_passage(path.times, path.prefix, r)
+    if np.isnan(e):
         raise HorizonExceededError(
             f"level {r} exceeds accumulated mass {path.total} on [0, {path.horizon}]"
         )
-    i = np.searchsorted(path.prefix, r, side="left")
-    return float(path.times[i])
+    return float(e)
 
 
-def inverse_many(path, rs):
-    """Vectorized ``inverse`` for non-decreasing work over many levels."""
-    rs = np.asarray(rs, dtype=float)
-    if len(rs) == 0:
-        return np.empty(0)
-    if rs.min() < 0:
-        raise ValueError("levels must be non-negative")
-    top = path.prefix[-1] if len(path.prefix) else 0.0
-    if rs.max() > top:
-        raise HorizonExceededError(
-            f"level {rs.max()} exceeds accumulated mass {top} on [0, {path.horizon}]"
-        )
-    idx = np.searchsorted(path.prefix, rs, side="left")
-    out = path.times[np.minimum(idx, len(path.times) - 1)] if len(path.times) else rs * 0.0
-    return np.where(rs == 0.0, 0.0, out)
+def time_changed_count(arrivals, e):
+    """X = N(e), the number of arrivals at or before each operational time e.
 
-
-def mfpp_value(sample, t):
-    """X(t) = number of arrivals at or before the operational time E(t)."""
-    e = inverse(sample.d_path, t)
-    if e > sample.n_path.horizon * (1.0 + 1e-12):
-        raise HorizonExceededError(
-            f"operational time {e} exceeds arrival-path horizon {sample.n_path.horizon}"
-        )
-    return int(np.searchsorted(sample.n_path.arrivals, e, side="right"))
+    NaN times (levels the clock never reached) stay NaN."""
+    e = np.asarray(e, dtype=float)
+    x = np.full(e.shape, np.nan)
+    have = ~np.isnan(e)
+    x[have] = np.searchsorted(arrivals, e[have], side="right")
+    return x

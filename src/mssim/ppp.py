@@ -10,15 +10,15 @@ cross-validate each other:
   threshold:   only jumps of size >= eps, times from the non-homogeneous
                rate eps**(-beta(t)) by rejection, sizes conditional Pareto
 
-``small_jump_mass`` reports the expected total mass of the excluded jumps,
-so truncation bias can be budgeted analytically.
+``small_jump_mass_window`` reports the expected total mass of the excluded
+jumps, so truncation bias can be budgeted analytically.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import integrate
+from .quadrature import bisect, integrate
 
 TRUNCATION_MODES = ("stationary", "threshold")
 
@@ -111,13 +111,9 @@ def sample_threshold_times(stream, idx, t0, t1, eps, count):
     return out
 
 
-def small_jump_mass(idx, T, trunc):
-    """Expected total mass of the jumps a truncated sample excludes on [0, T]."""
-    return small_jump_mass_window(idx, 0.0, T, trunc)
-
-
 def small_jump_mass_window(idx, t0, t1, trunc):
-    """Excluded-jump mass restricted to the time window [t0, t1]."""
+    """Expected total mass of the jumps a truncated sample excludes in the
+    time window [t0, t1]."""
     if t1 <= t0:
         return 0.0
     if trunc.mode == "threshold":
@@ -159,22 +155,19 @@ def solve_truncation(idx, T, mode, mass_budget, t0=0.0):
         return small_jump_mass_window(idx, t0, T, Truncation(mode, 10.0**logp))
 
     if mode == "threshold":
-        lo, hi = -300.0, -1e-9  # eps in (1e-300, 1)
-        if mass_at(hi) <= mass_budget:
-            return 10.0**hi
-        increasing = True
-    else:
-        lo, hi = -6.0, 300.0
-        if mass_at(lo) <= mass_budget:
-            return 10.0**lo
-        increasing = False
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (mass_at(mid) > mass_budget) == increasing:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-12:
-            break
-    # land on the side with mass <= budget
+        return log_bisect(mass_at, mass_budget, -300.0, -1e-9, True)  # eps in (1e-300, 1)
+    return log_bisect(mass_at, mass_budget, -6.0, 300.0, False)
+
+
+def log_bisect(f, target, lo, hi, increasing):
+    """10**p for the p in [lo, hi] where the monotone ``f`` crosses ``target``.
+
+    ``increasing`` says whether f grows with p.  The result lands on the
+    side with f(p) <= target, to a 1e-12 bracket in p; when f stays within
+    the target on the whole bracket, the end where f is largest is returned."""
+    edge = hi if increasing else lo
+    if f(edge) <= target:
+        return 10.0**edge
+    lo, hi = bisect(lambda p: (f(p) > target) != increasing, lo, hi,
+                    lambda lo, hi: hi - lo < 1e-12)
     return 10.0 ** (lo if increasing else hi)

@@ -1,4 +1,7 @@
-"""Adaptive Simpson integration, shared by every integral in the package."""
+"""Adaptive Simpson integration and scalar bisection, shared by every
+integral and every scalar root search in the package."""
+
+import math
 
 import numpy as np
 
@@ -11,13 +14,16 @@ _MAX_DEPTH = 30
 # otherwise recurse to the depth cap
 _REL_FLOOR = 1e-14
 
+_BISECT_STEPS = 200
+
 
 def integrate(f, a, b, tol=DEFAULT_TOL):
     """Integrate ``f`` over [a, b] by adaptive composite Simpson.
 
     The error estimate is the classical Richardson one; ``tol`` is an
     absolute tolerance, halved on each subdivision.  All integrands in this
-    package are smooth, so the recursion stays shallow.
+    package are smooth, so the recursion stays shallow.  A non-finite
+    Simpson estimate raises ValueError: no subdivision can repair it.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -40,6 +46,8 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     delta = left + right - whole
+    if not math.isfinite(delta):
+        raise ValueError(f"integrand is not finite on [{a}, {b}]")
     accept = 15.0 * max(tol, _REL_FLOOR * abs(left + right))
     if depth <= 0 or abs(delta) <= accept:
         return left + right + delta / 15.0
@@ -47,3 +55,20 @@ def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
     return _adapt(f, a, fa, m, fm, lm, flm, left, half, depth - 1) + _adapt(
         f, m, fm, b, fb, rm, frm, right, half, depth - 1
     )
+
+
+def bisect(high_side, lo, hi, close):
+    """Shrink the bracket [lo, hi] of a scalar root by halving.
+
+    ``high_side(mid)`` is true when the root lies above ``mid``; the loop
+    stops once ``close(lo, hi)`` holds, or after 200 halvings.  Returns the
+    final bracket, so each caller picks the end (or midpoint) it needs."""
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if high_side(mid):
+            lo = mid
+        else:
+            hi = mid
+        if close(lo, hi):
+            break
+    return lo, hi

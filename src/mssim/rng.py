@@ -62,8 +62,3 @@ class RngStream:
     def bernoulli(self, p, size=None):
         """Bernoulli(p) draws as a boolean array."""
         return self._gen.random(size) < p
-
-
-def split(master_seed, stream_id):
-    """Derive the stream for one replication index."""
-    return RngStream(master_seed, stream_id)

@@ -8,13 +8,47 @@ approximate supremum would silently change the law being tested.
 
 from dataclasses import dataclass, field
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-FAMILIES = ("constant", "affine", "sinusoid", "table")
-
 # relative slack for domain checks at the horizon, to absorb grids like k/n
 _EDGE_TOL = 1e-9
+
+
+def _sin_extrema(p, a, b):
+    """Extremum times of c0 + c1*sin(2*pi*c2*t) inside [a, b]."""
+    c1, c2 = p[1], p[2]
+    if c1 == 0.0 or c2 == 0.0:
+        return []
+    # extrema where 2*pi*c2*t = pi/2 + k*pi
+    k0 = math.floor((2.0 * c2 * a - 0.5))
+    k1 = math.ceil((2.0 * c2 * b - 0.5)) + 1
+    ks = range(min(k0, k1), max(k0, k1) + 1)
+    return [tc for tc in ((0.5 + k) / (2.0 * c2) for k in ks) if a <= tc <= b]
+
+
+class _Family(NamedTuple):
+    spec: str  # the family's name in textual specs
+    n_params: int  # 0 marks the knot table, which takes any number of knots
+    value: object  # (params, t array) -> beta(t)
+    critical: object  # (params, a, b) -> interior candidates for extrema on [a, b]
+
+
+_FAMILIES = {
+    "constant": _Family("constant", 1, lambda p, t: np.full_like(t, p[0]),
+                        lambda p, a, b: []),
+    "affine": _Family("affine", 2, lambda p, t: p[0] + p[1] * t, lambda p, a, b: []),
+    "sinusoid": _Family("sin", 3, lambda p, t: p[0] + p[1] * np.sin(2.0 * math.pi * p[2] * t),
+                        _sin_extrema),
+    "table": _Family("table", 0,
+                     lambda p, t: np.interp(t, [k[0] for k in p], [k[1] for k in p]),
+                     lambda p, a, b: [k[0] for k in p if a < k[0] < b]),
+}
+FAMILIES = tuple(_FAMILIES)
+
+# names accepted in textual specs: each family's spec name and its full name
+_BY_SPEC = {name: f for f, fam in _FAMILIES.items() for name in (f, fam.spec)}
 
 
 @dataclass(frozen=True)
@@ -51,27 +85,29 @@ class StabilityIndex:
 
     def _canonical_params(self):
         p = self.params
-        if self.family == "table":
-            knots = tuple((float(t), float(b)) for t, b in p)
-            if len(knots) < 2:
-                raise ValueError("table family needs at least two knots")
-            ts = [t for t, _ in knots]
-            if ts[0] != 0.0:
-                raise ValueError(f"table knots must start at t=0, got {ts[0]}")
-            if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
-                raise ValueError("table knot times must be strictly increasing")
-            if ts[-1] < self.horizon:
-                raise ValueError(
-                    f"last table knot {ts[-1]} does not cover horizon {self.horizon}"
-                )
-            return knots
-        want = {"constant": 1, "affine": 2, "sinusoid": 3}[self.family]
-        vals = tuple(float(v) for v in p)
-        if len(vals) != want:
-            raise ValueError(f"{self.family} family takes {want} parameters, got {len(vals)}")
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite parameter in {vals}")
-        return vals
+        want = _FAMILIES[self.family].n_params
+        if want:
+            vals = tuple(float(v) for v in p)
+            if len(vals) != want:
+                raise ValueError(f"{self.family} family takes {want} parameters, got {len(vals)}")
+            if not all(np.isfinite(v) for v in vals):
+                raise ValueError(f"non-finite parameter in {vals}")
+            return vals
+        knots = tuple((float(t), float(b)) for t, b in p)
+        if len(knots) < 2:
+            raise ValueError("table family needs at least two knots")
+        if not np.isfinite(knots).all():
+            raise ValueError(f"non-finite knot in {knots}")
+        ts = [t for t, _ in knots]
+        if ts[0] != 0.0:
+            raise ValueError(f"table knots must start at t=0, got {ts[0]}")
+        if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
+            raise ValueError("table knot times must be strictly increasing")
+        if ts[-1] < self.horizon:
+            raise ValueError(
+                f"last table knot {ts[-1]} does not cover horizon {self.horizon}"
+            )
+        return knots
 
     # -- evaluation ------------------------------------------------------
 
@@ -88,83 +124,21 @@ class StabilityIndex:
 
     def evaluate_many(self, t):
         """Vectorized beta(t); accepts scalars or arrays."""
-        t = self._check_domain(t)
-        if self.family == "constant":
-            return np.full_like(t, self.params[0])
-        if self.family == "affine":
-            c0, c1 = self.params
-            return c0 + c1 * t
-        if self.family == "sinusoid":
-            c0, c1, c2 = self.params
-            return c0 + c1 * np.sin(2.0 * math.pi * c2 * t)
-        knot_t = np.array([k[0] for k in self.params])
-        knot_b = np.array([k[1] for k in self.params])
-        return np.interp(t, knot_t, knot_b)
-
-    # -- exact bounds ----------------------------------------------------
-
-    def bounds(self):
-        """(beta_inf, beta_sup) over [0, horizon], exact per family."""
-        return (self.beta_inf, self.beta_sup)
-
-    def bounds_on(self, a, b):
-        """Exact (inf, sup) of beta over the sub-window [a, b]."""
-        if not 0.0 <= a <= b:
-            raise ValueError(f"invalid window [{a}, {b}]")
-        if self.family == "constant":
-            c = self.params[0]
-            return (c, c)
-        if self.family == "affine":
-            va, vb = (float(v) for v in self._raw_eval((a, b)))
-            return (min(va, vb), max(va, vb))
-        if self.family == "sinusoid":
-            c0, c1, c2 = self.params
-            cand = [a, b]
-            if c1 != 0.0 and c2 != 0.0:
-                # extrema where 2*pi*c2*t = pi/2 + k*pi
-                k0 = math.floor((2.0 * c2 * a - 0.5))
-                k1 = math.ceil((2.0 * c2 * b - 0.5)) + 1
-                for k in range(min(k0, k1), max(k0, k1) + 1):
-                    tc = (0.5 + k) / (2.0 * c2)
-                    if a <= tc <= b:
-                        cand.append(tc)
-            vals = self._raw_eval(cand)
-            return (float(np.min(vals)), float(np.max(vals)))
-        knot_t = np.array([k[0] for k in self.params])
-        inner = knot_t[(knot_t > a) & (knot_t < b)]
-        cand = np.concatenate(([a, b], inner))
-        vals = self._raw_eval(cand)
-        return (float(np.min(vals)), float(np.max(vals)))
+        return self._raw_eval(self._check_domain(t))
 
     def _raw_eval(self, t):
-        """Evaluation without the horizon check (bounds may probe t > horizon knots)."""
-        t = np.asarray(t, dtype=float)
-        if self.family == "constant":
-            return np.full_like(t, self.params[0])
-        if self.family == "affine":
-            c0, c1 = self.params
-            return c0 + c1 * t
-        if self.family == "sinusoid":
-            c0, c1, c2 = self.params
-            return c0 + c1 * np.sin(2.0 * math.pi * c2 * t)
-        knot_t = np.array([k[0] for k in self.params])
-        knot_b = np.array([k[1] for k in self.params])
-        return np.interp(t, knot_t, knot_b)
+        """Evaluation of a float array or scalar without the horizon check
+        (bounds may probe t > horizon knots)."""
+        return _FAMILIES[self.family].value(self.params, t)
 
-    def lipschitz_bound(self):
-        """A Lipschitz constant for beta on [0, horizon]."""
-        if self.family == "constant":
-            return 0.0
-        if self.family == "affine":
-            return abs(self.params[1])
-        if self.family == "sinusoid":
-            c0, c1, c2 = self.params
-            return 2.0 * math.pi * abs(c1 * c2)
-        slopes = [
-            abs((b1 - b0) / (t1 - t0))
-            for (t0, b0), (t1, b1) in zip(self.params, self.params[1:])
-        ]
-        return max(slopes)
+    def bounds_on(self, a, b):
+        """Exact (inf, sup) of beta over the sub-window [a, b]: the extremes
+        over its endpoints and the family's interior critical points."""
+        if not 0.0 <= a <= b:
+            raise ValueError(f"invalid window [{a}, {b}]")
+        crit = _FAMILIES[self.family].critical(self.params, a, b)
+        vals = self._raw_eval(np.array([a, b, *crit], dtype=float))
+        return (float(np.min(vals)), float(np.max(vals)))
 
     # -- textual spec ----------------------------------------------------
 
@@ -178,9 +152,8 @@ class StabilityIndex:
         try:
             name, _, rest = spec.partition(":")
             name = name.strip().lower()
-            if name == "sin":
-                name = "sinusoid"
-            if name == "table":
+            name = _BY_SPEC.get(name, name)
+            if name in _FAMILIES and not _FAMILIES[name].n_params:
                 params = tuple(
                     tuple(float(v) for v in knot.split(","))
                     for knot in rest.split(";")
@@ -194,9 +167,9 @@ class StabilityIndex:
 
     def spec_string(self):
         """Canonical textual form, round-trips through from_spec."""
-        if self.family == "table":
-            body = ";".join(f"{t:g},{b:g}" for t, b in self.params)
-        else:
+        fam = _FAMILIES[self.family]
+        if fam.n_params:
             body = ",".join(f"{v:g}" for v in self.params)
-        name = "sin" if self.family == "sinusoid" else self.family
-        return f"{name}:{body}"
+        else:
+            body = ";".join(f"{t:g},{b:g}" for t, b in self.params)
+        return f"{fam.spec}:{body}"

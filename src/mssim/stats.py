@@ -8,7 +8,6 @@ import math
 import mpmath
 import numpy as np
 
-from . import subordinator
 from .errors import DegenerateSampleError
 from .quadrature import integrate
 
@@ -130,25 +129,21 @@ def _ml_tail_integral(beta, x):
     return integrate(g, 0.0, 1.0, tol=1e-11)
 
 
-def increment_correlation(paths, window1, window2):
-    """Sample Pearson correlation of path increments over two disjoint windows.
+def increment_correlation(inc1, inc2):
+    """Sample Pearson correlation of paired path increments over two windows,
+    one pair per path.
 
     Under independent increments the null standard error is about 1/sqrt(n).
     Zero-variance increment samples raise DegenerateSampleError rather than
     propagating a NaN."""
-    a, b = window1
-    c, d = window2
-    if not (a < b and c < d):
-        raise ValueError("windows must be non-empty intervals")
-    identical = (a, b) == (c, d)
-    if not identical and a < d and c < b:
-        raise ValueError(f"windows ({a}, {b}] and ({c}, {d}] must be disjoint")
-    if len(paths) < 2:
-        raise ValueError(f"need at least 2 paths, got {len(paths)}")
-    inc1 = np.array([subordinator.increment(p, a, b - a) for p in paths])
-    inc2 = np.array([subordinator.increment(p, c, d - c) for p in paths])
+    inc1 = np.asarray(inc1, dtype=float)
+    inc2 = np.asarray(inc2, dtype=float)
+    if inc1.shape != inc2.shape or inc1.ndim != 1:
+        raise ValueError(f"need two paired 1-d samples, got shapes {inc1.shape}, {inc2.shape}")
+    n = len(inc1)
+    if n < 2:
+        raise ValueError(f"need at least 2 paths, got {n}")
     if inc1.std() == 0.0 or inc2.std() == 0.0:
         raise DegenerateSampleError("an increment sample has zero variance")
     corr = float(np.corrcoef(inc1, inc2)[0, 1])
-    n = len(paths)
     return McEstimate(corr, 1.0 / math.sqrt(n), n)

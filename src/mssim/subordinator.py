@@ -67,13 +67,6 @@ def eval_many(path, ts):
     return padded[idx]
 
 
-def increment(path, t, h):
-    """The non-negative increment over (t, t+h]."""
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    return eval_at(path, t + h) - eval_at(path, t)
-
-
 def gamma_fn(z):
     """Gamma(z) for z > 0; feeds Gamma(1 - beta(s)) in the Laplace exponent."""
     if not np.isfinite(z) or z <= 0:

@@ -54,6 +54,24 @@ def test_bad_beta_spec_is_usage_error():
     assert "beta" in res.stderr or "zigzag" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("laplace", "--beta", "constant:0.5", "--theta", "inf", "--reps", "10"),
+    ("mfpp", "--beta", "constant:0.5", "--lambda", "inf", "--reps", "10"),
+    ("verify", "--quick", "--scale", "inf"),
+])
+def test_non_finite_input_is_usage_error(args):
+    res = run_cli(*args, timeout=5)
+    assert res.returncode == 2
+    assert "finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_verify_takes_no_reps():
+    res = run_cli("verify", "--quick", "--reps", "10")
+    assert res.returncode == 2
+    assert "--reps" in res.stderr
+
+
 def test_bad_lfamily_is_usage_error():
     res = run_cli("ctrw", "--beta", "constant:0.5", "--lfamily", "poly")
     assert res.returncode == 2

@@ -11,54 +11,39 @@ from mssim import (
     CtrwPath,
     HorizonExceededError,
     RngStream,
+    SlowlyVaryingFamily,
     StabilityIndex,
-    ctrw_process,
-    family_from_name,
     inverse_ctrw,
     norming_an,
     norming_bnk,
     partial_sum_path,
-    sample_jnk,
     tail_function,
 )
-from mssim.ctrw import LOG, UNIT
+from mssim.ctrw import LOG, UNIT, _jnk_from_uniforms
+from mssim.experiments import _ctrw_chunk
 
 IDX_HALF = StabilityIndex.from_spec("constant:0.5", 1.0)
 
 
-class FixedStream:
-    """A stand-in stream replaying prescribed uniforms."""
-
-    def __init__(self, values):
-        self._vals = list(values)
-
-    def uniform(self, size=None):
-        if size is None:
-            return self._vals.pop(0)
-        return np.array([self._vals.pop(0) for _ in range(int(size))])
-
-
 def test_family_parsing():
-    assert family_from_name("unit") is not None
-    assert family_from_name("log").kind == "log"
+    assert SlowlyVaryingFamily("unit") == UNIT
+    assert SlowlyVaryingFamily("log").kind == "log"
     with pytest.raises(ValueError):
-        family_from_name("poly")
+        SlowlyVaryingFamily("poly")
 
 
 def test_sample_jnk_unit_inverse_transform():
     # U = 0.25, beta = 0.5 -> 0.25**-2 = 16
-    assert sample_jnk(FixedStream([0.25]), 2, 1, IDX_HALF, UNIT) == pytest.approx(16.0)
+    assert _jnk_from_uniforms([0.25], 0.5, 0.5, UNIT)[0] == pytest.approx(16.0)
     # U -> 1- approaches the support start 1
-    assert sample_jnk(FixedStream([1.0 - 1e-12]), 2, 1, IDX_HALF, UNIT) == pytest.approx(
-        1.0, abs=1e-9
-    )
+    assert _jnk_from_uniforms([1.0 - 1e-12], 0.5, 0.5, UNIT)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sample_jnk_log_inverts_the_tail():
     # beta = beta_sup = 0.5: the drawn point must satisfy
     # t**-0.5 * max(1, ln t) = U on the decreasing branch
     u = 0.1
-    t = sample_jnk(FixedStream([u]), 2, 1, IDX_HALF, LOG)
+    t = _jnk_from_uniforms([u], 0.5, 0.5, LOG)[0]
     assert t > math.exp(2.0)  # beyond the kink
     assert t**-0.5 * math.log(t) == pytest.approx(u, abs=1e-9)
 
@@ -154,15 +139,13 @@ def test_bernoulli_walk_lazy_extension_is_consistent():
     assert w2.value(200) == total  # same stream, same steps, any query order
 
 
-def test_ctrw_process_requires_distinct_streams():
-    with pytest.raises(ValueError):
-        ctrw_process(RngStream(7, 1), RngStream(7, 1), 10, 0.5, 1.0, 0.5, IDX_HALF, UNIT)
-
-
 def test_ctrw_process_degenerate_walk():
-    # p_n = 1 makes the walk deterministic: floor(lambda * E_n(t))
-    path = partial_sum_path(RngStream(8, 0), 20, 1.0, IDX_HALF, UNIT)
-    e = inverse_ctrw(path, 0.7)
-    got = ctrw_process(RngStream(8, 0), RngStream(9, 0), 20, 1.0, 1.0, 0.7, IDX_HALF, UNIT)
-    assert got == int(math.floor(e + 1e-12))
-    assert ctrw_process(RngStream(8, 1), RngStream(9, 1), 20, 0.5, 1.0, 0.0, IDX_HALF, UNIT) == 0
+    # p_n = 1 makes every walk step 1, so the composed walk is floor(lambda * E_n(t));
+    # lambda * E_n(t) lies on the grid 1.5 * k / 20, which never comes near an
+    # integer above 0, and levels past the last partial sum clamp E_n to the horizon
+    cfg = {"seed": 8, "jump_channel": 1, "walk_channel": 2, "idx": IDX_HALF, "L": UNIT,
+           "n": 20, "ts": [0.0, 0.05, 0.7, 5.0], "p_n": 1.0, "lam": 1.5}
+    out = _ctrw_chunk(0, 50, cfg)
+    assert (out["x"] == np.floor(1.5 * out["e"])).all()
+    assert (out["x"][:, 0] == 0).all()
+    assert out["flagged"].any()

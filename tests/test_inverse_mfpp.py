@@ -2,19 +2,18 @@
 
 import math
 
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
 from mssim import (
     HorizonExceededError,
     JumpPath,
-    MfppSample,
-    PoissonPath,
     RngStream,
+    first_passage,
     inverse,
-    inverse_many,
-    mfpp_value,
     sample_poisson_path,
+    time_changed_count,
 )
 
 
@@ -52,9 +51,28 @@ def test_inverse_rejects_bad_levels():
 
 def test_inverse_many_matches_scalar():
     rs = np.array([0.0, 0.5, 1.0, 1.5, 3.0, 3.2, 3.5])
-    assert inverse_many(REF, rs).tolist() == [inverse(REF, r) for r in rs]
-    with pytest.raises(HorizonExceededError):
-        inverse_many(REF, np.array([1.0, 9.0]))
+    assert first_passage(REF.times, REF.prefix, rs).tolist() == [inverse(REF, r) for r in rs]
+    # unreached levels are NaN in the array form, an error in the scalar one
+    e = first_passage(REF.times, REF.prefix, np.array([1.0, 9.0]))
+    assert e[0] == 0.2 and np.isnan(e[1])
+
+
+@given(
+    st.lists(st.floats(0.0, 10.0), min_size=0, max_size=30),
+    st.lists(st.floats(1e-6, 5.0), min_size=30, max_size=30),
+    st.lists(st.one_of(st.just(0.0), st.floats(0.0, 200.0)), min_size=1, max_size=20),
+)
+def test_first_passage_matches_linear_scan(times, sizes, levels):
+    # sorted times (repeats allowed), positive sizes, levels including 0,
+    # repeats, exact prefix sums and levels above the total mass
+    times = np.sort(np.array(times))
+    prefix = np.cumsum(np.array(sizes[: len(times)]))
+    levels = levels + levels[:2] + prefix[: len(levels)].tolist()
+    got = first_passage(times, prefix, levels)
+    for r, e in zip(levels, got):
+        hits = [t for t, p in zip(times, prefix) if p >= r]
+        want = 0.0 if r == 0.0 else (hits[0] if hits else None)
+        assert np.isnan(e) if want is None else e == want
 
 
 def test_inverse_plateaus_cover_every_jump():
@@ -99,20 +117,23 @@ def test_poisson_path_mean_count():
     assert abs(np.mean(counts) - 3.0) <= 3.0 * math.sqrt(3.0 / 10_000)
 
 
+def _mfpp(d_path, arrivals, levels):
+    """X(t) = N(E(t)) at each level t."""
+    return time_changed_count(arrivals, first_passage(d_path.times, d_path.prefix, levels))
+
+
 def test_mfpp_value_examples():
-    n_path = PoissonPath(np.array([0.3, 0.8]), 1.0, 1.0)
+    arrivals = np.array([0.3, 0.8])
     d_half = _path([0.5], [2.0])
-    assert mfpp_value(MfppSample(d_half, n_path), 1.5) == 1  # E(1.5) = 0.5
-    assert mfpp_value(MfppSample(d_half, n_path), 0.0) == 0  # E(0) = 0
+    assert _mfpp(d_half, arrivals, [1.5]).tolist() == [1.0]  # E(1.5) = 0.5
+    assert _mfpp(d_half, arrivals, [0.0]).tolist() == [0.0]  # E(0) = 0
+    assert np.isnan(_mfpp(d_half, arrivals, [2.5])).all()  # E(2.5) unreached
     d_late = _path([0.8], [2.0])
-    assert mfpp_value(MfppSample(d_late, n_path), 1.0) == 2  # arrival at its own time
+    assert _mfpp(d_late, arrivals, [1.0]).tolist() == [2.0]  # arrival at its own time
 
 
 def test_mfpp_value_monotone_in_t():
-    d_path = REF
-    n_path = sample_poisson_path(RngStream(4, 0), 5.0, 1.0)
-    sample = MfppSample(d_path, n_path)
-    levels = np.linspace(0.0, d_path.total, 50)
-    vals = [mfpp_value(sample, float(r)) for r in levels]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert all(isinstance(v, int) for v in vals)
+    arrivals = sample_poisson_path(RngStream(4, 0), 5.0, 1.0).arrivals
+    vals = _mfpp(REF, arrivals, np.linspace(0.0, REF.total, 50))
+    assert (np.diff(vals) >= 0).all()
+    assert (vals == np.round(vals)).all()

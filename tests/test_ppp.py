@@ -14,7 +14,7 @@ from mssim import (
     ks_two_sample,
     sample_stationary,
     sample_threshold,
-    small_jump_mass,
+    small_jump_mass_window,
     solve_truncation,
 )
 
@@ -86,13 +86,11 @@ def test_threshold_conditional_size_tail():
 
 
 def test_small_jump_mass_examples():
-    assert small_jump_mass(IDX_HALF, 1.0, Truncation("threshold", 0.01)) == pytest.approx(
-        0.1, abs=1e-9
-    )
-    assert small_jump_mass(IDX_HALF, 1.0, Truncation("stationary", 100.0)) == pytest.approx(
-        0.01, abs=1e-9
-    )
-    assert small_jump_mass(IDX_AFFINE, 0.0, Truncation("threshold", 0.01)) == 0.0
+    mass = small_jump_mass_window(IDX_HALF, 0.0, 1.0, Truncation("threshold", 0.01))
+    assert mass == pytest.approx(0.1, abs=1e-9)
+    mass = small_jump_mass_window(IDX_HALF, 0.0, 1.0, Truncation("stationary", 100.0))
+    assert mass == pytest.approx(0.01, abs=1e-9)
+    assert small_jump_mass_window(IDX_AFFINE, 0.0, 0.0, Truncation("threshold", 0.01)) == 0.0
 
 
 def test_solve_truncation_meets_budget():
@@ -101,9 +99,10 @@ def test_solve_truncation_meets_budget():
     eps = solve_truncation(IDX_HALF, 1.0, "threshold", 1e-3)
     assert eps == pytest.approx(1e-6, rel=1e-6)  # mass = sqrt(eps)
     for mode, p in (("stationary", m), ("threshold", eps)):
-        assert small_jump_mass(IDX_HALF, 1.0, Truncation(mode, p)) <= 1e-3 * (1 + 1e-9)
+        assert small_jump_mass_window(IDX_HALF, 0.0, 1.0, Truncation(mode, p)) <= 1e-3 * (1 + 1e-9)
     m2 = solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3)
-    assert small_jump_mass(IDX_AFFINE, 1.0, Truncation("stationary", m2)) <= 1e-3 * (1 + 1e-9)
+    mass = small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, Truncation("stationary", m2))
+    assert mass <= 1e-3 * (1 + 1e-9)
 
 
 def test_sampler_equivalence_ks():

@@ -30,6 +30,15 @@ def test_non_finite_bounds_rejected():
         integrate(math.exp, 0.0, math.inf)
 
 
+def test_non_finite_integrand_raises():
+    with pytest.raises(ValueError):
+        integrate(lambda x: math.inf, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        integrate(lambda x: math.inf if x == 0.5 else 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        integrate(lambda x: math.nan, 0.0, 1.0)
+
+
 def test_sharp_peak():
     # localized Gaussian bump: forces adaptive refinement near x=0.37
     val = integrate(lambda x: math.exp(-((x - 0.37) / 0.05) ** 2), 0.0, 1.0)

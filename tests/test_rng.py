@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mssim import RngStream, split
+from mssim import RngStream
 
 
 def test_same_key_same_sequence():
@@ -18,10 +18,6 @@ def test_distinct_stream_ids_differ():
 
 def test_distinct_seeds_differ():
     assert RngStream(42, 0).uniform() != RngStream(43, 0).uniform()
-
-
-def test_split_matches_constructor():
-    assert split(7, 3).uniform() == RngStream(7, 3).uniform()
 
 
 def test_key_validation():

@@ -29,19 +29,20 @@ def test_table_interpolates_linearly():
 
 
 def test_bounds_constant():
-    assert StabilityIndex("constant", (0.5,), 1.0).bounds() == (0.5, 0.5)
+    idx = StabilityIndex("constant", (0.5,), 1.0)
+    assert (idx.beta_inf, idx.beta_sup) == (0.5, 0.5)
 
 
 def test_bounds_affine():
-    lo, hi = StabilityIndex("affine", (0.4, 0.2), 1.0).bounds()
-    assert lo == pytest.approx(0.4, abs=1e-12)
-    assert hi == pytest.approx(0.6, abs=1e-12)
+    idx = StabilityIndex("affine", (0.4, 0.2), 1.0)
+    assert idx.beta_inf == pytest.approx(0.4, abs=1e-12)
+    assert idx.beta_sup == pytest.approx(0.6, abs=1e-12)
 
 
 def test_bounds_sinusoid():
-    lo, hi = StabilityIndex("sinusoid", (0.5, 0.3, 1.0), 1.0).bounds()
-    assert lo == pytest.approx(0.2, abs=1e-12)
-    assert hi == pytest.approx(0.8, abs=1e-12)
+    idx = StabilityIndex("sinusoid", (0.5, 0.3, 1.0), 1.0)
+    assert idx.beta_inf == pytest.approx(0.2, abs=1e-12)
+    assert idx.beta_sup == pytest.approx(0.8, abs=1e-12)
 
 
 def test_bounds_on_subwindow_hits_interior_extremum():
@@ -104,18 +105,3 @@ def test_evaluate_stays_within_bounds():
         assert (vals >= idx.beta_inf - 1e-12).all()
         assert (vals <= idx.beta_sup + 1e-12).all()
 
-
-def test_lipschitz_continuity_proxy():
-    rng = np.random.default_rng(7)
-    delta = 1e-6
-    for spec, horizon in (
-        ("constant:0.5", 1.0),
-        ("affine:0.4,0.2", 1.0),
-        ("sin:0.5,0.3,1", 1.0),
-        ("table:0,0.3;0.4,0.8;1,0.2", 1.0),
-    ):
-        idx = StabilityIndex.from_spec(spec, horizon)
-        k = idx.lipschitz_bound()
-        ts = rng.uniform(0.0, horizon - delta, 1000)
-        gaps = np.abs(idx.evaluate_many(ts + delta) - idx.evaluate_many(ts))
-        assert (gaps <= k * delta + 1e-14).all()

@@ -7,11 +7,11 @@ import pytest
 
 from mssim import (
     DegenerateSampleError,
-    JumpPath,
     RngStream,
     StabilityIndex,
     build_path,
     empirical_laplace,
+    eval_many,
     increment_correlation,
     ks_critical_value,
     ks_two_sample,
@@ -89,31 +89,37 @@ def test_mittag_leffler_monotone_in_z():
         assert all(v > 0.0 for v in vals)
 
 
-def test_increment_correlation_identical_windows():
+def _increments(seed, n, windows):
+    """Increments D(b) - D(a) of n stationary paths, one column per window."""
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
-    paths = [
-        build_path(sample_stationary(RngStream(1, r), 1.0, 200.0, idx)) for r in range(50)
-    ]
-    est = increment_correlation(paths, (0.0, 0.5), (0.0, 0.5))
+    a, b = np.array(windows).T
+    return np.array([
+        eval_many(p, b) - eval_many(p, a)
+        for p in (build_path(sample_stationary(RngStream(seed, r), 1.0, 200.0, idx))
+                  for r in range(n))
+    ])
+
+
+def test_increment_correlation_identical_windows():
+    inc = _increments(1, 50, [(0.0, 0.5)])[:, 0]
+    est = increment_correlation(inc, inc)
     assert est.mean == pytest.approx(1.0, abs=1e-12)
 
 
 def test_increment_correlation_disjoint_windows_near_zero():
-    idx = StabilityIndex.from_spec("constant:0.5", 1.0)
     n = 800
-    paths = [
-        build_path(sample_stationary(RngStream(2, r), 1.0, 200.0, idx)) for r in range(n)
-    ]
-    est = increment_correlation(paths, (0.0, 0.5), (0.5, 1.0))
+    inc = _increments(2, n, [(0.0, 0.5), (0.5, 1.0)])
+    est = increment_correlation(inc[:, 0], inc[:, 1])
     assert abs(est.mean) <= 3.0 / math.sqrt(n)
     assert est.se == pytest.approx(1.0 / math.sqrt(n))
 
 
 def test_increment_correlation_rejects_overlap_and_degenerate():
-    flat = JumpPath(np.array([0.1]), np.array([1.0]), np.array([1.0]), 1.0)
-    other = JumpPath(np.array([0.2]), np.array([2.0]), np.array([2.0]), 1.0)
+    # the samples must pair up path by path
     with pytest.raises(ValueError):
-        increment_correlation([flat, other], (0.0, 0.6), (0.5, 1.0))
-    # all paths jump only before 0.5: window (0.5, 1] has zero variance
+        increment_correlation([1.0, 2.0, 3.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        increment_correlation([1.0], [2.0])
+    # every path jumps only before 0.5: the (0.5, 1] sample has zero variance
     with pytest.raises(DegenerateSampleError):
-        increment_correlation([flat, other], (0.0, 0.5), (0.5, 1.0))
+        increment_correlation([1.0, 2.0], [0.0, 0.0])

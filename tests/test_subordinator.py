@@ -14,9 +14,9 @@ from mssim import (
     eval_at,
     eval_many,
     gamma_fn,
-    increment,
     laplace_transform,
 )
+from mssim.experiments import _increments_chunk, _sample_pattern, stream_for
 
 TRUNC = Truncation("threshold", 0.01)
 
@@ -70,12 +70,19 @@ def test_eval_many_matches_scalar():
 
 
 def test_increment_examples():
-    path = build_path(_pattern([0.5, 0.2], [2.0, 1.0]))
-    assert increment(path, 0.1, 0.3) == 1.0
-    assert increment(path, 0.25, 0.1) == 0.0
-    assert increment(path, 0.1, 0.45) == 3.0
-    with pytest.raises(ValueError):
-        increment(path, 0.1, 0.0)
+    # the pipelines' increments over (a, b] are masked sums of the pattern;
+    # they must equal D(b) - D(a) of the path built from the same pattern
+    idx = StabilityIndex.from_spec("constant:0.5", 1.0)
+    trunc = Truncation("stationary", 200.0)
+    windows = [(0.1, 0.4), (0.25, 0.35), (0.1, 0.55), (0.0, 0.5), (0.5, 1.0)]
+    cfg = {"seed": 3, "channel": 5, "idx": idx, "T": 1.0, "trunc": trunc, "windows": windows}
+    inc = _increments_chunk(0, 20, cfg)["inc"]
+    for rep in range(20):
+        path = build_path(_sample_pattern(stream_for(3, 5, rep), 1.0, idx, trunc))
+        a, b = np.array(windows).T
+        # prefix-sum differences carry rounding of the order of the path total
+        want = eval_many(path, b) - eval_many(path, a)
+        assert inc[rep] == pytest.approx(want, rel=0, abs=1e-12 * path.total)
 
 
 def test_gamma_fn_values():
