@@ -13,7 +13,6 @@ from .ctrw import (
     norming_an,
     norming_bnk,
     partial_sum_path,
-    tail_function,
 )
 from .errors import DegenerateSampleError, HorizonExceededError
 from .experiments import (
@@ -27,7 +26,6 @@ from .experiments import (
 from .inverse_mfpp import (
     PoissonPath,
     first_passage,
-    inverse,
     sample_poisson_path,
     time_changed_count,
 )
@@ -53,7 +51,6 @@ from .stats import (
 from .subordinator import (
     JumpPath,
     build_path,
-    eval_at,
     eval_many,
     gamma_fn,
     laplace_transform,
@@ -75,13 +72,11 @@ __all__ = [
     "Truncation",
     "build_path",
     "empirical_laplace",
-    "eval_at",
     "eval_many",
     "expected_count_window",
     "first_passage",
     "gamma_fn",
     "increment_correlation",
-    "inverse",
     "inverse_ctrw",
     "ks_critical_value",
     "ks_two_sample",
@@ -100,6 +95,5 @@ __all__ = [
     "sample_threshold",
     "small_jump_mass_window",
     "solve_truncation",
-    "tail_function",
     "time_changed_count",
 ]

@@ -58,12 +58,6 @@ class CtrwPath:
         return (len(self.grid) - 1) / self.n
 
 
-def tail_function(t, beta, beta_sup, L):
-    """P(J > t) = t**(-beta) * L(t**(beta/beta_sup)), vectorized."""
-    t = np.asarray(t, dtype=float)
-    return t ** (-beta) * L.value(t ** (beta / beta_sup))
-
-
 def _jnk_from_uniforms(u, beta, beta_sup, L):
     """Invert the tail at uniform levels ``u`` (arrays broadcast together).
 

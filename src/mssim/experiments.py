@@ -4,7 +4,9 @@ Each pipeline draws its Monte Carlo replications from per-replication
 random streams (master seed, channel, replication index), reduces them
 into a ``Report`` of named columns, and never depends on the number of
 worker processes: identical configuration and seed give byte-identical
-output.
+output.  A replication is one call of a per-replication worker
+``fn(rep, **params)`` returning named values; ``_map_reps`` is the only
+loop over replications.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -49,6 +51,9 @@ _T_END_CANDIDATES = (
     1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0,
     10.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0,
 )
+# expected points one replication may draw; the pinned configurations stay
+# below 3e5, and numpy's Poisson sampler fails near 1e19
+_MAX_POINTS = 1e7
 
 
 def stream_for(seed, channel, rep):
@@ -115,17 +120,34 @@ class Report:
 _MIN_CHUNK = 64
 
 
-def _map_reps(fn, reps, workers, cfg):
-    """Run ``fn(lo, hi, cfg)`` over [0, reps) and concatenate its arrays.
+def _map_chunk(fn, lo, hi, params):
+    """``fn(rep, **params)`` for each rep in [lo, hi), each named output
+    written to its replication's row of one array per name."""
+    out = {}
+    for i, rep in enumerate(range(lo, hi)):
+        for k, v in fn(rep, **params).items():
+            if k not in out:
+                # strings differ in width from rep to rep, so they stay objects
+                dtype = object if isinstance(v, str) else np.asarray(v).dtype
+                out[k] = np.empty((hi - lo,) + np.shape(v), dtype)
+            out[k][i] = v
+    return out
 
-    Chunks are reduced in replication order, and every replication owns its
-    own stream, so the result is independent of the worker count."""
+
+def _map_reps(fn, reps, workers, **params):
+    """Run the worker ``fn(rep, **params)`` for every rep in [0, reps).
+
+    Each named output becomes one array whose first axis is the
+    replication.  Chunks are reduced in replication order, and every
+    replication owns its own stream, so the result is independent of the
+    worker count."""
     if workers <= 1 or reps < 2 * _MIN_CHUNK:
-        return fn(0, reps, cfg)
+        return _map_chunk(fn, 0, reps, params)
     chunk = max(_MIN_CHUNK, -(-reps // (workers * 4)))
     spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = [f.result() for f in [pool.submit(fn, lo, hi, cfg) for lo, hi in spans]]
+        futures = [pool.submit(_map_chunk, fn, lo, hi, params) for lo, hi in spans]
+        parts = [f.result() for f in futures]
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
@@ -150,14 +172,14 @@ def level_tail_bound(idx, level, T):
     return float(min(1.0, math.exp(exponent.min())))
 
 
-def choose_horizon(beta_spec, level, candidates=_T_END_CANDIDATES):
+def choose_horizon(beta_spec, level):
     """Shortest horizon on which the level is reached except with
     probability below the planning target (or the longest admissible
     horizon if the index leaves (0, 1) first).
 
     Returns ``(index, tail_bound)``."""
     best = None
-    for T in candidates:
+    for T in _T_END_CANDIDATES:
         try:
             idx = StabilityIndex.from_spec(beta_spec, T)
         except ValueError:
@@ -204,8 +226,16 @@ def _solve_eps_for_count(idx, t0, t1, cap):
     return ppp.log_bisect(count, cap, -300.0, -1e-9, False)
 
 
-def plan_passage(idx, levels, tail_bound, mass_rate=DEFAULT_MASS_BUDGET,
-                 block_len=_PASSAGE_BLOCK_LEN, points_cap=_PASSAGE_POINTS_CAP):
+def _check_points(count, t0, t1):
+    """Reject, before anything is drawn, a truncation that expects more than
+    ``_MAX_POINTS`` points per replication on [t0, t1]."""
+    _require(count <= _MAX_POINTS,
+             f"the truncation expects {count:.3g} points per replication on "
+             f"[{t0:g}, {t1:g}], above the cap of {_MAX_POINTS:g}; the index is too "
+             "close to 1 or the truncation level too high")
+
+
+def plan_passage(idx, levels, tail_bound):
     """Per-block truncation thresholds covering [0, horizon]."""
     levels = tuple(sorted(float(r) for r in levels))
     if not levels or levels[0] <= 0:
@@ -214,21 +244,21 @@ def plan_passage(idx, levels, tail_bound, mass_rate=DEFAULT_MASS_BUDGET,
     blocks = []
     t0 = 0.0
     while t0 < t_end - 1e-12:
-        t1 = min(t0 + block_len, t_end)
-        eps = ppp.solve_truncation(idx, t1, "threshold", mass_rate * (t1 - t0), t0=t0)
-        trunc = ppp.Truncation("threshold", eps)
+        t1 = min(t0 + _PASSAGE_BLOCK_LEN, t_end)
+        trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0)
         count = ppp.expected_count_window(idx, t0, t1, trunc)
-        if count > points_cap and t1 > 1.0:
-            eps = max(eps, _solve_eps_for_count(idx, t0, t1, points_cap))
+        if count > _PASSAGE_POINTS_CAP and t1 > 1.0:
+            eps = max(trunc.parameter, _solve_eps_for_count(idx, t0, t1, _PASSAGE_POINTS_CAP))
             trunc = ppp.Truncation("threshold", eps)
             count = ppp.expected_count_window(idx, t0, t1, trunc)
+        _check_points(count, t0, t1)
         mass = ppp.small_jump_mass_window(idx, t0, t1, trunc)
-        blocks.append(PassageBlock(t0, t1, eps, count, mass))
+        blocks.append(PassageBlock(t0, t1, trunc.parameter, count, mass))
         t0 = t1
     return PassagePlan(idx, levels, t_end, tuple(blocks), tail_bound)
 
 
-def _passage_rep(stream, plan):
+def _block_passage(stream, plan):
     """First-passage times of one truncated path at every plan level.
 
     Levels not reached by the horizon stay NaN (the caller flags them);
@@ -254,163 +284,107 @@ def _passage_rep(stream, plan):
 
 
 # ---------------------------------------------------------------------------
-# replication-chunk workers (top level so worker processes can import them)
+# per-replication workers (top level so worker processes can import them);
+# each returns a dict of named values, which ``_map_reps`` gathers into arrays
 # ---------------------------------------------------------------------------
 
 
-def _sample_pattern(stream, T, idx, trunc):
-    if trunc.mode == "stationary":
-        return ppp.sample_stationary(stream, T, trunc.parameter, idx)
-    return ppp.sample_threshold(stream, T, trunc.parameter, idx)
+def _increments_rep(rep, seed, channel, idx, T, trunc, windows):
+    """Increments of D over each (a, b] window, all from one pattern on
+    [0, T].  The window (0, t] gives D(t): every jump time is positive."""
+    pat = ppp.sample_pattern(stream_for(seed, channel, rep), T, trunc, idx)
+    return {"inc": np.array([pat.sizes[(pat.times > a) & (pat.times <= b)].sum()
+                             for a, b in windows])}
 
 
-def _dvalues_chunk(lo, hi, cfg):
-    """Path values D(t) at the configured times, one pattern per replication."""
-    idx, ts, T, trunc = cfg["idx"], cfg["ts"], cfg["T"], cfg["trunc"]
-    out = np.empty((hi - lo, len(ts)))
-    for i, rep in enumerate(range(lo, hi)):
-        pat = _sample_pattern(stream_for(cfg["seed"], cfg["channel"], rep), T, idx, trunc)
-        for j, t in enumerate(ts):
-            out[i, j] = float(pat.sizes[pat.times <= t].sum())
-    return {"d": out}
-
-
-def _increments_chunk(lo, hi, cfg):
-    """Increments over the configured (a, b] windows from a shared pattern."""
-    idx, windows, T, trunc = cfg["idx"], cfg["windows"], cfg["T"], cfg["trunc"]
-    out = np.empty((hi - lo, len(windows)))
-    for i, rep in enumerate(range(lo, hi)):
-        pat = _sample_pattern(stream_for(cfg["seed"], cfg["channel"], rep), T, idx, trunc)
-        for j, (a, b) in enumerate(windows):
-            out[i, j] = float(pat.sizes[(pat.times > a) & (pat.times <= b)].sum())
-    return {"inc": out}
-
-
-def _monotone_chunk(lo, hi, cfg):
-    """Strict-monotonicity and inverse-consistency violations per path."""
-    idx, T, trunc, probes = cfg["idx"], cfg["T"], cfg["trunc"], cfg["probes"]
-    bad = np.zeros(hi - lo, dtype=np.int64)
-    for i, rep in enumerate(range(lo, hi)):
-        s = stream_for(cfg["seed"], cfg["channel"], rep)
-        path = subordinator.build_path(_sample_pattern(s, T, idx, trunc))
-        if len(path.prefix) == 0:
-            bad[i] += 1
-            continue
-        if path.prefix[0] <= 0.0 or (len(path.prefix) > 1 and (np.diff(path.prefix) <= 0.0).any()):
-            bad[i] += 1
-        # first-passage consistency: D(E(r)) >= r and the path is still
-        # below r just before E(r); and E(D(t)) <= t for every t
-        rs = s.uniform(probes) * path.total
-        e = inverse_mfpp.first_passage(path.times, path.prefix, rs)
-        before = np.concatenate(([0.0], path.prefix))[np.searchsorted(path.times, e, side="left")]
-        bad[i] += int(((subordinator.eval_many(path, e) < rs) | (before >= rs)).sum())
-        ts = T * s.uniform(probes)
-        e = inverse_mfpp.first_passage(path.times, path.prefix, subordinator.eval_many(path, ts))
-        bad[i] += int((e > ts * (1.0 + 1e-12)).sum())
+def _monotone_rep(rep, seed, idx, trunc):
+    """Strict-monotonicity and inverse-consistency violations of one path
+    on [0, horizon], probed at 100 random levels and 100 random times."""
+    s = stream_for(seed, CH_MONOTONE, rep)
+    T = idx.horizon
+    path = subordinator.build_path(ppp.sample_pattern(s, T, trunc, idx))
+    if len(path.prefix) == 0:
+        return {"bad": 1}
+    bad = int(path.prefix[0] <= 0.0 or (np.diff(path.prefix) <= 0.0).any())
+    # first-passage consistency: D(E(r)) >= r and the path is still
+    # below r just before E(r); and E(D(t)) <= t for every t
+    rs = s.uniform(100) * path.total
+    e = inverse_mfpp.first_passage(path.times, path.prefix, rs)
+    before = np.concatenate(([0.0], path.prefix))[np.searchsorted(path.times, e, side="left")]
+    bad += int(((subordinator.eval_many(path, e) < rs) | (before >= rs)).sum())
+    ts = T * s.uniform(100)
+    e = inverse_mfpp.first_passage(path.times, path.prefix, subordinator.eval_many(path, ts))
+    bad += int((e > ts * (1.0 + 1e-12)).sum())
     return {"bad": bad}
 
 
-def _passage_chunk(lo, hi, cfg):
-    """First-passage times at each level, plus the time-changed counts."""
-    plan = cfg["plan"]
-    m = cfg.get("stationary_m")
-    rate = cfg.get("rate")
-    nl = len(plan.levels)
-    e = np.empty((hi - lo, nl))
-    x = np.full((hi - lo, nl), np.nan)
-    for i, rep in enumerate(range(lo, hi)):
-        s = stream_for(cfg["seed"], cfg["channel"], rep)
-        if m is not None:
-            path = subordinator.build_path(ppp.sample_stationary(s, plan.t_end, m, plan.idx))
-            e[i] = inverse_mfpp.first_passage(path.times, path.prefix, plan.levels)
-        else:
-            e[i] = _passage_rep(s, plan)
-        if rate is not None:
-            sa = stream_for(cfg["seed"], cfg["arr_channel"], rep)
-            npath = inverse_mfpp.sample_poisson_path(sa, rate, plan.t_end)
-            x[i] = inverse_mfpp.time_changed_count(npath.arrivals, e[i])
-    out = {"e": e}
-    if rate is not None:
-        out["x"] = x
-    return out
+def _passage_rep(rep, seed, plan, rate, trunc_m):
+    """First-passage times E at each plan level, and X = N(E) for a
+    rate-``rate`` Poisson process.  The path follows the block plan, or,
+    when ``trunc_m`` is given, one stationary pattern with level M on the
+    whole horizon."""
+    s = stream_for(seed, CH_PASSAGE, rep)
+    if trunc_m is None:
+        e = _block_passage(s, plan)
+    else:
+        path = subordinator.build_path(ppp.sample_stationary(s, plan.t_end, trunc_m, plan.idx))
+        e = inverse_mfpp.first_passage(path.times, path.prefix, plan.levels)
+    npath = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate, plan.t_end)
+    return {"e": e, "x": inverse_mfpp.time_changed_count(npath.arrivals, e)}
 
 
-def _tail_chunk(lo, hi, cfg):
-    """Exceedance counts of normalized array summands over the level c."""
-    beta, beta_sup, L = cfg["beta"], cfg["beta_sup"], cfg["L"]
-    bound = cfg["c"] * ctrw.norming_bnk(cfg["a_n"], beta, beta_sup)
-    batch = cfg["batch"]
-    hits = np.empty(hi - lo, dtype=np.int64)
-    for i, rep in enumerate(range(lo, hi)):
-        s = stream_for(cfg["seed"], cfg["channel"], rep)
-        j = ctrw._jnk_from_uniforms(s.uniform(batch), beta, beta_sup, L)
-        hits[i] = int((j > bound).sum())
-    return {"hits": hits}
+def _tail_rep(rep, seed, beta, bound, batch):
+    """Exceedances of ``bound`` among ``batch`` unit-family array summands
+    of constant index beta."""
+    u = stream_for(seed, CH_TAIL, rep).uniform(batch)
+    return {"hits": int((ctrw._jnk_from_uniforms(u, beta, beta, ctrw.UNIT) > bound).sum())}
 
 
-def _ctrw_chunk(lo, hi, cfg):
-    """S_n(t), E_n(t) and the composed walk at each t, one path per rep."""
-    idx, L, n, ts = cfg["idx"], cfg["L"], cfg["n"], cfg["ts"]
-    p_n, lam = cfg["p_n"], cfg["lam"]
-    nt = len(ts)
-    s_out = np.empty((hi - lo, nt))
-    e_out = np.empty((hi - lo, nt))
-    x_out = np.empty((hi - lo, nt))
-    flagged = np.zeros(hi - lo, dtype=bool)
-    for i, rep in enumerate(range(lo, hi)):
-        js = stream_for(cfg["seed"], cfg["jump_channel"], rep)
-        path = ctrw.partial_sum_path(js, n, idx.horizon, idx, L)
-        walk = ctrw.BernoulliWalk(stream_for(cfg["seed"], cfg["walk_channel"], rep), p_n)
-        for j, t in enumerate(ts):
-            k = min(int(math.floor(n * t + 1e-9)), len(path.grid) - 1)
-            s_out[i, j] = path.grid[k]
-            try:
-                e = ctrw.inverse_ctrw(path, t)
-            except HorizonExceededError:
-                e = path.horizon
-                flagged[i] = True
-            e_out[i, j] = e
-            x_out[i, j] = walk.value(lam * e / p_n)
-    return {"s": s_out, "e": e_out, "x": x_out, "flagged": flagged}
+def _ctrw_rep(rep, seed, channel, idx, L, n, ts, p_n, lam):
+    """S_n(t), E_n(t) and the composed walk at each t for one row-n path.
+
+    The summands use stream ``channel`` and the walk ``channel + 1``; a
+    level past the last partial sum clamps E_n to the horizon and flags the
+    replication."""
+    path = ctrw.partial_sum_path(stream_for(seed, channel, rep), n, idx.horizon, idx, L)
+    walk = ctrw.BernoulliWalk(stream_for(seed, channel + 1, rep), p_n)
+    s, e, x = [], [], []
+    flagged = False
+    for t in ts:
+        s.append(path.grid[min(int(math.floor(n * t + 1e-9)), len(path.grid) - 1)])
+        try:
+            e.append(ctrw.inverse_ctrw(path, t))
+        except HorizonExceededError:
+            e.append(path.horizon)
+            flagged = True
+        x.append(walk.value(lam * e[-1] / p_n))
+    return {"s": np.array(s), "e": np.array(e), "x": np.array(x, dtype=float), "flagged": flagged}
 
 
-def _paths_chunk(lo, hi, cfg):
-    """Emit one trajectory CSV per replication; report invariant checks."""
-    idx, ts, trunc, lam = cfg["idx"], cfg["ts"], cfg["trunc"], cfg["lam"]
+def _paths_rep(rep, seed, idx, ts, trunc, lam, out_prefix):
+    """Write one trajectory CSV of D, E and X on the grid ``ts``; report its
+    name, its flagged rows and whether D and X are non-decreasing."""
     T = idx.horizon
-    nflag = np.zeros(hi - lo, dtype=np.int64)
-    ok = np.ones(hi - lo, dtype=bool)
-    for i, rep in enumerate(range(lo, hi)):
-        s = stream_for(cfg["seed"], cfg["channel"], rep)
-        path = subordinator.build_path(_sample_pattern(s, T, idx, trunc))
-        sa = stream_for(cfg["seed"], cfg["arr_channel"], rep)
-        npath = inverse_mfpp.sample_poisson_path(sa, lam, T)
-        d = subordinator.eval_many(path, ts)
-        e = inverse_mfpp.first_passage(path.times, path.prefix, ts)
-        x = inverse_mfpp.time_changed_count(npath.arrivals, e)
-        flags = np.isnan(e)
-        nflag[i] = int(flags.sum())
-        if (np.diff(d) < 0).any() or (np.diff(x[~flags]) < 0).any():
-            ok[i] = False
-        rows = [
-            (float(ts[j]), float(d[j]), float(e[j]), float(x[j]), bool(flags[j]))
-            for j in range(len(ts))
-        ]
-        rep_report = Report(
-            "paths",
-            {
-                "beta": idx.spec_string(),
-                "seed": cfg["seed"],
-                "rep": rep,
-                "lambda": lam,
-                "horizon": T,
-                "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
-            },
-            ("t", "d", "e", "x", "flagged"),
-            rows,
-        )
-        rep_report.write(f"{cfg['out_prefix']}.rep{rep:05d}.csv")
-    return {"nflag": nflag, "ok": ok}
+    pat = ppp.sample_pattern(stream_for(seed, CH_PATHS_JUMPS, rep), T, trunc, idx)
+    path = subordinator.build_path(pat)
+    npath = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_PATHS_ARRIVALS, rep), lam, T)
+    d = subordinator.eval_many(path, ts)
+    e = inverse_mfpp.first_passage(path.times, path.prefix, ts)
+    x = inverse_mfpp.time_changed_count(npath.arrivals, e)
+    flags = np.isnan(e)
+    header = {
+        "beta": idx.spec_string(),
+        "seed": seed,
+        "rep": rep,
+        "lambda": lam,
+        "horizon": T,
+        "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
+    }
+    rows = list(zip(ts.tolist(), d.tolist(), e.tolist(), x.tolist(), flags.tolist()))
+    name = f"{out_prefix}.rep{rep:05d}.csv"
+    Report("paths", header, ("t", "d", "e", "x", "flagged"), rows).write(name)
+    ok = not ((np.diff(d) < 0).any() or (np.diff(x[~flags]) < 0).any())
+    return {"file": name, "nflag": int(flags.sum()), "ok": ok}
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +409,7 @@ def _check_common(reps, seed):
 
 
 def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
-                mass_budget=DEFAULT_MASS_BUDGET, channel=CH_LAPLACE):
+                mass_budget=DEFAULT_MASS_BUDGET):
     """Monte Carlo transform values of D(t) against the closed form.
 
     Row pass: |MC mean - closed form| <= 3*SE + theta * excluded mass."""
@@ -452,16 +426,15 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc = ppp.Truncation("stationary", float(trunc_m))
     else:
-        trunc = ppp.Truncation(
-            "stationary", ppp.solve_truncation(idx, T, "stationary", mass_budget)
-        )
-    cfg = {"seed": int(seed), "channel": channel, "idx": idx, "ts": ts, "T": T, "trunc": trunc}
-    res = _map_reps(_dvalues_chunk, int(reps), workers, cfg)
+        trunc = ppp.solve_truncation(idx, T, "stationary", mass_budget)
+    _check_points(ppp.expected_count_window(idx, 0.0, T, trunc), 0.0, T)
+    d = _map_reps(_increments_rep, int(reps), workers, seed=int(seed), channel=CH_LAPLACE,
+                  idx=idx, T=T, trunc=trunc, windows=[(0.0, t) for t in ts])["inc"]
     rows = []
     for theta in thetas:
         for t in sorted(range(len(ts)), key=lambda j: ts[j]):
             tv = ts[t]
-            est = stats.empirical_laplace(res["d"][:, t], theta)
+            est = stats.empirical_laplace(d[:, t], theta)
             oracle = subordinator.laplace_transform(idx, theta, tv)
             bias = theta * ppp.small_jump_mass_window(idx, 0.0, tv, trunc)
             ok = abs(est.mean - oracle) <= 3.0 * est.se + bias
@@ -480,8 +453,7 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
                   rows)
 
 
-def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None,
-             mass_rate=DEFAULT_MASS_BUDGET):
+def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
     """Marginal law of the time-changed counting process at each t.
 
     The oracle exists only for a constant index at k = 0 (a Mittag-Leffler
@@ -492,15 +464,13 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None,
     _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
     if trunc_m is not None:
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
+        trunc_m = float(trunc_m)
     idx, tail = choose_horizon(beta_spec, max(ts))
-    plan = plan_passage(idx, ts, tail, mass_rate=mass_rate)
-    cfg = {
-        "seed": int(seed), "channel": CH_PASSAGE, "arr_channel": CH_ARRIVALS,
-        "plan": plan, "rate": float(lam),
-    }
     if trunc_m is not None:
-        cfg["stationary_m"] = float(trunc_m)
-    res = _map_reps(_passage_chunk, int(reps), workers, cfg)
+        _check_points(idx.horizon * trunc_m, 0.0, idx.horizon)
+    plan = plan_passage(idx, ts, tail)
+    res = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam),
+                    trunc_m=trunc_m)
     xs = res["x"]
     unreached = int(np.isnan(res["e"]).sum())
     rows = []
@@ -512,8 +482,8 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None,
         for k in range(kmax + 1):
             p = float((col == k).mean()) if nv else float("nan")
             se = math.sqrt(p * (1.0 - p) / nv) if nv else float("nan")
-            if idx.family == "constant" and k == 0:
-                b = idx.params[0]
+            if idx.beta_inf == idx.beta_sup and k == 0:
+                b = idx.beta_inf
                 oracle = stats.mittag_leffler(b, -lam * t**b / subordinator.gamma_fn(1.0 - b))
                 ok = abs(p - oracle) <= 3.0 * se
             else:
@@ -544,7 +514,7 @@ def _parse_pn(pn_rule, n):
 
 
 def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
-             lam=1.0, alpha=0.01, mass_rate=DEFAULT_MASS_BUDGET):
+             lam=1.0, alpha=0.01):
     """KS distances of the array approximations against direct simulation.
 
     For each n: the normalized partial sum at t vs D(t), its inverse at
@@ -559,28 +529,21 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
     idx, tail = choose_horizon(beta_spec, max(ts))
     # reference samples, shared by every n
-    trunc_ref = ppp.Truncation(
-        "threshold", ppp.solve_truncation(idx, max(ts), "threshold", mass_rate)
-    )
-    dref = _map_reps(_dvalues_chunk, int(reps), workers, {
-        "seed": int(seed), "channel": CH_D_REFERENCE, "idx": idx, "ts": ts,
-        "T": max(ts), "trunc": trunc_ref,
-    })["d"]
-    plan = plan_passage(idx, ts, tail, mass_rate=mass_rate)
-    ref = _map_reps(_passage_chunk, int(reps), workers, {
-        "seed": int(seed), "channel": CH_PASSAGE, "arr_channel": CH_ARRIVALS,
-        "plan": plan, "rate": float(lam),
-    })
+    T = max(ts)
+    trunc_ref = ppp.solve_truncation(idx, T, "threshold", DEFAULT_MASS_BUDGET)
+    _check_points(ppp.expected_count_window(idx, 0.0, T, trunc_ref), 0.0, T)
+    dref = _map_reps(_increments_rep, int(reps), workers, seed=int(seed), channel=CH_D_REFERENCE,
+                     idx=idx, T=T, trunc=trunc_ref, windows=[(0.0, t) for t in ts])["inc"]
+    plan = plan_passage(idx, ts, tail)
+    ref = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam),
+                    trunc_m=None)
     eref, xref = ref["e"], ref["x"]
     rows = []
     flagged_total = 0
     for i, n in enumerate(sorted(ns)):
-        p_n = _parse_pn(pn_rule, n)
-        res = _map_reps(_ctrw_chunk, int(reps), workers, {
-            "seed": int(seed), "jump_channel": CH_CTRW_JUMPS + 2 * i,
-            "walk_channel": CH_CTRW_JUMPS + 2 * i + 1,
-            "idx": idx, "L": L, "n": n, "ts": ts, "p_n": p_n, "lam": float(lam),
-        })
+        res = _map_reps(_ctrw_rep, int(reps), workers, seed=int(seed),
+                        channel=CH_CTRW_JUMPS + 2 * i, idx=idx, L=L, n=n, ts=ts,
+                        p_n=_parse_pn(pn_rule, n), lam=float(lam))
         flagged_total += int(res["flagged"].sum())
         for j, t in enumerate(ts):
             emask = ~np.isnan(eref[:, j])
@@ -609,34 +572,28 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
                   rows)
 
 
-def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101,
-              lam=1.0, mass_budget=DEFAULT_MASS_BUDGET):
+def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101, lam=1.0):
     """Per-replication trajectory dumps of D, E and X on a uniform grid."""
     _check_common(reps, seed)
     _require(isinstance(grid, (int, np.integer)) and grid >= 2,
              f"grid must be an integer >= 2, got {grid}")
     _require(_positive(t_max), f"t must be positive and finite, got {t_max}")
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
-    idx = StabilityIndex.from_spec(beta_spec, float(t_max))
-    trunc = ppp.Truncation(
-        "threshold", ppp.solve_truncation(idx, float(t_max), "threshold", mass_budget)
-    )
-    ts = np.linspace(0.0, float(t_max), int(grid))
-    res = _map_reps(_paths_chunk, int(reps), workers, {
-        "seed": int(seed), "channel": CH_PATHS_JUMPS, "arr_channel": CH_PATHS_ARRIVALS,
-        "idx": idx, "ts": ts, "trunc": trunc, "lam": float(lam),
-        "out_prefix": out_prefix,
-    })
-    rows = [
-        (rep, f"{out_prefix}.rep{rep:05d}.csv", int(res["nflag"][rep]), bool(res["ok"][rep]))
-        for rep in range(int(reps))
-    ]
+    T = float(t_max)
+    idx = StabilityIndex.from_spec(beta_spec, T)
+    trunc = ppp.solve_truncation(idx, T, "threshold", DEFAULT_MASS_BUDGET)
+    _check_points(ppp.expected_count_window(idx, 0.0, T, trunc), 0.0, T)
+    res = _map_reps(_paths_rep, int(reps), workers, seed=int(seed), idx=idx,
+                    ts=np.linspace(0.0, T, int(grid)), trunc=trunc, lam=float(lam),
+                    out_prefix=out_prefix)
+    rows = list(zip(range(int(reps)), res["file"].tolist(), res["nflag"].tolist(),
+                    res["ok"].tolist()))
     header = {
         "beta": idx.spec_string(),
         "seed": int(seed),
         "reps": int(reps),
         "lambda": float(lam),
-        "horizon": float(t_max),
+        "horizon": T,
         "grid": int(grid),
         "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
     }
@@ -654,8 +611,8 @@ def _scaled(n, scale, floor=200):
     return max(floor, int(round(n * scale)))
 
 
-def _count_inversions(seq, tol=1e-12):
-    return sum(1 for a, b in zip(seq, seq[1:]) if b > a + tol)
+def _count_inversions(seq):
+    return sum(1 for a, b in zip(seq, seq[1:]) if b > a + 1e-12)
 
 
 def run_verify(seed, workers=1, quick=False, scale=1.0):
@@ -663,6 +620,7 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     _require(_positive(scale), f"scale must be positive and finite, got {scale}")
     _require(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64,
              f"seed must be an unsigned 64-bit integer, got {seed}")
+    seed = int(seed)
     if quick:
         sizes = dict(laplace=2000, cross=2000, continuity=2000, increments=2000,
                      monotone=50, mfpp=3000, tail=100_000, ctrw=1000)
@@ -691,11 +649,9 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     n2 = sizes["cross"]
     samples = {}
     for mode, ch in (("stationary", CH_CROSS_STATIONARY), ("threshold", CH_CROSS_THRESHOLD)):
-        trunc = ppp.Truncation(mode, ppp.solve_truncation(idx_c, 1.0, mode, DEFAULT_MASS_BUDGET))
-        samples[mode] = _map_reps(_dvalues_chunk, n2, workers, {
-            "seed": int(seed), "channel": ch, "idx": idx_c, "ts": [1.0], "T": 1.0,
-            "trunc": trunc,
-        })["d"][:, 0]
+        trunc = ppp.solve_truncation(idx_c, 1.0, mode, DEFAULT_MASS_BUDGET)
+        samples[mode] = _map_reps(_increments_rep, n2, workers, seed=seed, channel=ch, idx=idx_c,
+                                  T=1.0, trunc=trunc, windows=[(0.0, 1.0)])["inc"][:, 0]
     ks = stats.ks_two_sample(samples["stationary"], samples["threshold"])
     crit = stats.ks_critical_value(n2, n2, 0.01)
     rows.append((2, "sampler cross-validation KS at t=1", ks, crit, ks < crit))
@@ -703,14 +659,10 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     # 3: small-increment probability against the continuity constant C = 21
     n3 = sizes["continuity"]
     windows = [(t, t + h) for t in (0.0, 0.4) for h in (0.01, 0.05, 0.1)]
-    trunc3 = ppp.Truncation(
-        "stationary", ppp.solve_truncation(idx_c_half := StabilityIndex.from_spec("constant:0.5", 0.5),
-                                           0.5, "stationary", DEFAULT_MASS_BUDGET)
-    )
-    inc = _map_reps(_increments_chunk, n3, workers, {
-        "seed": int(seed), "channel": CH_CONTINUITY, "idx": idx_c_half, "ts": None,
-        "T": 0.5, "trunc": trunc3, "windows": windows,
-    })["inc"]
+    idx3 = StabilityIndex.from_spec("constant:0.5", 0.5)
+    inc = _map_reps(_increments_rep, n3, workers, seed=seed, channel=CH_CONTINUITY, idx=idx3,
+                    T=0.5, trunc=ppp.solve_truncation(idx3, 0.5, "stationary", DEFAULT_MASS_BUDGET),
+                    windows=windows)["inc"]
     c_const = 21.0
     for j, (a, b) in enumerate(windows):
         h = b - a
@@ -721,13 +673,9 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
 
     # 4: increments on (0, 0.5] and (0.5, 1] are uncorrelated
     n4 = sizes["increments"]
-    trunc4 = ppp.Truncation(
-        "stationary", ppp.solve_truncation(idx_c, 1.0, "stationary", DEFAULT_MASS_BUDGET)
-    )
-    inc4 = _map_reps(_increments_chunk, n4, workers, {
-        "seed": int(seed), "channel": CH_INCREMENTS, "idx": idx_c, "ts": None,
-        "T": 1.0, "trunc": trunc4, "windows": [(0.0, 0.5), (0.5, 1.0)],
-    })["inc"]
+    inc4 = _map_reps(_increments_rep, n4, workers, seed=seed, channel=CH_INCREMENTS, idx=idx_c,
+                     T=1.0, trunc=ppp.solve_truncation(idx_c, 1.0, "stationary", DEFAULT_MASS_BUDGET),
+                     windows=[(0.0, 0.5), (0.5, 1.0)])["inc"]
     corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]).mean)
     bound4 = 3.0 / math.sqrt(n4)
     rows.append((4, "increment correlation (0,0.5] vs (0.5,1]", corr, bound4, corr <= bound4))
@@ -736,14 +684,9 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     n5 = sizes["monotone"]
     for spec in _VERIFY_FAMILIES:
         idx5 = StabilityIndex.from_spec(spec, 1.0)
-        trunc5 = ppp.Truncation(
-            "stationary", ppp.solve_truncation(idx5, 1.0, "stationary", DEFAULT_MASS_BUDGET)
-        )
-        bad = _map_reps(_monotone_chunk, n5, workers, {
-            "seed": int(seed), "channel": CH_MONOTONE, "idx": idx5, "ts": None,
-            "T": 1.0, "trunc": trunc5, "probes": 100,
-        })["bad"]
-        total = int(bad.sum())
+        bad = _map_reps(_monotone_rep, n5, workers, seed=seed, idx=idx5,
+                        trunc=ppp.solve_truncation(idx5, 1.0, "stationary", DEFAULT_MASS_BUDGET))
+        total = int(bad["bad"].sum())
         rows.append((5, f"monotone+inverse violations {spec}", total, 0, total == 0))
 
     # 6: P(X(1) = 0) against the Mittag-Leffler oracle, constant index
@@ -755,11 +698,9 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     n_tail, n_row = sizes["tail"], 100
     batch = 10_000
     nbatches = max(2, -(-n_tail // batch))
-    a_n = ctrw.norming_an(n_row, ctrw.UNIT, 0.5)
-    hits = _map_reps(_tail_chunk, nbatches, workers, {
-        "seed": int(seed), "channel": CH_TAIL, "beta": 0.5, "beta_sup": 0.5,
-        "L": ctrw.UNIT, "a_n": a_n, "c": 1.0, "batch": batch,
-    })["hits"]
+    bound7 = ctrw.norming_bnk(ctrw.norming_an(n_row, ctrw.UNIT, 0.5), 0.5, 0.5)
+    hits = _map_reps(_tail_rep, nbatches, workers, seed=seed, beta=0.5, bound=bound7,
+                     batch=batch)["hits"]
     draws = nbatches * batch
     p = float(hits.sum()) / draws
     est = n_row * p
@@ -787,7 +728,7 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     rows.append((9, "worker-count byte-identical", float(base == multi), 1.0, base == multi))
 
     header = {
-        "seed": int(seed),
+        "seed": seed,
         "quick": bool(quick),
         "scale": float(scale),
         "sizes": ";".join(f"{k}={v}" for k, v in sorted(sizes.items())),

@@ -5,8 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonExceededError
-
 
 @dataclass(frozen=True)
 class PoissonPath:
@@ -48,21 +46,6 @@ def first_passage(times, prefix, levels):
     e[reached] = times[pos[reached]]
     e[levels == 0.0] = 0.0
     return e
-
-
-def inverse(path, r):
-    """``first_passage`` at one level r of a JumpPath, as a float.
-
-    Levels above the accumulated mass raise HorizonExceededError: the caller
-    must enlarge the simulation horizon, clamping would bias the law."""
-    if not np.isfinite(r) or r < 0:
-        raise ValueError(f"level r must be finite and non-negative, got {r}")
-    e = first_passage(path.times, path.prefix, r)
-    if np.isnan(e):
-        raise HorizonExceededError(
-            f"level {r} exceeds accumulated mass {path.total} on [0, {path.horizon}]"
-        )
-    return float(e)
 
 
 def time_changed_count(arrivals, e):

@@ -10,11 +10,14 @@ cross-validate each other:
   threshold:   only jumps of size >= eps, times from the non-homogeneous
                rate eps**(-beta(t)) by rejection, sizes conditional Pareto
 
+``sample_pattern`` dispatches on the truncation mode, and
+``solve_truncation`` picks the truncation that meets a mass budget.
 ``small_jump_mass_window`` reports the expected total mass of the excluded
 jumps, so truncation bias can be budgeted analytically.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -71,6 +74,13 @@ def sample_stationary(stream, T, M, idx):
     beta = idx.evaluate_many(t)
     x = u ** (-1.0 / beta)
     return PointPattern(t, x, T, Truncation("stationary", M))
+
+
+def sample_pattern(stream, T, trunc, idx):
+    """Sample on [0, T] under either truncation mode."""
+    if trunc.mode == "stationary":
+        return sample_stationary(stream, T, trunc.parameter, idx)
+    return sample_threshold(stream, T, trunc.parameter, idx)
 
 
 def sample_threshold(stream, T, eps, idx):
@@ -130,7 +140,12 @@ def small_jump_mass_window(idx, t0, t1, trunc):
             b = idx.evaluate(s)
             return b / (1.0 - b) * m ** (1.0 - 1.0 / b)
 
-    return integrate(f, t0, t1)
+    try:
+        return integrate(f, t0, t1)
+    except OverflowError:
+        # M**(1 - 1/beta) overflows for small M and an index below about
+        # 0.02: the excluded mass is beyond the float range
+        return math.inf
 
 
 def expected_count_window(idx, t0, t1, trunc):
@@ -144,7 +159,8 @@ def expected_count_window(idx, t0, t1, trunc):
 
 
 def solve_truncation(idx, T, mode, mass_budget, t0=0.0):
-    """Truncation parameter whose excluded mass on [t0, T] equals ``mass_budget``.
+    """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
+    ``mass_budget``.
 
     Bisection on the log of the parameter; the mass is monotone in it
     (increasing in eps, decreasing in M)."""
@@ -155,8 +171,10 @@ def solve_truncation(idx, T, mode, mass_budget, t0=0.0):
         return small_jump_mass_window(idx, t0, T, Truncation(mode, 10.0**logp))
 
     if mode == "threshold":
-        return log_bisect(mass_at, mass_budget, -300.0, -1e-9, True)  # eps in (1e-300, 1)
-    return log_bisect(mass_at, mass_budget, -6.0, 300.0, False)
+        p = log_bisect(mass_at, mass_budget, -300.0, -1e-9, True)  # eps in (1e-300, 1)
+    else:
+        p = log_bisect(mass_at, mass_budget, -6.0, 300.0, False)
+    return Truncation(mode, p)
 
 
 def log_bisect(f, target, lo, hi, increasing):

@@ -44,21 +44,9 @@ def build_path(pattern):
     return JumpPath(t, s, np.cumsum(s), pattern.horizon)
 
 
-def _check_time(path, t):
-    if not np.isfinite(t) or t < 0 or t > path.horizon * (1.0 + 1e-12):
-        raise ValueError(f"t must lie in [0, horizon={path.horizon}], got {t}")
-    return min(float(t), path.horizon)
-
-
-def eval_at(path, t):
-    """Path value at time t: the prefix sum at the last jump time <= t."""
-    t = _check_time(path, t)
-    i = np.searchsorted(path.times, t, side="right")
-    return 0.0 if i == 0 else float(path.prefix[i - 1])
-
-
 def eval_many(path, ts):
-    """Vectorized ``eval_at``."""
+    """Path values at the times ``ts``: the prefix sum at the last jump time
+    <= t, or 0 before the first jump."""
     ts = np.asarray(ts, dtype=float)
     if len(ts) and (ts.min() < 0 or ts.max() > path.horizon * (1.0 + 1e-12)):
         raise ValueError(f"times must lie in [0, horizon={path.horizon}]")

@@ -66,6 +66,25 @@ def test_non_finite_input_is_usage_error(args):
     assert "Traceback" not in res.stderr
 
 
+def test_tiny_index_reports_without_traceback():
+    # the stationary mass bracket starts where M**(1 - 1/beta) overflows
+    res = run_cli("laplace", "--beta", "constant:0.01", "--reps", "10", timeout=10)
+    assert res.returncode in (0, 1), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("laplace", "--beta", "constant:0.95", "--reps", "10"),
+    ("mfpp", "--beta", "constant:0.99", "--reps", "10"),
+    ("laplace", "--beta", "constant:0.5", "--trunc-m", "1e12", "--reps", "10"),
+])
+def test_too_many_points_is_usage_error(args):
+    res = run_cli(*args, timeout=10)
+    assert res.returncode == 2
+    assert "points per replication" in res.stderr
+    assert "Traceback" not in res.stderr and "lam value" not in res.stderr
+
+
 def test_verify_takes_no_reps():
     res = run_cli("verify", "--quick", "--reps", "10")
     assert res.returncode == 2

@@ -17,10 +17,9 @@ from mssim import (
     norming_an,
     norming_bnk,
     partial_sum_path,
-    tail_function,
 )
 from mssim.ctrw import LOG, UNIT, _jnk_from_uniforms
-from mssim.experiments import _ctrw_chunk
+from mssim.experiments import _ctrw_rep, _map_reps
 
 IDX_HALF = StabilityIndex.from_spec("constant:0.5", 1.0)
 
@@ -49,8 +48,10 @@ def test_sample_jnk_log_inverts_the_tail():
 
 
 def test_tail_function_unit():
-    vals = tail_function(np.array([1.0, 4.0, 16.0]), 0.5, 0.5, UNIT)
-    assert vals.tolist() == [1.0, 0.5, 0.25]
+    # P(J > t) = t**-0.5 is 1, 0.5, 0.25 at t = 1, 4, 16, so those tail
+    # levels invert to exactly those points
+    vals = _jnk_from_uniforms(np.array([1.0, 0.5, 0.25]), 0.5, 0.5, UNIT)
+    assert vals.tolist() == [1.0, 4.0, 16.0]
 
 
 def test_norming_an_unit_closed_form():
@@ -143,9 +144,8 @@ def test_ctrw_process_degenerate_walk():
     # p_n = 1 makes every walk step 1, so the composed walk is floor(lambda * E_n(t));
     # lambda * E_n(t) lies on the grid 1.5 * k / 20, which never comes near an
     # integer above 0, and levels past the last partial sum clamp E_n to the horizon
-    cfg = {"seed": 8, "jump_channel": 1, "walk_channel": 2, "idx": IDX_HALF, "L": UNIT,
-           "n": 20, "ts": [0.0, 0.05, 0.7, 5.0], "p_n": 1.0, "lam": 1.5}
-    out = _ctrw_chunk(0, 50, cfg)
+    out = _map_reps(_ctrw_rep, 50, 1, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=20,
+                    ts=[0.0, 0.05, 0.7, 5.0], p_n=1.0, lam=1.5)
     assert (out["x"] == np.floor(1.5 * out["e"])).all()
     assert (out["x"][:, 0] == 0).all()
     assert out["flagged"].any()

@@ -111,6 +111,15 @@ def test_run_mfpp_small():
     assert rep.header["unreached"] == 0
 
 
+def test_mfpp_oracle_follows_the_index_values_not_its_family():
+    # affine:0.5,0 is the constant index 0.5 under another family name
+    constant = run_mfpp("constant:0.5", 1.0, [1.0], 200, 13)
+    affine = run_mfpp("affine:0.5,0", 1.0, [1.0], 200, 13)
+    row0 = next(r for r in affine.rows if r[1] == 0)
+    assert row0 == next(r for r in constant.rows if r[1] == 0)
+    assert not math.isnan(row0[4])
+
+
 def test_count_inversions():
     assert experiments._count_inversions([3.0, 2.0, 1.0]) == 0
     assert experiments._count_inversions([1.0, 2.0, 1.5]) == 1

@@ -4,14 +4,12 @@ import math
 
 from hypothesis import given, strategies as st
 import numpy as np
-import pytest
 
 from mssim import (
-    HorizonExceededError,
     JumpPath,
     RngStream,
+    eval_many,
     first_passage,
-    inverse,
     sample_poisson_path,
     time_changed_count,
 )
@@ -26,33 +24,28 @@ def _path(times, sizes):
 REF = _path([0.2, 0.5, 0.9], [1.0, 2.0, 0.5])  # prefix [1.0, 3.0, 3.5]
 
 
+def _e(path, levels):
+    return first_passage(path.times, path.prefix, levels).tolist()
+
+
 def test_inverse_examples():
-    assert inverse(REF, 0.5) == 0.2
-    assert inverse(REF, 3.0) == 0.5  # boundary: D(0.5) = 3.0 >= 3.0
-    assert inverse(REF, 3.4) == 0.9
-    with pytest.raises(HorizonExceededError):
-        inverse(REF, 4.0)
+    # boundary: D(0.5) = 3.0 >= 3.0; level 4.0 exceeds the total mass
+    assert _e(REF, [0.5, 3.0, 3.4]) == [0.2, 0.5, 0.9]
+    assert math.isnan(_e(REF, [4.0])[0])
 
 
 def test_inverse_of_zero_is_zero():
-    assert inverse(REF, 0.0) == 0.0
+    assert _e(REF, [0.0]) == [0.0]
     empty = _path([], [])
-    assert inverse(empty, 0.0) == 0.0
-    with pytest.raises(HorizonExceededError):
-        inverse(empty, 0.1)
-
-
-def test_inverse_rejects_bad_levels():
-    with pytest.raises(ValueError):
-        inverse(REF, -1.0)
-    with pytest.raises(ValueError):
-        inverse(REF, math.nan)
+    assert _e(empty, [0.0]) == [0.0]
+    assert math.isnan(_e(empty, [0.1])[0])
 
 
 def test_inverse_many_matches_scalar():
-    rs = np.array([0.0, 0.5, 1.0, 1.5, 3.0, 3.2, 3.5])
-    assert first_passage(REF.times, REF.prefix, rs).tolist() == [inverse(REF, r) for r in rs]
-    # unreached levels are NaN in the array form, an error in the scalar one
+    rs = [0.0, 0.5, 1.0, 1.5, 3.0, 3.2, 3.5]
+    assert _e(REF, rs) == [0.0, 0.2, 0.2, 0.5, 0.5, 0.9, 0.9]
+    assert [_e(REF, [r])[0] for r in rs] == _e(REF, rs)
+    # unreached levels are NaN
     e = first_passage(REF.times, REF.prefix, np.array([1.0, 9.0]))
     assert e[0] == 0.2 and np.isnan(e[1])
 
@@ -80,22 +73,18 @@ def test_inverse_plateaus_cover_every_jump():
     prev = 0.0
     for i, tau in enumerate(REF.times):
         top = REF.prefix[i]
-        for r in (prev + 1e-12, 0.5 * (prev + top), top):
-            assert inverse(REF, r) == tau
+        assert _e(REF, [prev + 1e-12, 0.5 * (prev + top), top]) == [tau] * 3
         prev = top
 
 
 def test_inverse_is_galois_adjoint_of_eval():
-    from mssim import eval_at
-
     rng = np.random.default_rng(31)
-    for t in rng.uniform(0.0, 1.0, 200):
-        v = eval_at(REF, float(t))
-        if v > 0.0:
-            assert inverse(REF, v) <= t + 1e-12
-    for r in rng.uniform(0.0, REF.total, 200):
-        e = inverse(REF, float(r))
-        assert eval_at(REF, e) >= r
+    ts = rng.uniform(0.0, 1.0, 200)
+    v = eval_many(REF, ts)
+    reached = v > 0.0
+    assert (first_passage(REF.times, REF.prefix, v[reached]) <= ts[reached] + 1e-12).all()
+    rs = rng.uniform(0.0, REF.total, 200)
+    assert (eval_many(REF, first_passage(REF.times, REF.prefix, rs)) >= rs).all()
 
 
 def test_poisson_path_zero_horizon():

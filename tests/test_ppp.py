@@ -95,20 +95,30 @@ def test_small_jump_mass_examples():
 
 def test_solve_truncation_meets_budget():
     m = solve_truncation(IDX_HALF, 1.0, "stationary", 1e-3)
-    assert m == pytest.approx(1000.0, rel=1e-6)  # mass = 1/M for beta = 0.5
+    assert m.mode == "stationary"
+    assert m.parameter == pytest.approx(1000.0, rel=1e-6)  # mass = 1/M for beta = 0.5
     eps = solve_truncation(IDX_HALF, 1.0, "threshold", 1e-3)
-    assert eps == pytest.approx(1e-6, rel=1e-6)  # mass = sqrt(eps)
-    for mode, p in (("stationary", m), ("threshold", eps)):
-        assert small_jump_mass_window(IDX_HALF, 0.0, 1.0, Truncation(mode, p)) <= 1e-3 * (1 + 1e-9)
+    assert eps.mode == "threshold"
+    assert eps.parameter == pytest.approx(1e-6, rel=1e-6)  # mass = sqrt(eps)
+    for trunc in (m, eps):
+        assert small_jump_mass_window(IDX_HALF, 0.0, 1.0, trunc) <= 1e-3 * (1 + 1e-9)
     m2 = solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3)
-    mass = small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, Truncation("stationary", m2))
-    assert mass <= 1e-3 * (1 + 1e-9)
+    assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, m2) <= 1e-3 * (1 + 1e-9)
+
+
+def test_solve_truncation_below_the_overflow_index():
+    # for beta = 0.01 the bracket start M = 1e-6 gives M**(1 - 1/beta) = 1e594,
+    # beyond the float range; the root is M = (0.99 * 1e-3 / 0.01)**(-1/99)
+    idx = StabilityIndex.from_spec("constant:0.01", 1.0)
+    assert small_jump_mass_window(idx, 0.0, 1.0, Truncation("stationary", 1e-6)) == math.inf
+    m = solve_truncation(idx, 1.0, "stationary", 1e-3)
+    assert m.parameter == pytest.approx(0.099 ** (-1.0 / 99.0), rel=1e-9)
 
 
 def test_sampler_equivalence_ks():
     n = 2000
-    m = solve_truncation(IDX_HALF, 1.0, "stationary", 1e-3)
-    eps = solve_truncation(IDX_HALF, 1.0, "threshold", 1e-3)
+    m = solve_truncation(IDX_HALF, 1.0, "stationary", 1e-3).parameter
+    eps = solve_truncation(IDX_HALF, 1.0, "threshold", 1e-3).parameter
     a = np.array(
         [sample_stationary(RngStream(6, r), 1.0, m, IDX_HALF).sizes.sum() for r in range(n)]
     )

@@ -11,12 +11,12 @@ from mssim import (
     StabilityIndex,
     Truncation,
     build_path,
-    eval_at,
     eval_many,
     gamma_fn,
     laplace_transform,
 )
-from mssim.experiments import _increments_chunk, _sample_pattern, stream_for
+from mssim.experiments import _increments_rep, _map_reps, stream_for
+from mssim.ppp import sample_pattern
 
 TRUNC = Truncation("threshold", 0.01)
 
@@ -56,17 +56,16 @@ def test_build_large_pattern_resummation():
 
 def test_eval_examples():
     path = build_path(_pattern([0.5, 0.2], [2.0, 1.0]))
-    assert eval_at(path, 0.3) == 1.0
-    assert eval_at(path, 0.2) == 1.0  # right-continuous: jump counts at its time
-    assert eval_at(path, 0.1) == 0.0
+    # right-continuous: the jump at 0.2 counts at its own time
+    assert eval_many(path, [0.3, 0.2, 0.1]).tolist() == [1.0, 1.0, 0.0]
     with pytest.raises(ValueError):
-        eval_at(path, 1.5)
+        eval_many(path, [1.5])
 
 
 def test_eval_many_matches_scalar():
     path = build_path(_pattern([0.5, 0.2], [2.0, 1.0]))
     ts = np.array([0.0, 0.1, 0.2, 0.3, 0.5, 1.0])
-    assert eval_many(path, ts).tolist() == [eval_at(path, t) for t in ts]
+    assert eval_many(path, ts).tolist() == [0.0, 0.0, 1.0, 1.0, 3.0, 3.0]
 
 
 def test_increment_examples():
@@ -75,10 +74,10 @@ def test_increment_examples():
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
     trunc = Truncation("stationary", 200.0)
     windows = [(0.1, 0.4), (0.25, 0.35), (0.1, 0.55), (0.0, 0.5), (0.5, 1.0)]
-    cfg = {"seed": 3, "channel": 5, "idx": idx, "T": 1.0, "trunc": trunc, "windows": windows}
-    inc = _increments_chunk(0, 20, cfg)["inc"]
+    inc = _map_reps(_increments_rep, 20, 1, seed=3, channel=5, idx=idx, T=1.0, trunc=trunc,
+                    windows=windows)["inc"]
     for rep in range(20):
-        path = build_path(_sample_pattern(stream_for(3, 5, rep), 1.0, idx, trunc))
+        path = build_path(sample_pattern(stream_for(3, 5, rep), 1.0, trunc, idx))
         a, b = np.array(windows).T
         # prefix-sum differences carry rounding of the order of the path total
         want = eval_many(path, b) - eval_many(path, a)
