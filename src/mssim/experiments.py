@@ -163,7 +163,7 @@ def level_tail_bound(idx, level, T):
     the exponent is minimized over a logarithmic theta grid."""
     s = np.linspace(0.0, T, 201)
     beta = idx.evaluate_many(s)
-    g = np.array([math.gamma(1.0 - b) for b in beta])
+    g = subordinator.gamma_fn(1.0 - beta)
     w = np.ones(201)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
     w *= (T / 200.0) / 3.0
@@ -226,13 +226,13 @@ def _solve_eps_for_count(idx, t0, t1, cap):
     return ppp.log_bisect(count, cap, -300.0, -1e-9, False)
 
 
-def _check_points(count, t0, t1):
-    """Reject, before anything is drawn, a truncation that expects more than
-    ``_MAX_POINTS`` points per replication on [t0, t1]."""
+def _check_points(count, t0, t1,
+                  hint="the index is too close to 1 or the truncation level too high"):
+    """Reject, before anything is drawn, a replication that expects more than
+    ``_MAX_POINTS`` points on [t0, t1]."""
     _require(count <= _MAX_POINTS,
-             f"the truncation expects {count:.3g} points per replication on "
-             f"[{t0:g}, {t1:g}], above the cap of {_MAX_POINTS:g}; the index is too "
-             "close to 1 or the truncation level too high")
+             f"{count:.3g} points per replication expected on [{t0:g}, {t1:g}], "
+             f"above the cap of {_MAX_POINTS:g}; {hint}")
 
 
 def plan_passage(idx, levels, tail_bound):
@@ -428,6 +428,10 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
     else:
         trunc = ppp.solve_truncation(idx, T, "stationary", mass_budget)
     _check_points(ppp.expected_count_window(idx, 0.0, T, trunc), 0.0, T)
+    excluded = ppp.small_jump_mass_window(idx, 0.0, T, trunc)
+    _require(excluded < math.inf,
+             f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
+             "the float range, so no row could fail; raise trunc-m")
     d = _map_reps(_increments_rep, int(reps), workers, seed=int(seed), channel=CH_LAPLACE,
                   idx=idx, T=T, trunc=trunc, windows=[(0.0, t) for t in ts])["inc"]
     rows = []
@@ -446,7 +450,7 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
         "theta": ",".join(_fmt(v) for v in thetas),
         "t": ",".join(_fmt(v) for v in ts),
         "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
-        "excluded_mass": ppp.small_jump_mass_window(idx, 0.0, T, trunc),
+        "excluded_mass": excluded,
     }
     return Report("laplace", header,
                   ("beta_spec", "theta", "t", "mc_mean", "mc_se", "oracle", "bias_bound", "pass"),
@@ -466,9 +470,12 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc_m = float(trunc_m)
     idx, tail = choose_horizon(beta_spec, max(ts))
-    if trunc_m is not None:
+    if trunc_m is None:
+        plan = plan_passage(idx, ts, tail)
+    else:
+        # one stationary pattern on the whole horizon: no blocks to solve
         _check_points(idx.horizon * trunc_m, 0.0, idx.horizon)
-    plan = plan_passage(idx, ts, tail)
+        plan = PassagePlan(idx, tuple(ts), idx.horizon, (), tail)
     res = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam),
                     trunc_m=trunc_m)
     xs = res["x"]
@@ -528,6 +535,9 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     ts = sorted(float(v) for v in ts)
     _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
     idx, tail = choose_horizon(beta_spec, max(ts))
+    for n in ns:
+        _check_points(math.ceil(n * idx.horizon), 0.0, idx.horizon,
+                      hint=f"the row n={n} draws one summand per cell of width 1/n")
     # reference samples, shared by every n
     T = max(ts)
     trunc_ref = ppp.solve_truncation(idx, T, "threshold", DEFAULT_MASS_BUDGET)

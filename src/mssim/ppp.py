@@ -138,11 +138,12 @@ def small_jump_mass_window(idx, t0, t1, trunc):
 
         def f(s):
             b = idx.evaluate(s)
-            return b / (1.0 - b) * m ** (1.0 - 1.0 / b)
+            with np.errstate(over="raise"):
+                return b / (1.0 - b) * m ** (1.0 - 1.0 / b)
 
     try:
         return integrate(f, t0, t1)
-    except OverflowError:
+    except FloatingPointError:
         # M**(1 - 1/beta) overflows for small M and an index below about
         # 0.02: the excluded mass is beyond the float range
         return math.inf

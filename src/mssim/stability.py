@@ -119,8 +119,11 @@ class StabilityIndex:
         return np.clip(t, 0.0, self.horizon)
 
     def evaluate(self, t):
-        """beta(t) for a scalar t in [0, horizon]."""
-        return float(self.evaluate_many(t))
+        """beta(t) for t in [0, horizon]: a float for a scalar t, an array of
+        the same shape for an array t.  This is the index an integrand of
+        the vectorised quadrature reads, one call per quadrature level."""
+        beta = self.evaluate_many(t)
+        return float(beta) if np.ndim(t) == 0 else beta
 
     def evaluate_many(self, t):
         """Vectorized beta(t); accepts scalars or arrays."""

@@ -118,13 +118,13 @@ def _ml_tail_integral(beta, x):
     c2 = 2.0 * math.cos(math.pi * beta)
 
     def g(w):
-        if w >= 1.0:
-            return 0.0
-        v = w / (1.0 - w)
-        expo = (v * x) ** (1.0 / beta)
-        if expo > 700.0:
-            return 0.0
-        return math.exp(-expo) * c1 / ((v * v + c2 * v + 1.0) * (1.0 - w) ** 2)
+        # the integrand tends to 0 at w = 1 (v = inf) and is cut to 0 once
+        # expo exceeds 700
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            v = w / (1.0 - w)
+            expo = (v * x) ** (1.0 / beta)
+            val = np.exp(-expo) * c1 / ((v * v + c2 * v + 1.0) * (1.0 - w) ** 2)
+        return np.where((w >= 1.0) | (expo > 700.0), 0.0, val)
 
     return integrate(g, 0.0, 1.0, tol=1e-11)
 

@@ -56,10 +56,14 @@ def eval_many(path, ts):
 
 
 def gamma_fn(z):
-    """Gamma(z) for z > 0; feeds Gamma(1 - beta(s)) in the Laplace exponent."""
-    if not np.isfinite(z) or z <= 0:
+    """Gamma(z) for z > 0, elementwise for an array z; feeds Gamma(1 - beta(s))
+    in the Laplace exponent."""
+    zs = np.asarray(z, dtype=float)
+    if not (np.isfinite(zs) & (zs > 0)).all():
         raise ValueError(f"gamma_fn requires z > 0, got {z}")
-    return math.gamma(z)
+    if zs.ndim == 0:
+        return math.gamma(float(zs))
+    return np.array([math.gamma(v) for v in zs.ravel().tolist()]).reshape(zs.shape)
 
 
 def laplace_transform(idx, theta, t):
@@ -73,7 +77,10 @@ def laplace_transform(idx, theta, t):
         raise ValueError(f"t must lie in [0, horizon={idx.horizon}], got {t}")
     if theta == 0.0 or t == 0.0:
         return 1.0
-    exponent = integrate(
-        lambda s: gamma_fn(1.0 - idx.evaluate(s)) * theta ** idx.evaluate(s), 0.0, t
-    )
+
+    def f(s):
+        beta = idx.evaluate(s)
+        return gamma_fn(1.0 - beta) * theta**beta
+
+    exponent = integrate(f, 0.0, t)
     return math.exp(-exponent)

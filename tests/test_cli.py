@@ -73,10 +73,20 @@ def test_tiny_index_reports_without_traceback():
     assert "Traceback" not in res.stderr
 
 
+def test_truncation_with_infinite_excluded_mass_is_usage_error():
+    # M**(1 - 1/beta) = 1e396 overflows: bias_bound would be inf and every row pass
+    res = run_cli("laplace", "--beta", "constant:0.01", "--trunc-m", "1e-4", "--reps", "10",
+                  timeout=10)
+    assert res.returncode == 2
+    assert "jump mass beyond the float range" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("args", [
     ("laplace", "--beta", "constant:0.95", "--reps", "10"),
     ("mfpp", "--beta", "constant:0.99", "--reps", "10"),
     ("laplace", "--beta", "constant:0.5", "--trunc-m", "1e12", "--reps", "10"),
+    ("ctrw", "--beta", "constant:0.5", "--n", "1000000000000", "--t", "1", "--reps", "2"),
 ])
 def test_too_many_points_is_usage_error(args):
     res = run_cli(*args, timeout=10)

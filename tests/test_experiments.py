@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mssim import experiments
+from mssim import experiments, ppp
 from mssim.experiments import (
     Report,
     choose_horizon,
@@ -108,6 +108,18 @@ def test_run_mfpp_small():
     assert sum(ps.values()) <= 1.0 + 1e-12
     row0 = next(r for r in rep.rows if r[1] == 0)
     assert not math.isnan(row0[4])  # the constant-index oracle is present
+    assert rep.header["unreached"] == 0
+
+
+def test_mfpp_stationary_truncation_solves_no_block(monkeypatch):
+    # under trunc_m the replications read only the plan's levels, horizon
+    # and index, so no block truncation is solved
+    def no_call(*args):
+        raise AssertionError("expected_count_window called")
+
+    monkeypatch.setattr(ppp, "expected_count_window", no_call)
+    rep = run_mfpp("affine:0.4,0.2", 1.0, [1.0], 20, 13, trunc_m=2000.0)
+    assert rep.header["horizon"] == 2.5
     assert rep.header["unreached"] == 0
 
 

@@ -71,6 +71,27 @@ def test_threshold_intensity_affine_index_closed_form():
     assert expected_count_window(IDX_AFFINE, 0.0, 1.0, trunc) == pytest.approx(closed, abs=1e-9)
 
 
+def _count_closed_form(c0, c1, t0, t1, eps):
+    # int_t0^t1 eps**-(c0 + c1 s) ds
+    #   = eps**-c0 * (eps**(-c1 t1) - eps**(-c1 t0)) / (-c1 ln eps),
+    # written through expm1 so that a small c1 * (t1 - t0) loses no digits
+    k = -math.log(eps)
+    if c1 == 0.0:
+        return math.exp(c0 * k) * (t1 - t0)
+    return math.exp((c0 + c1 * t0) * k) * math.expm1(c1 * (t1 - t0) * k) / (c1 * k)
+
+
+@pytest.mark.parametrize("spec", ["constant:0.5", "constant:0.9", "affine:0.4,0.2",
+                                  "affine:0.7,-0.2"])
+@pytest.mark.parametrize("eps", [1e-3, 1e-10, 1e-50, 1e-100, 1e-250])
+@pytest.mark.parametrize("window", [(0.0, 1.0), (0.25, 0.5), (1.25, 1.5)])
+def test_expected_count_matches_closed_form(spec, eps, window):
+    idx = StabilityIndex.from_spec(spec, 1.5)
+    c0, c1 = (idx.params + (0.0,))[:2]
+    count = expected_count_window(idx, *window, Truncation("threshold", eps))
+    assert count == pytest.approx(_count_closed_form(c0, c1, *window, eps), rel=1e-12)
+
+
 def test_threshold_conditional_size_tail():
     # given beta = 0.5, P(x > 0.16) = (0.16/0.01)**-0.5 = 0.25
     pat = sample_threshold(RngStream(5, 0), 1.0, 0.01, IDX_HALF)

@@ -15,6 +15,10 @@ def test_constant_evaluate():
 def test_affine_evaluate():
     idx = StabilityIndex("affine", (0.4, 0.2), 1.0)
     assert idx.evaluate(0.5) == pytest.approx(0.5, abs=1e-15)
+    assert type(idx.evaluate(0.5)) is float
+    ts = np.array([[0.0, 0.25], [0.5, 1.0]])
+    assert idx.evaluate(ts).shape == ts.shape
+    assert (idx.evaluate(ts) == [[idx.evaluate(t) for t in row] for row in ts]).all()
 
 
 def test_sinusoid_evaluate():

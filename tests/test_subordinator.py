@@ -92,6 +92,10 @@ def test_gamma_fn_values():
         gamma_fn(0.0)
     with pytest.raises(ValueError):
         gamma_fn(-1.0)
+    zs = np.array([1.0, 2.0, 0.5])
+    assert gamma_fn(zs).tolist() == [gamma_fn(z) for z in zs.tolist()]
+    with pytest.raises(ValueError):
+        gamma_fn(np.array([0.5, 0.0]))
 
 
 def test_laplace_transform_trivial_arguments():
