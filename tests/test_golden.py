@@ -29,6 +29,9 @@ CASES = {
                         "--trunc-m", "2000") + COMMON,
     "ctrw_log": ("ctrw", "--beta", "constant:0.5", "--lfamily", "log", "--n", "100,1000",
                  "--t", "1", "--reps", "64", "--seed", "42"),
+    # an affine index: a 2.5 horizon with point-capped passage blocks, and two t values
+    "ctrw_affine": ("ctrw", "--beta", "affine:0.4,0.2", "--n", "100,1000", "--t", "0.5,1",
+                    "--reps", "64", "--seed", "42"),
     "paths": ("paths", "--beta", "sin:0.5,0.2,1", "--grid", "21", "--reps", "3",
               "--seed", "42", "--out", "traj"),
 }
