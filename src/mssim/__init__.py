@@ -14,7 +14,7 @@ from .ctrw import (
     norming_bnk,
     partial_sum_path,
 )
-from .errors import DegenerateSampleError, HorizonExceededError
+from .errors import DegenerateSampleError
 from .experiments import (
     Report,
     run_ctrw,
@@ -24,15 +24,17 @@ from .experiments import (
     run_verify,
 )
 from .inverse_mfpp import (
-    PoissonPath,
     first_passage,
     sample_poisson_path,
     time_changed_count,
 )
 from .ppp import (
+    Block,
     PointPattern,
     Truncation,
     expected_count_window,
+    plan_block,
+    sample_pattern,
     sample_stationary,
     sample_threshold,
     small_jump_mass_window,
@@ -58,13 +60,12 @@ from .subordinator import (
 
 __all__ = [
     "BernoulliWalk",
+    "Block",
     "CtrwPath",
     "DegenerateSampleError",
-    "HorizonExceededError",
     "JumpPath",
     "McEstimate",
     "PointPattern",
-    "PoissonPath",
     "Report",
     "RngStream",
     "SlowlyVaryingFamily",
@@ -85,11 +86,13 @@ __all__ = [
     "norming_an",
     "norming_bnk",
     "partial_sum_path",
+    "plan_block",
     "run_ctrw",
     "run_laplace",
     "run_mfpp",
     "run_paths",
     "run_verify",
+    "sample_pattern",
     "sample_poisson_path",
     "sample_stationary",
     "sample_threshold",

@@ -135,6 +135,9 @@ def main(argv=None):
         report = _dispatch(args)
     except ValueError as exc:
         parser.error(str(exc))
+    except MemoryError:
+        parser.error("out of memory: the run's arrays do not fit; lower --reps (or --scale "
+                     "for verify)")
     if args.command == "paths" or args.out is None:
         # the paths command uses --out as the per-replication file prefix,
         # so its summary goes to stdout

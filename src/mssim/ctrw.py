@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import HorizonExceededError
+from .inverse_mfpp import first_passage
 from .quadrature import bisect
 
 _BISECT_TOL = 1e-12
@@ -34,11 +34,6 @@ class SlowlyVaryingFamily:
         if self.kind not in ("unit", "log"):
             raise ValueError(f"unknown slowly varying family {self.kind!r}")
 
-    def value(self, t):
-        if self.kind == "unit":
-            return np.ones_like(np.asarray(t, dtype=float))
-        return np.maximum(1.0, np.log(np.asarray(t, dtype=float)))
-
 
 UNIT = SlowlyVaryingFamily("unit")
 LOG = SlowlyVaryingFamily("log")
@@ -50,8 +45,6 @@ class CtrwPath:
 
     n: int
     grid: np.ndarray  # length kmax + 1, grid[0] = 0
-    idx: object  # StabilityIndex
-    L: SlowlyVaryingFamily
 
     @property
     def horizon(self):
@@ -139,10 +132,11 @@ def norming_an(n, L, beta_sup):
 
 
 def norming_bnk(a_n, beta_kn, beta_sup):
-    """Cell scaling b_{nk} = a_n**(beta_sup/beta(k/n))."""
+    """Cell scaling b_{nk} = a_n**(beta_sup/beta(k/n)), elementwise for an
+    array of index values."""
     if a_n <= 0:
         raise ValueError(f"a_n must be positive, got {a_n}")
-    if not 0.0 < beta_kn < 1.0:
+    if not np.all((0.0 < beta_kn) & (beta_kn < 1.0)):
         raise ValueError(f"beta must be in (0, 1), got {beta_kn}")
     return a_n ** (beta_sup / beta_kn)
 
@@ -157,26 +151,21 @@ def partial_sum_path(stream, n, T, idx, L):
     kmax = math.ceil(n * T - 1e-9)
     ks = np.arange(1, kmax + 1)
     beta = idx.evaluate_many(np.minimum(ks / n, idx.horizon))
-    a_n = norming_an(n, L, idx.beta_sup)
-    b = a_n ** (idx.beta_sup / beta)
+    b = norming_bnk(norming_an(n, L, idx.beta_sup), beta, idx.beta_sup)
     j = _jnk_from_uniforms(stream.uniform(kmax), beta, idx.beta_sup, L)
     grid = np.concatenate(([0.0], np.cumsum(j / b)))
-    return CtrwPath(int(n), grid, idx, L)
+    return CtrwPath(int(n), grid)
 
 
-def inverse_ctrw(path, r):
-    """E_n(r) = (smallest k with grid[k] >= r) / n; the infimum is attained
-    on the grid because the partial sums jump exactly at grid points."""
-    if not np.isfinite(r) or r < 0:
-        raise ValueError(f"level r must be finite and non-negative, got {r}")
-    if r == 0.0:
-        return 0.0
-    if r > path.grid[-1]:
-        raise HorizonExceededError(
-            f"level {r} exceeds last partial sum {path.grid[-1]} at horizon {path.horizon}"
-        )
-    k = np.searchsorted(path.grid, r, side="left")
-    return float(k) / path.n
+def inverse_ctrw(path, levels):
+    """E_n(r) = (smallest k with grid[k] >= r) / n at each level r: the
+    first passage of the step path that jumps to grid[k] at k/n, attained on
+    the grid because the partial sums jump exactly at grid points.  Levels
+    past the last partial sum give NaN."""
+    levels = np.asarray(levels, dtype=float)
+    if not (np.isfinite(levels) & (levels >= 0.0)).all():
+        raise ValueError(f"levels must be finite and non-negative, got {levels}")
+    return first_passage(np.arange(len(path.grid)) / path.n, path.grid, levels)
 
 
 class BernoulliWalk:

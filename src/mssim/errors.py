@@ -1,13 +1,5 @@
 """Exceptions shared across the simulation modules."""
 
 
-class HorizonExceededError(RuntimeError):
-    """The requested level or time is beyond what the simulated path covers.
-
-    Callers must enlarge the simulation horizon; silently clamping would
-    bias distributional tests.
-    """
-
-
 class DegenerateSampleError(ValueError):
     """A statistic is undefined because an input sample has zero variance."""

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import ctrw, inverse_mfpp, ppp, rng, stats, subordinator
-from .errors import HorizonExceededError
 from .stability import StabilityIndex
 
 # ---------------------------------------------------------------------------
@@ -54,6 +53,7 @@ _T_END_CANDIDATES = (
 # expected points one replication may draw; the pinned configurations stay
 # below 3e5, and numpy's Poisson sampler fails near 1e19
 _MAX_POINTS = 1e7
+_ARRIVALS_HINT = "the Poisson process draws about lambda * horizon arrivals; lower --lambda"
 
 
 def stream_for(seed, channel, rep):
@@ -194,26 +194,12 @@ def choose_horizon(beta_spec, level):
 
 
 @dataclass(frozen=True)
-class PassageBlock:
-    t0: float
-    t1: float
-    eps: float
-    mean_count: float
-    excluded_mass: float
-
-
-@dataclass(frozen=True)
 class PassagePlan:
-    """Block-by-block truncated simulation plan for first-passage runs.
-
-    Blocks up to t=1 respect the excluded-mass rate exactly; later blocks
-    (visited only when passage has not yet happened) additionally cap the
-    expected point count, trading a small, quantified extra excluded mass
-    for bounded cost where the local index is close to 1."""
+    """Block-by-block truncated simulation plan for first-passage runs:
+    ``ppp.Block``s covering [0, horizon] in time order."""
 
     idx: StabilityIndex
     levels: tuple
-    t_end: float
     blocks: tuple
     tail_bound: float
 
@@ -235,27 +221,43 @@ def _check_points(count, t0, t1,
              f"above the cap of {_MAX_POINTS:g}; {hint}")
 
 
+def _block(idx, t0, t1, trunc):
+    """The planned block on [t0, t1], rejected before anything is drawn when
+    it expects more than ``_MAX_POINTS`` points."""
+    blk = ppp.plan_block(idx, t0, t1, trunc)
+    _check_points(blk.mean_count, blk.t0, blk.t1)
+    return blk
+
+
+def _budget_block(idx, T, mode):
+    """The block [0, T] under the truncation of ``mode`` that meets the
+    default excluded-mass budget."""
+    return _block(idx, 0.0, T, ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET))
+
+
 def plan_passage(idx, levels, tail_bound):
-    """Per-block truncation thresholds covering [0, horizon]."""
+    """Threshold blocks covering [0, horizon].
+
+    Blocks up to t=1 respect the excluded-mass rate exactly; later blocks
+    (visited only when passage has not yet happened) additionally cap the
+    expected point count, trading a small, quantified extra excluded mass
+    for bounded cost where the local index is close to 1."""
     levels = tuple(sorted(float(r) for r in levels))
     if not levels or levels[0] <= 0:
         raise ValueError(f"levels must be positive, got {levels}")
-    t_end = idx.horizon
     blocks = []
     t0 = 0.0
-    while t0 < t_end - 1e-12:
-        t1 = min(t0 + _PASSAGE_BLOCK_LEN, t_end)
+    while t0 < idx.horizon - 1e-12:
+        t1 = min(t0 + _PASSAGE_BLOCK_LEN, idx.horizon)
         trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0)
-        count = ppp.expected_count_window(idx, t0, t1, trunc)
-        if count > _PASSAGE_POINTS_CAP and t1 > 1.0:
+        blk = ppp.plan_block(idx, t0, t1, trunc)
+        if blk.mean_count > _PASSAGE_POINTS_CAP and t1 > 1.0:
             eps = max(trunc.parameter, _solve_eps_for_count(idx, t0, t1, _PASSAGE_POINTS_CAP))
-            trunc = ppp.Truncation("threshold", eps)
-            count = ppp.expected_count_window(idx, t0, t1, trunc)
-        _check_points(count, t0, t1)
-        mass = ppp.small_jump_mass_window(idx, t0, t1, trunc)
-        blocks.append(PassageBlock(t0, t1, trunc.parameter, count, mass))
+            blk = ppp.plan_block(idx, t0, t1, ppp.Truncation("threshold", eps))
+        _check_points(blk.mean_count, t0, t1)
+        blocks.append(blk)
         t0 = t1
-    return PassagePlan(idx, levels, t_end, tuple(blocks), tail_bound)
+    return PassagePlan(idx, levels, tuple(blocks), tail_bound)
 
 
 def _block_passage(stream, plan):
@@ -268,16 +270,10 @@ def _block_passage(stream, plan):
     total = 0.0
     nxt = 0
     for blk in plan.blocks:
-        k = stream.poisson(blk.mean_count)
-        if k:
-            t = ppp.sample_threshold_times(stream, plan.idx, blk.t0, blk.t1, blk.eps, k)
-            beta = plan.idx.evaluate_many(t)
-            x = blk.eps * stream.uniform(k) ** (-1.0 / beta)
-            order = np.argsort(t, kind="stable")
-            prefix = total + np.cumsum(x[order])
-            e[nxt:] = inverse_mfpp.first_passage(t[order], prefix, levels[nxt:])
-            nxt = int(np.count_nonzero(~np.isnan(e)))
-            total = float(prefix[-1])
+        path = subordinator.build_path(ppp.sample_pattern(stream, blk, plan.idx))
+        e[nxt:] = inverse_mfpp.first_passage(path.times, total + path.prefix, levels[nxt:])
+        nxt = int(np.count_nonzero(~np.isnan(e)))
+        total += path.total
         if nxt >= len(levels):
             break
     return e
@@ -289,20 +285,20 @@ def _block_passage(stream, plan):
 # ---------------------------------------------------------------------------
 
 
-def _increments_rep(rep, seed, channel, idx, T, trunc, windows):
-    """Increments of D over each (a, b] window, all from one pattern on
-    [0, T].  The window (0, t] gives D(t): every jump time is positive."""
-    pat = ppp.sample_pattern(stream_for(seed, channel, rep), T, trunc, idx)
+def _increments_rep(rep, seed, channel, idx, blk, windows):
+    """Increments of D over each (a, b] window, all from one pattern of the
+    block.  The window (0, t] gives D(t): every jump time is positive."""
+    pat = ppp.sample_pattern(stream_for(seed, channel, rep), blk, idx)
     return {"inc": np.array([pat.sizes[(pat.times > a) & (pat.times <= b)].sum()
                              for a, b in windows])}
 
 
-def _monotone_rep(rep, seed, idx, trunc):
+def _monotone_rep(rep, seed, idx, blk):
     """Strict-monotonicity and inverse-consistency violations of one path
     on [0, horizon], probed at 100 random levels and 100 random times."""
     s = stream_for(seed, CH_MONOTONE, rep)
     T = idx.horizon
-    path = subordinator.build_path(ppp.sample_pattern(s, T, trunc, idx))
+    path = subordinator.build_path(ppp.sample_pattern(s, blk, idx))
     if len(path.prefix) == 0:
         return {"bad": 1}
     bad = int(path.prefix[0] <= 0.0 or (np.diff(path.prefix) <= 0.0).any())
@@ -318,19 +314,13 @@ def _monotone_rep(rep, seed, idx, trunc):
     return {"bad": bad}
 
 
-def _passage_rep(rep, seed, plan, rate, trunc_m):
+def _passage_rep(rep, seed, plan, rate):
     """First-passage times E at each plan level, and X = N(E) for a
-    rate-``rate`` Poisson process.  The path follows the block plan, or,
-    when ``trunc_m`` is given, one stationary pattern with level M on the
-    whole horizon."""
-    s = stream_for(seed, CH_PASSAGE, rep)
-    if trunc_m is None:
-        e = _block_passage(s, plan)
-    else:
-        path = subordinator.build_path(ppp.sample_stationary(s, plan.t_end, trunc_m, plan.idx))
-        e = inverse_mfpp.first_passage(path.times, path.prefix, plan.levels)
-    npath = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate, plan.t_end)
-    return {"e": e, "x": inverse_mfpp.time_changed_count(npath.arrivals, e)}
+    rate-``rate`` Poisson process."""
+    e = _block_passage(stream_for(seed, CH_PASSAGE, rep), plan)
+    arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate,
+                                                plan.idx.horizon)
+    return {"e": e, "x": inverse_mfpp.time_changed_count(arrivals, e)}
 
 
 def _tail_rep(rep, seed, beta, bound, batch):
@@ -345,32 +335,28 @@ def _ctrw_rep(rep, seed, channel, idx, L, n, ts, p_n, lam):
 
     The summands use stream ``channel`` and the walk ``channel + 1``; a
     level past the last partial sum clamps E_n to the horizon and flags the
-    replication."""
+    replication.  The walk grows lazily, so it is read in ``ts`` order."""
     path = ctrw.partial_sum_path(stream_for(seed, channel, rep), n, idx.horizon, idx, L)
     walk = ctrw.BernoulliWalk(stream_for(seed, channel + 1, rep), p_n)
-    s, e, x = [], [], []
-    flagged = False
-    for t in ts:
-        s.append(path.grid[min(int(math.floor(n * t + 1e-9)), len(path.grid) - 1)])
-        try:
-            e.append(ctrw.inverse_ctrw(path, t))
-        except HorizonExceededError:
-            e.append(path.horizon)
-            flagged = True
-        x.append(walk.value(lam * e[-1] / p_n))
-    return {"s": np.array(s), "e": np.array(e), "x": np.array(x, dtype=float), "flagged": flagged}
+    ts = np.asarray(ts, dtype=float)
+    s = path.grid[np.minimum(np.floor(n * ts + 1e-9).astype(int), len(path.grid) - 1)]
+    e = ctrw.inverse_ctrw(path, ts)
+    unreached = np.isnan(e)
+    e[unreached] = path.horizon
+    x = np.array([walk.value(lam * v / p_n) for v in e], dtype=float)
+    return {"s": s, "e": e, "x": x, "flagged": bool(unreached.any())}
 
 
-def _paths_rep(rep, seed, idx, ts, trunc, lam, out_prefix):
+def _paths_rep(rep, seed, idx, ts, blk, lam, out_prefix):
     """Write one trajectory CSV of D, E and X on the grid ``ts``; report its
     name, its flagged rows and whether D and X are non-decreasing."""
     T = idx.horizon
-    pat = ppp.sample_pattern(stream_for(seed, CH_PATHS_JUMPS, rep), T, trunc, idx)
+    pat = ppp.sample_pattern(stream_for(seed, CH_PATHS_JUMPS, rep), blk, idx)
     path = subordinator.build_path(pat)
-    npath = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_PATHS_ARRIVALS, rep), lam, T)
+    arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_PATHS_ARRIVALS, rep), lam, T)
     d = subordinator.eval_many(path, ts)
     e = inverse_mfpp.first_passage(path.times, path.prefix, ts)
-    x = inverse_mfpp.time_changed_count(npath.arrivals, e)
+    x = inverse_mfpp.time_changed_count(arrivals, e)
     flags = np.isnan(e)
     header = {
         "beta": idx.spec_string(),
@@ -378,7 +364,7 @@ def _paths_rep(rep, seed, idx, ts, trunc, lam, out_prefix):
         "rep": rep,
         "lambda": lam,
         "horizon": T,
-        "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
+        "truncation": f"{blk.trunc.mode}:{blk.trunc.parameter:.17g}",
     }
     rows = list(zip(ts.tolist(), d.tolist(), e.tolist(), x.tolist(), flags.tolist()))
     name = f"{out_prefix}.rep{rep:05d}.csv"
@@ -427,13 +413,13 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
         trunc = ppp.Truncation("stationary", float(trunc_m))
     else:
         trunc = ppp.solve_truncation(idx, T, "stationary", mass_budget)
-    _check_points(ppp.expected_count_window(idx, 0.0, T, trunc), 0.0, T)
+    blk = _block(idx, 0.0, T, trunc)
     excluded = ppp.small_jump_mass_window(idx, 0.0, T, trunc)
     _require(excluded < math.inf,
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
              "the float range, so no row could fail; raise trunc-m")
     d = _map_reps(_increments_rep, int(reps), workers, seed=int(seed), channel=CH_LAPLACE,
-                  idx=idx, T=T, trunc=trunc, windows=[(0.0, t) for t in ts])["inc"]
+                  idx=idx, blk=blk, windows=[(0.0, t) for t in ts])["inc"]
     rows = []
     for theta in thetas:
         for t in sorted(range(len(ts)), key=lambda j: ts[j]):
@@ -470,14 +456,14 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc_m = float(trunc_m)
     idx, tail = choose_horizon(beta_spec, max(ts))
+    _check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     if trunc_m is None:
         plan = plan_passage(idx, ts, tail)
     else:
-        # one stationary pattern on the whole horizon: no blocks to solve
-        _check_points(idx.horizon * trunc_m, 0.0, idx.horizon)
-        plan = PassagePlan(idx, tuple(ts), idx.horizon, (), tail)
-    res = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam),
-                    trunc_m=trunc_m)
+        # one stationary block on the whole horizon: no threshold to solve
+        blk = _block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", trunc_m))
+        plan = PassagePlan(idx, tuple(ts), (blk,), tail)
+    res = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam))
     xs = res["x"]
     unreached = int(np.isnan(res["e"]).sum())
     rows = []
@@ -503,7 +489,7 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
         "reps": int(reps),
         "lambda": float(lam),
         "t": ",".join(_fmt(v) for v in ts),
-        "horizon": plan.t_end,
+        "horizon": idx.horizon,
         "horizon_tail_bound": plan.tail_bound,
         "unreached": unreached,
     }
@@ -535,25 +521,28 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     ts = sorted(float(v) for v in ts)
     _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
     idx, tail = choose_horizon(beta_spec, max(ts))
+    _check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
+    p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
     for n in ns:
         _check_points(math.ceil(n * idx.horizon), 0.0, idx.horizon,
                       hint=f"the row n={n} draws one summand per cell of width 1/n")
+        _check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
+                      hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli steps; "
+                      "lower --lambda or raise the pn-rule")
     # reference samples, shared by every n
     T = max(ts)
-    trunc_ref = ppp.solve_truncation(idx, T, "threshold", DEFAULT_MASS_BUDGET)
-    _check_points(ppp.expected_count_window(idx, 0.0, T, trunc_ref), 0.0, T)
+    blk_ref = _budget_block(idx, T, "threshold")
     dref = _map_reps(_increments_rep, int(reps), workers, seed=int(seed), channel=CH_D_REFERENCE,
-                     idx=idx, T=T, trunc=trunc_ref, windows=[(0.0, t) for t in ts])["inc"]
+                     idx=idx, blk=blk_ref, windows=[(0.0, t) for t in ts])["inc"]
     plan = plan_passage(idx, ts, tail)
-    ref = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam),
-                    trunc_m=None)
+    ref = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam))
     eref, xref = ref["e"], ref["x"]
     rows = []
     flagged_total = 0
     for i, n in enumerate(sorted(ns)):
         res = _map_reps(_ctrw_rep, int(reps), workers, seed=int(seed),
                         channel=CH_CTRW_JUMPS + 2 * i, idx=idx, L=L, n=n, ts=ts,
-                        p_n=_parse_pn(pn_rule, n), lam=float(lam))
+                        p_n=p_ns[n], lam=float(lam))
         flagged_total += int(res["flagged"].sum())
         for j, t in enumerate(ts):
             emask = ~np.isnan(eref[:, j])
@@ -590,11 +579,12 @@ def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101,
     _require(_positive(t_max), f"t must be positive and finite, got {t_max}")
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     T = float(t_max)
+    _check_points(grid, 0.0, T, hint="each replication writes one row per grid point; lower --grid")
+    _check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
     idx = StabilityIndex.from_spec(beta_spec, T)
-    trunc = ppp.solve_truncation(idx, T, "threshold", DEFAULT_MASS_BUDGET)
-    _check_points(ppp.expected_count_window(idx, 0.0, T, trunc), 0.0, T)
+    blk = _budget_block(idx, T, "threshold")
     res = _map_reps(_paths_rep, int(reps), workers, seed=int(seed), idx=idx,
-                    ts=np.linspace(0.0, T, int(grid)), trunc=trunc, lam=float(lam),
+                    ts=np.linspace(0.0, T, int(grid)), blk=blk, lam=float(lam),
                     out_prefix=out_prefix)
     rows = list(zip(range(int(reps)), res["file"].tolist(), res["nflag"].tolist(),
                     res["ok"].tolist()))
@@ -605,7 +595,7 @@ def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101,
         "lambda": float(lam),
         "horizon": T,
         "grid": int(grid),
-        "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
+        "truncation": f"{blk.trunc.mode}:{blk.trunc.parameter:.17g}",
     }
     return Report("paths", header, ("rep", "file", "flagged_rows", "pass"), rows)
 
@@ -659,9 +649,9 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     n2 = sizes["cross"]
     samples = {}
     for mode, ch in (("stationary", CH_CROSS_STATIONARY), ("threshold", CH_CROSS_THRESHOLD)):
-        trunc = ppp.solve_truncation(idx_c, 1.0, mode, DEFAULT_MASS_BUDGET)
         samples[mode] = _map_reps(_increments_rep, n2, workers, seed=seed, channel=ch, idx=idx_c,
-                                  T=1.0, trunc=trunc, windows=[(0.0, 1.0)])["inc"][:, 0]
+                                  blk=_budget_block(idx_c, 1.0, mode),
+                                  windows=[(0.0, 1.0)])["inc"][:, 0]
     ks = stats.ks_two_sample(samples["stationary"], samples["threshold"])
     crit = stats.ks_critical_value(n2, n2, 0.01)
     rows.append((2, "sampler cross-validation KS at t=1", ks, crit, ks < crit))
@@ -671,8 +661,7 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     windows = [(t, t + h) for t in (0.0, 0.4) for h in (0.01, 0.05, 0.1)]
     idx3 = StabilityIndex.from_spec("constant:0.5", 0.5)
     inc = _map_reps(_increments_rep, n3, workers, seed=seed, channel=CH_CONTINUITY, idx=idx3,
-                    T=0.5, trunc=ppp.solve_truncation(idx3, 0.5, "stationary", DEFAULT_MASS_BUDGET),
-                    windows=windows)["inc"]
+                    blk=_budget_block(idx3, 0.5, "stationary"), windows=windows)["inc"]
     c_const = 21.0
     for j, (a, b) in enumerate(windows):
         h = b - a
@@ -684,7 +673,7 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     # 4: increments on (0, 0.5] and (0.5, 1] are uncorrelated
     n4 = sizes["increments"]
     inc4 = _map_reps(_increments_rep, n4, workers, seed=seed, channel=CH_INCREMENTS, idx=idx_c,
-                     T=1.0, trunc=ppp.solve_truncation(idx_c, 1.0, "stationary", DEFAULT_MASS_BUDGET),
+                     blk=_budget_block(idx_c, 1.0, "stationary"),
                      windows=[(0.0, 0.5), (0.5, 1.0)])["inc"]
     corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]).mean)
     bound4 = 3.0 / math.sqrt(n4)
@@ -695,7 +684,7 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
     for spec in _VERIFY_FAMILIES:
         idx5 = StabilityIndex.from_spec(spec, 1.0)
         bad = _map_reps(_monotone_rep, n5, workers, seed=seed, idx=idx5,
-                        trunc=ppp.solve_truncation(idx5, 1.0, "stationary", DEFAULT_MASS_BUDGET))
+                        blk=_budget_block(idx5, 1.0, "stationary"))
         total = int(bad["bad"].sum())
         rows.append((5, f"monotone+inverse violations {spec}", total, 0, total == 0))
 

@@ -1,35 +1,25 @@
 """Right-continuous inverse of the jump path, the homogeneous Poisson
 process, and their composition into the time-changed counting process."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PoissonPath:
-    """Arrival times of a rate-lambda homogeneous Poisson process on [0, H]."""
-
-    arrivals: np.ndarray
-    rate: float
-    horizon: float
-
-
 def sample_poisson_path(stream, rate, horizon):
-    """Arrivals as cumulative sums of Exp(rate) gaps, truncated at ``horizon``."""
+    """Arrival times of a rate-``rate`` homogeneous Poisson process on
+    [0, horizon]: cumulative sums of Exp(rate) gaps, truncated at ``horizon``."""
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     if horizon == 0:
-        return PoissonPath(np.empty(0), float(rate), 0.0)
+        return np.empty(0)
     mean = rate * horizon
     block = max(16, int(mean + 6.0 * np.sqrt(mean) + 10))
     arrivals = np.cumsum(stream.exponential(rate, block))
     while arrivals[-1] <= horizon:
         more = np.cumsum(stream.exponential(rate, block)) + arrivals[-1]
         arrivals = np.concatenate((arrivals, more))
-    return PoissonPath(arrivals[arrivals <= horizon], float(rate), float(horizon))
+    return arrivals[arrivals <= horizon]
 
 
 def first_passage(times, prefix, levels):

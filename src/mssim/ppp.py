@@ -10,10 +10,13 @@ cross-validate each other:
   threshold:   only jumps of size >= eps, times from the non-homogeneous
                rate eps**(-beta(t)) by rejection, sizes conditional Pareto
 
-``sample_pattern`` dispatches on the truncation mode, and
-``solve_truncation`` picks the truncation that meets a mass budget.
-``small_jump_mass_window`` reports the expected total mass of the excluded
-jumps, so truncation bias can be budgeted analytically.
+Sampling is planned once and then only draws: ``plan_block`` fixes a time
+window, its truncation and the expected point count (a quadrature under
+the threshold mode), and the samplers take that ``Block``.  ``sample_pattern``
+dispatches on the truncation mode, and ``solve_truncation`` picks the
+truncation that meets a mass budget.  ``small_jump_mass_window`` reports
+the expected total mass of the excluded jumps, so truncation bias can be
+budgeted analytically.
 """
 
 from dataclasses import dataclass
@@ -45,59 +48,69 @@ class Truncation:
 
 @dataclass(frozen=True)
 class PointPattern:
-    """A truncated realization: jump times in [0, T] and positive sizes."""
+    """A truncated realization: jump times in [0, horizon] and positive sizes."""
 
     times: np.ndarray
     sizes: np.ndarray
     horizon: float
-    truncation: Truncation
 
 
-def _check_window(idx, T):
-    if not (np.isfinite(T) and 0.0 <= T <= idx.horizon * (1.0 + 1e-12)):
-        raise ValueError(f"T must lie in [0, horizon={idx.horizon}], got {T}")
-    return min(float(T), idx.horizon)
+@dataclass(frozen=True)
+class Block:
+    """A planned sampling window [t0, t1] under one truncation, with the
+    expected number of retained jumps; built by ``plan_block``."""
+
+    t0: float
+    t1: float
+    trunc: Truncation
+    mean_count: float
 
 
-def sample_stationary(stream, T, M, idx):
-    """Sample via the stationary representation with level cutoff M.
+def plan_block(idx, t0, t1, trunc):
+    """The ``Block`` on [t0, t1], a non-empty window inside [0, horizon];
+    its mean count is ``expected_count_window``."""
+    if not (np.isfinite(t0) and np.isfinite(t1)
+            and 0.0 <= t0 < t1 <= idx.horizon * (1.0 + 1e-12)):
+        raise ValueError(f"the window [{t0}, {t1}] must be non-empty and lie in "
+                         f"[0, horizon={idx.horizon}]")
+    t0, t1 = float(t0), min(float(t1), idx.horizon)
+    return Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc))
 
-    K ~ Poisson(T*M) points uniform on [0, T] x (0, M] are mapped through
-    u -> u**(-1/beta(t)); the image has exactly the target intensity
+
+def sample_stationary(stream, blk, idx):
+    """Sample a stationary-truncation block with level cutoff M.
+
+    K ~ Poisson(mean count) points uniform on [t0, t1] x (0, M] are mapped
+    through u -> u**(-1/beta(t)); the image has exactly the target intensity
     restricted to the retained region x >= M**(-1/beta(t))."""
-    T = _check_window(idx, T)
-    if not (np.isfinite(M) and M > 0):
-        raise ValueError(f"M must be positive and finite, got {M}")
-    k = stream.poisson(T * M)
-    t = T * stream.uniform(k)
-    u = M * stream.uniform(k)
+    k = stream.poisson(blk.mean_count)
+    t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
+    u = blk.trunc.parameter * stream.uniform(k)
     beta = idx.evaluate_many(t)
     x = u ** (-1.0 / beta)
-    return PointPattern(t, x, T, Truncation("stationary", M))
+    return PointPattern(t, x, blk.t1)
 
 
-def sample_pattern(stream, T, trunc, idx):
-    """Sample on [0, T] under either truncation mode."""
-    if trunc.mode == "stationary":
-        return sample_stationary(stream, T, trunc.parameter, idx)
-    return sample_threshold(stream, T, trunc.parameter, idx)
+def sample_pattern(stream, blk, idx):
+    """Sample a block under either truncation mode."""
+    if blk.trunc.mode == "stationary":
+        return sample_stationary(stream, blk, idx)
+    return sample_threshold(stream, blk, idx)
 
 
-def sample_threshold(stream, T, eps, idx):
-    """Sample all jumps of size >= eps on [0, T].
+def sample_threshold(stream, blk, idx):
+    """Sample all jumps of size >= eps of a threshold-truncation block.
 
-    The jump count is Poisson with mean Lambda = int_0^T eps**(-beta(s)) ds
-    (computed by quadrature); times follow the density eps**(-beta(t))/Lambda
-    via rejection under the constant envelope eps**(-beta_sup); sizes are
-    conditional Pareto, x = eps * U**(-1/beta(t))."""
-    T = _check_window(idx, T)
-    trunc = Truncation("threshold", float(eps))
-    lam = integrate(lambda s: eps ** (-idx.evaluate(s)), 0.0, T)
-    k = stream.poisson(lam)
-    t = sample_threshold_times(stream, idx, 0.0, T, eps, k)
+    The jump count is Poisson with the block's mean count
+    Lambda = int_t0^t1 eps**(-beta(s)) ds; times follow the density
+    eps**(-beta(t))/Lambda via rejection under the constant envelope
+    eps**(-beta_sup); sizes are conditional Pareto, x = eps * U**(-1/beta(t))."""
+    eps = blk.trunc.parameter
+    k = stream.poisson(blk.mean_count)
+    t = sample_threshold_times(stream, idx, blk.t0, blk.t1, eps, k)
     beta = idx.evaluate_many(t)
     x = eps * stream.uniform(k) ** (-1.0 / beta)
-    return PointPattern(t, x, T, trunc)
+    return PointPattern(t, x, blk.t1)
 
 
 def sample_threshold_times(stream, idx, t0, t1, eps, count):

@@ -87,12 +87,28 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     ("mfpp", "--beta", "constant:0.99", "--reps", "10"),
     ("laplace", "--beta", "constant:0.5", "--trunc-m", "1e12", "--reps", "10"),
     ("ctrw", "--beta", "constant:0.5", "--n", "1000000000000", "--t", "1", "--reps", "2"),
+    # Poisson arrivals, walk steps and grid rows per replication
+    ("mfpp", "--beta", "constant:0.5", "--lambda", "1e13", "--reps", "2"),
+    ("ctrw", "--beta", "constant:0.5", "--n", "100", "--lambda", "1e13", "--reps", "2"),
+    ("ctrw", "--beta", "constant:0.5", "--n", "100", "--pn-rule", "const:1e-12", "--reps", "2"),
+    ("paths", "--beta", "constant:0.5", "--lambda", "1e13", "--reps", "2"),
+    ("paths", "--beta", "constant:0.5", "--grid", "10000000000", "--reps", "2"),
 ])
-def test_too_many_points_is_usage_error(args):
-    res = run_cli(*args, timeout=10)
+def test_too_many_points_is_usage_error(args, tmp_path):
+    res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())
     assert res.returncode == 2
     assert "points per replication" in res.stderr
     assert "Traceback" not in res.stderr and "lam value" not in res.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_out_of_memory_is_usage_error():
+    # 1e14 replications need an 800 TB result array, beyond any address space
+    res = run_cli("laplace", "--beta", "constant:0.5", "--t", "1", "--reps", "100000000000000",
+                  timeout=10)
+    assert res.returncode == 2
+    assert "--reps" in res.stderr and len(res.stderr.strip().splitlines()) == 2  # usage + error
+    assert "Traceback" not in res.stderr and "ArrayMemoryError" not in res.stderr
 
 
 def test_verify_takes_no_reps():

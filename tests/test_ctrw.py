@@ -9,7 +9,6 @@ import pytest
 from mssim import (
     BernoulliWalk,
     CtrwPath,
-    HorizonExceededError,
     RngStream,
     SlowlyVaryingFamily,
     StabilityIndex,
@@ -18,6 +17,7 @@ from mssim import (
     norming_bnk,
     partial_sum_path,
 )
+from mssim import ctrw
 from mssim.ctrw import LOG, UNIT, _jnk_from_uniforms
 from mssim.experiments import _ctrw_rep, _map_reps
 
@@ -76,6 +76,12 @@ def test_norming_bnk():
     assert norming_bnk(1.0, 0.3, 0.8) == 1.0
     with pytest.raises(ValueError):
         norming_bnk(-1.0, 0.5, 0.5)
+    # elementwise for an array of index values, with the same range check
+    betas = np.array([0.5, 0.7, 0.8])
+    assert norming_bnk(32.0, betas, 0.8).tolist() == [32.0 ** (0.8 / b) for b in betas]
+    for bad in (1.0, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            norming_bnk(32.0, np.array([0.5, bad]), 0.8)
 
 
 def test_partial_sum_path_basics():
@@ -90,19 +96,32 @@ def test_partial_sum_path_basics():
 
 
 def test_inverse_ctrw_examples():
-    path = CtrwPath(2, np.array([0.0, 1.0, 3.0]), IDX_HALF, UNIT)
-    assert inverse_ctrw(path, 0.5) == 0.5
-    assert inverse_ctrw(path, 3.0) == 1.0
-    assert inverse_ctrw(path, 0.0) == 0.0
-    with pytest.raises(HorizonExceededError):
-        inverse_ctrw(path, 3.5)
+    path = CtrwPath(2, np.array([0.0, 1.0, 3.0]))
+    e = inverse_ctrw(path, [0.5, 3.0, 0.0, 3.5])
+    assert e[:3].tolist() == [0.5, 1.0, 0.0]
+    assert np.isnan(e[3])  # past the last partial sum
+    for bad in (-0.1, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            inverse_ctrw(path, [1.0, bad])
 
 
 def test_inverse_ctrw_monotone_in_level():
     path = partial_sum_path(RngStream(2, 0), 200, 1.0, IDX_HALF, UNIT)
-    levels = np.linspace(0.0, path.grid[-1], 100)
-    vals = [inverse_ctrw(path, float(r)) for r in levels]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    vals = inverse_ctrw(path, np.linspace(0.0, path.grid[-1], 100))
+    assert (np.diff(vals) >= 0).all()
+
+
+def test_inverse_ctrw_matches_scalar_search():
+    # level 0, every grid value, points between them and levels past the last sum
+    path = partial_sum_path(RngStream(2, 1), 50, 1.0, IDX_HALF, UNIT)
+    g = path.grid
+    levels = np.concatenate(([0.0], g, 0.5 * (g[:-1] + g[1:]), [g[-1] * 1.5, g[-1] + 1.0]))
+    got = inverse_ctrw(path, levels)
+    for r, e in zip(levels, got):
+        if r > g[-1]:
+            assert np.isnan(e)
+        else:
+            assert e == float(np.searchsorted(g, r, side="left")) / path.n
 
 
 def test_tail_normalization_identity():
@@ -149,3 +168,18 @@ def test_ctrw_process_degenerate_walk():
     assert (out["x"] == np.floor(1.5 * out["e"])).all()
     assert (out["x"][:, 0] == 0).all()
     assert out["flagged"].any()
+
+
+def test_ctrw_rep_clamps_and_flags_an_unreached_level(monkeypatch):
+    # the path jumps to grid[k] at k/4 and ends at 0.4, below the level 1
+    short = CtrwPath(4, np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
+    monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: short)
+    out = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.3, 1.0],
+                    p_n=1.0, lam=1.0)
+    assert out["s"].tolist() == [0.1, 0.1, 0.4]
+    assert out["e"].tolist() == [0.75, 0.75, short.horizon]
+    assert out["x"].tolist() == [0.0, 0.0, 1.0]
+    assert out["flagged"] is True
+    reached = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.4],
+                        p_n=1.0, lam=1.0)
+    assert reached["e"].tolist() == [0.75, 1.0] and reached["flagged"] is False

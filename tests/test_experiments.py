@@ -7,7 +7,11 @@ import pytest
 
 from mssim import experiments, ppp
 from mssim.experiments import (
+    CH_PASSAGE,
     Report,
+    _block_passage,
+    _increments_rep,
+    _map_reps,
     choose_horizon,
     level_tail_bound,
     plan_passage,
@@ -15,6 +19,7 @@ from mssim.experiments import (
     run_mfpp,
     stream_for,
 )
+from mssim.inverse_mfpp import first_passage
 from mssim.stability import StabilityIndex
 
 
@@ -69,7 +74,8 @@ def test_plan_passage_budgets():
     assert plan.blocks[-1].t1 == pytest.approx(idx.horizon)
     for a, b in zip(plan.blocks, plan.blocks[1:]):
         assert b.t0 == pytest.approx(a.t1)
-    early_mass = sum(b.excluded_mass for b in plan.blocks if b.t1 <= 1.0 + 1e-9)
+    early_mass = sum(ppp.small_jump_mass_window(idx, b.t0, b.t1, b.trunc)
+                     for b in plan.blocks if b.t1 <= 1.0 + 1e-9)
     assert early_mass <= 1e-3 * (1 + 1e-6)
     for blk in plan.blocks:
         if blk.t0 >= 1.0:
@@ -111,16 +117,67 @@ def test_run_mfpp_small():
     assert rep.header["unreached"] == 0
 
 
-def test_mfpp_stationary_truncation_solves_no_block(monkeypatch):
-    # under trunc_m the replications read only the plan's levels, horizon
-    # and index, so no block truncation is solved
-    def no_call(*args):
-        raise AssertionError("expected_count_window called")
+def _no_integrate(*args):
+    raise AssertionError("integrate called")
 
-    monkeypatch.setattr(ppp, "expected_count_window", no_call)
+
+def test_mfpp_stationary_truncation_solves_no_block(monkeypatch):
+    # under trunc_m the plan is one stationary block, whose count T * M
+    # needs no quadrature, so no block truncation is solved
+    monkeypatch.setattr(ppp, "integrate", _no_integrate)
     rep = run_mfpp("affine:0.4,0.2", 1.0, [1.0], 20, 13, trunc_m=2000.0)
     assert rep.header["horizon"] == 2.5
     assert rep.header["unreached"] == 0
+
+
+def test_replications_never_integrate(monkeypatch):
+    # a block's mean count is planned once; drawing from it integrates nothing
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    blocks = [ppp.plan_block(idx, t0, t1, ppp.Truncation("threshold", 1e-3))
+              for t0, t1 in ((0.0, 1.0), (0.25, 0.5))]
+    monkeypatch.setattr(ppp, "integrate", _no_integrate)
+    for rep, blk in enumerate(blocks):
+        pat = ppp.sample_threshold(stream_for(1, 1, rep), blk, idx)
+        assert ((pat.times >= blk.t0) & (pat.times <= blk.t1)).all()
+    inc = _map_reps(_increments_rep, 4, 1, seed=1, channel=1, idx=idx, blk=blocks[0],
+                    windows=[(0.0, 0.5), (0.0, 1.0)])["inc"]
+    assert inc.shape == (4, 2) and (inc[:, 1] >= inc[:, 0]).all()
+
+
+def _inline_block_passage(stream, plan):
+    """The block kernel written out by hand: threshold draws per block,
+    sorted by time, a running prefix sum across blocks, then first passage."""
+    levels = np.asarray(plan.levels)
+    e = np.full(len(levels), np.nan)
+    total = 0.0
+    nxt = 0
+    for blk in plan.blocks:
+        k = stream.poisson(blk.mean_count)
+        if k:
+            eps = blk.trunc.parameter
+            t = ppp.sample_threshold_times(stream, plan.idx, blk.t0, blk.t1, eps, k)
+            x = eps * stream.uniform(k) ** (-1.0 / plan.idx.evaluate_many(t))
+            order = np.argsort(t, kind="stable")
+            prefix = total + np.cumsum(x[order])
+            e[nxt:] = first_passage(t[order], prefix, levels[nxt:])
+            nxt = int(np.count_nonzero(~np.isnan(e)))
+            total = float(prefix[-1])
+        if nxt >= len(levels):
+            break
+    return e
+
+
+def test_block_passage_equals_the_inline_kernel():
+    idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
+    plan = plan_passage(idx, [0.05, 0.3, 1.0], bound)
+    assert len(plan.blocks) == 10
+    es = []
+    for rep in range(12):
+        got = _block_passage(stream_for(5, CH_PASSAGE, rep), plan)
+        np.testing.assert_array_equal(got, _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan))
+        es.append(got)
+    # the passages spread over several blocks
+    assert len({int(v // 0.25) for v in np.ravel(es)}) >= 3
 
 
 def test_mfpp_oracle_follows_the_index_values_not_its_family():

@@ -88,20 +88,20 @@ def test_inverse_is_galois_adjoint_of_eval():
 
 
 def test_poisson_path_zero_horizon():
-    assert len(sample_poisson_path(RngStream(1, 0), 3.0, 0.0).arrivals) == 0
+    assert len(sample_poisson_path(RngStream(1, 0), 3.0, 0.0)) == 0
 
 
 def test_poisson_path_determinism_and_invariants():
     a = sample_poisson_path(RngStream(2, 5), 2.0, 10.0)
     b = sample_poisson_path(RngStream(2, 5), 2.0, 10.0)
-    assert a.arrivals.tolist() == b.arrivals.tolist()
-    assert (np.diff(a.arrivals) > 0).all()
-    assert (a.arrivals <= 10.0).all() and (a.arrivals > 0).all()
+    assert a.tolist() == b.tolist()
+    assert (np.diff(a) > 0).all()
+    assert (a <= 10.0).all() and (a > 0).all()
 
 
 def test_poisson_path_mean_count():
     counts = [
-        len(sample_poisson_path(RngStream(3, r), 3.0, 1.0).arrivals) for r in range(10_000)
+        len(sample_poisson_path(RngStream(3, r), 3.0, 1.0)) for r in range(10_000)
     ]
     assert abs(np.mean(counts) - 3.0) <= 3.0 * math.sqrt(3.0 / 10_000)
 
@@ -122,7 +122,7 @@ def test_mfpp_value_examples():
 
 
 def test_mfpp_value_monotone_in_t():
-    arrivals = sample_poisson_path(RngStream(4, 0), 5.0, 1.0).arrivals
+    arrivals = sample_poisson_path(RngStream(4, 0), 5.0, 1.0)
     vals = _mfpp(REF, arrivals, np.linspace(0.0, REF.total, 50))
     assert (np.diff(vals) >= 0).all()
     assert (vals == np.round(vals)).all()

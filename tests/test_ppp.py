@@ -12,6 +12,7 @@ from mssim import (
     expected_count_window,
     ks_critical_value,
     ks_two_sample,
+    plan_block,
     sample_stationary,
     sample_threshold,
     small_jump_mass_window,
@@ -25,34 +26,59 @@ IDX_AFFINE = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
 CHI2_99 = {9: 21.666}
 
 
+def _block(idx, mode, parameter, t0=0.0, t1=1.0):
+    return plan_block(idx, t0, t1, Truncation(mode, parameter))
+
+
+STATIONARY_100 = _block(IDX_HALF, "stationary", 100.0)
+THRESHOLD_HALF = _block(IDX_HALF, "threshold", 0.01)
+
+
 def test_zero_window_gives_empty_pattern():
-    pat = sample_stationary(RngStream(1, 0), 0.0, 100.0, IDX_HALF)
+    # a window whose expected count is 1e-15 draws no point
+    blk = _block(IDX_HALF, "stationary", 1e-6, t1=1e-9)
+    assert blk.mean_count == pytest.approx(1e-15)
+    pat = sample_stationary(RngStream(1, 0), blk, IDX_HALF)
     assert len(pat.times) == 0 and len(pat.sizes) == 0
 
 
+def test_plan_block_rejects_empty_and_outside_windows():
+    trunc = Truncation("stationary", 100.0)
+    for t0, t1 in ((0.5, 0.5), (0.6, 0.5), (-0.1, 0.5), (0.5, 1.1), (0.0, np.inf),
+                   (np.nan, 0.5)):
+        with pytest.raises(ValueError):
+            plan_block(IDX_HALF, t0, t1, trunc)
+    # the horizon's rounding slack is clamped away
+    assert plan_block(IDX_HALF, 0.5, 1.0 + 1e-13, trunc).t1 == 1.0
+
+
 def test_stationary_pattern_invariants():
-    pat = sample_stationary(RngStream(2, 0), 1.0, 100.0, IDX_HALF)
+    pat = sample_stationary(RngStream(2, 0), STATIONARY_100, IDX_HALF)
     assert ((pat.times >= 0) & (pat.times <= 1.0)).all()
     assert (pat.sizes >= 100.0 ** (-1.0 / 0.5)).all()  # x >= M**(-1/beta)
 
 
 def test_stationary_mean_count():
     counts = [
-        len(sample_stationary(RngStream(3, rep), 1.0, 100.0, IDX_HALF).times)
+        len(sample_stationary(RngStream(3, rep), STATIONARY_100, IDX_HALF).times)
         for rep in range(10_000)
     ]
     assert abs(np.mean(counts) - 100.0) <= 3.0 * math.sqrt(100.0 / 10_000)
 
 
 def test_threshold_pattern_invariants():
-    pat = sample_threshold(RngStream(4, 0), 1.0, 0.01, IDX_AFFINE)
+    pat = sample_threshold(RngStream(4, 0), _block(IDX_AFFINE, "threshold", 0.01), IDX_AFFINE)
     assert ((pat.times >= 0) & (pat.times <= 1.0)).all()
     assert (pat.sizes >= 0.01).all()
+    # a block inside the horizon keeps its times in the block
+    pat = sample_threshold(RngStream(4, 1), _block(IDX_AFFINE, "threshold", 0.01, 0.25, 0.5),
+                           IDX_AFFINE)
+    assert len(pat.times) and ((pat.times >= 0.25) & (pat.times <= 0.5)).all()
 
 
 def test_threshold_rejects_eps_at_or_above_one():
     with pytest.raises(ValueError):
-        sample_threshold(RngStream(4, 0), 1.0, 1.0, IDX_HALF)
+        _block(IDX_HALF, "threshold", 1.0)
 
 
 def test_threshold_intensity_constant_index():
@@ -94,11 +120,11 @@ def test_expected_count_matches_closed_form(spec, eps, window):
 
 def test_threshold_conditional_size_tail():
     # given beta = 0.5, P(x > 0.16) = (0.16/0.01)**-0.5 = 0.25
-    pat = sample_threshold(RngStream(5, 0), 1.0, 0.01, IDX_HALF)
+    pat = sample_threshold(RngStream(5, 0), THRESHOLD_HALF, IDX_HALF)
     reps = 1
     sizes = [pat.sizes]
     while sum(len(s) for s in sizes) < 200_000:
-        sizes.append(sample_threshold(RngStream(5, reps), 1.0, 0.01, IDX_HALF).sizes)
+        sizes.append(sample_threshold(RngStream(5, reps), THRESHOLD_HALF, IDX_HALF).sizes)
         reps += 1
     sizes = np.concatenate(sizes)
     p = float((sizes > 0.16).mean())
@@ -138,13 +164,13 @@ def test_solve_truncation_below_the_overflow_index():
 
 def test_sampler_equivalence_ks():
     n = 2000
-    m = solve_truncation(IDX_HALF, 1.0, "stationary", 1e-3).parameter
-    eps = solve_truncation(IDX_HALF, 1.0, "threshold", 1e-3).parameter
+    m = plan_block(IDX_HALF, 0.0, 1.0, solve_truncation(IDX_HALF, 1.0, "stationary", 1e-3))
+    eps = plan_block(IDX_HALF, 0.0, 1.0, solve_truncation(IDX_HALF, 1.0, "threshold", 1e-3))
     a = np.array(
-        [sample_stationary(RngStream(6, r), 1.0, m, IDX_HALF).sizes.sum() for r in range(n)]
+        [sample_stationary(RngStream(6, r), m, IDX_HALF).sizes.sum() for r in range(n)]
     )
     b = np.array(
-        [sample_threshold(RngStream(7, r), 1.0, eps, IDX_HALF).sizes.sum() for r in range(n)]
+        [sample_threshold(RngStream(7, r), eps, IDX_HALF).sizes.sum() for r in range(n)]
     )
     assert ks_two_sample(a, b) < ks_critical_value(n, n, 0.01)
 
@@ -155,7 +181,7 @@ def test_point_count_law_chi_square():
     reps = 10_000
     mean = 5.0
     counts = np.array([
-        int((sample_threshold(RngStream(8, r), 1.0, 0.01, IDX_HALF).sizes < 0.04).sum())
+        int((sample_threshold(RngStream(8, r), THRESHOLD_HALF, IDX_HALF).sizes < 0.04).sum())
         for r in range(reps)
     ])
     cells = 10  # 0..8 and >= 9

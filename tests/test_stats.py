@@ -9,6 +9,7 @@ from mssim import (
     DegenerateSampleError,
     RngStream,
     StabilityIndex,
+    Truncation,
     build_path,
     empirical_laplace,
     eval_many,
@@ -16,6 +17,7 @@ from mssim import (
     ks_critical_value,
     ks_two_sample,
     mittag_leffler,
+    plan_block,
     sample_stationary,
 )
 from mssim.stats import _ml_series, _ml_tail_integral
@@ -92,10 +94,11 @@ def test_mittag_leffler_monotone_in_z():
 def _increments(seed, n, windows):
     """Increments D(b) - D(a) of n stationary paths, one column per window."""
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
+    blk = plan_block(idx, 0.0, 1.0, Truncation("stationary", 200.0))
     a, b = np.array(windows).T
     return np.array([
         eval_many(p, b) - eval_many(p, a)
-        for p in (build_path(sample_stationary(RngStream(seed, r), 1.0, 200.0, idx))
+        for p in (build_path(sample_stationary(RngStream(seed, r), blk, idx))
                   for r in range(n))
     ])
 

@@ -14,15 +14,15 @@ from mssim import (
     eval_many,
     gamma_fn,
     laplace_transform,
+    plan_block,
+    sample_pattern,
+    sample_threshold,
 )
 from mssim.experiments import _increments_rep, _map_reps, stream_for
-from mssim.ppp import sample_pattern
-
-TRUNC = Truncation("threshold", 0.01)
 
 
 def _pattern(times, sizes, horizon=1.0):
-    return PointPattern(np.asarray(times, float), np.asarray(sizes, float), horizon, TRUNC)
+    return PointPattern(np.asarray(times, float), np.asarray(sizes, float), horizon)
 
 
 def test_build_empty():
@@ -72,12 +72,12 @@ def test_increment_examples():
     # the pipelines' increments over (a, b] are masked sums of the pattern;
     # they must equal D(b) - D(a) of the path built from the same pattern
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
-    trunc = Truncation("stationary", 200.0)
+    blk = plan_block(idx, 0.0, 1.0, Truncation("stationary", 200.0))
     windows = [(0.1, 0.4), (0.25, 0.35), (0.1, 0.55), (0.0, 0.5), (0.5, 1.0)]
-    inc = _map_reps(_increments_rep, 20, 1, seed=3, channel=5, idx=idx, T=1.0, trunc=trunc,
+    inc = _map_reps(_increments_rep, 20, 1, seed=3, channel=5, idx=idx, blk=blk,
                     windows=windows)["inc"]
     for rep in range(20):
-        path = build_path(sample_pattern(stream_for(3, 5, rep), 1.0, trunc, idx))
+        path = build_path(sample_pattern(stream_for(3, 5, rep), blk, idx))
         a, b = np.array(windows).T
         # prefix-sum differences carry rounding of the order of the path total
         want = eval_many(path, b) - eval_many(path, a)
@@ -119,8 +119,7 @@ def test_laplace_transform_constant_index_closed_form():
 
 def test_path_values_monotone_in_time():
     idx = StabilityIndex.from_spec("sin:0.5,0.3,1", 1.0)
-    from mssim import sample_threshold
-
-    path = build_path(sample_threshold(RngStream(12, 0), 1.0, 1e-4, idx))
+    blk = plan_block(idx, 0.0, 1.0, Truncation("threshold", 1e-4))
+    path = build_path(sample_threshold(RngStream(12, 0), blk, idx))
     vals = eval_many(path, np.linspace(0.0, 1.0, 500))
     assert (np.diff(vals) >= 0).all()
