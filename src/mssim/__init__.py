@@ -6,7 +6,6 @@ counting process, and heavy-tailed random-walk approximations of all three.
 __version__ = "0.1.0"
 
 from .ctrw import (
-    BernoulliWalk,
     CtrwPath,
     SlowlyVaryingFamily,
     inverse_ctrw,
@@ -59,7 +58,6 @@ from .subordinator import (
 )
 
 __all__ = [
-    "BernoulliWalk",
     "Block",
     "CtrwPath",
     "DegenerateSampleError",

@@ -89,13 +89,8 @@ def _invert_log_tail(u, beta, beta_sup):
     while grow.any():
         hi[grow] *= 4.0
         grow = _log_tail_decreasing(hi, beta, beta_sup) >= u
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        high_side = _log_tail_decreasing(mid, beta, beta_sup) >= u
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-        if (hi - lo <= np.maximum(_BISECT_TOL, 4.0 * np.spacing(hi))).all():
-            break
+    lo, hi = bisect(lambda t: _log_tail_decreasing(t, beta, beta_sup) >= u, lo, hi,
+                    lambda lo, hi: hi - lo <= np.maximum(_BISECT_TOL, 4.0 * np.spacing(hi)))
     return 0.5 * (lo + hi)
 
 
@@ -166,32 +161,4 @@ def inverse_ctrw(path, levels):
     if not (np.isfinite(levels) & (levels >= 0.0)).all():
         raise ValueError(f"levels must be finite and non-negative, got {levels}")
     return first_passage(np.arange(len(path.grid)) / path.n, path.grid, levels)
-
-
-class BernoulliWalk:
-    """S(t) = sum of i.i.d. Bernoulli(p) steps up to floor(t).
-
-    The step sequence extends lazily, so evaluating one walk at t1 < t2
-    reuses the same steps."""
-
-    def __init__(self, stream, p):
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        self._stream = stream
-        self.p = p
-        self._steps = np.empty(0, dtype=np.int64)
-        self._cum = np.empty(0, dtype=np.int64)
-
-    def value(self, t):
-        if not np.isfinite(t) or t < 0:
-            raise ValueError(f"t must be finite and non-negative, got {t}")
-        m = int(math.floor(t + 1e-12))
-        if m == 0:
-            return 0
-        if m > len(self._steps):
-            grow = max(m - len(self._steps), 64)
-            new = self._stream.bernoulli(self.p, grow).astype(np.int64)
-            self._steps = np.concatenate((self._steps, new))
-            self._cum = np.cumsum(self._steps)
-        return int(self._cum[m - 1])
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import csv
 import io
 import math
+import os
 
 import numpy as np
 
@@ -140,12 +141,13 @@ def _map_reps(fn, reps, workers, **params):
     Each named output becomes one array whose first axis is the
     replication.  Chunks are reduced in replication order, and every
     replication owns its own stream, so the result is independent of the
-    worker count."""
+    worker count.  The pool starts no more processes than there are chunks
+    or CPUs."""
     if workers <= 1 or reps < 2 * _MIN_CHUNK:
         return _map_chunk(fn, 0, reps, params)
     chunk = max(_MIN_CHUNK, -(-reps // (workers * 4)))
     spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(spans), os.cpu_count() or 1)) as pool:
         futures = [pool.submit(_map_chunk, fn, lo, hi, params) for lo, hi in spans]
         parts = [f.result() for f in futures]
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
@@ -169,7 +171,7 @@ def level_tail_bound(idx, level, T):
     w *= (T / 200.0) / 3.0
     thetas = np.logspace(-2.0, 8.0, 161)
     exponent = thetas * level - (thetas[:, None] ** beta[None, :]) @ (w * g)
-    return float(min(1.0, math.exp(exponent.min())))
+    return math.exp(min(0.0, float(exponent.min())))  # at most 1, and no overflow
 
 
 def choose_horizon(beta_spec, level):
@@ -335,15 +337,17 @@ def _ctrw_rep(rep, seed, channel, idx, L, n, ts, p_n, lam):
 
     The summands use stream ``channel`` and the walk ``channel + 1``; a
     level past the last partial sum clamps E_n to the horizon and flags the
-    replication.  The walk grows lazily, so it is read in ``ts`` order."""
+    replication.  The walk is the running sum of Bernoulli(p_n) steps, read
+    after floor(lambda * E_n / p_n) of them."""
     path = ctrw.partial_sum_path(stream_for(seed, channel, rep), n, idx.horizon, idx, L)
-    walk = ctrw.BernoulliWalk(stream_for(seed, channel + 1, rep), p_n)
     ts = np.asarray(ts, dtype=float)
     s = path.grid[np.minimum(np.floor(n * ts + 1e-9).astype(int), len(path.grid) - 1)]
     e = ctrw.inverse_ctrw(path, ts)
     unreached = np.isnan(e)
     e[unreached] = path.horizon
-    x = np.array([walk.value(lam * v / p_n) for v in e], dtype=float)
+    m = np.floor(lam * e / p_n + 1e-12).astype(np.int64)
+    steps = stream_for(seed, channel + 1, rep).bernoulli(p_n, int(m.max()))
+    x = np.concatenate(([0], np.cumsum(steps)))[m].astype(float)
     return {"s": s, "e": e, "x": x, "flagged": bool(unreached.any())}
 
 

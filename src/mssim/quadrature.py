@@ -1,5 +1,5 @@
-"""Adaptive Simpson integration and scalar bisection, shared by every
-integral and every scalar root search in the package.
+"""Adaptive Simpson integration and bisection, shared by every integral
+and every root search in the package.
 
 Integrands are vectorised: ``f`` takes a float array of nodes and returns
 an array of the same shape.  The quadrature refines breadth-first, so each
@@ -78,17 +78,19 @@ def integrate(f, a, b, tol=DEFAULT_TOL):
 
 
 def bisect(high_side, lo, hi, close):
-    """Shrink the bracket [lo, hi] of a scalar root by halving.
+    """Shrink the brackets [lo, hi] of scalar roots by halving, elementwise
+    for arrays of brackets.
 
-    ``high_side(mid)`` is true when the root lies above ``mid``; the loop
-    stops once ``close(lo, hi)`` holds, or after 200 halvings.  Returns the
-    final bracket, so each caller picks the end (or midpoint) it needs."""
+    ``high_side(mid)`` is true where the root lies above ``mid``; the loop
+    stops once ``close(lo, hi)`` holds for every bracket, or after 200
+    halvings.  Returns the final brackets (Python floats for a scalar
+    bracket, which ``high_side`` also receives as a float), so each caller
+    picks the end (or midpoint) it needs."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if high_side(mid):
-            lo = mid
-        else:
-            hi = mid
-        if close(lo, hi):
+        up = high_side(mid if mid.ndim else float(mid))
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        if np.all(close(lo, hi)):
             break
-    return lo, hi
+    return (lo, hi) if lo.ndim else (float(lo), float(hi))

@@ -29,17 +29,12 @@ class RngStream:
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
 
-    def uniform(self, size=None):
-        """Uniform draws strictly inside (0, 1).
+    def uniform(self, size):
+        """An array of ``size`` uniform draws strictly inside (0, 1).
 
         Zero is redrawn: inverse-transform samplers raise draws to the
         power -1/beta, so the endpoints must never appear.
         """
-        if size is None:
-            u = self._gen.random()
-            while u == 0.0:
-                u = self._gen.random()
-            return u
         u = self._gen.random(size)
         zero = u == 0.0
         while zero.any():

@@ -30,17 +30,20 @@ class JumpPath:
 def build_path(pattern):
     """Sort a point pattern by time and accumulate prefix sums.
 
-    Coincident times (a probability-zero event that floating point can
-    still produce) are merged into one jump carrying the summed size, so
-    times stay strictly increasing and binary search is well defined.
-    Summation order is fixed ascending in time for reproducibility.
+    Distinct times have one sorting permutation, so any sort kind gives
+    the same path.  Coincident times (a probability-zero event that
+    floating point can still produce) are merged into one jump carrying the
+    summed size, so times stay strictly increasing and binary search is
+    well defined; each tie group is summed in ascending size, whatever the
+    order of the pattern.
     """
-    order = np.argsort(pattern.times, kind="stable")
+    order = np.argsort(pattern.times)
     t = np.asarray(pattern.times, dtype=float)[order]
     s = np.asarray(pattern.sizes, dtype=float)[order]
     if len(t) > 1 and (np.diff(t) == 0.0).any():
-        t, inverse = np.unique(t, return_inverse=True)
-        s = np.bincount(inverse, weights=s)
+        order = np.lexsort((s, t))
+        t, inverse = np.unique(t[order], return_inverse=True)
+        s = np.bincount(inverse, weights=s[order])
     return JumpPath(t, s, np.cumsum(s), pattern.horizon)
 
 

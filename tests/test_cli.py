@@ -2,7 +2,9 @@
 
 import subprocess
 import sys
+import tempfile
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -148,3 +150,41 @@ def test_verify_quick_small_scale_passes():
     assert "# command=verify" in res.stdout
     assert ",false" not in res.stdout
     assert res.stdout == (GOLDEN / "verify_quick.csv").read_text()
+
+
+# argv fragments for the property test: valid values next to empty,
+# negative, non-finite, oversized and malformed ones
+NUMBERS = ("1", "0.5", "0.5,1", "0", "-1", "inf", "nan", "1e300", "1e-300", "abc", "")
+BETAS = ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1", "table:0,0.4;1,0.6",
+         "constant:0.99", "constant:1.5", "constant:nan", "affine:0.4", "zigzag:0.5", "")
+FLAGS = {
+    "laplace": {"--theta": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS,
+                "--mass-budget": NUMBERS},
+    "mfpp": {"--lambda": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS},
+    "ctrw": {"--n": ("2", "100", "100,1000", "0", "-5", "x"), "--t": NUMBERS,
+             "--lfamily": ("unit", "log", "poly"), "--lambda": NUMBERS,
+             "--pn-rule": ("sqrt", "const:0.3", "const:0", "const:nan", "bogus")},
+    "paths": {"--t": NUMBERS, "--grid": ("2", "21", "0", "-3", "x"), "--lambda": NUMBERS},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command, "--beta", draw(st.sampled_from(BETAS)),
+            "--reps", str(draw(st.integers(-2, 50))),
+            "--workers", draw(st.sampled_from(("1", "2"))),
+            "--seed", draw(st.sampled_from(("0", "42", "-1", str(2**64))))]
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAGS[command])), unique=True)):
+        argv += [flag, draw(st.sampled_from(FLAGS[command][flag]))]
+    return argv
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(argvs())
+def test_every_argv_reports_or_is_a_usage_error(argv):
+    # a report (exit 0 or 1) or a usage error (exit 2), in bounded time, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        res = run_cli(*argv, timeout=60, cwd=tmp, env=cli_env())
+    assert res.returncode in (0, 1, 2), res.stderr
+    assert "Traceback" not in res.stderr

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from mssim import (
-    BernoulliWalk,
     CtrwPath,
     RngStream,
     SlowlyVaryingFamily,
@@ -19,7 +18,7 @@ from mssim import (
 )
 from mssim import ctrw
 from mssim.ctrw import LOG, UNIT, _jnk_from_uniforms
-from mssim.experiments import _ctrw_rep, _map_reps
+from mssim.experiments import _ctrw_rep, _map_reps, stream_for
 
 IDX_HALF = StabilityIndex.from_spec("constant:0.5", 1.0)
 
@@ -135,28 +134,39 @@ def test_tail_normalization_identity():
     assert abs(n * p - 1.0) <= 3.0 * se
 
 
-def test_bernoulli_walk_examples():
-    assert BernoulliWalk(RngStream(4, 0), 0.5).value(0.7) == 0
-    assert BernoulliWalk(RngStream(4, 0), 1.0).value(5.7) == 5
-    with pytest.raises(ValueError):
-        BernoulliWalk(RngStream(4, 0), 0.0)
-    with pytest.raises(ValueError):
-        BernoulliWalk(RngStream(4, 0), 0.5).value(-1.0)
+# the path jumps to grid[k] at k/4 and ends at 0.4: E_4(0.25) = 0.75, E_4(0.4) = 1
+SHORT = CtrwPath(4, np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
 
 
-def test_bernoulli_walk_mean():
+def _walk(monkeypatch, rep, ts, p_n, lam):
+    """The composed walk of ``_ctrw_rep`` on the short path above."""
+    monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: SHORT)
+    return _ctrw_rep(rep, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=ts, p_n=p_n,
+                     lam=lam)["x"]
+
+
+def test_bernoulli_walk_examples(monkeypatch):
+    # fewer than one step: lambda * E / p_n = 0.5 * 0.75 / 0.5 < 1
+    assert _walk(monkeypatch, 0, [0.25], 0.5, 0.5).tolist() == [0.0]
+    # p_n = 1 makes every step 1: floor(4 * 0.75) = 3 and floor(4 * 1) = 4
+    assert _walk(monkeypatch, 0, [0.25, 0.4], 1.0, 4.0).tolist() == [3.0, 4.0]
+
+
+def test_bernoulli_walk_mean(monkeypatch):
+    # lambda * E / p_n = 4000 * 0.75 / 0.3 = 10,000 steps of mean 0.3
     t, p, reps = 10_000, 0.3, 1000
-    vals = [BernoulliWalk(RngStream(5, r), p).value(t) for r in range(reps)]
+    vals = [_walk(monkeypatch, r, [0.25], p, 4000.0)[0] for r in range(reps)]
     se = math.sqrt(t * p * (1 - p) / reps)
     assert abs(np.mean(vals) - 3000.0) <= 3.0 * se
 
 
-def test_bernoulli_walk_lazy_extension_is_consistent():
-    w1 = BernoulliWalk(RngStream(6, 0), 0.4)
-    total = w1.value(200)
-    w2 = BernoulliWalk(RngStream(6, 0), 0.4)
-    assert w2.value(50) <= total
-    assert w2.value(200) == total  # same stream, same steps, any query order
+def test_bernoulli_walk_lazy_extension_is_consistent(monkeypatch):
+    # both levels read one step sequence, a prefix of the walk stream, in any t order
+    up = _walk(monkeypatch, 0, [0.25, 0.4], 0.4, 80.0)
+    down = _walk(monkeypatch, 0, [0.4, 0.25], 0.4, 80.0)
+    assert up.tolist() == down[::-1].tolist()
+    steps = stream_for(8, 2, 0).bernoulli(0.4, 200)
+    assert up.tolist() == [steps[:150].sum(), steps.sum()]  # 80 * 0.75 / 0.4 and 80 / 0.4
 
 
 def test_ctrw_process_degenerate_walk():
@@ -171,13 +181,12 @@ def test_ctrw_process_degenerate_walk():
 
 
 def test_ctrw_rep_clamps_and_flags_an_unreached_level(monkeypatch):
-    # the path jumps to grid[k] at k/4 and ends at 0.4, below the level 1
-    short = CtrwPath(4, np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
-    monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: short)
+    # the short path ends at 0.4, below the level 1
+    monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: SHORT)
     out = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.3, 1.0],
                     p_n=1.0, lam=1.0)
     assert out["s"].tolist() == [0.1, 0.1, 0.4]
-    assert out["e"].tolist() == [0.75, 0.75, short.horizon]
+    assert out["e"].tolist() == [0.75, 0.75, SHORT.horizon]
     assert out["x"].tolist() == [0.0, 0.0, 1.0]
     assert out["flagged"] is True
     reached = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.4],

@@ -45,7 +45,7 @@ def test_stream_for_channels_do_not_collide():
     b = stream_for(1, 2, 5)
     c = stream_for(1, 1, 6)
     assert len({a.stream_id, b.stream_id, c.stream_id}) == 3
-    assert a.uniform() != b.uniform()
+    assert (a.uniform(4) != b.uniform(4)).all()
 
 
 def test_level_tail_bound_shrinks_with_horizon():
@@ -200,3 +200,41 @@ def test_worker_count_never_changes_results():
     serial = run_laplace("constant:0.5", **kwargs, workers=1).to_csv()
     parallel = run_laplace("constant:0.5", **kwargs, workers=3).to_csv()
     assert serial == parallel
+
+
+class _InlinePool:
+    """An executor that records its size and runs each chunk at submit."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+        return type("Done", (), {"result": lambda self: result})()
+
+
+def test_pool_size_is_bounded_by_chunks_and_cpus(monkeypatch):
+    # no real pool is started: a huge worker count must not become a huge pool
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    _InlinePool.sizes.clear()
+    kwargs = dict(seed=4, channel=1, idx=StabilityIndex.from_spec("constant:0.5", 1.0),
+                  windows=[(0.0, 1.0)])
+    kwargs["blk"] = ppp.plan_block(kwargs["idx"], 0.0, 1.0, ppp.Truncation("stationary", 50.0))
+    serial = _map_reps(_increments_rep, 192, 1, **kwargs)["inc"]
+    for workers, size in ((100_000, 3), (2, 2)):
+        pooled = _map_reps(_increments_rep, 192, workers, **kwargs)["inc"]
+        assert pooled.tobytes() == serial.tobytes()
+        assert _InlinePool.sizes[-1] == size
+    # 192 replications make three chunks of 64, so three workers at most
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+    _map_reps(_increments_rep, 192, 100_000, **kwargs)
+    assert _InlinePool.sizes[-1] == 3

@@ -69,6 +69,16 @@ def test_golden_bytes(name, tmp_path):
         assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
 
 
+def write_golden(fname, data):
+    """Write one golden file if its bytes changed, and say which it was."""
+    path = GOLDEN / fname
+    if path.exists() and path.read_bytes() == data:
+        print(f"unchanged {path}")
+        return
+    path.write_bytes(data)
+    print(f"rewritten {path}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -76,9 +86,7 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for fname, data in run_case(case, tmp).items():
-                (GOLDEN / fname).write_bytes(data)
-                print(f"wrote {GOLDEN / fname}")
+                write_golden(fname, data)
     res = subprocess.run([sys.executable, "-m", "mssim.cli", *VERIFY_QUICK], env=cli_env(),
                          capture_output=True, check=True)
-    (GOLDEN / "verify_quick.csv").write_bytes(res.stdout)
-    print(f"wrote {GOLDEN / 'verify_quick.csv'}")
+    write_golden("verify_quick.csv", res.stdout)

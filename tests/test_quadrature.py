@@ -1,4 +1,4 @@
-"""Tests for the shared adaptive Simpson integrator."""
+"""Tests for the shared adaptive Simpson integrator and bisection."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mssim import StabilityIndex, Truncation, ppp
-from mssim.quadrature import _MAX_DEPTH, _REL_FLOOR, DEFAULT_TOL, integrate
+from mssim.quadrature import _MAX_DEPTH, _REL_FLOOR, DEFAULT_TOL, bisect, integrate
 
 
 def test_cubic_is_exact():
@@ -155,3 +155,30 @@ def test_integrand_calls_are_one_per_level(monkeypatch):
     assert 2 <= len(calls) <= _MAX_DEPTH + 2
     assert calls[0] == 3  # the two ends and the midpoint
     assert all(n % 2 == 0 for n in calls[1:])  # two new midpoints per open interval
+
+
+def test_bisect_scalar_bracket_stays_float():
+    seen = []
+
+    def high_side(mid):
+        seen.append(type(mid))
+        return mid * mid < 2.0
+
+    lo, hi = bisect(high_side, 1.0, 2.0, lambda lo, hi: hi - lo < 1e-12)
+    assert type(lo) is float and type(hi) is float
+    assert set(seen) == {float}
+    assert lo <= math.sqrt(2.0) <= hi and hi - lo < 1e-12
+
+
+def test_bisect_is_elementwise():
+    # each bracket of an array halves exactly as the same bracket alone
+    targets = np.array([0.1, 2.0, 7.5, 30.0])
+    close = lambda lo, hi: hi - lo < 1e-9 * np.maximum(1.0, lo)  # noqa: E731
+    lo, hi = bisect(lambda mid: mid**2 < targets, np.zeros(4), np.full(4, 6.0), close)
+    assert lo.shape == hi.shape == (4,)
+    assert (close(lo, hi)).all()
+    for i, v in enumerate(targets):
+        one = bisect(lambda mid: mid**2 < v, 0.0, 6.0, lambda a, b: b - a < 1e-9 * max(1.0, a))
+        # an element keeps halving until every bracket is close, so it is at least as tight
+        assert lo[i] >= one[0] and hi[i] <= one[1]
+    assert (lo <= np.sqrt(targets)).all() and (np.sqrt(targets) <= hi).all()

@@ -9,15 +9,15 @@ from mssim import RngStream
 def test_same_key_same_sequence():
     a = RngStream(42, 0)
     b = RngStream(42, 0)
-    assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
+    assert a.uniform(100).tolist() == b.uniform(100).tolist()
 
 
 def test_distinct_stream_ids_differ():
-    assert RngStream(42, 0).uniform() != RngStream(42, 1).uniform()
+    assert (RngStream(42, 0).uniform(4) != RngStream(42, 1).uniform(4)).all()
 
 
 def test_distinct_seeds_differ():
-    assert RngStream(42, 0).uniform() != RngStream(43, 0).uniform()
+    assert (RngStream(42, 0).uniform(4) != RngStream(43, 0).uniform(4)).all()
 
 
 def test_key_validation():

@@ -1,5 +1,6 @@
 """Tests for jump-path construction, evaluation, and the transform oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -42,6 +43,22 @@ def test_build_merges_coincident_times():
     assert path.times.tolist() == [0.3, 0.7]
     assert path.sizes.tolist() == [3.0, 4.0]
     assert (np.diff(path.prefix) > 0).all()
+
+
+def test_tie_merge_is_independent_of_input_order():
+    # 1 + 1e-16 + 1e-16 rounds to 1 summed from the large end but not from
+    # the small end, so the merge must fix the order within a tie group
+    times = [0.3, 0.3, 0.3, 0.1, 0.7]
+    sizes = [1.0, 1e-16, 1e-16, 2.0, 4.0]
+    paths = [build_path(_pattern(np.take(times, p), np.take(sizes, p)))
+             for p in itertools.permutations(range(5))]
+    first = paths[0]
+    assert first.times.tolist() == [0.1, 0.3, 0.7]
+    assert first.sizes[1] == 1e-16 + 1e-16 + 1.0 != 1.0
+    for path in paths[1:]:
+        assert path.times.tobytes() == first.times.tobytes()
+        assert path.sizes.tobytes() == first.sizes.tobytes()
+        assert path.prefix.tobytes() == first.prefix.tobytes()
 
 
 def test_build_large_pattern_resummation():
