@@ -223,11 +223,21 @@ def _check_points(count, t0, t1,
              f"above the cap of {_MAX_POINTS:g}; {hint}")
 
 
+def _check_block(idx, blk):
+    """Reject, before anything is drawn, a block whose replication draws more
+    than ``_MAX_POINTS`` points: its mean count, or under threshold
+    truncation the envelope count, which bounds the rejection candidates to
+    within the factor two of the batch rule."""
+    drawn = blk.mean_count
+    if blk.trunc.mode == "threshold":
+        drawn = ppp.envelope_count(idx, blk.t0, blk.t1, blk.trunc.parameter)
+    _check_points(drawn, blk.t0, blk.t1)
+
+
 def _block(idx, t0, t1, trunc):
-    """The planned block on [t0, t1], rejected before anything is drawn when
-    it expects more than ``_MAX_POINTS`` points."""
+    """The planned block on [t0, t1], checked by ``_check_block``."""
     blk = ppp.plan_block(idx, t0, t1, trunc)
-    _check_points(blk.mean_count, blk.t0, blk.t1)
+    _check_block(idx, blk)
     return blk
 
 
@@ -256,7 +266,7 @@ def plan_passage(idx, levels, tail_bound):
         if blk.mean_count > _PASSAGE_POINTS_CAP and t1 > 1.0:
             eps = max(trunc.parameter, _solve_eps_for_count(idx, t0, t1, _PASSAGE_POINTS_CAP))
             blk = ppp.plan_block(idx, t0, t1, ppp.Truncation("threshold", eps))
-        _check_points(blk.mean_count, t0, t1)
+        _check_block(idx, blk)
         blocks.append(blk)
         t0 = t1
     return PassagePlan(idx, levels, tuple(blocks), tail_bound)

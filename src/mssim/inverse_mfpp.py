@@ -3,23 +3,17 @@ process, and their composition into the time-changed counting process."""
 
 import numpy as np
 
+from .ppp import poisson_points
+
 
 def sample_poisson_path(stream, rate, horizon):
-    """Arrival times of a rate-``rate`` homogeneous Poisson process on
-    [0, horizon]: cumulative sums of Exp(rate) gaps, truncated at ``horizon``."""
+    """Ascending arrival times of a rate-``rate`` homogeneous Poisson
+    process on [0, horizon]."""
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    if horizon == 0:
-        return np.empty(0)
-    mean = rate * horizon
-    block = max(16, int(mean + 6.0 * np.sqrt(mean) + 10))
-    arrivals = np.cumsum(stream.exponential(rate, block))
-    while arrivals[-1] <= horizon:
-        more = np.cumsum(stream.exponential(rate, block)) + arrivals[-1]
-        arrivals = np.concatenate((arrivals, more))
-    return arrivals[arrivals <= horizon]
+    return np.sort(poisson_points(stream, 0.0, horizon, rate * horizon))
 
 
 def first_passage(times, prefix, levels):

@@ -8,7 +8,12 @@ cross-validate each other:
   stationary:  unit-rate points (t, u) on [0, T] x (0, M] mapped through
                (t, u) -> (t, u**(-1/beta(t)))
   threshold:   only jumps of size >= eps, times from the non-homogeneous
-               rate eps**(-beta(t)) by rejection, sizes conditional Pareto
+               rate eps**(-beta(t)) by rejection under the constant
+               envelope eps**(-sup beta), sizes conditional Pareto
+
+``poisson_points`` draws the unsorted points of a homogeneous Poisson
+process on a window, for the stationary construction and for the Poisson
+clock of the counting process.
 
 Sampling is planned once and then only draws: ``plan_block`` fixes a time
 window, its truncation and the expected point count (a quadrature under
@@ -77,15 +82,20 @@ def plan_block(idx, t0, t1, trunc):
     return Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc))
 
 
+def poisson_points(stream, t0, t1, mean):
+    """The points of a homogeneous Poisson process on [t0, t1] with ``mean``
+    expected points, unsorted: a Poisson(mean) count of uniform times."""
+    return t0 + (t1 - t0) * stream.uniform(stream.poisson(mean))
+
+
 def sample_stationary(stream, blk, idx):
     """Sample a stationary-truncation block with level cutoff M.
 
     K ~ Poisson(mean count) points uniform on [t0, t1] x (0, M] are mapped
     through u -> u**(-1/beta(t)); the image has exactly the target intensity
     restricted to the retained region x >= M**(-1/beta(t))."""
-    k = stream.poisson(blk.mean_count)
-    t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
-    u = blk.trunc.parameter * stream.uniform(k)
+    t = poisson_points(stream, blk.t0, blk.t1, blk.mean_count)
+    u = blk.trunc.parameter * stream.uniform(len(t))
     beta = idx.evaluate_many(t)
     x = u ** (-1.0 / beta)
     return PointPattern(t, x, blk.t1)
@@ -111,6 +121,14 @@ def sample_threshold(stream, blk, idx):
     beta = idx.evaluate_many(t)
     x = eps * stream.uniform(k) ** (-1.0 / beta)
     return PointPattern(t, x, blk.t1)
+
+
+def envelope_count(idx, t0, t1, eps):
+    """Mean number of candidates threshold sampling needs on [t0, t1]: the
+    constant envelope rate eps**(-sup beta) over the window.  It bounds the
+    mean count int_t0^t1 eps**(-beta(s)) ds, which it exceeds by the inverse
+    of the acceptance rate."""
+    return (t1 - t0) * eps ** -idx.bounds_on(t0, t1)[1]
 
 
 def sample_threshold_times(stream, idx, t0, t1, eps, count):

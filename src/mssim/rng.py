@@ -42,12 +42,6 @@ class RngStream:
             zero = u == 0.0
         return u
 
-    def exponential(self, rate=1.0, size=None):
-        """Exp(rate) draws by inversion of the open-interval uniforms."""
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        return -np.log(self.uniform(size)) / rate
-
     def poisson(self, mean):
         """A single Poisson(mean) count."""
         if not np.isfinite(mean) or mean < 0:

@@ -95,6 +95,8 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     ("ctrw", "--beta", "constant:0.5", "--n", "100", "--pn-rule", "const:1e-12", "--reps", "2"),
     ("paths", "--beta", "constant:0.5", "--lambda", "1e13", "--reps", "2"),
     ("paths", "--beta", "constant:0.5", "--grid", "10000000000", "--reps", "2"),
+    # a mean count of 1.7e6 under a thinning envelope of 2.2e7
+    ("paths", "--beta", "affine:0.2,0.56", "--reps", "2"),
 ])
 def test_too_many_points_is_usage_error(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())

@@ -144,6 +144,19 @@ def test_replications_never_integrate(monkeypatch):
     assert inc.shape == (4, 2) and (inc[:, 1] >= inc[:, 0]).all()
 
 
+def test_point_cap_bounds_the_envelope_count():
+    # the budget block of affine:0.2,0.56 keeps 1.7e6 points on average but
+    # needs 2.2e7 rejection candidates, above the cap of 1e7
+    idx = StabilityIndex.from_spec("affine:0.2,0.56", 1.0)
+    trunc = ppp.solve_truncation(idx, 1.0, "threshold", experiments.DEFAULT_MASS_BUDGET)
+    blk = ppp.plan_block(idx, 0.0, 1.0, trunc)
+    envelope = ppp.envelope_count(idx, 0.0, 1.0, trunc.parameter)
+    assert blk.mean_count < experiments._MAX_POINTS < envelope
+    with pytest.raises(ValueError, match="points per replication") as err:
+        experiments._budget_block(idx, 1.0, "threshold")
+    assert f"{envelope:.3g} points" in str(err.value) and "\n" not in str(err.value)
+
+
 def _inline_block_passage(stream, plan):
     """The block kernel written out by hand: threshold draws per block,
     sorted by time, a running prefix sum across blocks, then first passage."""
@@ -157,7 +170,7 @@ def _inline_block_passage(stream, plan):
             eps = blk.trunc.parameter
             t = ppp.sample_threshold_times(stream, plan.idx, blk.t0, blk.t1, eps, k)
             x = eps * stream.uniform(k) ** (-1.0 / plan.idx.evaluate_many(t))
-            order = np.argsort(t, kind="stable")
+            order = np.argsort(t)
             prefix = total + np.cumsum(x[order])
             e[nxt:] = first_passage(t[order], prefix, levels[nxt:])
             nxt = int(np.count_nonzero(~np.isnan(e)))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from mssim import ppp
 from mssim import (
+    PointPattern,
     RngStream,
     StabilityIndex,
     Truncation,
@@ -24,6 +26,9 @@ IDX_AFFINE = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
 
 # chi-square 1% critical values by degrees of freedom
 CHI2_99 = {9: 21.666}
+
+# an affine index with a steep slope: thinning keeps about 24% of its candidates
+IDX_STEEP = StabilityIndex.from_spec("affine:0.2,0.6", 1.0)
 
 
 def _block(idx, mode, parameter, t0=0.0, t1=1.0):
@@ -190,3 +195,70 @@ def test_point_count_law_chi_square():
     expect = np.append(pmf, 1.0 - pmf.sum()) * reps
     stat = float(((observed - expect) ** 2 / expect).sum())
     assert stat < CHI2_99[cells - 1]
+
+
+def _steep_times(sampler, reps=4000):
+    """Per-replication jump times of ``sampler(stream, blk, idx)`` on a steep
+    threshold block over [0, 1]."""
+    blk = _block(IDX_STEEP, "threshold", 1e-3)
+    return [sampler(RngStream(9, r), blk, IDX_STEEP).times for r in range(reps)]
+
+
+def _steep_cdf(t):
+    # P(T <= t) for the density eps**-(c0 + c1 t) on [0, 1], normalised:
+    # expm1(c1 k t) / expm1(c1 k) with k = ln(1/eps)
+    c1k = 0.6 * math.log(1e3)
+    return np.expm1(c1k * t) / math.expm1(c1k)
+
+
+def _ks_to_steep_cdf(times):
+    """One-sample KS distance of ``times`` to the closed-form CDF, and the 1% critical value."""
+    n = len(times)
+    f = _steep_cdf(np.sort(times))
+    i = np.arange(1, n + 1)
+    return max((i / n - f).max(), (f - (i - 1) / n).max()), 1.628 / math.sqrt(n)
+
+
+def _shifted_threshold(stream, blk, idx):
+    # a mutant: the index is read 0.05 too high in the acceptance step
+    k = stream.poisson(blk.mean_count)
+    _, sup = idx.bounds_on(blk.t0, blk.t1)
+    eps = blk.trunc.parameter
+    got = np.empty(0)
+    while len(got) < k:
+        cand = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(2 * k)
+        accept = stream.uniform(2 * k) < eps ** (sup - idx.evaluate_many(cand) - 0.05)
+        got = np.concatenate((got, cand[accept]))
+    return PointPattern(got[:k], np.ones(k), blk.t1)
+
+
+def test_steep_block_accepts_fewer_than_half():
+    blk = _block(IDX_STEEP, "threshold", 1e-3)
+    envelope = ppp.envelope_count(IDX_STEEP, 0.0, 1.0, 1e-3)
+    assert envelope == pytest.approx(1e3**0.8)
+    assert blk.mean_count == pytest.approx(_count_closed_form(0.2, 0.6, 0.0, 1.0, 1e-3), rel=1e-12)
+    assert 0.2 < blk.mean_count / envelope < 0.5
+
+
+def test_threshold_count_is_poisson_with_the_mean_count():
+    mean = _block(IDX_STEEP, "threshold", 1e-3).mean_count
+    counts = np.array([len(t) for t in _steep_times(sample_threshold)])
+    # ten cells with edges near the Poisson deciles
+    ks = np.arange(int(3 * mean) + 50)
+    pmf = np.exp(-mean + ks * math.log(mean) - np.array([math.lgamma(k + 1) for k in ks]))
+    cdf = np.cumsum(pmf)
+    edges = np.searchsorted(cdf, np.arange(1, 10) / 10) + 1
+    expect = np.diff(np.concatenate(([0.0], cdf[edges - 1], [1.0]))) * len(counts)
+    observed = np.bincount(np.searchsorted(edges, counts, side="right"), minlength=10)
+    stat = float(((observed - expect) ** 2 / expect).sum())
+    assert stat < CHI2_99[9]
+
+
+def test_threshold_times_follow_the_closed_form_cdf():
+    times = np.concatenate(_steep_times(sample_threshold))
+    assert ((times >= 0.0) & (times <= 1.0)).all()
+    d, crit = _ks_to_steep_cdf(times)
+    assert d < crit
+    # the test has the power to see an index off by 0.05 in the acceptance step
+    d_mutant, crit_mutant = _ks_to_steep_cdf(np.concatenate(_steep_times(_shifted_threshold)))
+    assert d_mutant > crit_mutant

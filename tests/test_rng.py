@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mssim import RngStream
+from mssim import RngStream, sample_poisson_path
 
 
 def test_same_key_same_sequence():
@@ -44,11 +44,12 @@ def test_streams_pairwise_uncorrelated():
 
 
 def test_exponential_mean_and_positivity():
-    x = RngStream(5, 0).exponential(rate=2.0, size=200_000)
+    # the gaps of a rate-2 Poisson clock are Exp(2): about 200,000 of mean 0.5
+    x = np.diff(sample_poisson_path(RngStream(5, 0), 2.0, 100_000.0), prepend=0.0)
     assert (x > 0).all()
     assert abs(x.mean() - 0.5) < 0.005
     with pytest.raises(ValueError):
-        RngStream(5, 0).exponential(rate=0.0)
+        sample_poisson_path(RngStream(5, 0), 0.0, 1.0)
 
 
 def test_poisson_draws():
