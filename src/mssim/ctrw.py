@@ -16,8 +16,6 @@ import numpy as np
 from .inverse_mfpp import first_passage
 from .quadrature import bisect
 
-_BISECT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SlowlyVaryingFamily:
@@ -59,9 +57,10 @@ def _jnk_from_uniforms(u, beta, beta_sup, L):
     value exp(-beta_sup) it takes at the kink t = exp(beta_sup/beta); the
     survival function used is its running minimum, which equals the formula
     at the support start and for all large t, so the regular variation that
-    drives the limit theorems is untouched.  Levels above exp(-beta_sup)
-    invert in closed form on the initial branch; smaller levels invert the
-    ultimately strictly decreasing branch by bisection."""
+    drives the limit theorems is untouched.  Levels at or above
+    exp(-beta_sup) invert in closed form on the initial branch; smaller
+    levels invert the ultimately strictly decreasing branch by bisection in
+    ln t, to a few ulps of ln t, on a bracket that always holds the root."""
     u = np.asarray(u, dtype=float)
     beta = np.broadcast_to(np.asarray(beta, dtype=float), u.shape)
     if L.kind == "unit":
@@ -76,54 +75,29 @@ def _jnk_from_uniforms(u, beta, beta_sup, L):
     return out
 
 
-def _log_tail_decreasing(t, beta, beta_sup):
-    # on t >= exp(1/beta) the ln branch is active and strictly decreasing
-    return t ** (-beta) * (beta / beta_sup) * np.log(t)
-
-
 def _invert_log_tail(u, beta, beta_sup):
-    lo = np.exp(1.0 / beta)
-    # generous first bracket, capped to stay finite for extreme levels
-    hi = np.minimum(np.maximum(2.0 * lo, u ** (-2.0 / beta)), 1e300)
-    grow = _log_tail_decreasing(hi, beta, beta_sup) >= u
-    while grow.any():
-        hi[grow] *= 4.0
-        grow = _log_tail_decreasing(hi, beta, beta_sup) >= u
-    lo, hi = bisect(lambda t: _log_tail_decreasing(t, beta, beta_sup) >= u, lo, hi,
-                    lambda lo, hi: hi - lo <= np.maximum(_BISECT_TOL, 4.0 * np.spacing(hi)))
-    return 0.5 * (lo + hi)
+    # in y = ln t the branch y >= 1/beta is (beta/beta_sup) * y * exp(-beta*y),
+    # strictly decreasing; y * exp(-beta*y) <= 2/(e*beta) * exp(-beta*y/2)
+    # puts the root below (2/beta) * ln(2/(e*beta_sup*u))
+    lo = 1.0 / beta
+    hi = np.maximum(lo, 2.0 / beta * np.log(2.0 / (math.e * beta_sup * u)))
+    log_u = np.log(u)
+    lo, hi = bisect(lambda y: np.log(beta / beta_sup * y) - beta * y >= log_u, lo, hi,
+                    lambda lo, hi: hi - lo <= 4.0 * np.spacing(hi))
+    return np.exp(0.5 * (lo + hi))
 
 
 def norming_an(n, L, beta_sup):
-    """The row scaling: the solution a of a**(-beta_sup) * L(a) = 1/n.
-
-    Closed form n**(1/beta_sup) for the unit family; bisection on the
-    ultimately strictly decreasing left-hand side for the log family (with
-    the closed-form initial branch covering small n)."""
+    """The row scaling a_n, where n * P(J > a_n) = 1 for the summand J of
+    index beta_sup: the tail inverse of ``_jnk_from_uniforms`` at level 1/n,
+    n**(1/beta_sup) in closed form for the unit family."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not 0.0 < beta_sup < 1.0:
         raise ValueError(f"beta_sup must be in (0, 1), got {beta_sup}")
     if L.kind == "unit":
         return float(n) ** (1.0 / beta_sup)
-    target = 1.0 / n
-
-    def f(a):
-        return a ** (-beta_sup) * max(1.0, math.log(a))
-
-    hump_top = math.exp(1.0 / beta_sup)
-    if target > f(hump_top):
-        # small n: the root sits on the initial a**(-beta_sup) branch
-        a = target ** (-1.0 / beta_sup)
-        if not 1.0 <= a <= math.e * (1.0 + 1e-12):
-            raise RuntimeError(f"no bracket for a_n at n={n}, beta_sup={beta_sup}")
-        return a
-    hi = 2.0 * hump_top
-    while f(hi) >= target:
-        hi *= 4.0
-    lo, hi = bisect(lambda a: f(a) >= target, hump_top, hi,
-                    lambda lo, hi: hi - lo <= _BISECT_TOL * lo)
-    return 0.5 * (lo + hi)
+    return float(_jnk_from_uniforms(1.0 / n, beta_sup, beta_sup, L))
 
 
 def norming_bnk(a_n, beta_kn, beta_sup):

@@ -51,9 +51,6 @@ _T_END_CANDIDATES = (
     1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0,
     10.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0,
 )
-# expected points one replication may draw; the pinned configurations stay
-# below 3e5, and numpy's Poisson sampler fails near 1e19
-_MAX_POINTS = 1e7
 _ARRIVALS_HINT = "the Poisson process draws about lambda * horizon arrivals; lower --lambda"
 
 
@@ -206,45 +203,18 @@ class PassagePlan:
     tail_bound: float
 
 
-def _solve_eps_for_count(idx, t0, t1, cap):
-    def count(logp):
-        return ppp.expected_count_window(idx, t0, t1, ppp.Truncation("threshold", 10.0**logp))
-
-    # log10(eps) in (-300, 0); the count decreases in eps
-    return ppp.log_bisect(count, cap, -300.0, -1e-9, False)
-
-
-def _check_points(count, t0, t1,
-                  hint="the index is too close to 1 or the truncation level too high"):
+def _check_points(count, t0, t1, hint):
     """Reject, before anything is drawn, a replication that expects more than
-    ``_MAX_POINTS`` points on [t0, t1]."""
-    _require(count <= _MAX_POINTS,
+    ``ppp.MAX_POINTS`` arrivals, cells, walk steps or grid rows on [t0, t1]."""
+    _require(count <= ppp.MAX_POINTS,
              f"{count:.3g} points per replication expected on [{t0:g}, {t1:g}], "
-             f"above the cap of {_MAX_POINTS:g}; {hint}")
-
-
-def _check_block(idx, blk):
-    """Reject, before anything is drawn, a block whose replication draws more
-    than ``_MAX_POINTS`` points: its mean count, or under threshold
-    truncation the envelope count, which bounds the rejection candidates to
-    within the factor two of the batch rule."""
-    drawn = blk.mean_count
-    if blk.trunc.mode == "threshold":
-        drawn = ppp.envelope_count(idx, blk.t0, blk.t1, blk.trunc.parameter)
-    _check_points(drawn, blk.t0, blk.t1)
-
-
-def _block(idx, t0, t1, trunc):
-    """The planned block on [t0, t1], checked by ``_check_block``."""
-    blk = ppp.plan_block(idx, t0, t1, trunc)
-    _check_block(idx, blk)
-    return blk
+             f"above the cap of {ppp.MAX_POINTS:g}; {hint}")
 
 
 def _budget_block(idx, T, mode):
     """The block [0, T] under the truncation of ``mode`` that meets the
     default excluded-mass budget."""
-    return _block(idx, 0.0, T, ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET))
+    return ppp.plan_block(idx, 0.0, T, ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET))
 
 
 def plan_passage(idx, levels, tail_bound):
@@ -261,13 +231,9 @@ def plan_passage(idx, levels, tail_bound):
     t0 = 0.0
     while t0 < idx.horizon - 1e-12:
         t1 = min(t0 + _PASSAGE_BLOCK_LEN, idx.horizon)
-        trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0)
-        blk = ppp.plan_block(idx, t0, t1, trunc)
-        if blk.mean_count > _PASSAGE_POINTS_CAP and t1 > 1.0:
-            eps = max(trunc.parameter, _solve_eps_for_count(idx, t0, t1, _PASSAGE_POINTS_CAP))
-            blk = ppp.plan_block(idx, t0, t1, ppp.Truncation("threshold", eps))
-        _check_block(idx, blk)
-        blocks.append(blk)
+        trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0,
+                                     max_count=_PASSAGE_POINTS_CAP if t1 > 1.0 else math.inf)
+        blocks.append(ppp.plan_block(idx, t0, t1, trunc))
         t0 = t1
     return PassagePlan(idx, levels, tuple(blocks), tail_bound)
 
@@ -427,7 +393,7 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
         trunc = ppp.Truncation("stationary", float(trunc_m))
     else:
         trunc = ppp.solve_truncation(idx, T, "stationary", mass_budget)
-    blk = _block(idx, 0.0, T, trunc)
+    blk = ppp.plan_block(idx, 0.0, T, trunc)
     excluded = ppp.small_jump_mass_window(idx, 0.0, T, trunc)
     _require(excluded < math.inf,
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
@@ -475,7 +441,7 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
         plan = plan_passage(idx, ts, tail)
     else:
         # one stationary block on the whole horizon: no threshold to solve
-        blk = _block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", trunc_m))
+        blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", trunc_m))
         plan = PassagePlan(idx, tuple(ts), (blk,), tail)
     res = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam))
     xs = res["x"]

@@ -16,12 +16,12 @@ process on a window, for the stationary construction and for the Poisson
 clock of the counting process.
 
 Sampling is planned once and then only draws: ``plan_block`` fixes a time
-window, its truncation and the expected point count (a quadrature under
-the threshold mode), and the samplers take that ``Block``.  ``sample_pattern``
-dispatches on the truncation mode, and ``solve_truncation`` picks the
-truncation that meets a mass budget.  ``small_jump_mass_window`` reports
-the expected total mass of the excluded jumps, so truncation bias can be
-budgeted analytically.
+window, its truncation and the expected point count (a quadrature under the
+threshold mode) below ``MAX_POINTS``, and the samplers take that ``Block``.
+``sample_pattern`` dispatches on the truncation mode, and ``solve_truncation``
+picks the truncation that meets a mass budget.  ``small_jump_mass_window``
+reports the expected total mass of the excluded jumps, so truncation bias
+can be budgeted analytically.
 """
 
 from dataclasses import dataclass
@@ -32,6 +32,10 @@ import numpy as np
 from .quadrature import bisect, integrate
 
 TRUNCATION_MODES = ("stationary", "threshold")
+
+# expected points one replication may draw; the pinned configurations stay
+# below 3e5, and numpy's Poisson sampler fails near 1e19
+MAX_POINTS = 1e7
 
 
 @dataclass(frozen=True)
@@ -73,13 +77,24 @@ class Block:
 
 def plan_block(idx, t0, t1, trunc):
     """The ``Block`` on [t0, t1], a non-empty window inside [0, horizon];
-    its mean count is ``expected_count_window``."""
+    its mean count is ``expected_count_window``.  A ValueError rejects, before
+    anything is drawn, a block that draws more than ``MAX_POINTS`` points: its
+    mean count, or under threshold truncation its envelope count, which bounds
+    the rejection candidates to within the factor two of the batch rule."""
     if not (np.isfinite(t0) and np.isfinite(t1)
             and 0.0 <= t0 < t1 <= idx.horizon * (1.0 + 1e-12)):
         raise ValueError(f"the window [{t0}, {t1}] must be non-empty and lie in "
                          f"[0, horizon={idx.horizon}]")
     t0, t1 = float(t0), min(float(t1), idx.horizon)
-    return Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc))
+    blk = Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc))
+    drawn = blk.mean_count
+    if trunc.mode == "threshold":
+        drawn = envelope_count(idx, t0, t1, trunc.parameter)
+    if not drawn <= MAX_POINTS:
+        raise ValueError(f"{drawn:.3g} points per replication expected on [{t0:g}, {t1:g}], "
+                         f"above the cap of {MAX_POINTS:g}; the index is too close to 1 or "
+                         "the truncation level too high")
+    return blk
 
 
 def poisson_points(stream, t0, t1, mean):
@@ -190,22 +205,29 @@ def expected_count_window(idx, t0, t1, trunc):
     return integrate(lambda s: eps ** (-idx.evaluate(s)), t0, t1)
 
 
-def solve_truncation(idx, T, mode, mass_budget, t0=0.0):
+def solve_truncation(idx, T, mode, mass_budget, t0=0.0, max_count=math.inf):
     """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
-    ``mass_budget``.
+    ``mass_budget``, unless its expected point count there exceeds
+    ``max_count``: then the one whose count equals ``max_count``, which
+    excludes more mass.
 
     Bisection on the log of the parameter; the mass is monotone in it
-    (increasing in eps, decreasing in M)."""
+    (increasing in eps, decreasing in M) and the count the other way.  The
+    count is only integrated when ``max_count`` is finite."""
     if mass_budget <= 0:
         raise ValueError(f"mass budget must be positive, got {mass_budget}")
 
-    def mass_at(logp):
-        return small_jump_mass_window(idx, t0, T, Truncation(mode, 10.0**logp))
+    def solve(window_integral, target, up_in_eps):
+        def at(logp):
+            return window_integral(idx, t0, T, Truncation(mode, 10.0**logp))
 
-    if mode == "threshold":
-        p = log_bisect(mass_at, mass_budget, -300.0, -1e-9, True)  # eps in (1e-300, 1)
-    else:
-        p = log_bisect(mass_at, mass_budget, -6.0, 300.0, False)
+        if mode == "threshold":
+            return log_bisect(at, target, -300.0, -1e-9, up_in_eps)  # eps in (1e-300, 1)
+        return log_bisect(at, target, -6.0, 300.0, not up_in_eps)
+
+    p = solve(small_jump_mass_window, mass_budget, True)
+    if max_count < math.inf and expected_count_window(idx, t0, T, Truncation(mode, p)) > max_count:
+        p = solve(expected_count_window, max_count, False)
     return Truncation(mode, p)
 
 

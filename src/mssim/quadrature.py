@@ -82,15 +82,15 @@ def bisect(high_side, lo, hi, close):
     for arrays of brackets.
 
     ``high_side(mid)`` is true where the root lies above ``mid``; the loop
-    stops once ``close(lo, hi)`` holds for every bracket, or after 200
-    halvings.  Returns the final brackets (Python floats for a scalar
-    bracket, which ``high_side`` also receives as a float), so each caller
-    picks the end (or midpoint) it needs."""
+    stops once ``close(lo, hi)`` holds for every bracket, and raises
+    ValueError if 200 halvings leave one open.  Returns the final brackets
+    (Python floats for a scalar bracket, which ``high_side`` also receives
+    as a float), so each caller picks the end (or midpoint) it needs."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         up = high_side(mid if mid.ndim else float(mid))
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
         if np.all(close(lo, hi)):
-            break
-    return (lo, hi) if lo.ndim else (float(lo), float(hi))
+            return (lo, hi) if lo.ndim else (float(lo), float(hi))
+    raise ValueError(f"bisection left a bracket open after {_BISECT_STEPS} halvings")

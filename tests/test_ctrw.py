@@ -69,6 +69,34 @@ def test_norming_an_log_residual():
     assert abs(a_big**-0.5 * math.log(a_big) - 1e-6) <= 1e-12 * 1e-6 * 10
 
 
+def _log_survival(t, beta, beta_sup):
+    """The log-family survival the summands are drawn from: the running
+    minimum of t**-beta * max(1, (beta/beta_sup) * ln t)."""
+    raw = t**-beta * np.maximum(1.0, beta / beta_sup * np.log(t))
+    return np.where(t <= math.exp(beta_sup / beta), raw, np.minimum(raw, math.exp(-beta_sup)))
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.5, 0.9])
+def test_log_tail_inverse_residual_down_to_tiny_levels(beta):
+    # at u = 1e-15 and beta = 0.1 the root is near e**380, far past the
+    # bracket a bisection in t can close in 200 halvings
+    u = np.logspace(-15.0, 0.0, 301)[:-1]
+    for beta_sup in (beta, 0.95):
+        t = _jnk_from_uniforms(u, beta, beta_sup, LOG)
+        assert (np.abs(_log_survival(t, beta, beta_sup) - u) <= 1e-12 * u).all()
+
+
+def test_norming_an_log_meets_the_sampled_tail():
+    # n * S(a_n) = 1 for the survival S that is sampled; at n = 2 and
+    # beta_sup = 0.7 the level 1/2 lies above the kink value exp(-0.7), so
+    # a_n is on the initial branch
+    assert norming_an(2, LOG, 0.7) == pytest.approx(2.0 ** (1.0 / 0.7), rel=1e-15)
+    for beta_sup in np.linspace(0.1, 0.95, 18):
+        for n in (2, 3, 10, 100, 10**4, 10**6):
+            a = norming_an(n, LOG, float(beta_sup))
+            assert abs(n * _log_survival(a, beta_sup, beta_sup) - 1.0) <= 1e-12
+
+
 def test_norming_bnk():
     assert norming_bnk(32.0, 0.5, 0.8) == pytest.approx(256.0, rel=1e-12)
     assert norming_bnk(17.3, 0.7, 0.7) == 17.3  # exponent exactly 1

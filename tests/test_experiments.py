@@ -149,11 +149,11 @@ def test_point_cap_bounds_the_envelope_count():
     # needs 2.2e7 rejection candidates, above the cap of 1e7
     idx = StabilityIndex.from_spec("affine:0.2,0.56", 1.0)
     trunc = ppp.solve_truncation(idx, 1.0, "threshold", experiments.DEFAULT_MASS_BUDGET)
-    blk = ppp.plan_block(idx, 0.0, 1.0, trunc)
+    mean_count = ppp.expected_count_window(idx, 0.0, 1.0, trunc)
     envelope = ppp.envelope_count(idx, 0.0, 1.0, trunc.parameter)
-    assert blk.mean_count < experiments._MAX_POINTS < envelope
+    assert mean_count < ppp.MAX_POINTS < envelope
     with pytest.raises(ValueError, match="points per replication") as err:
-        experiments._budget_block(idx, 1.0, "threshold")
+        ppp.plan_block(idx, 0.0, 1.0, trunc)
     assert f"{envelope:.3g} points" in str(err.value) and "\n" not in str(err.value)
 
 

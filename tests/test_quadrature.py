@@ -157,6 +157,11 @@ def test_integrand_calls_are_one_per_level(monkeypatch):
     assert all(n % 2 == 0 for n in calls[1:])  # two new midpoints per open interval
 
 
+def test_bisect_raises_on_a_bracket_that_never_closes():
+    with pytest.raises(ValueError, match="open after 200 halvings"):
+        bisect(lambda mid: mid < 0.5, 0.0, 1.0, lambda lo, hi: hi - lo < 0.0)
+
+
 def test_bisect_scalar_bracket_stays_float():
     seen = []
 
