@@ -188,7 +188,7 @@ def small_jump_mass_window(idx, t0, t1, trunc):
                 return b / (1.0 - b) * m ** (1.0 - 1.0 / b)
 
     try:
-        return integrate(f, t0, t1)
+        return integrate(f, t0, t1, points=idx.critical_points(t0, t1))
     except FloatingPointError:
         # M**(1 - 1/beta) overflows for small M and an index below about
         # 0.02: the excluded mass is beyond the float range
@@ -202,7 +202,8 @@ def expected_count_window(idx, t0, t1, trunc):
     if trunc.mode == "stationary":
         return (t1 - t0) * trunc.parameter
     eps = trunc.parameter
-    return integrate(lambda s: eps ** (-idx.evaluate(s)), t0, t1)
+    return integrate(lambda s: eps ** (-idx.evaluate(s)), t0, t1,
+                     points=idx.critical_points(t0, t1))
 
 
 def solve_truncation(idx, T, mode, mass_budget, t0=0.0, max_count=math.inf):

@@ -6,6 +6,8 @@ an array of the same shape.  The quadrature refines breadth-first, so each
 level of the adaptive tree costs one call of ``f`` on all of its new nodes.
 """
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -20,15 +22,19 @@ _REL_FLOOR = 1e-14
 _BISECT_STEPS = 200
 
 
-def integrate(f, a, b, tol=DEFAULT_TOL):
+def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
     """Integrate the vectorised ``f`` over [a, b] by adaptive composite Simpson.
 
-    The error estimate is the classical Richardson one; ``tol`` is an
-    absolute tolerance, halved on each subdivision, and refinement stops
-    after ``_MAX_DEPTH`` subdivisions.  The tree is refined level by level:
-    one call ``f(x)`` evaluates the two new midpoints of every interval
-    still open, so ``f`` is called at most ``_MAX_DEPTH + 2`` times.  A
-    split interval's value is the sum of its two children's values, added
+    The rule starts from the pieces between the ``points`` inside (a, b),
+    such as the extrema of a periodic integrand, whose first nodes could
+    otherwise all sit on one level set.  The error estimate is the classical
+    Richardson one; ``tol`` is an absolute tolerance, shared among the
+    pieces by width and halved on each subdivision, and refinement stops
+    after ``_MAX_DEPTH`` halvings of [a, b].  The tree is refined level by
+    level: the first call ``f(x)`` evaluates every piece's ends and
+    midpoint, each later one the two new midpoints of every interval still
+    open, so ``f`` is called at most ``_MAX_DEPTH + 2`` times.  A split
+    interval's value is the sum of its two children's values, added
     bottom-up, which is the same float a depth-first recursion returns for
     the same integrand values.  A non-finite Simpson estimate raises
     ValueError: no subdivision can repair it.
@@ -38,14 +44,24 @@ def integrate(f, a, b, tol=DEFAULT_TOL):
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, tol)
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(np.array([a, m, b], dtype=float))
-    # the open intervals of one level: ends, midpoint, their values, estimate
-    a, m, b, fa, fm, fb = (np.array([v], dtype=float) for v in (a, m, b, fa, fm, fb))
+        return -integrate(f, b, a, tol, points)
+    # points snap to multiples of a power of two near 2**-20 * max(|a|, |b|), so
+    # later midpoints are exact: an inexact one shifts the Richardson estimate
+    # of a steep integrand past the relative floor, down to the depth cap
+    q = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1] - 20)
+    inner = sorted({p for p in (round(float(p) / q) * q for p in points) if a < p < b})
+    edges = np.array([a, *inner, b], dtype=float)
+    # the open intervals of one level: ends, midpoint, their values, estimate, tolerance
+    x = np.empty(2 * len(edges) - 1)
+    x[0::2], x[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    fx = f(x)
+    a, m, b = x[:-2:2], x[1::2], x[2::2]
+    fa, fm, fb = fx[:-2:2], fx[1::2], fx[2::2]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = tol * ((b - a) / (edges[-1] - edges[0]))
     levels = []  # per level: (value of each interval as a leaf, mask of the split ones)
-    for depth in range(_MAX_DEPTH, -1, -1):
+    # k pieces start ceil(log2 k) halvings of [a, b] down
+    for depth in range(_MAX_DEPTH - (len(edges) - 2).bit_length(), -1, -1):
         n = len(a)
         x = np.concatenate((0.5 * (a + m), 0.5 * (m + b)))
         fx = f(x)
@@ -62,9 +78,9 @@ def integrate(f, a, b, tol=DEFAULT_TOL):
         levels.append((total + delta / 15.0, split))
         if depth == 0 or not split.any():
             break
-        tol = 0.5 * tol
         # the next level: the left halves of the split intervals, then their right halves
         keep = np.concatenate((split, split))
+        tol = 0.5 * np.concatenate((tol, tol))[keep]
         a, m, b = np.concatenate((a, m))[keep], x[keep], np.concatenate((m, b))[keep]
         fa, fm, fb = np.concatenate((fa, fm))[keep], fx[keep], np.concatenate((fm, fb))[keep]
         whole = np.concatenate((left, right))[keep]
@@ -74,7 +90,7 @@ def integrate(f, a, b, tol=DEFAULT_TOL):
         k = len(value) // 2
         est[split] = value[:k] + value[k:]
         value = est
-    return float(value[0])
+    return float(value.sum())
 
 
 def bisect(high_side, lo, hi, close):

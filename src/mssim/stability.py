@@ -15,12 +15,21 @@ import numpy as np
 # relative slack for domain checks at the horizon, to absorb grids like k/n
 _EDGE_TOL = 1e-9
 
+# extrema a sin index may have on one window; each is a quadrature piece of
+# the truncation solve: at 400 on [0, 1], laplace set-up takes 4 s and 0.5 GB
+_MAX_SIN_EXTREMA = 400
+
 
 def _sin_extrema(p, a, b):
-    """Extremum times of c0 + c1*sin(2*pi*c2*t) inside [a, b]."""
+    """Extremum times of c0 + c1*sin(2*pi*c2*t) inside [a, b]; a window
+    with more than ``_MAX_SIN_EXTREMA`` of them is a ValueError."""
     c1, c2 = p[1], p[2]
     if c1 == 0.0 or c2 == 0.0:
         return []
+    # counted before the k range below is built; the product may overflow to inf
+    if 2.0 * (b - a) * abs(c2) > _MAX_SIN_EXTREMA:
+        raise ValueError(f"the sin index with c2={c2:g} has more than {_MAX_SIN_EXTREMA} "
+                         f"extrema on [{a:g}, {b:g}]; lower c2 or the horizon")
     # extrema where 2*pi*c2*t = pi/2 + k*pi
     k0 = math.floor((2.0 * c2 * a - 0.5))
     k1 = math.ceil((2.0 * c2 * b - 0.5)) + 1
@@ -139,9 +148,14 @@ class StabilityIndex:
         over its endpoints and the family's interior critical points."""
         if not 0.0 <= a <= b:
             raise ValueError(f"invalid window [{a}, {b}]")
-        crit = _FAMILIES[self.family].critical(self.params, a, b)
-        vals = self._raw_eval(np.array([a, b, *crit], dtype=float))
+        vals = self._raw_eval(np.array([a, b, *self.critical_points(a, b)], dtype=float))
         return (float(np.min(vals)), float(np.max(vals)))
+
+    def critical_points(self, a, b):
+        """The family's candidates for interior extrema of beta on [a, b]:
+        the extremum times of a sin index, the knots of a table.  They split
+        [a, b] into pieces on which beta is monotone."""
+        return _FAMILIES[self.family].critical(self.params, a, b)
 
     # -- textual spec ----------------------------------------------------
 

@@ -85,5 +85,5 @@ def laplace_transform(idx, theta, t):
         beta = idx.evaluate(s)
         return gamma_fn(1.0 - beta) * theta**beta
 
-    exponent = integrate(f, 0.0, t)
+    exponent = integrate(f, 0.0, t, points=idx.critical_points(0.0, t))
     return math.exp(-exponent)

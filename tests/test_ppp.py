@@ -12,7 +12,9 @@ from mssim import (
     StabilityIndex,
     Truncation,
     expected_count_window,
+    gamma_fn,
     ks_critical_value,
+    laplace_transform,
     ks_two_sample,
     plan_block,
     sample_stationary,
@@ -176,6 +178,22 @@ def test_solve_truncation_caps_the_point_count():
         kept = expected_count_window(IDX_AFFINE, 0.0, 1.0, capped)
         assert kept <= cap and kept == pytest.approx(cap, rel=1e-9)
         assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, capped) > 1e-3
+
+
+@pytest.mark.parametrize("c2", [2, 4, 8])
+def test_sin_index_integrals_see_every_period(c2):
+    # the first Simpson nodes 0, 1/4, 1/2, 3/4 and 1 are zeros of
+    # sin(2*pi*c2*t); the rule must not take the index for the constant 0.5
+    idx = StabilityIndex.from_spec(f"sin:0.5,0.2,{c2}", 1.0)
+    beta = idx.evaluate_many(np.linspace(0.0, 1.0, 200_001))
+
+    def trapezoid(y):  # spectrally accurate over whole periods
+        return (y.sum() - 0.5 * (y[0] + y[-1])) / (len(y) - 1)
+
+    count = expected_count_window(idx, 0.0, 1.0, Truncation("threshold", 1e-6))
+    assert count == pytest.approx(trapezoid(1e-6**-beta), rel=1e-9)
+    exponent = trapezoid(gamma_fn(1.0 - beta) * 2.0**beta)
+    assert laplace_transform(idx, 2.0, 1.0) == pytest.approx(math.exp(-exponent), rel=1e-9)
 
 
 def test_sampler_equivalence_ks():

@@ -142,12 +142,12 @@ def test_integrand_calls_are_one_per_level(monkeypatch):
     idx = StabilityIndex.from_spec("affine:0.4,0.2", 2.5)
     calls = []
 
-    def counting(f, a, b, *args):
+    def counting(f, a, b, *args, **kwargs):
         def g(x):
             calls.append(len(x))
             return f(x)
 
-        return integrate(g, a, b, *args)
+        return integrate(g, a, b, *args, **kwargs)
 
     monkeypatch.setattr(ppp, "integrate", counting)
     count = ppp.expected_count_window(idx, 2.25, 2.5, Truncation("threshold", 1e-250))
@@ -155,6 +155,21 @@ def test_integrand_calls_are_one_per_level(monkeypatch):
     assert 2 <= len(calls) <= _MAX_DEPTH + 2
     assert calls[0] == 3  # the two ends and the midpoint
     assert all(n % 2 == 0 for n in calls[1:])  # two new midpoints per open interval
+
+
+def test_points_split_the_rule_into_pieces():
+    # every first node of [0, 1] is a zero of sin(8*pi*t); the extrema as
+    # piece edges let the rule see the oscillation
+    def f(x):
+        return np.sin(8.0 * np.pi * x) ** 2
+
+    extrema = [(0.5 + k) / 8.0 for k in range(8)]
+    assert integrate(f, 0.0, 1.0) < 1e-12
+    assert integrate(f, 0.0, 1.0, points=extrema) == pytest.approx(0.5, abs=1e-10)
+    assert integrate(f, 1.0, 0.0, points=extrema) == pytest.approx(-0.5, abs=1e-10)
+    # points at or outside the ends leave the single-piece rule unchanged
+    g = np.exp
+    assert integrate(g, 0.0, 1.0, points=[-1.0, 0.0, 1.0, 2.0]) == integrate(g, 0.0, 1.0)
 
 
 def test_bisect_raises_on_a_bracket_that_never_closes():

@@ -1,9 +1,12 @@
 """Tests for the time-varying stability index families."""
 
+import re
+
 import numpy as np
 import pytest
 
 from mssim import StabilityIndex
+from mssim.stability import _MAX_SIN_EXTREMA
 
 
 def test_constant_evaluate():
@@ -54,6 +57,18 @@ def test_bounds_on_subwindow_hits_interior_extremum():
     lo, hi = idx.bounds_on(0.2, 0.3)  # the maximizer t=0.25 is interior
     assert hi == pytest.approx(0.8, abs=1e-12)
     assert lo < hi
+
+
+def test_sin_extrema_are_capped_before_they_are_listed():
+    # 2 * c2 * horizon extrema; past the cap, and where the product
+    # overflows, the index is one line of error, not a list of 1e9 times
+    at_cap = _MAX_SIN_EXTREMA / 2.0
+    assert len(StabilityIndex("sinusoid", (0.5, 0.2, at_cap), 1.0).critical_points(0.0, 1.0)) \
+        == _MAX_SIN_EXTREMA
+    for c2 in (at_cap * 1.01, 1e9, -1e9, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"c2={c2:g} has more than")) as err:
+            StabilityIndex("sinusoid", (0.5, 0.2, c2), 1.0)
+        assert "\n" not in str(err.value) and "[0, 1]" in str(err.value)
 
 
 def test_construction_rejects_out_of_range_beta():
