@@ -131,19 +131,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error(f"--workers must be at least 1, got {args.workers}")
+    # the paths command uses --out as the per-replication file prefix, so
+    # its summary goes to stdout
+    to_stdout = args.command == "paths" or args.out is None
     try:
         report = _dispatch(args)
+        if not to_stdout:
+            report.write(args.out)
     except ValueError as exc:
         parser.error(str(exc))
     except MemoryError:
         parser.error("out of memory: the run's arrays do not fit; lower --reps (or --scale "
                      "for verify)")
-    if args.command == "paths" or args.out is None:
-        # the paths command uses --out as the per-replication file prefix,
-        # so its summary goes to stdout
+    except OSError as exc:
+        parser.error(f"cannot write the output: {exc}")
+    if to_stdout:
         sys.stdout.write(report.to_csv())
-    else:
-        report.write(args.out)
     return 0 if report.all_pass() else 1
 
 

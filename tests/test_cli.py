@@ -115,6 +115,18 @@ def test_out_of_memory_is_usage_error():
     assert "Traceback" not in res.stderr and "ArrayMemoryError" not in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("laplace", "--beta", "constant:0.5", "--t", "1", "--reps", "2", "--out", "missing/x.csv"),
+    ("laplace", "--beta", "constant:0.5", "--t", "1", "--reps", "2", "--out", "."),
+    ("paths", "--beta", "constant:0.5", "--reps", "2", "--out", "missing/traj"),
+])
+def test_unwritable_out_is_usage_error(args, tmp_path):
+    res = run_cli(*args, timeout=30, cwd=tmp_path, env=cli_env())
+    assert res.returncode == 2
+    assert "cannot write the output" in res.stderr and "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 2  # usage + error
+
+
 def test_verify_takes_no_reps():
     res = run_cli("verify", "--quick", "--reps", "10")
     assert res.returncode == 2
@@ -157,16 +169,20 @@ def test_verify_quick_small_scale_passes():
 # argv fragments for the property test: valid values next to empty,
 # negative, non-finite, oversized and malformed ones
 NUMBERS = ("1", "0.5", "0.5,1", "0", "-1", "inf", "nan", "1e300", "1e-300", "abc", "")
-BETAS = ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1", "table:0,0.4;1,0.6",
-         "constant:0.99", "constant:1.5", "constant:nan", "affine:0.4", "zigzag:0.5", "")
+BETAS = ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1", "sin:0.5,0.2,2", "sin:0.5,0.2,1e9",
+         "table:0,0.4;1,0.6", "constant:0.99", "constant:1.5", "constant:nan", "affine:0.4",
+         "zigzag:0.5", "")
+# a file, a file in a missing directory, and a directory
+OUTS = ("out.csv", "missing/out.csv", ".")
 FLAGS = {
     "laplace": {"--theta": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS,
-                "--mass-budget": NUMBERS},
-    "mfpp": {"--lambda": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS},
+                "--mass-budget": NUMBERS, "--out": OUTS},
+    "mfpp": {"--lambda": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS, "--out": OUTS},
     "ctrw": {"--n": ("2", "100", "100,1000", "0", "-5", "x"), "--t": NUMBERS,
              "--lfamily": ("unit", "log", "poly"), "--lambda": NUMBERS,
-             "--pn-rule": ("sqrt", "const:0.3", "const:0", "const:nan", "bogus")},
-    "paths": {"--t": NUMBERS, "--grid": ("2", "21", "0", "-3", "x"), "--lambda": NUMBERS},
+             "--pn-rule": ("sqrt", "const:0.3", "const:0", "const:nan", "bogus"), "--out": OUTS},
+    "paths": {"--t": NUMBERS, "--grid": ("2", "21", "0", "-3", "x"), "--lambda": NUMBERS,
+              "--out": OUTS},
 }
 
 
