@@ -51,14 +51,15 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
     q = math.ldexp(1.0, math.frexp(max(abs(a), abs(b)))[1] - 20)
     inner = sorted({p for p in (round(float(p) / q) * q for p in points) if a < p < b})
     edges = np.array([a, *inner, b], dtype=float)
-    # the open intervals of one level: ends, midpoint, their values, estimate, tolerance
+    # the open intervals of one level: ends, midpoint, their values, estimate
     x = np.empty(2 * len(edges) - 1)
     x[0::2], x[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
     fx = f(x)
     a, m, b = x[:-2:2], x[1::2], x[2::2]
     fa, fm, fb = fx[:-2:2], fx[1::2], fx[2::2]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    tol = tol * ((b - a) / (edges[-1] - edges[0]))
+    if len(a) > 1:  # each piece's share of tol, by width; one piece keeps a scalar
+        tol = tol * ((b - a) / (edges[-1] - edges[0]))
     levels = []  # per level: (value of each interval as a leaf, mask of the split ones)
     # k pieces start ceil(log2 k) halvings of [a, b] down
     for depth in range(_MAX_DEPTH - (len(edges) - 2).bit_length(), -1, -1):
@@ -80,7 +81,7 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
             break
         # the next level: the left halves of the split intervals, then their right halves
         keep = np.concatenate((split, split))
-        tol = 0.5 * np.concatenate((tol, tol))[keep]
+        tol = 0.5 * (np.concatenate((tol, tol))[keep] if isinstance(tol, np.ndarray) else tol)
         a, m, b = np.concatenate((a, m))[keep], x[keep], np.concatenate((m, b))[keep]
         fa, fm, fb = np.concatenate((fa, fm))[keep], fx[keep], np.concatenate((fm, fb))[keep]
         whole = np.concatenate((left, right))[keep]
