@@ -14,8 +14,8 @@ from mssim import (
     expected_count_window,
     gamma_fn,
     ks_critical_value,
-    laplace_transform,
     ks_two_sample,
+    laplace_transform,
     plan_block,
     sample_stationary,
     sample_threshold,
