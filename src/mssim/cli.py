@@ -143,8 +143,6 @@ def main(argv=None):
     except MemoryError:
         parser.error("out of memory: the run's arrays do not fit; lower --reps (or --scale "
                      "for verify)")
-    except OSError as exc:
-        parser.error(f"cannot write the output: {exc}")
     if to_stdout:
         sys.stdout.write(report.to_csv())
     return 0 if report.all_pass() else 1

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__ as _VERSION
 from . import ctrw, inverse_mfpp, ppp, rng, stats, subordinator
+from .errors import HorizonError
 from .stability import StabilityIndex
 
 # ---------------------------------------------------------------------------
@@ -107,8 +108,11 @@ class Report:
         return out.getvalue()
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(self.to_csv())
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(self.to_csv())
+        except OSError as exc:
+            raise ValueError(f"cannot write the output: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +177,14 @@ def level_tail_bound(idx, level, T):
 
 def choose_horizon(beta_spec, level):
     """Shortest horizon on which the level is reached except with
-    probability below the planning target (or the longest admissible
-    horizon if the index leaves (0, 1) first).
-
-    Returns ``(index, tail_bound)``."""
+    probability below the planning target (or the longest horizon the index
+    covers inside (0, 1)); other errors of the index, such as the ``sin``
+    extrema cap, are raised.  Returns ``(index, tail_bound)``."""
     best = None
     for T in _T_END_CANDIDATES:
         try:
             idx = StabilityIndex.from_spec(beta_spec, T)
-        except ValueError:
+        except HorizonError:
             continue
         bound = level_tail_bound(idx, level, T)
         best = (idx, bound)
@@ -201,14 +204,6 @@ class PassagePlan:
     levels: tuple
     blocks: tuple
     tail_bound: float
-
-
-def _check_points(count, t0, t1, hint):
-    """Reject, before anything is drawn, a replication that expects more than
-    ``ppp.MAX_POINTS`` arrivals, cells, walk steps or grid rows on [t0, t1]."""
-    _require(count <= ppp.MAX_POINTS,
-             f"{count:.3g} points per replication expected on [{t0:g}, {t1:g}], "
-             f"above the cap of {ppp.MAX_POINTS:g}; {hint}")
 
 
 def _budget_block(idx, T, mode):
@@ -436,7 +431,7 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc_m = float(trunc_m)
     idx, tail = choose_horizon(beta_spec, max(ts))
-    _check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
+    ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     if trunc_m is None:
         plan = plan_passage(idx, ts, tail)
     else:
@@ -501,14 +496,14 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     ts = sorted(float(v) for v in ts)
     _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
     idx, tail = choose_horizon(beta_spec, max(ts))
-    _check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
+    ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
     for n in ns:
-        _check_points(math.ceil(n * idx.horizon), 0.0, idx.horizon,
-                      hint=f"the row n={n} draws one summand per cell of width 1/n")
-        _check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
-                      hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli steps; "
-                      "lower --lambda or raise the pn-rule")
+        ppp.check_points(math.ceil(n * idx.horizon), 0.0, idx.horizon,
+                         hint=f"the row n={n} draws one summand per cell of width 1/n")
+        ppp.check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
+                         hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli steps; "
+                         "lower --lambda or raise the pn-rule")
     # reference samples, shared by every n
     T = max(ts)
     blk_ref = _budget_block(idx, T, "threshold")
@@ -559,8 +554,8 @@ def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101,
     _require(_positive(t_max), f"t must be positive and finite, got {t_max}")
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     T = float(t_max)
-    _check_points(grid, 0.0, T, hint="each replication writes one row per grid point; lower --grid")
-    _check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
+    ppp.check_points(grid, 0.0, T, "each replication writes one row per grid point; lower --grid")
+    ppp.check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
     idx = StabilityIndex.from_spec(beta_spec, T)
     blk = _budget_block(idx, T, "threshold")
     res = _map_reps(_paths_rep, int(reps), workers, seed=int(seed), idx=idx,

@@ -90,11 +90,16 @@ def plan_block(idx, t0, t1, trunc):
     drawn = blk.mean_count
     if trunc.mode == "threshold":
         drawn = envelope_count(idx, t0, t1, trunc.parameter)
-    if not drawn <= MAX_POINTS:
-        raise ValueError(f"{drawn:.3g} points per replication expected on [{t0:g}, {t1:g}], "
-                         f"above the cap of {MAX_POINTS:g}; the index is too close to 1 or "
-                         "the truncation level too high")
+    check_points(drawn, t0, t1, "the index is too close to 1 or the truncation level too high")
     return blk
+
+
+def check_points(count, t0, t1, hint):
+    """Reject, before anything is drawn, a replication that expects more than
+    ``MAX_POINTS`` jumps, arrivals, cells, walk steps or grid rows on [t0, t1]."""
+    if not count <= MAX_POINTS:
+        raise ValueError(f"{count:.3g} points per replication expected on [{t0:g}, {t1:g}], "
+                         f"above the cap of {MAX_POINTS:g}; {hint}")
 
 
 def poisson_points(stream, t0, t1, mean):
@@ -208,15 +213,17 @@ def expected_count_window(idx, t0, t1, trunc):
 
 def solve_truncation(idx, T, mode, mass_budget, t0=0.0, max_count=math.inf):
     """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
-    ``mass_budget``, unless its expected point count there exceeds
-    ``max_count``: then the one whose count equals ``max_count``, which
-    excludes more mass.
+    ``mass_budget``.  A finite ``max_count`` caps a threshold truncation:
+    where the expected point count exceeds it, eps rises to the one whose
+    count equals ``max_count``, which excludes more mass.
 
     Bisection on the log of the parameter; the mass is monotone in it
     (increasing in eps, decreasing in M) and the count the other way.  The
     count is only integrated when ``max_count`` is finite."""
     if mass_budget <= 0:
         raise ValueError(f"mass budget must be positive, got {mass_budget}")
+    if max_count < math.inf and mode != "threshold":
+        raise ValueError(f"a point-count cap applies to threshold truncation, not {mode!r}")
 
     def solve(window_integral, target, up_in_eps):
         def at(logp):

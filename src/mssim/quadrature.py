@@ -58,8 +58,7 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
     a, m, b = x[:-2:2], x[1::2], x[2::2]
     fa, fm, fb = fx[:-2:2], fx[1::2], fx[2::2]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    if len(a) > 1:  # each piece's share of tol, by width; one piece keeps a scalar
-        tol = tol * ((b - a) / (edges[-1] - edges[0]))
+    tol = tol * ((b - a) / (edges[-1] - edges[0]))  # each piece's share, by width
     levels = []  # per level: (value of each interval as a leaf, mask of the split ones)
     # k pieces start ceil(log2 k) halvings of [a, b] down
     for depth in range(_MAX_DEPTH - (len(edges) - 2).bit_length(), -1, -1):
@@ -81,7 +80,7 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
             break
         # the next level: the left halves of the split intervals, then their right halves
         keep = np.concatenate((split, split))
-        tol = 0.5 * (np.concatenate((tol, tol))[keep] if isinstance(tol, np.ndarray) else tol)
+        tol = 0.5 * np.concatenate((tol, tol))[keep]
         a, m, b = np.concatenate((a, m))[keep], x[keep], np.concatenate((m, b))[keep]
         fa, fm, fb = np.concatenate((fa, fm))[keep], fx[keep], np.concatenate((fm, fb))[keep]
         whole = np.concatenate((left, right))[keep]

@@ -12,6 +12,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import HorizonError
+
 # relative slack for domain checks at the horizon, to absorb grids like k/n
 _EDGE_TOL = 1e-9
 
@@ -85,10 +87,8 @@ class StabilityIndex:
         object.__setattr__(self, "params", self._canonical_params())
         lo, hi = self.bounds_on(0.0, self.horizon)
         if not (0.0 < lo <= hi < 1.0):
-            raise ValueError(
-                f"beta must stay inside (0, 1) on [0, {self.horizon}]; "
-                f"this {self.family} index spans [{lo}, {hi}]"
-            )
+            raise HorizonError(f"beta must stay inside (0, 1) on [0, {self.horizon}]; "
+                               f"this {self.family} index spans [{lo}, {hi}]")
         object.__setattr__(self, "beta_inf", lo)
         object.__setattr__(self, "beta_sup", hi)
 
@@ -113,9 +113,7 @@ class StabilityIndex:
         if any(t1 <= t0 for t0, t1 in zip(ts, ts[1:])):
             raise ValueError("table knot times must be strictly increasing")
         if ts[-1] < self.horizon:
-            raise ValueError(
-                f"last table knot {ts[-1]} does not cover horizon {self.horizon}"
-            )
+            raise HorizonError(f"last table knot {ts[-1]} does not cover horizon {self.horizon}")
         return knots
 
     # -- evaluation ------------------------------------------------------

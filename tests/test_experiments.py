@@ -67,6 +67,20 @@ def test_choose_horizon_constant_and_affine():
     assert bound_a <= 1e-8
 
 
+def test_choose_horizon_raises_the_sin_extrema_cap():
+    # level 1 is reached on [0, 4]; level 3 needs [0, 8], where the index has
+    # 480 extrema: a shorter horizon with a weaker tail bound is no answer
+    idx, bound = choose_horizon("sin:0.5,0.2,30", 1.0)
+    assert idx.horizon == 4.0 and bound <= 1e-8
+    with pytest.raises(ValueError, match="c2=30 has more than 400 extrema on \\[0, 8\\]"):
+        choose_horizon("sin:0.5,0.2,30", 3.0)
+    # an index outside (0, 1) on every horizon and a malformed spec keep their messages
+    with pytest.raises(ValueError, match="not valid on any horizon"):
+        choose_horizon("constant:1.5", 1.0)
+    with pytest.raises(ValueError, match="cannot parse"):
+        choose_horizon("constant:x", 1.0)
+
+
 def test_plan_passage_budgets():
     idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
     plan = plan_passage(idx, [1.0], bound)

@@ -173,11 +173,12 @@ def test_solve_truncation_caps_the_point_count():
     free = solve_truncation(IDX_AFFINE, 1.0, "threshold", 1e-3)
     count = expected_count_window(IDX_AFFINE, 0.0, 1.0, free)
     assert solve_truncation(IDX_AFFINE, 1.0, "threshold", 1e-3, max_count=2.0 * count) == free
-    for mode, cap in (("threshold", count / 10.0), ("stationary", 50.0)):
-        capped = solve_truncation(IDX_AFFINE, 1.0, mode, 1e-3, max_count=cap)
-        kept = expected_count_window(IDX_AFFINE, 0.0, 1.0, capped)
-        assert kept <= cap and kept == pytest.approx(cap, rel=1e-9)
-        assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, capped) > 1e-3
+    capped = solve_truncation(IDX_AFFINE, 1.0, "threshold", 1e-3, max_count=count / 10.0)
+    kept = expected_count_window(IDX_AFFINE, 0.0, 1.0, capped)
+    assert kept <= count / 10.0 and kept == pytest.approx(count / 10.0, rel=1e-9)
+    assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, capped) > 1e-3
+    with pytest.raises(ValueError, match="threshold"):
+        solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3, max_count=50.0)
 
 
 @pytest.mark.parametrize("c2", [2, 4, 8])
