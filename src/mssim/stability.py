@@ -119,11 +119,15 @@ class StabilityIndex:
     # -- evaluation ------------------------------------------------------
 
     def _check_domain(self, t):
-        tol = _EDGE_TOL * max(1.0, self.horizon)
         t = np.asarray(t, dtype=float)
-        if (t < -tol).any() or (t > self.horizon + tol).any():
-            raise ValueError(f"t outside [0, {self.horizon}]")
-        return np.clip(t, 0.0, self.horizon)
+        # one min and one max pass t inside [0, horizon]; a NaN or an edge
+        # overshoot takes the elementwise check and the clip, which keep NaN
+        if t.size and not (t.min() >= 0.0 and t.max() <= self.horizon):
+            tol = _EDGE_TOL * max(1.0, self.horizon)
+            if (t < -tol).any() or (t > self.horizon + tol).any():
+                raise ValueError(f"t outside [0, {self.horizon}]")
+            t = np.clip(t, 0.0, self.horizon)
+        return t
 
     def evaluate(self, t):
         """beta(t) for t in [0, horizon]: a float for a scalar t, an array of

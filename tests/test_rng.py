@@ -65,3 +65,57 @@ def test_bernoulli_frequency():
     hits = RngStream(13, 0).bernoulli(0.3, 200_000)
     assert hits.dtype == bool
     assert abs(hits.mean() - 0.3) < 0.004
+
+
+KEYS = ((0, 0), (42, (7 << 40) + 5), (2**64 - 1, 2**64 - 1), (3, 11))
+
+
+def _fresh(key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+def _draws(s):
+    """A poisson, a uniform and a bernoulli draw from an RngStream."""
+    return [s.poisson(3.5), s.uniform(9).tolist(), s.bernoulli(0.4, 7).tolist()]
+
+
+def _fresh_draws(g):
+    """The same draws from a plain Generator."""
+    return [int(g.poisson(3.5)), g.random(9).tolist(), (g.random(7) < 0.4).tolist()]
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_stream_draws_what_a_fresh_philox_draws(key):
+    # the stream's generator is a re-keyed spare, drawn from before
+    RngStream(1, 2).uniform(5)
+    assert _draws(RngStream(*key)) == _fresh_draws(_fresh(key))
+
+
+def test_live_streams_interleaved_and_after_a_drop():
+    a, b = RngStream(*KEYS[1]), RngStream(*KEYS[2])
+    ga, gb = _fresh(KEYS[1]), _fresh(KEYS[2])
+    for _ in range(3):
+        assert _draws(a) == _fresh_draws(ga)
+        assert _draws(b) == _fresh_draws(gb)
+    del a
+    c = RngStream(*KEYS[3])
+    gc = _fresh(KEYS[3])
+    for _ in range(2):
+        assert _draws(c) == _fresh_draws(gc)
+        assert _draws(b) == _fresh_draws(gb)
+
+
+def test_sequential_streams_reuse_their_generators(monkeypatch):
+    from mssim.experiments import stream_for
+
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    for rep in range(1000):
+        stream_for(7, 1, rep).uniform(3)
+    assert len(built) <= 2

@@ -124,3 +124,34 @@ def test_evaluate_stays_within_bounds():
         assert (vals >= idx.beta_inf - 1e-12).all()
         assert (vals <= idx.beta_sup + 1e-12).all()
 
+
+
+def _checked_reference(idx, t):
+    """evaluate_many with the elementwise domain check and an unconditional clip."""
+    tol = 1e-9 * max(1.0, idx.horizon)
+    t = np.asarray(t, dtype=float)
+    if (t < -tol).any() or (t > idx.horizon + tol).any():
+        raise ValueError(f"t outside [0, {idx.horizon}]")
+    return idx._raw_eval(np.clip(t, 0.0, idx.horizon))
+
+
+@pytest.mark.parametrize("spec", ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.3,1",
+                                  "table:0,0.3;0.4,0.8;2,0.2"))
+def test_evaluate_many_domain_check_matches_the_elementwise_one(spec):
+    h = 2.0
+    idx = StabilityIndex.from_spec(spec, h)
+    half = 0.5e-9 * h  # half the edge tolerance
+    accepted = (
+        np.linspace(0.0, h, 41), [-half, 0.3, h + half], [h + half], -half, 0.7, h,
+        [np.nan, 0.5], [np.nan, -half, h + half], np.nan, np.empty(0), np.zeros((2, 0)),
+        np.array([[0.1, h], [-half, 1.0]]),
+    )
+    for t in accepted:
+        got, want = idx.evaluate_many(t), _checked_reference(idx, t)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+    for t in ([-4 * half], [h + 4 * half], [np.nan, h + 1.0], [np.nan, -1.0], h + 1.0):
+        with pytest.raises(ValueError, match="outside"):
+            _checked_reference(idx, t)
+        with pytest.raises(ValueError, match="outside"):
+            idx.evaluate_many(t)
