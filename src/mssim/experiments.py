@@ -260,9 +260,14 @@ def _block_passage(stream, plan):
 
 def _increments_rep(rep, seed, channel, idx, blk, windows):
     """Increments of D over each (a, b] window, all from one pattern of the
-    block.  The window (0, t] gives D(t): every jump time is positive."""
+    block [0, T].  Its jump times T*u lie in (0, T], so the window (0, t]
+    gives D(t) from the mask t' <= t alone, and from no mask once t >= T;
+    either selects the jumps both masks select, in order, so the sums are
+    the same floats."""
     pat = ppp.sample_pattern(stream_for(seed, channel, rep), blk, idx)
-    return {"inc": np.array([pat.sizes[(pat.times > a) & (pat.times <= b)].sum()
+    t, x = pat.times, pat.sizes
+    return {"inc": np.array([x[(t > a) & (t <= b)].sum() if a > 0.0
+                             else x.sum() if b >= blk.t1 else x[t <= b].sum()
                              for a, b in windows])}
 
 
@@ -498,12 +503,21 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     idx, tail = choose_horizon(beta_spec, max(ts))
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
-    for n in ns:
-        ppp.check_points(math.ceil(n * idx.horizon), 0.0, idx.horizon,
-                         hint=f"the row n={n} draws one summand per cell of width 1/n")
-        ppp.check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
-                         hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli steps; "
-                         "lower --lambda or raise the pn-rule")
+    # a row's largest partial sum: ceil(nT) summands at beta_inf and the
+    # smallest non-zero uniform, 2**-53, each over the smallest b_nk
+    with np.errstate(over="ignore", invalid="ignore"):
+        j_max = float(ctrw._jnk_from_uniforms(2.0**-53, idx.beta_inf, idx.beta_sup, L))
+        for n in ns:
+            ppp.check_points(math.ceil(n * idx.horizon), 0.0, idx.horizon,
+                             hint=f"the row n={n} draws one summand per cell of width 1/n")
+            ppp.check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
+                             hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli "
+                             "steps; lower --lambda or raise the pn-rule")
+            b = ctrw.norming_bnk(ctrw.norming_an(n, L, idx.beta_sup),
+                                 np.array([idx.beta_inf, idx.beta_sup]), idx.beta_sup)
+            _require(np.isfinite(math.ceil(n * idx.horizon) * j_max / b.min()),
+                     f"the row n={n} partial sums of the index {idx.spec_string()} can "
+                     "overflow the float range; raise the index")
     # reference samples, shared by every n
     T = max(ts)
     blk_ref = _budget_block(idx, T, "threshold")

@@ -19,6 +19,10 @@ _MAX_DEPTH = 30
 # otherwise refine to the depth cap
 _REL_FLOOR = 1e-14
 
+# nodes one level may evaluate: the pinned configurations peak near 16k, and
+# a level of 2**20 nodes keeps one integral within seconds and 0.5 GB
+_MAX_LEVEL_NODES = 2**20
+
 _BISECT_STEPS = 200
 
 
@@ -37,7 +41,8 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
     interval's value is the sum of its two children's values, added
     bottom-up, which is the same float a depth-first recursion returns for
     the same integrand values.  A non-finite Simpson estimate raises
-    ValueError: no subdivision can repair it.
+    ValueError: no subdivision can repair it.  So does a level that would
+    evaluate more than ``_MAX_LEVEL_NODES`` nodes, which bounds the work.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -63,6 +68,9 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
     # k pieces start ceil(log2 k) halvings of [a, b] down
     for depth in range(_MAX_DEPTH - (len(edges) - 2).bit_length(), -1, -1):
         n = len(a)
+        if 2 * n > _MAX_LEVEL_NODES:
+            raise ValueError(f"the integral over [{edges[0]:g}, {edges[-1]:g}] needs more than "
+                             f"{_MAX_LEVEL_NODES} integrand nodes on one refinement level")
         x = np.concatenate((0.5 * (a + m), 0.5 * (m + b)))
         fx = f(x)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -171,7 +171,7 @@ def test_verify_quick_small_scale_passes():
 NUMBERS = ("1", "0.5", "0.5,1", "0", "-1", "inf", "nan", "1e300", "1e-300", "abc", "")
 BETAS = ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1", "sin:0.5,0.2,2", "sin:0.5,0.2,1e9",
          "table:0,0.4;1,0.6", "constant:0.99", "constant:1.5", "constant:nan", "affine:0.4",
-         "zigzag:0.5", "")
+         "zigzag:0.5", "", "constant:0.01")
 # a file, a file in a missing directory, and a directory
 OUTS = ("out.csv", "missing/out.csv", ".")
 FLAGS = {

@@ -265,3 +265,36 @@ def test_pool_size_is_bounded_by_chunks_and_cpus(monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
     _map_reps(_increments_rep, 192, 100_000, **kwargs)
     assert _InlinePool.sizes[-1] == 3
+
+
+@pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)
+def test_increments_equal_the_two_mask_sums_bit_for_bit(mode):
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    blk = experiments._budget_block(idx, 1.0, mode)
+    # (0, t < T], (0, T], (0, b > T] and windows with a > 0
+    windows = [(0.0, 0.3), (0.0, 0.95), (0.0, 1.0), (0.0, 2.0), (0.25, 0.75), (0.5, 1.0)]
+    for rep in range(12):
+        pat = ppp.sample_pattern(stream_for(5, 1, rep), blk, idx)
+        t, x = pat.times, pat.sizes
+        want = np.array([x[(t > a) & (t <= b)].sum() for a, b in windows])
+        got = _increments_rep(rep, 5, 1, idx, blk, windows)["inc"]
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lfamily", ("unit", "log"))
+def test_run_ctrw_rejects_an_index_whose_partial_sums_overflow(lfamily, monkeypatch):
+    # at beta = 0.01 the summand at the smallest uniform, 2**-53, is not finite
+    def no_reps(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(experiments, "_map_reps", no_reps)
+    with pytest.raises(ValueError, match="overflow the float range") as err:
+        experiments.run_ctrw("constant:0.01", lfamily, [100], [1.0], 20, 1)
+    assert "\n" not in str(err.value)
+
+
+def test_runaway_quadrature_is_a_usage_error():
+    # the stationary mass of this index refines one integral to 21M nodes
+    # on its deepest level; the node cap stops it at the first level past 2**20
+    with pytest.raises(ValueError, match=r"over \[0, 1\] needs more than 1048576"):
+        run_laplace("sin:0.5,0.45,31", [1.0], [1.0], 2, 1)

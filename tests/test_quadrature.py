@@ -202,3 +202,14 @@ def test_bisect_is_elementwise():
         # an element keeps halving until every bracket is close, so it is at least as tight
         assert lo[i] >= one[0] and hi[i] <= one[1]
     assert (lo <= np.sqrt(targets)).all() and (np.sqrt(targets) <= hi).all()
+
+
+def test_level_node_cap_raises_and_names_the_interval(monkeypatch):
+    from mssim import quadrature
+
+    # a fast oscillation refines every interval at once: 42k nodes on one level
+    f = lambda x: np.sin(50.0 * x)  # noqa: E731
+    assert integrate(f, 0.0, 10.0) == pytest.approx((1.0 - math.cos(500.0)) / 50.0, abs=1e-10)
+    monkeypatch.setattr(quadrature, "_MAX_LEVEL_NODES", 4096)
+    with pytest.raises(ValueError, match=r"over \[0, 10\] needs more than 4096"):
+        integrate(f, 0.0, 10.0)
