@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mssim import RngStream, sample_poisson_path
+from mssim.experiments import stream_for
 
 
 def test_same_key_same_sequence():
@@ -106,8 +107,6 @@ def test_live_streams_interleaved_and_after_a_drop():
 
 
 def test_sequential_streams_reuse_their_generators(monkeypatch):
-    from mssim.experiments import stream_for
-
     built = []
     philox = np.random.Philox
 
