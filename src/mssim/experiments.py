@@ -11,6 +11,7 @@ loop over replications.
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+import contextlib
 import csv
 import io
 import math
@@ -119,7 +120,18 @@ class Report:
 # parallel replication mapping
 # ---------------------------------------------------------------------------
 
-_MIN_CHUNK = 64
+_MIN_CHUNK = 16
+_CHUNKS_PER_WORKER = 8
+
+
+def _open_pool(workers):
+    """The one process pool of a run, for its plan and every replication
+    map: none (serial) at one worker, else at most one process per CPU.
+    Use it in a ``with`` block, which yields ``None`` for no pool; its
+    processes start at the first submit."""
+    if workers <= 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
 
 
 def _map_chunk(fn, lo, hi, params):
@@ -136,21 +148,23 @@ def _map_chunk(fn, lo, hi, params):
     return out
 
 
-def _map_reps(fn, reps, workers, **params):
-    """Run the worker ``fn(rep, **params)`` for every rep in [0, reps).
+def _map_reps(fn, reps, pool, **params):
+    """Run the worker ``fn(rep, **params)`` for every rep in [0, reps), on
+    ``pool`` or serially if it is ``None``.
 
     Each named output becomes one array whose first axis is the
     replication.  Chunks are reduced in replication order, and every
     replication owns its own stream, so the result is independent of the
-    worker count.  The pool starts no more processes than there are chunks
-    or CPUs."""
-    if workers <= 1 or reps < 2 * _MIN_CHUNK:
+    pool.  Replication costs are uneven, so the pool gets about eight chunks
+    per process, each of at least ``_MIN_CHUNK`` replications; fewer than
+    two chunks run serially."""
+    if pool is None or reps < 2 * _MIN_CHUNK:
         return _map_chunk(fn, 0, reps, params)
-    chunk = max(_MIN_CHUNK, -(-reps // (workers * 4)))
-    spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-    with ProcessPoolExecutor(max_workers=min(workers, len(spans), os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(_map_chunk, fn, lo, hi, params) for lo, hi in spans]
-        parts = [f.result() for f in futures]
+    # _max_workers is the size the executor was built with
+    chunk = max(_MIN_CHUNK, -(-reps // (_CHUNKS_PER_WORKER * pool._max_workers)))
+    futures = [pool.submit(_map_chunk, fn, lo, min(lo + chunk, reps), params)
+               for lo in range(0, reps, chunk)]
+    parts = [f.result() for f in futures]
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
@@ -212,24 +226,35 @@ def _budget_block(idx, T, mode):
     return ppp.plan_block(idx, 0.0, T, ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET))
 
 
-def plan_passage(idx, levels, tail_bound):
-    """Threshold blocks covering [0, horizon].
+def _passage_block(idx, t0, t1):
+    """The threshold block on [t0, t1]: up to t=1 it respects the
+    excluded-mass rate exactly; later blocks (visited only when passage has
+    not yet happened) additionally cap the expected point count, trading a
+    small, quantified extra excluded mass for bounded cost where the local
+    index is close to 1."""
+    trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0,
+                                 max_count=_PASSAGE_POINTS_CAP if t1 > 1.0 else math.inf)
+    return ppp.plan_block(idx, t0, t1, trunc)
 
-    Blocks up to t=1 respect the excluded-mass rate exactly; later blocks
-    (visited only when passage has not yet happened) additionally cap the
-    expected point count, trading a small, quantified extra excluded mass
-    for bounded cost where the local index is close to 1."""
+
+def plan_passage(idx, levels, tail_bound, pool=None):
+    """Threshold blocks covering [0, horizon], each planned from its window
+    alone, so on ``pool`` they are solved side by side and read back in time
+    order."""
     levels = tuple(sorted(float(r) for r in levels))
     if not levels or levels[0] <= 0:
         raise ValueError(f"levels must be positive, got {levels}")
-    blocks = []
+    windows = []
     t0 = 0.0
     while t0 < idx.horizon - 1e-12:
         t1 = min(t0 + _PASSAGE_BLOCK_LEN, idx.horizon)
-        trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0,
-                                     max_count=_PASSAGE_POINTS_CAP if t1 > 1.0 else math.inf)
-        blocks.append(ppp.plan_block(idx, t0, t1, trunc))
+        windows.append((t0, t1))
         t0 = t1
+    if pool is None:
+        blocks = [_passage_block(idx, t0, t1) for t0, t1 in windows]
+    else:
+        futures = [pool.submit(_passage_block, idx, t0, t1) for t0, t1 in windows]
+        blocks = [f.result() for f in futures]
     return PassagePlan(idx, levels, tuple(blocks), tail_bound)
 
 
@@ -398,8 +423,9 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
     _require(excluded < math.inf,
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
              "the float range, so no row could fail; raise trunc-m")
-    d = _map_reps(_increments_rep, int(reps), workers, seed=int(seed), channel=CH_LAPLACE,
-                  idx=idx, blk=blk, windows=[(0.0, t) for t in ts])["inc"]
+    with _open_pool(workers) as pool:
+        d = _map_reps(_increments_rep, int(reps), pool, seed=int(seed), channel=CH_LAPLACE,
+                      idx=idx, blk=blk, windows=[(0.0, t) for t in ts])["inc"]
     rows = []
     for theta in thetas:
         for t in sorted(range(len(ts)), key=lambda j: ts[j]):
@@ -437,13 +463,14 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
         trunc_m = float(trunc_m)
     idx, tail = choose_horizon(beta_spec, max(ts))
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
-    if trunc_m is None:
-        plan = plan_passage(idx, ts, tail)
-    else:
-        # one stationary block on the whole horizon: no threshold to solve
-        blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", trunc_m))
-        plan = PassagePlan(idx, tuple(ts), (blk,), tail)
-    res = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam))
+    with _open_pool(workers) as pool:
+        if trunc_m is None:
+            plan = plan_passage(idx, ts, tail, pool)
+        else:
+            # one stationary block on the whole horizon: no threshold to solve
+            blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", trunc_m))
+            plan = PassagePlan(idx, tuple(ts), (blk,), tail)
+        res = _map_reps(_passage_rep, int(reps), pool, seed=int(seed), plan=plan, rate=float(lam))
     xs = res["x"]
     unreached = int(np.isnan(res["e"]).sum())
     rows = []
@@ -521,26 +548,27 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     # reference samples, shared by every n
     T = max(ts)
     blk_ref = _budget_block(idx, T, "threshold")
-    dref = _map_reps(_increments_rep, int(reps), workers, seed=int(seed), channel=CH_D_REFERENCE,
-                     idx=idx, blk=blk_ref, windows=[(0.0, t) for t in ts])["inc"]
-    plan = plan_passage(idx, ts, tail)
-    ref = _map_reps(_passage_rep, int(reps), workers, seed=int(seed), plan=plan, rate=float(lam))
-    eref, xref = ref["e"], ref["x"]
-    rows = []
-    flagged_total = 0
-    for i, n in enumerate(sorted(ns)):
-        res = _map_reps(_ctrw_rep, int(reps), workers, seed=int(seed),
-                        channel=CH_CTRW_JUMPS + 2 * i, idx=idx, L=L, n=n, ts=ts,
-                        p_n=p_ns[n], lam=float(lam))
-        flagged_total += int(res["flagged"].sum())
-        for j, t in enumerate(ts):
-            emask = ~np.isnan(eref[:, j])
-            ks_d = stats.ks_two_sample(res["s"][:, j], dref[:, j])
-            ks_e = stats.ks_two_sample(res["e"][:, j], eref[emask, j])
-            ks_x = stats.ks_two_sample(res["x"][:, j], xref[emask, j])
-            crit = stats.ks_critical_value(len(res["s"]), int(emask.sum()), alpha)
-            ok = max(ks_d, ks_e, ks_x) < crit
-            rows.append((n, t, ks_d, ks_e, ks_x, crit, ok))
+    with _open_pool(workers) as pool:
+        dref = _map_reps(_increments_rep, int(reps), pool, seed=int(seed), channel=CH_D_REFERENCE,
+                         idx=idx, blk=blk_ref, windows=[(0.0, t) for t in ts])["inc"]
+        plan = plan_passage(idx, ts, tail, pool)
+        ref = _map_reps(_passage_rep, int(reps), pool, seed=int(seed), plan=plan, rate=float(lam))
+        eref, xref = ref["e"], ref["x"]
+        rows = []
+        flagged_total = 0
+        for i, n in enumerate(sorted(ns)):
+            res = _map_reps(_ctrw_rep, int(reps), pool, seed=int(seed),
+                            channel=CH_CTRW_JUMPS + 2 * i, idx=idx, L=L, n=n, ts=ts,
+                            p_n=p_ns[n], lam=float(lam))
+            flagged_total += int(res["flagged"].sum())
+            for j, t in enumerate(ts):
+                emask = ~np.isnan(eref[:, j])
+                ks_d = stats.ks_two_sample(res["s"][:, j], dref[:, j])
+                ks_e = stats.ks_two_sample(res["e"][:, j], eref[emask, j])
+                ks_x = stats.ks_two_sample(res["x"][:, j], xref[emask, j])
+                crit = stats.ks_critical_value(len(res["s"]), int(emask.sum()), alpha)
+                ok = max(ks_d, ks_e, ks_x) < crit
+                rows.append((n, t, ks_d, ks_e, ks_x, crit, ok))
     header = {
         "beta": idx.spec_string(),
         "seed": int(seed),
@@ -572,9 +600,10 @@ def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101,
     ppp.check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
     idx = StabilityIndex.from_spec(beta_spec, T)
     blk = _budget_block(idx, T, "threshold")
-    res = _map_reps(_paths_rep, int(reps), workers, seed=int(seed), idx=idx,
-                    ts=np.linspace(0.0, T, int(grid)), blk=blk, lam=float(lam),
-                    out_prefix=out_prefix)
+    with _open_pool(workers) as pool:
+        res = _map_reps(_paths_rep, int(reps), pool, seed=int(seed), idx=idx,
+                        ts=np.linspace(0.0, T, int(grid)), blk=blk, lam=float(lam),
+                        out_prefix=out_prefix)
     rows = list(zip(range(int(reps)), res["file"].tolist(), res["nflag"].tolist(),
                     res["ok"].tolist()))
     header = {
@@ -633,62 +662,68 @@ def run_verify(seed, workers=1, quick=False, scale=1.0):
         )
         rows.append((1, f"laplace {spec} worst error ratio", worst, 1.0, rep.all_pass()))
 
-    # 2: the two truncated samplers agree in law at t = 1
-    idx_c = StabilityIndex.from_spec("constant:0.5", 1.0)
-    n2 = sizes["cross"]
-    samples = {}
-    for mode, ch in (("stationary", CH_CROSS_STATIONARY), ("threshold", CH_CROSS_THRESHOLD)):
-        samples[mode] = _map_reps(_increments_rep, n2, workers, seed=seed, channel=ch, idx=idx_c,
-                                  blk=_budget_block(idx_c, 1.0, mode),
-                                  windows=[(0.0, 1.0)])["inc"][:, 0]
-    ks = stats.ks_two_sample(samples["stationary"], samples["threshold"])
-    crit = stats.ks_critical_value(n2, n2, 0.01)
-    rows.append((2, "sampler cross-validation KS at t=1", ks, crit, ks < crit))
+    # criteria 2 to 5 and 7 share one pool, closed before criterion 6, so
+    # it never runs beside the pool of a nested run_*
+    with _open_pool(workers) as pool:
+        # 2: the two truncated samplers agree in law at t = 1
+        idx_c = StabilityIndex.from_spec("constant:0.5", 1.0)
+        n2 = sizes["cross"]
+        samples = {}
+        for mode, ch in (("stationary", CH_CROSS_STATIONARY), ("threshold", CH_CROSS_THRESHOLD)):
+            samples[mode] = _map_reps(_increments_rep, n2, pool, seed=seed, channel=ch, idx=idx_c,
+                                      blk=_budget_block(idx_c, 1.0, mode),
+                                      windows=[(0.0, 1.0)])["inc"][:, 0]
+        ks = stats.ks_two_sample(samples["stationary"], samples["threshold"])
+        crit = stats.ks_critical_value(n2, n2, 0.01)
+        rows.append((2, "sampler cross-validation KS at t=1", ks, crit, ks < crit))
 
-    # 3: small-increment probability against the continuity constant C = 21
-    n3 = sizes["continuity"]
-    windows = [(t, t + h) for t in (0.0, 0.4) for h in (0.01, 0.05, 0.1)]
-    idx3 = StabilityIndex.from_spec("constant:0.5", 0.5)
-    inc = _map_reps(_increments_rep, n3, workers, seed=seed, channel=CH_CONTINUITY, idx=idx3,
-                    blk=_budget_block(idx3, 0.5, "stationary"), windows=windows)["inc"]
-    c_const = 21.0
-    for j, (a, b) in enumerate(windows):
-        h = b - a
-        p = float((inc[:, j] > 0.1).mean())
-        se = math.sqrt(max(p * (1.0 - p), 1.0 / n3) / n3)
-        bound = c_const * h + 3.0 * se
-        rows.append((3, f"continuity P(inc>0.1) t={a:g} h={h:g}", p, bound, p <= bound))
+        # 3: small-increment probability against the continuity constant C = 21
+        n3 = sizes["continuity"]
+        windows = [(t, t + h) for t in (0.0, 0.4) for h in (0.01, 0.05, 0.1)]
+        idx3 = StabilityIndex.from_spec("constant:0.5", 0.5)
+        inc = _map_reps(_increments_rep, n3, pool, seed=seed, channel=CH_CONTINUITY, idx=idx3,
+                        blk=_budget_block(idx3, 0.5, "stationary"), windows=windows)["inc"]
+        c_const = 21.0
+        for j, (a, b) in enumerate(windows):
+            h = b - a
+            p = float((inc[:, j] > 0.1).mean())
+            se = math.sqrt(max(p * (1.0 - p), 1.0 / n3) / n3)
+            bound = c_const * h + 3.0 * se
+            rows.append((3, f"continuity P(inc>0.1) t={a:g} h={h:g}", p, bound, p <= bound))
 
-    # 4: increments on (0, 0.5] and (0.5, 1] are uncorrelated
-    n4 = sizes["increments"]
-    inc4 = _map_reps(_increments_rep, n4, workers, seed=seed, channel=CH_INCREMENTS, idx=idx_c,
-                     blk=_budget_block(idx_c, 1.0, "stationary"),
-                     windows=[(0.0, 0.5), (0.5, 1.0)])["inc"]
-    corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]).mean)
-    bound4 = 3.0 / math.sqrt(n4)
-    rows.append((4, "increment correlation (0,0.5] vs (0.5,1]", corr, bound4, corr <= bound4))
+        # 4: increments on (0, 0.5] and (0.5, 1] are uncorrelated
+        n4 = sizes["increments"]
+        inc4 = _map_reps(_increments_rep, n4, pool, seed=seed, channel=CH_INCREMENTS, idx=idx_c,
+                         blk=_budget_block(idx_c, 1.0, "stationary"),
+                         windows=[(0.0, 0.5), (0.5, 1.0)])["inc"]
+        corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]).mean)
+        bound4 = 3.0 / math.sqrt(n4)
+        rows.append((4, "increment correlation (0,0.5] vs (0.5,1]", corr, bound4, corr <= bound4))
 
-    # 5: strictly increasing prefixes and inverse consistency, zero tolerance
-    n5 = sizes["monotone"]
-    for spec in _VERIFY_FAMILIES:
-        idx5 = StabilityIndex.from_spec(spec, 1.0)
-        bad = _map_reps(_monotone_rep, n5, workers, seed=seed, idx=idx5,
-                        blk=_budget_block(idx5, 1.0, "stationary"))
-        total = int(bad["bad"].sum())
-        rows.append((5, f"monotone+inverse violations {spec}", total, 0, total == 0))
+        # 5: strictly increasing prefixes and inverse consistency, zero tolerance
+        n5 = sizes["monotone"]
+        for spec in _VERIFY_FAMILIES:
+            idx5 = StabilityIndex.from_spec(spec, 1.0)
+            bad = _map_reps(_monotone_rep, n5, pool, seed=seed, idx=idx5,
+                            blk=_budget_block(idx5, 1.0, "stationary"))
+            total = int(bad["bad"].sum())
+            rows.append((5, f"monotone+inverse violations {spec}", total, 0, total == 0))
+
+        # 7: n * P(normalized summand > 1) = 1 at n = 100, constant index;
+        # its row follows criterion 6
+        n_tail, n_row = sizes["tail"], 100
+        batch = 10_000
+        nbatches = max(2, -(-n_tail // batch))
+        bound7 = ctrw.norming_bnk(ctrw.norming_an(n_row, ctrw.UNIT, 0.5), 0.5, 0.5)
+        hits = _map_reps(_tail_rep, nbatches, pool, seed=seed, beta=0.5, bound=bound7,
+                         batch=batch)["hits"]
 
     # 6: P(X(1) = 0) against the Mittag-Leffler oracle, constant index
     rep6 = run_mfpp("constant:0.5", 1.0, [1.0], sizes["mfpp"], seed, workers=workers)
     row0 = next(r for r in rep6.rows if r[1] == 0)
     rows.append((6, "P(X(1)=0) |error|", abs(row0[2] - row0[4]), 3.0 * row0[3], bool(row0[5])))
 
-    # 7: n * P(normalized summand > 1) = 1 at n = 100, constant index
-    n_tail, n_row = sizes["tail"], 100
-    batch = 10_000
-    nbatches = max(2, -(-n_tail // batch))
-    bound7 = ctrw.norming_bnk(ctrw.norming_an(n_row, ctrw.UNIT, 0.5), 0.5, 0.5)
-    hits = _map_reps(_tail_rep, nbatches, workers, seed=seed, beta=0.5, bound=bound7,
-                     batch=batch)["hits"]
+    # 7: the tail normalization row, from the draws made in the pool above
     draws = nbatches * batch
     p = float(hits.sum()) / draws
     est = n_row * p

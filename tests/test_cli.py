@@ -97,6 +97,9 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     ("paths", "--beta", "constant:0.5", "--grid", "10000000000", "--reps", "2"),
     # a mean count of 1.7e6 under a thinning envelope of 2.2e7
     ("paths", "--beta", "affine:0.2,0.56", "--reps", "2"),
+    # raised inside a plan worker of the pool, and in the parent for ctrw's D reference
+    ("mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
+    ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
 ])
 def test_too_many_points_is_usage_error(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())

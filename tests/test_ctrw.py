@@ -201,7 +201,7 @@ def test_ctrw_process_degenerate_walk():
     # p_n = 1 makes every walk step 1, so the composed walk is floor(lambda * E_n(t));
     # lambda * E_n(t) lies on the grid 1.5 * k / 20, which never comes near an
     # integer above 0, and levels past the last partial sum clamp E_n to the horizon
-    out = _map_reps(_ctrw_rep, 50, 1, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=20,
+    out = _map_reps(_ctrw_rep, 50, None, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=20,
                     ts=[0.0, 0.05, 0.7, 5.0], p_n=1.0, lam=1.5)
     assert (out["x"] == np.floor(1.5 * out["e"])).all()
     assert (out["x"][:, 0] == 0).all()

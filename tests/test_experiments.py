@@ -1,5 +1,6 @@
 """Tests for the replication pipelines and report plumbing."""
 
+from concurrent.futures import Future
 import math
 
 import numpy as np
@@ -153,7 +154,7 @@ def test_replications_never_integrate(monkeypatch):
     for rep, blk in enumerate(blocks):
         pat = ppp.sample_threshold(stream_for(1, 1, rep), blk, idx)
         assert ((pat.times >= blk.t0) & (pat.times <= blk.t1)).all()
-    inc = _map_reps(_increments_rep, 4, 1, seed=1, channel=1, idx=idx, blk=blocks[0],
+    inc = _map_reps(_increments_rep, 4, None, seed=1, channel=1, idx=idx, blk=blocks[0],
                     windows=[(0.0, 0.5), (0.0, 1.0)])["inc"]
     assert inc.shape == (4, 2) and (inc[:, 1] >= inc[:, 0]).all()
 
@@ -230,41 +231,106 @@ def test_worker_count_never_changes_results():
 
 
 class _InlinePool:
-    """An executor that records its size and runs each chunk at submit."""
+    """An executor that records its size, its submits and its shutdowns, and
+    runs each call at submit, keeping its result or its error in a future."""
 
     sizes = []
+    calls = []
+    exits = 0
 
     def __init__(self, max_workers):
+        self._max_workers = max_workers
         self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
+        type(self).exits += 1
         return False
 
     def submit(self, fn, *args):
-        result = fn(*args)
-        return type("Done", (), {"result": lambda self: result})()
+        self.calls.append((fn, args))
+        fut = Future()
+        try:
+            fut.set_result(fn(*args))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
 
 
-def test_pool_size_is_bounded_by_chunks_and_cpus(monkeypatch):
-    # no real pool is started: a huge worker count must not become a huge pool
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """No real pool is started: runs get an ``_InlinePool`` with clean records."""
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     _InlinePool.sizes.clear()
+    _InlinePool.calls.clear()
+    _InlinePool.exits = 0
+    return _InlinePool
+
+
+def test_pool_size_is_bounded_by_chunks_and_cpus(inline_pool, monkeypatch):
+    # a huge worker count must not become a huge pool
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     kwargs = dict(seed=4, channel=1, idx=StabilityIndex.from_spec("constant:0.5", 1.0),
                   windows=[(0.0, 1.0)])
     kwargs["blk"] = ppp.plan_block(kwargs["idx"], 0.0, 1.0, ppp.Truncation("stationary", 50.0))
-    serial = _map_reps(_increments_rep, 192, 1, **kwargs)["inc"]
+    serial = _map_reps(_increments_rep, 128, None, **kwargs)["inc"]
     for workers, size in ((100_000, 3), (2, 2)):
-        pooled = _map_reps(_increments_rep, 192, workers, **kwargs)["inc"]
+        inline_pool.calls.clear()
+        with experiments._open_pool(workers) as pool:
+            pooled = _map_reps(_increments_rep, 128, pool, **kwargs)["inc"]
         assert pooled.tobytes() == serial.tobytes()
-        assert _InlinePool.sizes[-1] == size
-    # 192 replications make three chunks of 64, so three workers at most
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
-    _map_reps(_increments_rep, 192, 100_000, **kwargs)
-    assert _InlinePool.sizes[-1] == 3
+        assert inline_pool.sizes[-1] == size
+    # about eight chunks per process, of at least 16 replications, in rep order:
+    # 128 replications on two processes make eight chunks of 16
+    spans = [args[1:3] for fn, args in inline_pool.calls]
+    assert spans == [(lo, lo + 16) for lo in range(0, 128, 16)]
+    # fewer than two chunks of 16 run serially
+    inline_pool.calls.clear()
+    with experiments._open_pool(2) as pool:
+        _map_reps(_increments_rep, 31, pool, **kwargs)
+    assert not inline_pool.calls
+
+
+def test_a_run_builds_one_pool_and_one_worker_builds_none(inline_pool):
+    ctrw_args = ("constant:0.5", "unit", [100, 1000, 10000], [1.0], 128, 3)
+    serial = experiments.run_ctrw(*ctrw_args, workers=1).to_csv()
+    assert inline_pool.sizes == []
+    # the D reference, the plan, the passage replications and the three n rows
+    # share one pool
+    assert experiments.run_ctrw(*ctrw_args, workers=2).to_csv() == serial
+    assert inline_pool.sizes == [2] and inline_pool.exits == 1
+    submitted = {fn for fn, _ in inline_pool.calls}
+    assert submitted == {experiments._map_chunk, experiments._passage_block}
+    run_mfpp("constant:0.5", 1.0, [1.0], 64, 3, workers=2)
+    assert inline_pool.sizes == [2, 2] and inline_pool.exits == 2
+
+
+def test_the_pool_is_shut_down_when_a_plan_block_raises(inline_pool, monkeypatch):
+    solve = experiments._passage_block
+
+    def failing_block(idx, t0, t1):
+        if t0 >= 0.5:
+            raise ValueError("too many points")
+        return solve(idx, t0, t1)
+
+    monkeypatch.setattr(experiments, "_passage_block", failing_block)
+    with pytest.raises(ValueError, match="too many points"):
+        run_mfpp("affine:0.4,0.2", 1.0, [1.0], 64, 3, workers=2)
+    assert inline_pool.sizes == [2] and inline_pool.exits == 1
+
+
+def test_a_plan_in_a_real_pool_equals_the_serial_plan():
+    idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
+    serial = plan_passage(idx, [1.0], bound)
+    with experiments.ProcessPoolExecutor(max_workers=2) as pool:
+        pooled = plan_passage(idx, [1.0], bound, pool)
+    assert len(serial.blocks) == 10
+    cap = experiments._PASSAGE_POINTS_CAP
+    assert sum(b.mean_count >= cap * (1 - 1e-6) for b in serial.blocks) == 5
+    for got, want in zip(pooled.blocks, serial.blocks, strict=True):
+        assert repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)

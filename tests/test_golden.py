@@ -51,9 +51,10 @@ def cli_env():
     return env
 
 
-def run_case(name, cwd):
-    """The output files of one case, keyed by golden file name."""
-    res = subprocess.run([sys.executable, "-m", "mssim.cli", *CASES[name]], cwd=cwd,
+def run_case(name, cwd, extra=()):
+    """The output files of one case, run with the CLI arguments ``extra``
+    added, keyed by golden file name."""
+    res = subprocess.run([sys.executable, "-m", "mssim.cli", *CASES[name], *extra], cwd=cwd,
                          env=cli_env(), capture_output=True)
     assert res.returncode in (0, 1), res.stderr.decode()
     outputs = {f"{name}.csv": res.stdout}
@@ -66,6 +67,13 @@ def run_case(name, cwd):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_bytes(name, tmp_path):
     for fname, data in run_case(name, tmp_path).items():
+        assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
+
+
+# both runs solve their passage plan and map their replications in the pool
+@pytest.mark.parametrize("name", ("ctrw_affine", "mfpp_threshold"))
+def test_golden_bytes_with_two_workers(name, tmp_path):
+    for fname, data in run_case(name, tmp_path, ("--workers", "2")).items():
         assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
 
 

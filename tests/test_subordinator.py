@@ -91,7 +91,7 @@ def test_increment_examples():
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
     blk = plan_block(idx, 0.0, 1.0, Truncation("stationary", 200.0))
     windows = [(0.1, 0.4), (0.25, 0.35), (0.1, 0.55), (0.0, 0.5), (0.5, 1.0)]
-    inc = _map_reps(_increments_rep, 20, 1, seed=3, channel=5, idx=idx, blk=blk,
+    inc = _map_reps(_increments_rep, 20, None, seed=3, channel=5, idx=idx, blk=blk,
                     windows=windows)["inc"]
     for rep in range(20):
         path = build_path(sample_pattern(stream_for(3, 5, rep), blk, idx))
