@@ -49,6 +49,7 @@ DEFAULT_MASS_BUDGET = 1e-3
 _PASSAGE_BLOCK_LEN = 0.25
 _PASSAGE_POINTS_CAP = 3.0e5
 _PASSAGE_TAIL_TARGET = 1e-8
+_PASSAGE_BINS = 256
 _T_END_CANDIDATES = (
     1.0, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0, 8.0,
     10.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0,
@@ -240,7 +241,9 @@ def _passage_block(idx, t0, t1):
 def plan_passage(idx, levels, tail_bound, pool=None):
     """Threshold blocks covering [0, horizon], each planned from its window
     alone, so on ``pool`` they are solved side by side and read back in time
-    order."""
+    order.  The pool gets the latest windows first, since the point-capped
+    ones past t = 1 cost most, and a block that raises cancels the windows
+    still queued."""
     levels = tuple(sorted(float(r) for r in levels))
     if not levels or levels[0] <= 0:
         raise ValueError(f"levels must be positive, got {levels}")
@@ -253,27 +256,55 @@ def plan_passage(idx, levels, tail_bound, pool=None):
     if pool is None:
         blocks = [_passage_block(idx, t0, t1) for t0, t1 in windows]
     else:
-        futures = [pool.submit(_passage_block, idx, t0, t1) for t0, t1 in windows]
-        blocks = [f.result() for f in futures]
+        futures = [pool.submit(_passage_block, idx, t0, t1) for t0, t1 in reversed(windows)]
+        try:
+            blocks = [f.result() for f in reversed(futures)]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
     return PassagePlan(idx, levels, tuple(blocks), tail_bound)
 
 
 def _block_passage(stream, plan):
     """First-passage times of one truncated path at every plan level.
 
-    Levels not reached by the horizon stay NaN (the caller flags them);
-    blocks after the last passage are never sampled."""
+    A block that leaves the path below the lowest open level only adds its
+    size sum.  A block that reaches a level is summed over ``_PASSAGE_BINS``
+    equal time bins, which hold ascending, disjoint time ranges; a level is
+    crossed in the first bin whose running sum reaches it, and only that
+    bin's points are sorted and searched.  This is the passage of the
+    block's sorted path up to the rounding of its partial sums.  Levels not
+    reached by the horizon stay NaN (the caller flags them); blocks after
+    the last passage are never sampled."""
     levels = np.asarray(plan.levels)
     e = np.full(len(levels), np.nan)
     total = 0.0
     nxt = 0
     for blk in plan.blocks:
-        path = subordinator.build_path(ppp.sample_pattern(stream, blk, plan.idx))
-        e[nxt:] = inverse_mfpp.first_passage(path.times, total + path.prefix, levels[nxt:])
-        nxt = int(np.count_nonzero(~np.isnan(e)))
-        total += path.total
+        pat = ppp.sample_pattern(stream, blk, plan.idx)
+        t, x = pat.times, pat.sizes
+        mass = x.sum()
+        if total + mass < levels[nxt]:
+            total += mass
+            continue
+        # rounding is monotone, so a later time never falls in an earlier bin
+        scale = _PASSAGE_BINS / (blk.t1 - blk.t0)
+        bins = np.minimum(((t - blk.t0) * scale).astype(np.intp), _PASSAGE_BINS - 1)
+        ends = total + np.cumsum(np.bincount(bins, weights=x, minlength=_PASSAGE_BINS))
+        crossing = np.searchsorted(ends, levels[nxt:], side="left")
+        for k in np.unique(crossing[crossing < _PASSAGE_BINS]):
+            inside = np.flatnonzero(bins == k)
+            order = inside[np.argsort(t[inside])]
+            prefix = (ends[k - 1] if k else total) + np.cumsum(x[order])
+            # the bin ends at its bin sum, so a level placed in it is reached in it
+            prefix[-1] = ends[k]
+            hit = nxt + np.flatnonzero(crossing == k)
+            e[hit] = inverse_mfpp.first_passage(t[order], prefix, levels[hit])
+        nxt += int(np.count_nonzero(crossing < _PASSAGE_BINS))
         if nxt >= len(levels):
             break
+        total = ends[-1]
     return e
 
 

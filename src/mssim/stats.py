@@ -5,7 +5,6 @@ Mittag-Leffler function, and increment-correlation diagnostics."""
 from dataclasses import dataclass
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import DegenerateSampleError
@@ -84,6 +83,9 @@ def mittag_leffler(beta, z):
 
 
 def _ml_series(beta, z):
+    # imported here: only this oracle needs it, and every CLI start would pay for it
+    import mpmath
+
     # size the working precision to the largest series term
     logz = math.log(abs(z))
     k_peak = 1

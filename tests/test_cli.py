@@ -109,6 +109,14 @@ def test_too_many_points_is_usage_error(args, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_the_cli_does_not_import_mpmath():
+    # only the Mittag-Leffler oracle needs mpmath, so a CLI start skips it
+    code = "import sys, mssim.cli; print('mpmath' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
+                         text=True, timeout=60)
+    assert res.stdout.strip() == "False", res.stderr
+
+
 def test_out_of_memory_is_usage_error():
     # 1e14 replications need an 800 TB result array, beyond any address space
     res = run_cli("laplace", "--beta", "constant:0.5", "--t", "1", "--reps", "100000000000000",

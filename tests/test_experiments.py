@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mssim import experiments, ppp
+from mssim import cli, experiments, ppp
 from mssim.experiments import (
     CH_PASSAGE,
     Report,
@@ -172,19 +172,30 @@ def test_point_cap_bounds_the_envelope_count():
     assert f"{envelope:.3g} points" in str(err.value) and "\n" not in str(err.value)
 
 
-def _inline_block_passage(stream, plan):
-    """The block kernel written out by hand: threshold draws per block,
-    sorted by time, a running prefix sum across blocks, then first passage."""
-    levels = np.asarray(plan.levels)
+def _inline_patterns(stream, plan):
+    """The block draws written out by hand: one (times, sizes) pair per
+    block, drawn only when the caller asks for the next block."""
+    for blk in plan.blocks:
+        k = stream.poisson(blk.mean_count)
+        p = blk.trunc.parameter
+        if blk.trunc.mode == "stationary":
+            t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
+            x = (p * stream.uniform(k)) ** (-1.0 / plan.idx.evaluate_many(t))
+        else:
+            t = ppp.sample_threshold_times(stream, plan.idx, blk.t0, blk.t1, p, k)
+            x = p * stream.uniform(k) ** (-1.0 / plan.idx.evaluate_many(t))
+        yield t, x
+
+
+def _sorted_passage(patterns, levels):
+    """The sorted kernel: each block's points sorted by time, a running
+    prefix sum across blocks, then first passage."""
+    levels = np.asarray(levels)
     e = np.full(len(levels), np.nan)
     total = 0.0
     nxt = 0
-    for blk in plan.blocks:
-        k = stream.poisson(blk.mean_count)
-        if k:
-            eps = blk.trunc.parameter
-            t = ppp.sample_threshold_times(stream, plan.idx, blk.t0, blk.t1, eps, k)
-            x = eps * stream.uniform(k) ** (-1.0 / plan.idx.evaluate_many(t))
+    for t, x in patterns:
+        if len(t):
             order = np.argsort(t)
             prefix = total + np.cumsum(x[order])
             e[nxt:] = first_passage(t[order], prefix, levels[nxt:])
@@ -195,17 +206,81 @@ def _inline_block_passage(stream, plan):
     return e
 
 
+def _inline_block_passage(stream, plan):
+    return _sorted_passage(_inline_patterns(stream, plan), plan.levels)
+
+
+_KERNEL_PLANS = (  # spec, levels, replications, horizon
+    ("affine:0.4,0.2", [0.05, 0.3, 1.0], 12, 2.5),
+    ("constant:0.5", [0.5, 1.0], 12, 5.0),
+    ("sin:0.5,0.2,1", [0.3, 1.0], 4, 4.0),
+)
+
+
 def test_block_passage_equals_the_inline_kernel():
+    for spec, levels, reps, horizon in _KERNEL_PLANS:
+        idx, bound = choose_horizon(spec, max(levels))
+        plan = plan_passage(idx, levels, bound)
+        assert idx.horizon == horizon and len(plan.blocks) == 4 * horizon
+        es = []
+        for rep in range(reps):
+            got = _block_passage(stream_for(5, CH_PASSAGE, rep), plan)
+            want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
+            np.testing.assert_array_equal(got, want, err_msg=f"{spec} rep {rep}")
+            es.append(got)
+        # the passages spread over several blocks
+        assert len({int(v // 0.25) for v in np.ravel(es)}) >= 3
+
+
+def test_block_passage_of_one_stationary_block_equals_the_inline_kernel():
+    # the plan of ``mfpp --trunc-m``: one stationary block on the whole horizon
     idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
-    plan = plan_passage(idx, [0.05, 0.3, 1.0], bound)
-    assert len(plan.blocks) == 10
-    es = []
+    blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", 2000.0))
+    plan = experiments.PassagePlan(idx, (0.05, 0.3, 1.0), (blk,), bound)
     for rep in range(12):
         got = _block_passage(stream_for(5, CH_PASSAGE, rep), plan)
-        np.testing.assert_array_equal(got, _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan))
-        es.append(got)
-    # the passages spread over several blocks
-    assert len({int(v // 0.25) for v in np.ravel(es)}) >= 3
+        want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
+        np.testing.assert_array_equal(got, want)
+        assert not np.isnan(got).any()
+
+
+def _fixed_block_passage(monkeypatch, windows, patterns, levels):
+    """``_block_passage`` over the given (times, sizes) pattern of each
+    window, and the sorted kernel over the same patterns."""
+    draws = iter(patterns)
+    monkeypatch.setattr(ppp, "sample_pattern",
+                        lambda stream, blk, idx: ppp.PointPattern(*next(draws), blk.t1))
+    blocks = tuple(ppp.Block(t0, t1, ppp.Truncation("threshold", 0.01), 1.0) for t0, t1 in windows)
+    got = _block_passage(None, experiments.PassagePlan(None, tuple(levels), blocks, 0.0))
+    return got, _sorted_passage(iter(patterns), levels)
+
+
+def test_block_passage_scans_the_crossing_bin_from_the_earlier_bins(monkeypatch):
+    # dyadic sizes sum exactly in any order; a bin is 1/256 wide on [0, 1]
+    w = 1.0 / 256
+    t = np.array([0.9, 10.5 * w, 10.25 * w, 3.5 * w, 10.75 * w, 0.5 * w, 200.5 * w, 10.5 * w])
+    x = np.array([0.5, 0.125, 0.0625, 0.25, 0.03125, 0.25, 0.5, 0.125])
+    # the time-sorted prefix is 0.25, 0.5 | 0.5625, 0.8125, 0.84375 | 1.34375 | 1.84375;
+    # five levels fall in bin 10, one equal to a partial sum, with a tie at 10.5 w
+    levels = [0.26, 0.5, 0.55, 0.5625, 0.6, 0.8, 0.84375, 1.0, 1.84375, 2.0]
+    got, want = _fixed_block_passage(monkeypatch, [(0.0, 1.0)], [(t, x)], levels)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        got, [3.5 * w, 3.5 * w, 10.25 * w, 10.25 * w, 10.5 * w, 10.5 * w, 10.75 * w,
+              200.5 * w, 0.9, np.nan])
+
+
+def test_block_passage_skips_blocks_below_the_level_and_leaves_unreached_levels_nan(monkeypatch):
+    # the first block ends below every level, the empty one adds nothing and
+    # the last crosses two levels at a tie in its last bin; the top level is
+    # never reached
+    windows = [(0.0, 0.25), (0.25, 0.5), (0.5, 0.75)]
+    patterns = [(np.array([0.2, 0.1]), np.array([0.25, 0.5])),
+                (np.empty(0), np.empty(0)),
+                (np.array([0.7499, 0.6, 0.7499]), np.array([0.125, 0.0625, 0.0625]))]
+    got, want = _fixed_block_passage(monkeypatch, windows, patterns, [0.9, 1.0, 1.5])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, [0.7499, 0.7499, np.nan])
 
 
 def test_mfpp_oracle_follows_the_index_values_not_its_family():
@@ -319,6 +394,65 @@ def test_the_pool_is_shut_down_when_a_plan_block_raises(inline_pool, monkeypatch
     with pytest.raises(ValueError, match="too many points"):
         run_mfpp("affine:0.4,0.2", 1.0, [1.0], 64, 3, workers=2)
     assert inline_pool.sizes == [2] and inline_pool.exits == 1
+
+
+def test_the_plan_submits_its_latest_windows_first(inline_pool):
+    idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
+    serial = plan_passage(idx, [1.0], bound)
+    with experiments._open_pool(2) as pool:
+        pooled = plan_passage(idx, [1.0], bound, pool)
+    starts = [args[1] for fn, args in inline_pool.calls]
+    assert starts == [2.25, 2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5, 0.25, 0.0]
+    assert [repr(b) for b in pooled.blocks] == [repr(b) for b in serial.blocks]
+
+
+class _DeferredFuture(Future):
+    """A future whose call runs when its result is first read."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self._call = fn, args
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self._call
+            try:
+                self.set_result(fn(*args))
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class _DeferredPool(_InlinePool):
+    """An ``_InlinePool`` whose calls wait in their futures until read, as
+    queued calls wait for a busy pool."""
+
+    futures = []
+
+    def submit(self, fn, *args):
+        self.calls.append((fn, args))
+        self.futures.append(_DeferredFuture(fn, args))
+        return self.futures[-1]
+
+
+def test_a_plan_block_that_raises_cancels_the_queued_windows(inline_pool, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _DeferredPool)
+    monkeypatch.setattr(_DeferredPool, "futures", [])
+    monkeypatch.setattr(_DeferredPool, "exits", 0)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2  # usage + error
+    assert "points per replication expected on [0.75, 1]" in err[1]
+    # the windows in time order: those before the failing one ran, the one
+    # after it was cancelled unstarted, and the pool was shut down
+    starts = [args[1] for fn, args in inline_pool.calls][::-1]
+    futures = _DeferredPool.futures[::-1]
+    assert starts == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert [f.cancelled() for f in futures] == [False] * 4 + [True]
+    assert futures[3].exception() is not None
+    assert _DeferredPool.exits == 1
 
 
 def test_a_plan_in_a_real_pool_equals_the_serial_plan():

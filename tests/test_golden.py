@@ -70,8 +70,9 @@ def test_golden_bytes(name, tmp_path):
         assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
 
 
-# both runs solve their passage plan and map their replications in the pool
-@pytest.mark.parametrize("name", ("ctrw_affine", "mfpp_threshold"))
+# all three map their passage replications in the pool; the threshold runs
+# also solve their passage plan there, and the stationary run has one block
+@pytest.mark.parametrize("name", ("ctrw_affine", "mfpp_stationary", "mfpp_threshold"))
 def test_golden_bytes_with_two_workers(name, tmp_path):
     for fname, data in run_case(name, tmp_path, ("--workers", "2")).items():
         assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
