@@ -11,25 +11,12 @@ import sys
 from . import experiments
 
 
-def _float_list(flag):
+def _list(flag, convert=float, noun="numbers"):
     def parse(text):
         try:
-            vals = [float(v) for v in text.split(",") if v.strip()]
+            vals = [convert(v) for v in text.split(",") if v.strip()]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} must be a comma-separated list of numbers")
-        if not vals:
-            raise argparse.ArgumentTypeError(f"{flag} must list at least one value")
-        return vals
-
-    return parse
-
-
-def _int_list(flag):
-    def parse(text):
-        try:
-            vals = [int(v) for v in text.split(",") if v.strip()]
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{flag} must be a comma-separated list of integers")
+            raise argparse.ArgumentTypeError(f"{flag} must be a comma-separated list of {noun}")
         if not vals:
             raise argparse.ArgumentTypeError(f"{flag} must list at least one value")
         return vals
@@ -60,8 +47,8 @@ def build_parser():
     lap = sub.add_parser("laplace", help="transform of D(t) vs the closed form")
     _add_replicated(lap, 10_000)
     lap.add_argument("--beta", required=True, help="index spec, e.g. constant:0.5")
-    lap.add_argument("--theta", type=_float_list("--theta"), default=[0.5, 1.0, 2.0])
-    lap.add_argument("--t", type=_float_list("--t"), default=[0.5, 1.0])
+    lap.add_argument("--theta", type=_list("--theta"), default=[0.5, 1.0, 2.0])
+    lap.add_argument("--t", type=_list("--t"), default=[0.5, 1.0])
     lap.add_argument("--trunc-m", type=float, default=None,
                      help="stationary truncation level (default: solve for the mass budget)")
     lap.add_argument("--mass-budget", type=float, default=experiments.DEFAULT_MASS_BUDGET)
@@ -70,15 +57,15 @@ def build_parser():
     _add_replicated(mfpp, 10_000)
     mfpp.add_argument("--beta", required=True)
     mfpp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    mfpp.add_argument("--t", type=_float_list("--t"), default=[1.0])
+    mfpp.add_argument("--t", type=_list("--t"), default=[1.0])
     mfpp.add_argument("--trunc-m", type=float, default=None)
 
     ct = sub.add_parser("ctrw", help="array approximations vs direct simulation (KS)")
     _add_replicated(ct, 10_000)
     ct.add_argument("--beta", required=True)
     ct.add_argument("--lfamily", choices=("unit", "log"), default="unit")
-    ct.add_argument("--n", type=_int_list("--n"), default=[100, 1000])
-    ct.add_argument("--t", type=_float_list("--t"), default=[1.0])
+    ct.add_argument("--n", type=_list("--n", int, "integers"), default=[100, 1000])
+    ct.add_argument("--t", type=_list("--t"), default=[1.0])
     ct.add_argument("--pn-rule", default="sqrt", help="'sqrt' or 'const:<v>'")
     ct.add_argument("--lambda", dest="lam", type=float, default=1.0)
     ct.add_argument("--alpha", type=float, choices=(0.01, 0.05), default=0.01)

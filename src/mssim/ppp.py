@@ -67,12 +67,14 @@ class PointPattern:
 @dataclass(frozen=True)
 class Block:
     """A planned sampling window [t0, t1] under one truncation, with the
-    expected number of retained jumps; built by ``plan_block``."""
+    expected number of retained jumps and the supremum of beta over the
+    window; built by ``plan_block``."""
 
     t0: float
     t1: float
     trunc: Truncation
     mean_count: float
+    sup_beta: float
 
 
 def plan_block(idx, t0, t1, trunc):
@@ -86,10 +88,9 @@ def plan_block(idx, t0, t1, trunc):
         raise ValueError(f"the window [{t0}, {t1}] must be non-empty and lie in "
                          f"[0, horizon={idx.horizon}]")
     t0, t1 = float(t0), min(float(t1), idx.horizon)
-    blk = Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc))
-    drawn = blk.mean_count
-    if trunc.mode == "threshold":
-        drawn = envelope_count(idx, t0, t1, trunc.parameter)
+    blk = Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc),
+                idx.bounds_on(t0, t1)[1])
+    drawn = envelope_count(blk) if trunc.mode == "threshold" else blk.mean_count
     check_points(drawn, t0, t1, "the index is too close to 1 or the truncation level too high")
     return blk
 
@@ -137,28 +138,29 @@ def sample_threshold(stream, blk, idx):
     eps**(-beta_sup); sizes are conditional Pareto, x = eps * U**(-1/beta(t))."""
     eps = blk.trunc.parameter
     k = stream.poisson(blk.mean_count)
-    t = sample_threshold_times(stream, idx, blk.t0, blk.t1, eps, k)
+    t = sample_threshold_times(stream, idx, blk, k)
     beta = idx.evaluate_many(t)
     x = eps * stream.uniform(k) ** (-1.0 / beta)
     return PointPattern(t, x, blk.t1)
 
 
-def envelope_count(idx, t0, t1, eps):
-    """Mean number of candidates threshold sampling needs on [t0, t1]: the
-    constant envelope rate eps**(-sup beta) over the window.  It bounds the
+def envelope_count(blk):
+    """Mean number of candidates threshold sampling needs on a block: the
+    constant envelope rate eps**(-sup beta) over its window.  It bounds the
     mean count int_t0^t1 eps**(-beta(s)) ds, which it exceeds by the inverse
     of the acceptance rate."""
-    return (t1 - t0) * eps ** -idx.bounds_on(t0, t1)[1]
+    return (blk.t1 - blk.t0) * blk.trunc.parameter ** -blk.sup_beta
 
 
-def sample_threshold_times(stream, idx, t0, t1, eps, count):
-    """``count`` jump times on [t0, t1] with density proportional to eps**(-beta(t)).
+def sample_threshold_times(stream, idx, blk, count):
+    """``count`` jump times on the threshold block's window [t0, t1] with
+    density proportional to eps**(-beta(t)).
 
     Rejection against the constant envelope eps**(-sup beta) over the window;
-    the envelope dominates exactly because the window supremum is exact."""
+    the envelope dominates exactly because the block's supremum is exact."""
     if count == 0:
         return np.empty(0)
-    _, sup = idx.bounds_on(t0, t1)
+    t0, t1, eps, sup = blk.t0, blk.t1, blk.trunc.parameter, blk.sup_beta
     out = np.empty(count)
     have = 0
     while have < count:

@@ -13,8 +13,6 @@ from .quadrature import integrate
 # asymptotic two-sample KS quantiles c(alpha)
 _KS_CRITICAL = {0.01: 1.63, 0.05: 1.36}
 
-_ML_SERIES_CUTOFF = 5.0
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -59,15 +57,15 @@ def ks_critical_value(m, n, alpha=0.01):
 def mittag_leffler(beta, z):
     """E_beta(z) = sum_k z**k / Gamma(beta*k + 1) for beta in (0, 1], z <= 0.
 
-    Small |z| uses the power series in arbitrary precision sized to the
-    largest term, so the alternating cancellation costs no accuracy; large
-    |z| uses the spectral integral representation
+    For 0 < beta < 1 and x = -z > 0, the spectral representation
+    E_beta(-x) = int_0^inf exp(-r * x**(1/beta)) K(r) dr, with
+    K(r) = sin(pi*beta)/pi * r**(beta-1) / (r**(2b) + 2 r**b cos(pi*beta) + 1),
+    becomes after r = v**(1/beta) and v = sin(pi*beta*(1-u)) / sin(pi*beta*u)
 
-        E_beta(-x) = int_0^inf exp(-r * x**(1/beta)) K(r) dr,
-        K(r) = sin(pi*beta)/pi * r**(beta-1) / (r**(2b) + 2 r**b cos(pi*beta) + 1),
+        E_beta(-x) = int_0^1 exp(-(x * v(u))**(1/beta)) du,
 
-    after the substitution r = v**(1/beta) (which removes the endpoint
-    singularity) and v = w/(1-w) (which compactifies the domain).
+    whose Jacobian cancels the kernel: the integrand rises monotonically
+    from 0 at u = 0 to 1 at u = 1, with no peak as beta -> 1.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"beta must be in (0, 1], got {beta}")
@@ -77,58 +75,16 @@ def mittag_leffler(beta, z):
         return 1.0
     if beta == 1.0:
         return math.exp(z)
-    if abs(z) <= _ML_SERIES_CUTOFF:
-        return _ml_series(beta, z)
-    return _ml_tail_integral(beta, -z)
 
+    def f(u):
+        # v = inf at u = 0, and a power past the float range is inf: both give 0
+        with np.errstate(divide="ignore", over="ignore"):
+            v = np.sin(math.pi * beta * (1.0 - u)) / np.sin(math.pi * beta * u)
+            return np.exp(-((-z * v) ** (1.0 / beta)))
 
-def _ml_series(beta, z):
-    # imported here: only this oracle needs it, and every CLI start would pay for it
-    import mpmath
-
-    # size the working precision to the largest series term
-    logz = math.log(abs(z))
-    k_peak = 1
-    max_log = 0.0
-    k = 1
-    while True:
-        term_log = k * logz - math.lgamma(beta * k + 1.0)
-        if term_log > max_log:
-            max_log, k_peak = term_log, k
-        if k > k_peak + 8 and term_log < max_log - 80.0:
-            break
-        k += 1
-    dps = 25 + max(0, int(max_log / math.log(10.0)))
-    with mpmath.workdps(dps):
-        zz = mpmath.mpf(z)
-        # beta*k + 1 must be formed in working precision: a float64 product
-        # perturbs each Gamma argument enough to wreck the cancellation
-        bb = mpmath.mpf(beta)
-        total = mpmath.mpf(1)
-        k = 1
-        while True:
-            term = zz**k / mpmath.gamma(bb * k + 1)
-            total += term
-            if k > k_peak and abs(term) < mpmath.mpf(10) ** (-25):
-                break
-            k += 1
-        return float(total)
-
-
-def _ml_tail_integral(beta, x):
-    c1 = math.sin(math.pi * beta) / (math.pi * beta)
-    c2 = 2.0 * math.cos(math.pi * beta)
-
-    def g(w):
-        # the integrand tends to 0 at w = 1 (v = inf) and is cut to 0 once
-        # expo exceeds 700
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            v = w / (1.0 - w)
-            expo = (v * x) ** (1.0 / beta)
-            val = np.exp(-expo) * c1 / ((v * v + c2 * v + 1.0) * (1.0 - w) ** 2)
-        return np.where((w >= 1.0) | (expo > 700.0), 0.0, val)
-
-    return integrate(g, 0.0, 1.0, tol=1e-11)
+    # the Richardson estimate is optimistic here: at tol=1e-11 the error
+    # reaches 5e-11 for beta = 1/2 near x = 4.5, at 1e-12 it stays below 6e-12
+    return integrate(f, 0.0, 1.0, tol=1e-12)
 
 
 def increment_correlation(inc1, inc2):

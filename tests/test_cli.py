@@ -110,11 +110,36 @@ def test_too_many_points_is_usage_error(args, tmp_path):
 
 
 def test_the_cli_does_not_import_mpmath():
-    # only the Mittag-Leffler oracle needs mpmath, so a CLI start skips it
-    code = "import sys, mssim.cli; print('mpmath' in sys.modules)"
+    # mpmath is a test dependency only: every module loads, and the k = 0
+    # oracle computes, without it
+    code = ("import pkgutil, sys, mssim\n"
+            "for m in pkgutil.iter_modules(mssim.__path__):\n"
+            "    __import__('mssim.' + m.name)\n"
+            "mssim.stats.mittag_leffler(0.5, -1.0)\n"
+            "print('mpmath' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
                          text=True, timeout=60)
     assert res.stdout.strip() == "False", res.stderr
+
+
+def _oracle_at_k0(csv):
+    row = next(line for line in csv.splitlines() if line.startswith("1,0,"))
+    return float(row.split(",")[4])
+
+
+def test_small_index_oracle_ends_quickly():
+    # the oracle's power series took minutes here: |z| = 4.9 at beta = 0.2
+    res = run_cli("mfpp", "--beta", "constant:0.2", "--lambda", "5.7", "--t", "1", "--reps", "2",
+                  "--seed", "1", timeout=10, env=cli_env())
+    assert res.returncode in (0, 1), res.stderr
+    assert 0.0 < _oracle_at_k0(res.stdout) < 1.0
+
+
+def test_index_near_one_still_reports():
+    res = run_cli("mfpp", "--beta", "constant:0.999", "--trunc-m", "100", "--t", "1", "--reps",
+                  "2", "--seed", "1", timeout=10, env=cli_env())
+    assert res.returncode in (0, 1), res.stderr
+    assert _oracle_at_k0(res.stdout) == pytest.approx(0.99899950197907, abs=1e-10)
 
 
 def test_out_of_memory_is_usage_error():

@@ -165,7 +165,7 @@ def test_point_cap_bounds_the_envelope_count():
     idx = StabilityIndex.from_spec("affine:0.2,0.56", 1.0)
     trunc = ppp.solve_truncation(idx, 1.0, "threshold", experiments.DEFAULT_MASS_BUDGET)
     mean_count = ppp.expected_count_window(idx, 0.0, 1.0, trunc)
-    envelope = ppp.envelope_count(idx, 0.0, 1.0, trunc.parameter)
+    envelope = trunc.parameter ** -0.76  # the constant envelope at sup beta = 0.76
     assert mean_count < ppp.MAX_POINTS < envelope
     with pytest.raises(ValueError, match="points per replication") as err:
         ppp.plan_block(idx, 0.0, 1.0, trunc)
@@ -182,7 +182,7 @@ def _inline_patterns(stream, plan):
             t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
             x = (p * stream.uniform(k)) ** (-1.0 / plan.idx.evaluate_many(t))
         else:
-            t = ppp.sample_threshold_times(stream, plan.idx, blk.t0, blk.t1, p, k)
+            t = ppp.sample_threshold_times(stream, plan.idx, blk, k)
             x = p * stream.uniform(k) ** (-1.0 / plan.idx.evaluate_many(t))
         yield t, x
 
@@ -250,7 +250,8 @@ def _fixed_block_passage(monkeypatch, windows, patterns, levels):
     draws = iter(patterns)
     monkeypatch.setattr(ppp, "sample_pattern",
                         lambda stream, blk, idx: ppp.PointPattern(*next(draws), blk.t1))
-    blocks = tuple(ppp.Block(t0, t1, ppp.Truncation("threshold", 0.01), 1.0) for t0, t1 in windows)
+    blocks = tuple(ppp.Block(t0, t1, ppp.Truncation("threshold", 0.01), 1.0, 0.5)
+                   for t0, t1 in windows)
     got = _block_passage(None, experiments.PassagePlan(None, tuple(levels), blocks, 0.0))
     return got, _sorted_passage(iter(patterns), levels)
 

@@ -252,7 +252,7 @@ def _ks_to_steep_cdf(times):
 def _shifted_threshold(stream, blk, idx):
     # a mutant: the index is read 0.05 too high in the acceptance step
     k = stream.poisson(blk.mean_count)
-    _, sup = idx.bounds_on(blk.t0, blk.t1)
+    sup = blk.sup_beta
     eps = blk.trunc.parameter
     got = np.empty(0)
     while len(got) < k:
@@ -264,10 +264,20 @@ def _shifted_threshold(stream, blk, idx):
 
 def test_steep_block_accepts_fewer_than_half():
     blk = _block(IDX_STEEP, "threshold", 1e-3)
-    envelope = ppp.envelope_count(IDX_STEEP, 0.0, 1.0, 1e-3)
+    envelope = ppp.envelope_count(blk)
     assert envelope == pytest.approx(1e3**0.8)
     assert blk.mean_count == pytest.approx(_count_closed_form(0.2, 0.6, 0.0, 1.0, 1e-3), rel=1e-12)
     assert 0.2 < blk.mean_count / envelope < 0.5
+
+
+def test_threshold_sampling_reads_the_planned_supremum(monkeypatch):
+    # the maximizer t = 0.25 of the sine lies inside the window
+    idx = StabilityIndex.from_spec("sin:0.5,0.2,1", 1.0)
+    blk = _block(idx, "threshold", 1e-3, 0.2, 0.3)
+    assert blk.sup_beta == idx.bounds_on(0.2, 0.3)[1] == pytest.approx(0.7)
+    monkeypatch.setattr(StabilityIndex, "bounds_on", None)
+    pat = sample_threshold(RngStream(8, 0), blk, idx)
+    assert len(pat.times) and ((pat.times >= 0.2) & (pat.times <= 0.3)).all()
 
 
 def test_threshold_count_is_poisson_with_the_mean_count():
