@@ -34,7 +34,6 @@ class SlowlyVaryingFamily:
 
 
 UNIT = SlowlyVaryingFamily("unit")
-LOG = SlowlyVaryingFamily("log")
 
 
 @dataclass(frozen=True)

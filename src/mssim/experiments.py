@@ -190,13 +190,16 @@ def level_tail_bound(idx, level, T):
     return math.exp(min(0.0, float(exponent.min())))  # at most 1, and no overflow
 
 
-def choose_horizon(beta_spec, level):
-    """Shortest horizon on which the level is reached except with
-    probability below the planning target (or the longest horizon the index
-    covers inside (0, 1)); other errors of the index, such as the ``sin``
-    extrema cap, are raised.  Returns ``(index, tail_bound)``."""
+def choose_horizon(beta_spec, level, shortest=0.0):
+    """Shortest horizon of at least ``shortest`` on which the level is
+    reached except with probability below the planning target (or the
+    longest horizon the index covers inside (0, 1)); other errors of the
+    index, such as the ``sin`` extrema cap, are raised.  Returns
+    ``(index, tail_bound)``."""
     best = None
     for T in _T_END_CANDIDATES:
+        if T < shortest:
+            continue
         try:
             idx = StabilityIndex.from_spec(beta_spec, T)
         except HorizonError:
@@ -206,7 +209,8 @@ def choose_horizon(beta_spec, level):
         if bound <= _PASSAGE_TAIL_TARGET:
             return best
     if best is None:
-        raise ValueError(f"beta spec {beta_spec!r} is not valid on any horizon")
+        raise ValueError(f"beta spec {beta_spec!r} is not valid on any horizon from "
+                         f"{shortest:g} to {_T_END_CANDIDATES[-1]:g}")
     return best
 
 
@@ -218,7 +222,6 @@ class PassagePlan:
     idx: StabilityIndex
     levels: tuple
     blocks: tuple
-    tail_bound: float
 
 
 def _budget_block(idx, T, mode):
@@ -238,7 +241,7 @@ def _passage_block(idx, t0, t1):
     return ppp.plan_block(idx, t0, t1, trunc)
 
 
-def plan_passage(idx, levels, tail_bound, pool=None):
+def plan_passage(idx, levels, pool=None):
     """Threshold blocks covering [0, horizon], each planned from its window
     alone, so on ``pool`` they are solved side by side and read back in time
     order.  The pool gets the latest windows first, since the point-capped
@@ -263,7 +266,7 @@ def plan_passage(idx, levels, tail_bound, pool=None):
             for f in futures:
                 f.cancel()
             raise
-    return PassagePlan(idx, levels, tuple(blocks), tail_bound)
+    return PassagePlan(idx, levels, tuple(blocks))
 
 
 def _block_passage(stream, plan):
@@ -430,8 +433,8 @@ def _check_common(reps, seed):
              f"seed must be an unsigned 64-bit integer, got {seed}")
 
 
-def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
-                mass_budget=DEFAULT_MASS_BUDGET):
+def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, seed=0, workers=1,
+                trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
     """Monte Carlo transform values of D(t) against the closed form.
 
     Row pass: |MC mean - closed form| <= 3*SE + theta * excluded mass."""
@@ -480,7 +483,7 @@ def run_laplace(beta_spec, thetas, ts, reps, seed, workers=1, trunc_m=None,
                   rows)
 
 
-def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
+def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trunc_m=None):
     """Marginal law of the time-changed counting process at each t.
 
     The oracle exists only for a constant index at k = 0 (a Mittag-Leffler
@@ -496,11 +499,11 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     with _open_pool(workers) as pool:
         if trunc_m is None:
-            plan = plan_passage(idx, ts, tail, pool)
+            plan = plan_passage(idx, ts, pool)
         else:
             # one stationary block on the whole horizon: no threshold to solve
             blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", trunc_m))
-            plan = PassagePlan(idx, tuple(ts), (blk,), tail)
+            plan = PassagePlan(idx, tuple(ts), (blk,))
         res = _map_reps(_passage_rep, int(reps), pool, seed=int(seed), plan=plan, rate=float(lam))
     xs = res["x"]
     unreached = int(np.isnan(res["e"]).sum())
@@ -528,7 +531,7 @@ def run_mfpp(beta_spec, lam, ts, reps, seed, workers=1, trunc_m=None):
         "lambda": float(lam),
         "t": ",".join(_fmt(v) for v in ts),
         "horizon": idx.horizon,
-        "horizon_tail_bound": plan.tail_bound,
+        "horizon_tail_bound": tail,
         "unreached": unreached,
     }
     return Report("mfpp", header, ("t", "k", "p_hat", "se", "oracle", "pass"), rows)
@@ -544,13 +547,14 @@ def _parse_pn(pn_rule, n):
     raise ValueError(f"pn-rule must be 'sqrt' or 'const:<v>', got {pn_rule!r}")
 
 
-def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
-             lam=1.0, alpha=0.01):
+def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, seed=0, workers=1,
+             pn_rule="sqrt", lam=1.0, alpha=0.01):
     """KS distances of the array approximations against direct simulation.
 
     For each n: the normalized partial sum at t vs D(t), its inverse at
     level t vs the first-passage time E(t), and the composed walk vs the
-    time-changed count X(t)."""
+    time-changed count X(t).  Each t is both a time and a level, so the
+    horizon is at least the largest t."""
     _check_common(reps, seed)
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     L = ctrw.SlowlyVaryingFamily(lfamily)
@@ -558,7 +562,10 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     _require(ns and all(v >= 2 for v in ns), f"n values must be integers >= 2, got {ns}")
     ts = sorted(float(v) for v in ts)
     _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
-    idx, tail = choose_horizon(beta_spec, max(ts))
+    longest = _T_END_CANDIDATES[-1]
+    _require(ts[-1] <= longest,
+             f"t values must be at most {longest:g}, the longest horizon, got {ts[-1]:g}")
+    idx, tail = choose_horizon(beta_spec, ts[-1], shortest=ts[-1])
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
     # a row's largest partial sum: ceil(nT) summands at beta_inf and the
@@ -582,7 +589,7 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
     with _open_pool(workers) as pool:
         dref = _map_reps(_increments_rep, int(reps), pool, seed=int(seed), channel=CH_D_REFERENCE,
                          idx=idx, blk=blk_ref, windows=[(0.0, t) for t in ts])["inc"]
-        plan = plan_passage(idx, ts, tail, pool)
+        plan = plan_passage(idx, ts, pool)
         ref = _map_reps(_passage_rep, int(reps), pool, seed=int(seed), plan=plan, rate=float(lam))
         eref, xref = ref["e"], ref["x"]
         rows = []
@@ -619,14 +626,15 @@ def run_ctrw(beta_spec, lfamily, ns, ts, reps, seed, workers=1, pn_rule="sqrt",
                   rows)
 
 
-def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101, lam=1.0):
-    """Per-replication trajectory dumps of D, E and X on a uniform grid."""
+def run_paths(beta_spec, reps=10, seed=0, out="paths", workers=1, t=1.0, grid=101, lam=1.0):
+    """Per-replication trajectory dumps of D, E and X on the uniform grid of
+    [0, t], one file ``<out>.repNNNNN.csv`` each."""
     _check_common(reps, seed)
     _require(isinstance(grid, (int, np.integer)) and grid >= 2,
              f"grid must be an integer >= 2, got {grid}")
-    _require(_positive(t_max), f"t must be positive and finite, got {t_max}")
+    _require(_positive(t), f"t must be positive and finite, got {t}")
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
-    T = float(t_max)
+    T = float(t)
     ppp.check_points(grid, 0.0, T, "each replication writes one row per grid point; lower --grid")
     ppp.check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
     idx = StabilityIndex.from_spec(beta_spec, T)
@@ -634,7 +642,7 @@ def run_paths(beta_spec, reps, seed, out_prefix, workers=1, t_max=1.0, grid=101,
     with _open_pool(workers) as pool:
         res = _map_reps(_paths_rep, int(reps), pool, seed=int(seed), idx=idx,
                         ts=np.linspace(0.0, T, int(grid)), blk=blk, lam=float(lam),
-                        out_prefix=out_prefix)
+                        out_prefix=out)
     rows = list(zip(range(int(reps)), res["file"].tolist(), res["nflag"].tolist(),
                     res["ok"].tolist()))
     header = {
@@ -664,7 +672,7 @@ def _count_inversions(seq):
     return sum(1 for a, b in zip(seq, seq[1:]) if b > a + 1e-12)
 
 
-def run_verify(seed, workers=1, quick=False, scale=1.0):
+def run_verify(seed=0, workers=1, quick=False, scale=1.0):
     """The full property suite; one row per check, grouped by criterion."""
     _require(_positive(scale), f"scale must be positive and finite, got {scale}")
     _require(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64,

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
+import inspect
 import subprocess
 import sys
 import tempfile
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from mssim import cli, experiments
 from test_golden import GOLDEN, VERIFY_QUICK, cli_env
 
 BASE = [sys.executable, "-m", "mssim.cli"]
@@ -140,6 +143,92 @@ def test_index_near_one_still_reports():
                   "2", "--seed", "1", timeout=10, env=cli_env())
     assert res.returncode in (0, 1), res.stderr
     assert _oracle_at_k0(res.stdout) == pytest.approx(0.99899950197907, abs=1e-10)
+
+
+def test_tiny_lambda_oracle_rounds_to_one():
+    # z = -1.13e-20: the quadrature alone gave 1 - 7e-11, so p_hat = 1 failed
+    res = run_cli("mfpp", "--beta", "constant:0.5", "--lambda", "1e-20", "--t", "1", "--reps",
+                  "20", "--seed", "1", timeout=30, env=cli_env())
+    assert res.returncode == 0, res.stderr
+    assert _oracle_at_k0(res.stdout) == 1.0
+
+
+def _header(csv, key):
+    return next(line.split("=", 1)[1] for line in csv.splitlines() if line.startswith(f"# {key}="))
+
+
+def test_ctrw_horizon_covers_every_t():
+    # D(t) and S_n(t) are read at the time t, past the horizon the level t alone needs
+    argv = ("ctrw", "--beta", "constant:0.2", "--n", "100", "--reps", "4", "--seed", "1")
+    res = run_cli(*argv, "--t", "48", timeout=60, env=cli_env())
+    assert res.returncode in (0, 1), res.stderr
+    assert float(_header(res.stdout, "horizon")) >= 48.0
+    res = run_cli(*argv, "--t", "100", timeout=30, env=cli_env())
+    assert res.returncode == 2
+    assert len(res.stderr.strip().splitlines()) == 2  # usage + error
+    assert "at most 64" in res.stderr and "Traceback" not in res.stderr
+
+
+def _commands():
+    action = next(a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_every_option_is_a_parameter_of_its_pipeline():
+    for name, sp in _commands().items():
+        run = sp.get_default("run")
+        assert run is getattr(experiments, f"run_{name}")
+        params = inspect.signature(run).parameters
+        options = [a for a in sp._actions if a.dest != "help"]
+        # no default lives in the parser, and main writes the report to --out
+        assert all(a.default is argparse.SUPPRESS for a in options), name
+        dests = {a.dest for a in options} - ({"out"} if name != "paths" else set())
+        assert dests <= set(params), (name, dests - set(params))
+        required = {k for k, v in params.items() if v.default is inspect.Parameter.empty}
+        assert required == {a.dest for a in options if a.required}, name
+
+
+def test_absent_options_are_not_passed(monkeypatch, capsys):
+    calls = []
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return experiments.Report("laplace", {}, ("pass",), [(True,)])
+
+    monkeypatch.setattr(experiments, "run_laplace", record)
+    assert cli.main(["laplace", "--beta", "constant:0.5", "--t", "1,2"]) == 0
+    assert calls == [{"beta_spec": "constant:0.5", "ts": [1.0, 2.0]}]
+    assert capsys.readouterr().out.startswith("# command=laplace\n")
+
+
+# each command's argv without the options that have defaults, and the
+# defaults the parser used to state, spelled out
+DEFAULTED = {
+    "laplace": (("laplace", "--beta", "affine:0.4,0.2", "--reps", "50"),
+                ("--theta", "0.5,1,2", "--t", "0.5,1", "--mass-budget", "0.001")),
+    "mfpp": (("mfpp", "--beta", "constant:0.5", "--reps", "50"), ("--lambda", "1", "--t", "1")),
+    "ctrw": (("ctrw", "--beta", "constant:0.5", "--reps", "20"),
+             ("--lfamily", "unit", "--n", "100,1000", "--t", "1", "--pn-rule", "sqrt",
+              "--lambda", "1", "--alpha", "0.01")),
+    "paths": (("paths", "--beta", "constant:0.5"),
+              ("--reps", "10", "--t", "1", "--grid", "101", "--lambda", "1", "--out", "paths")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULTED))
+def test_omitted_options_take_the_former_defaults(name, tmp_path, monkeypatch, capsys):
+    short, spelled = DEFAULTED[name]
+    outputs = []
+    for argv in (short, short + ("--seed", "0", "--workers", "1") + spelled):
+        cwd = tmp_path / str(len(outputs))
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli.main(list(argv)) in (0, 1)
+        files = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith(f"# command={name}\n")
 
 
 def test_out_of_memory_is_usage_error():

@@ -17,10 +17,11 @@ from mssim import (
     partial_sum_path,
 )
 from mssim import ctrw
-from mssim.ctrw import LOG, UNIT, _jnk_from_uniforms
+from mssim.ctrw import UNIT, _jnk_from_uniforms
 from mssim.experiments import _ctrw_rep, _map_reps, stream_for
 
 IDX_HALF = StabilityIndex.from_spec("constant:0.5", 1.0)
+LOG = SlowlyVaryingFamily("log")
 
 
 def test_family_parsing():

@@ -83,8 +83,8 @@ def test_choose_horizon_raises_the_sin_extrema_cap():
 
 
 def test_plan_passage_budgets():
-    idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
-    plan = plan_passage(idx, [1.0], bound)
+    idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
+    plan = plan_passage(idx, [1.0])
     assert plan.blocks[0].t0 == 0.0
     assert plan.blocks[-1].t1 == pytest.approx(idx.horizon)
     for a, b in zip(plan.blocks, plan.blocks[1:]):
@@ -219,8 +219,8 @@ _KERNEL_PLANS = (  # spec, levels, replications, horizon
 
 def test_block_passage_equals_the_inline_kernel():
     for spec, levels, reps, horizon in _KERNEL_PLANS:
-        idx, bound = choose_horizon(spec, max(levels))
-        plan = plan_passage(idx, levels, bound)
+        idx, _ = choose_horizon(spec, max(levels))
+        plan = plan_passage(idx, levels)
         assert idx.horizon == horizon and len(plan.blocks) == 4 * horizon
         es = []
         for rep in range(reps):
@@ -234,9 +234,9 @@ def test_block_passage_equals_the_inline_kernel():
 
 def test_block_passage_of_one_stationary_block_equals_the_inline_kernel():
     # the plan of ``mfpp --trunc-m``: one stationary block on the whole horizon
-    idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
+    idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
     blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", 2000.0))
-    plan = experiments.PassagePlan(idx, (0.05, 0.3, 1.0), (blk,), bound)
+    plan = experiments.PassagePlan(idx, (0.05, 0.3, 1.0), (blk,))
     for rep in range(12):
         got = _block_passage(stream_for(5, CH_PASSAGE, rep), plan)
         want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
@@ -252,7 +252,7 @@ def _fixed_block_passage(monkeypatch, windows, patterns, levels):
                         lambda stream, blk, idx: ppp.PointPattern(*next(draws), blk.t1))
     blocks = tuple(ppp.Block(t0, t1, ppp.Truncation("threshold", 0.01), 1.0, 0.5)
                    for t0, t1 in windows)
-    got = _block_passage(None, experiments.PassagePlan(None, tuple(levels), blocks, 0.0))
+    got = _block_passage(None, experiments.PassagePlan(None, tuple(levels), blocks))
     return got, _sorted_passage(iter(patterns), levels)
 
 
@@ -398,10 +398,10 @@ def test_the_pool_is_shut_down_when_a_plan_block_raises(inline_pool, monkeypatch
 
 
 def test_the_plan_submits_its_latest_windows_first(inline_pool):
-    idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
-    serial = plan_passage(idx, [1.0], bound)
+    idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
+    serial = plan_passage(idx, [1.0])
     with experiments._open_pool(2) as pool:
-        pooled = plan_passage(idx, [1.0], bound, pool)
+        pooled = plan_passage(idx, [1.0], pool)
     starts = [args[1] for fn, args in inline_pool.calls]
     assert starts == [2.25, 2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5, 0.25, 0.0]
     assert [repr(b) for b in pooled.blocks] == [repr(b) for b in serial.blocks]
@@ -457,10 +457,10 @@ def test_a_plan_block_that_raises_cancels_the_queued_windows(inline_pool, monkey
 
 
 def test_a_plan_in_a_real_pool_equals_the_serial_plan():
-    idx, bound = choose_horizon("affine:0.4,0.2", 1.0)
-    serial = plan_passage(idx, [1.0], bound)
+    idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
+    serial = plan_passage(idx, [1.0])
     with experiments.ProcessPoolExecutor(max_workers=2) as pool:
-        pooled = plan_passage(idx, [1.0], bound, pool)
+        pooled = plan_passage(idx, [1.0], pool)
     assert len(serial.blocks) == 10
     cap = experiments._PASSAGE_POINTS_CAP
     assert sum(b.mean_count >= cap * (1 - 1e-6) for b in serial.blocks) == 5

@@ -118,6 +118,13 @@ def test_mittag_leffler_integral_matches_series(beta):
         assert abs(mittag_leffler(beta, -x) - _ml_series(beta, -x)) <= 1e-10, x
 
 
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("z", [-1e-300, -1e-20, -1e-12, -1e-9])
+def test_mittag_leffler_at_tiny_z_matches_series(beta, z):
+    # the quadrature alone was 7e-11 low here: it cannot resolve the u -> 0 end
+    assert abs(mittag_leffler(beta, z) - _ml_series(beta, z)) <= 1e-15
+
+
 def test_mittag_leffler_monotone_in_z():
     for beta in (0.3, 0.5, 0.8, 1.0):
         zs = -np.concatenate((np.linspace(0.0, 5.0, 21), [7.0, 10.0, 20.0, 50.0]))
