@@ -36,12 +36,12 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary):
+    def command(name, run, summary, out_help="output CSV path (default: stdout)"):
         sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         sp.set_defaults(run=run)
         sp.add_argument("--seed", type=int, help="master seed (unsigned 64-bit)")
         sp.add_argument("--workers", type=int, help="worker processes")
-        sp.add_argument("--out", help="output CSV path (default: stdout)")
+        sp.add_argument("--out", help=out_help)
         if name != "verify":
             sp.add_argument("--reps", type=int, help="Monte Carlo replications")
             sp.add_argument("--beta", dest="beta_spec", required=True,
@@ -68,7 +68,8 @@ def build_parser():
     ct.add_argument("--lambda", dest="lam", type=float)
     ct.add_argument("--alpha", type=float, choices=(0.01, 0.05))
 
-    pa = command("paths", experiments.run_paths, "per-replication trajectory dumps of D, E, X")
+    pa = command("paths", experiments.run_paths, "per-replication trajectory dumps of D, E, X",
+                 "prefix of the files <out>.repNNNNN.csv (default: paths); summary to stdout")
     pa.add_argument("--t", type=float, help="horizon of the evaluation grid")
     pa.add_argument("--grid", type=int, help="number of grid points")
     pa.add_argument("--lambda", dest="lam", type=float)

@@ -109,14 +109,12 @@ def norming_bnk(a_n, beta_kn, beta_sup):
     return a_n ** (beta_sup / beta_kn)
 
 
-def partial_sum_path(stream, n, T, idx, L):
-    """The row-n partial-sum path on [0, T]: one fresh J per cell.
+def partial_sum_path(stream, n, idx, L):
+    """The row-n partial-sum path on [0, T], T the horizon: one fresh J per cell.
 
     Grid value at k/n is sum_{j<=k} b_{nj}**-1 * J_{nj} for k = 0..ceil(nT).
     """
-    if not 0.0 < T <= idx.horizon * (1.0 + 1e-12):
-        raise ValueError(f"T must lie in (0, horizon={idx.horizon}], got {T}")
-    kmax = math.ceil(n * T - 1e-9)
+    kmax = math.ceil(n * idx.horizon - 1e-9)
     ks = np.arange(1, kmax + 1)
     beta = idx.evaluate_many(np.minimum(ks / n, idx.horizon))
     b = norming_bnk(norming_an(n, L, idx.beta_sup), beta, idx.beta_sup)

@@ -92,8 +92,6 @@ class Report:
     rows: list
 
     def all_pass(self):
-        if "pass" not in self.columns:
-            return True
         i = self.columns.index("pass")
         return all(bool(r[i]) for r in self.rows)
 
@@ -174,19 +172,27 @@ def _map_reps(fn, reps, pool, **params):
 # ---------------------------------------------------------------------------
 
 
-def level_tail_bound(idx, level, T):
-    """Exponential-moment upper bound on P(D(T) < level).
+def level_tail_bound(idx, level):
+    """Exponential-moment upper bound on P(D(T) < level) at the horizon T.
 
     For any theta > 0, P(D(T) < r) <= exp(theta*r) * E[exp(-theta*D(T))];
-    the exponent is minimized over a logarithmic theta grid."""
-    s = np.linspace(0.0, T, 201)
-    beta = idx.evaluate_many(s)
-    g = subordinator.gamma_fn(1.0 - beta)
-    w = np.ones(201)
-    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    w *= (T / 200.0) / 3.0
+    the exponent is minimized over a logarithmic theta grid.  Its integral
+    is composite Simpson on each piece between the index's critical points,
+    with 200 intervals over [0, T] and at least 2 per piece, so no grid can
+    sit on the zeros of a sin index."""
+    T = idx.horizon
+    edges = [0.0, *(c for c in idx.critical_points(0.0, T) if 0.0 < c < T), T]
+    s, w = [], []
+    for a, b in zip(edges, edges[1:]):
+        m = 2 * max(1, math.ceil(100.0 * ((b - a) / T)))
+        wp = np.ones(m + 1)
+        wp[1:-1:2], wp[2:-1:2] = 4.0, 2.0
+        s.append(np.linspace(a, b, m + 1))
+        w.append(wp * (((b - a) / m) / 3.0))
+    beta = idx.evaluate_many(np.concatenate(s))
+    wg = np.concatenate(w) * subordinator.gamma_fn(1.0 - beta)
     thetas = np.logspace(-2.0, 8.0, 161)
-    exponent = thetas * level - (thetas[:, None] ** beta[None, :]) @ (w * g)
+    exponent = thetas * level - (thetas[:, None] ** beta[None, :]) @ wg
     return math.exp(min(0.0, float(exponent.min())))  # at most 1, and no overflow
 
 
@@ -204,7 +210,7 @@ def choose_horizon(beta_spec, level, shortest=0.0):
             idx = StabilityIndex.from_spec(beta_spec, T)
         except HorizonError:
             continue
-        bound = level_tail_bound(idx, level, T)
+        bound = level_tail_bound(idx, level)
         best = (idx, bound)
         if bound <= _PASSAGE_TAIL_TARGET:
             return best
@@ -224,10 +230,16 @@ class PassagePlan:
     blocks: tuple
 
 
-def _budget_block(idx, T, mode):
-    """The block [0, T] under the truncation of ``mode`` that meets the
-    default excluded-mass budget."""
-    return ppp.plan_block(idx, 0.0, T, ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET))
+def _budget_block(idx, T, mode, trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
+    """The block [0, T]: the stationary one at the level ``trunc_m`` if it is
+    given, else the one under the truncation of ``mode`` that meets the
+    excluded-mass budget."""
+    if trunc_m is None:
+        trunc = ppp.solve_truncation(idx, T, mode, mass_budget)
+    else:
+        _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
+        trunc = ppp.Truncation("stationary", float(trunc_m))
+    return ppp.plan_block(idx, 0.0, T, trunc)
 
 
 def _passage_block(idx, t0, t1):
@@ -374,7 +386,7 @@ def _ctrw_rep(rep, seed, channel, idx, L, n, ts, p_n, lam):
     level past the last partial sum clamps E_n to the horizon and flags the
     replication.  The walk is the running sum of Bernoulli(p_n) steps, read
     after floor(lambda * E_n / p_n) of them."""
-    path = ctrw.partial_sum_path(stream_for(seed, channel, rep), n, idx.horizon, idx, L)
+    path = ctrw.partial_sum_path(stream_for(seed, channel, rep), n, idx, L)
     ts = np.asarray(ts, dtype=float)
     s = path.grid[np.minimum(np.floor(n * ts + 1e-9).astype(int), len(path.grid) - 1)]
     e = ctrw.inverse_ctrw(path, ts)
@@ -427,10 +439,14 @@ def _positive(v):
     return 0.0 < v < math.inf
 
 
-def _check_common(reps, seed):
-    _require(isinstance(reps, (int, np.integer)) and reps >= 2, f"reps must be >= 2, got {reps}")
+def _check_seed(seed):
     _require(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64,
              f"seed must be an unsigned 64-bit integer, got {seed}")
+
+
+def _check_common(reps, seed):
+    _require(isinstance(reps, (int, np.integer)) and reps >= 2, f"reps must be >= 2, got {reps}")
+    _check_seed(seed)
 
 
 def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, seed=0, workers=1,
@@ -447,12 +463,8 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
     _require(_positive(mass_budget), f"mass budget must be positive and finite, got {mass_budget}")
     T = max(ts)
     idx = StabilityIndex.from_spec(beta_spec, T)
-    if trunc_m is not None:
-        _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
-        trunc = ppp.Truncation("stationary", float(trunc_m))
-    else:
-        trunc = ppp.solve_truncation(idx, T, "stationary", mass_budget)
-    blk = ppp.plan_block(idx, 0.0, T, trunc)
+    blk = _budget_block(idx, T, "stationary", trunc_m, mass_budget)
+    trunc = blk.trunc
     excluded = ppp.small_jump_mass_window(idx, 0.0, T, trunc)
     _require(excluded < math.inf,
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
@@ -492,9 +504,6 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     ts = sorted(float(v) for v in ts)
     _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
-    if trunc_m is not None:
-        _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
-        trunc_m = float(trunc_m)
     idx, tail = choose_horizon(beta_spec, max(ts))
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     with _open_pool(workers) as pool:
@@ -502,7 +511,7 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
             plan = plan_passage(idx, ts, pool)
         else:
             # one stationary block on the whole horizon: no threshold to solve
-            blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", trunc_m))
+            blk = _budget_block(idx, idx.horizon, "stationary", trunc_m)
             plan = PassagePlan(idx, tuple(ts), (blk,))
         res = _map_reps(_passage_rep, int(reps), pool, seed=int(seed), plan=plan, rate=float(lam))
     xs = res["x"]
@@ -675,8 +684,7 @@ def _count_inversions(seq):
 def run_verify(seed=0, workers=1, quick=False, scale=1.0):
     """The full property suite; one row per check, grouped by criterion."""
     _require(_positive(scale), f"scale must be positive and finite, got {scale}")
-    _require(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64,
-             f"seed must be an unsigned 64-bit integer, got {seed}")
+    _check_seed(seed)
     seed = int(seed)
     if quick:
         sizes = dict(laplace=2000, cross=2000, continuity=2000, increments=2000,

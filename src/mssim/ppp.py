@@ -158,8 +158,6 @@ def sample_threshold_times(stream, idx, blk, count):
 
     Rejection against the constant envelope eps**(-sup beta) over the window;
     the envelope dominates exactly because the block's supremum is exact."""
-    if count == 0:
-        return np.empty(0)
     t0, t1, eps, sup = blk.t0, blk.t1, blk.trunc.parameter, blk.sup_beta
     out = np.empty(count)
     have = 0

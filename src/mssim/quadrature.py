@@ -44,12 +44,8 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
     ValueError: no subdivision can repair it.  So does a level that would
     evaluate more than ``_MAX_LEVEL_NODES`` nodes, which bounds the work.
     """
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError(f"integration bounds must be finite, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-    if b < a:
-        return -integrate(f, b, a, tol, points)
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
     # points snap to multiples of a power of two near 2**-20 * max(|a|, |b|), so
     # later midpoints are exact: an inexact one shifts the Richardson estimate
     # of a steep integrand past the relative floor, down to the depth cap

@@ -50,9 +50,6 @@ class RngStream:
         if gen is not None:
             _SPARE.append(gen)
 
-    def __repr__(self):
-        return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
-
     def uniform(self, size):
         """An array of ``size`` uniform draws strictly inside (0, 1).
 
@@ -73,6 +70,6 @@ class RngStream:
             raise ValueError(f"mean must be finite and non-negative, got {mean}")
         return int(self._gen.poisson(mean))
 
-    def bernoulli(self, p, size=None):
-        """Bernoulli(p) draws as a boolean array."""
+    def bernoulli(self, p, size):
+        """An array of ``size`` Bernoulli(p) draws, as booleans."""
         return self._gen.random(size) < p

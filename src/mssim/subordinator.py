@@ -53,7 +53,7 @@ def eval_many(path, ts):
     ts = np.asarray(ts, dtype=float)
     if len(ts) and (ts.min() < 0 or ts.max() > path.horizon * (1.0 + 1e-12)):
         raise ValueError(f"times must lie in [0, horizon={path.horizon}]")
-    idx = np.searchsorted(path.times, np.minimum(ts, path.horizon), side="right")
+    idx = np.searchsorted(path.times, ts, side="right")
     padded = np.concatenate(([0.0], path.prefix))
     return padded[idx]
 

@@ -4,6 +4,9 @@ The whole suite is produced by one ``run_verify`` call (the same code path
 as ``mssim verify``); each test below asserts one criterion and prints a
 single PASS/FAIL line for it.  The determinism criterion additionally
 exercises the real command-line entry point.
+
+The negative controls at the end show that a criterion can fail: a sampler
+that reads its index 0.05 too high must trip it.
 """
 
 import os
@@ -12,7 +15,8 @@ import sys
 
 import pytest
 
-from mssim import experiments
+from mssim import experiments, ppp, stats
+from mssim.stability import StabilityIndex
 
 SEED = 42
 
@@ -90,3 +94,57 @@ def test_criterion_9_determinism(verify_report):
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     assert first.stdout == third.stdout
+
+
+# -- negative controls --------------------------------------------------------
+
+
+class _ShiftedIndex:
+    """An index read 0.05 higher than it is, by the one sampler given it."""
+
+    def __init__(self, idx):
+        self._idx = idx
+
+    def evaluate_many(self, t):
+        return self._idx.evaluate_many(t) + 0.05
+
+
+def _shift_beta(monkeypatch, sampler):
+    draw = getattr(ppp, sampler)
+    monkeypatch.setattr(ppp, sampler, lambda stream, blk, idx: draw(stream, blk, _ShiftedIndex(idx)))
+
+
+@pytest.mark.parametrize("spec", experiments._VERIFY_FAMILIES)
+def test_criterion_1_fails_when_the_sampler_shifts_beta(spec, monkeypatch):
+    # criterion 1's run at the quick size; its worst ratio is 0.73 for the
+    # constant index and 0.27 for the affine one, and about 2.7 to 3 shifted
+    def worst(rep):
+        return max(abs(r[3] - r[5]) / (3.0 * r[4] + r[6]) for r in rep.rows)
+
+    args = (spec, (0.5, 1.0, 2.0), (0.5, 1.0), 2000, SEED)
+    plain = experiments.run_laplace(*args)
+    assert plain.all_pass() and worst(plain) < 1.0
+    _shift_beta(monkeypatch, "sample_stationary")
+    shifted = experiments.run_laplace(*args)
+    assert not shifted.all_pass() and worst(shifted) > 2.0
+
+
+def _criterion_2_ks(n):
+    """Criterion 2's KS distance at n draws per sampler, and its critical value."""
+    idx = StabilityIndex.from_spec("constant:0.5", 1.0)
+    samples = [experiments._map_reps(experiments._increments_rep, n, None, seed=SEED, channel=ch,
+                                     idx=idx, blk=experiments._budget_block(idx, 1.0, mode),
+                                     windows=[(0.0, 1.0)])["inc"][:, 0]
+               for mode, ch in (("stationary", experiments.CH_CROSS_STATIONARY),
+                                ("threshold", experiments.CH_CROSS_THRESHOLD))]
+    return stats.ks_two_sample(*samples), stats.ks_critical_value(n, n, 0.01)
+
+
+def test_criterion_2_fails_when_one_sampler_shifts_beta(monkeypatch):
+    # KS is 0.017 against 0.052 at 2,000 draws per side, and 0.29 with the
+    # threshold sampler shifted
+    ks, crit = _criterion_2_ks(2000)
+    assert ks < crit
+    _shift_beta(monkeypatch, "sample_threshold")
+    ks, crit = _criterion_2_ks(2000)
+    assert ks > 3.0 * crit

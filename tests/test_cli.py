@@ -283,6 +283,18 @@ def test_paths_emits_valid_trajectories(tmp_path):
         assert (np.diff(x) >= 0).all()  # X non-decreasing
 
 
+def test_paths_help_describes_out_as_the_file_prefix():
+    def help_text(name):
+        return " ".join(_commands()[name].format_help().split())
+
+    paths = help_text("paths")
+    assert "--out OUT prefix of the files <out>.repNNNNN.csv (default: paths)" in paths
+    assert "summary to stdout" in paths
+    assert "output CSV path" not in paths
+    for name in ("laplace", "mfpp", "ctrw", "verify"):
+        assert "--out OUT output CSV path (default: stdout)" in help_text(name), name
+
+
 def test_verify_quick_small_scale_passes():
     res = run_cli(*VERIFY_QUICK, env=cli_env())
     assert res.returncode == 0, res.stderr

@@ -113,11 +113,11 @@ def test_norming_bnk():
 
 
 def test_partial_sum_path_basics():
-    path = partial_sum_path(RngStream(1, 0), 1, 1.0, IDX_HALF, UNIT)
+    path = partial_sum_path(RngStream(1, 0), 1, IDX_HALF, UNIT)
     assert path.grid[0] == 0.0
     # n=1: a_1 = 1, b_11 = 1, so S_1(1) = J_11 >= 1
     assert path.grid[1] >= 1.0
-    path = partial_sum_path(RngStream(1, 1), 50, 1.0, IDX_HALF, UNIT)
+    path = partial_sum_path(RngStream(1, 1), 50, IDX_HALF, UNIT)
     assert len(path.grid) == 51
     assert (np.diff(path.grid) > 0).all()
     assert path.horizon == pytest.approx(1.0)
@@ -134,14 +134,14 @@ def test_inverse_ctrw_examples():
 
 
 def test_inverse_ctrw_monotone_in_level():
-    path = partial_sum_path(RngStream(2, 0), 200, 1.0, IDX_HALF, UNIT)
+    path = partial_sum_path(RngStream(2, 0), 200, IDX_HALF, UNIT)
     vals = inverse_ctrw(path, np.linspace(0.0, path.grid[-1], 100))
     assert (np.diff(vals) >= 0).all()
 
 
 def test_inverse_ctrw_matches_scalar_search():
     # level 0, every grid value, points between them and levels past the last sum
-    path = partial_sum_path(RngStream(2, 1), 50, 1.0, IDX_HALF, UNIT)
+    path = partial_sum_path(RngStream(2, 1), 50, IDX_HALF, UNIT)
     g = path.grid
     levels = np.concatenate(([0.0], g, 0.5 * (g[:-1] + g[1:]), [g[-1] * 1.5, g[-1] + 1.0]))
     got = inverse_ctrw(path, levels)

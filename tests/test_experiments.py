@@ -22,6 +22,7 @@ from mssim.experiments import (
 )
 from mssim.inverse_mfpp import first_passage
 from mssim.stability import StabilityIndex
+from mssim.subordinator import gamma_fn
 
 
 def test_report_csv_layout_and_quoting():
@@ -52,10 +53,34 @@ def test_stream_for_channels_do_not_collide():
 def test_level_tail_bound_shrinks_with_horizon():
     idx1 = StabilityIndex.from_spec("constant:0.5", 1.0)
     idx5 = StabilityIndex.from_spec("constant:0.5", 5.0)
-    near = level_tail_bound(idx1, 1.0, 1.0)
-    far = level_tail_bound(idx5, 1.0, 5.0)
+    near = level_tail_bound(idx1, 1.0)
+    far = level_tail_bound(idx5, 1.0)
     assert far < near
     assert far <= 1e-8  # exp(-pi * 25 / 4) for this index
+
+
+def test_level_tail_bound_splits_a_sin_index_at_its_extrema():
+    # on horizon 5, every node of one 201-node rule over [0, 5] is a zero of
+    # sin(40*pi*t), which made the c2 = 20 bound read as the constant's
+    const = level_tail_bound(StabilityIndex.from_spec("constant:0.5", 5.0), 1.0)
+    b19 = level_tail_bound(StabilityIndex.from_spec("sin:0.5,0.2,19", 5.0), 1.0)
+    b20 = level_tail_bound(StabilityIndex.from_spec("sin:0.5,0.2,20", 5.0), 1.0)
+    assert 0.1 < b19 / b20 < 10.0
+    assert max(b19, b20) < 1e-3 * const
+
+
+@pytest.mark.parametrize("spec, horizon", [("constant:0.5", 1.0), ("constant:0.5", 5.0),
+                                           ("affine:0.4,0.2", 1.0), ("affine:0.4,0.2", 1.75)])
+def test_level_tail_bound_without_critical_points_is_one_201_node_rule(spec, horizon):
+    idx = StabilityIndex.from_spec(spec, horizon)
+    s = np.linspace(0.0, horizon, 201)
+    w = np.ones(201)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    w *= (horizon / 200.0) / 3.0
+    beta = idx.evaluate_many(s)
+    thetas = np.logspace(-2.0, 8.0, 161)
+    exponent = thetas * 1.0 - (thetas[:, None] ** beta[None, :]) @ (w * gamma_fn(1.0 - beta))
+    assert level_tail_bound(idx, 1.0) == math.exp(min(0.0, float(exponent.min())))
 
 
 def test_choose_horizon_constant_and_affine():

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -20,17 +20,20 @@ def test_smooth_transcendental():
 
 
 def test_zero_width_interval():
-    assert integrate(np.exp, 2.0, 2.0) == 0.0
+    # every caller returns its own value for an empty window before integrating
+    with pytest.raises(ValueError, match="a < b"):
+        integrate(np.exp, 2.0, 2.0)
 
 
-def test_reversed_bounds_flip_sign():
-    fwd = integrate(np.exp, 0.0, 1.0)
-    assert integrate(np.exp, 1.0, 0.0) == pytest.approx(-fwd, abs=1e-12)
+def test_reversed_bounds_rejected():
+    with pytest.raises(ValueError, match="a < b"):
+        integrate(np.exp, 1.0, 0.0)
 
 
 def test_non_finite_bounds_rejected():
-    with pytest.raises(ValueError):
-        integrate(np.exp, 0.0, math.inf)
+    for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            integrate(np.exp, a, b)
 
 
 def test_non_finite_integrand_raises():
@@ -110,11 +113,9 @@ def _polynomial(coefs):
 @given(st.lists(_coef, min_size=1, max_size=7), _end, _end,
        st.sampled_from([DEFAULT_TOL, 1e-6, 1e-13]))
 def test_breadth_first_equals_depth_first_on_polynomials(coefs, a, b, tol):
+    assume(a != b)
     a, b = min(a, b), max(a, b)
     f = _polynomial(coefs)
-    if a == b:
-        assert integrate(f, a, b, tol) == 0.0
-        return
     assert integrate(f, a, b, tol) == _depth_first(_scalar(f), a, b, tol)
 
 
@@ -123,6 +124,7 @@ def test_breadth_first_equals_depth_first_on_polynomials(coefs, a, b, tol):
 def test_breadth_first_equals_depth_first_on_steps(a, b, steps, base):
     # at a jump the local error shrinks no faster than the tolerance, so
     # these trees grow deep
+    assume(a != b)
     a, b = min(a, b), max(a, b)
 
     def f(x):
@@ -131,8 +133,6 @@ def test_breadth_first_equals_depth_first_on_steps(a, b, steps, base):
             out = np.where(x >= at, out + height, out)
         return out
 
-    if a == b:
-        return
     assert integrate(f, a, b) == _depth_first(_scalar(f), a, b)
 
 
@@ -166,7 +166,6 @@ def test_points_split_the_rule_into_pieces():
     extrema = [(0.5 + k) / 8.0 for k in range(8)]
     assert integrate(f, 0.0, 1.0) < 1e-12
     assert integrate(f, 0.0, 1.0, points=extrema) == pytest.approx(0.5, abs=1e-10)
-    assert integrate(f, 1.0, 0.0, points=extrema) == pytest.approx(-0.5, abs=1e-10)
     # points at or outside the ends leave the single-piece rule unchanged
     g = np.exp
     assert integrate(g, 0.0, 1.0, points=[-1.0, 0.0, 1.0, 2.0]) == integrate(g, 0.0, 1.0)
