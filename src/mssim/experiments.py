@@ -258,10 +258,7 @@ def plan_passage(idx, levels, pool=None):
     alone, so on ``pool`` they are solved side by side and read back in time
     order.  The pool gets the latest windows first, since the point-capped
     ones past t = 1 cost most, and a block that raises cancels the windows
-    still queued."""
-    levels = tuple(sorted(float(r) for r in levels))
-    if not levels or levels[0] <= 0:
-        raise ValueError(f"levels must be positive, got {levels}")
+    still queued.  ``levels`` are positive and ascending."""
     windows = []
     t0 = 0.0
     while t0 < idx.horizon - 1e-12:
@@ -278,7 +275,7 @@ def plan_passage(idx, levels, pool=None):
             for f in futures:
                 f.cancel()
             raise
-    return PassagePlan(idx, levels, tuple(blocks))
+    return PassagePlan(idx, tuple(levels), tuple(blocks))
 
 
 def _block_passage(stream, plan):
@@ -442,11 +439,19 @@ def _positive(v):
 def _check_seed(seed):
     _require(isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64,
              f"seed must be an unsigned 64-bit integer, got {seed}")
+    return int(seed)
 
 
 def _check_common(reps, seed):
     _require(isinstance(reps, (int, np.integer)) and reps >= 2, f"reps must be >= 2, got {reps}")
-    _check_seed(seed)
+    return int(reps), _check_seed(seed)
+
+
+def _check_times(ts):
+    """The t values as ascending floats, each positive and finite."""
+    ts = sorted(float(v) for v in ts)
+    _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
+    return ts
 
 
 def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, seed=0, workers=1,
@@ -454,37 +459,36 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
     """Monte Carlo transform values of D(t) against the closed form.
 
     Row pass: |MC mean - closed form| <= 3*SE + theta * excluded mass."""
-    _check_common(reps, seed)
+    reps, seed = _check_common(reps, seed)
     thetas = [float(v) for v in thetas]
-    ts = [float(v) for v in ts]
     _require(thetas and all(_positive(v) for v in thetas),
              f"theta values must be positive and finite, got {thetas}")
-    _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
+    ts = _check_times(ts)
     _require(_positive(mass_budget), f"mass budget must be positive and finite, got {mass_budget}")
-    T = max(ts)
+    T = ts[-1]
     idx = StabilityIndex.from_spec(beta_spec, T)
     blk = _budget_block(idx, T, "stationary", trunc_m, mass_budget)
     trunc = blk.trunc
-    excluded = ppp.small_jump_mass_window(idx, 0.0, T, trunc)
+    masses = [ppp.small_jump_mass_window(idx, 0.0, t, trunc) for t in ts]
+    excluded = masses[-1]
     _require(excluded < math.inf,
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
              "the float range, so no row could fail; raise trunc-m")
     with _open_pool(workers) as pool:
-        d = _map_reps(_increments_rep, int(reps), pool, seed=int(seed), channel=CH_LAPLACE,
+        d = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_LAPLACE,
                       idx=idx, blk=blk, windows=[(0.0, t) for t in ts])["inc"]
     rows = []
     for theta in thetas:
-        for t in sorted(range(len(ts)), key=lambda j: ts[j]):
-            tv = ts[t]
-            est = stats.empirical_laplace(d[:, t], theta)
-            oracle = subordinator.laplace_transform(idx, theta, tv)
-            bias = theta * ppp.small_jump_mass_window(idx, 0.0, tv, trunc)
+        for j, t in enumerate(ts):
+            est = stats.empirical_laplace(d[:, j], theta)
+            oracle = subordinator.laplace_transform(idx, theta, t)
+            bias = theta * masses[j]
             ok = abs(est.mean - oracle) <= 3.0 * est.se + bias
-            rows.append((idx.spec_string(), theta, tv, est.mean, est.se, oracle, bias, ok))
+            rows.append((idx.spec_string(), theta, t, est.mean, est.se, oracle, bias, ok))
     header = {
         "beta": idx.spec_string(),
-        "seed": int(seed),
-        "reps": int(reps),
+        "seed": seed,
+        "reps": reps,
         "theta": ",".join(_fmt(v) for v in thetas),
         "t": ",".join(_fmt(v) for v in ts),
         "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
@@ -500,11 +504,11 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
 
     The oracle exists only for a constant index at k = 0 (a Mittag-Leffler
     value); other rows are emitted without a pass judgement of their own."""
-    _check_common(reps, seed)
+    reps, seed = _check_common(reps, seed)
+    lam = float(lam)
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
-    ts = sorted(float(v) for v in ts)
-    _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
-    idx, tail = choose_horizon(beta_spec, max(ts))
+    ts = _check_times(ts)
+    idx, tail = choose_horizon(beta_spec, ts[-1])
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     with _open_pool(workers) as pool:
         if trunc_m is None:
@@ -513,7 +517,7 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
             # one stationary block on the whole horizon: no threshold to solve
             blk = _budget_block(idx, idx.horizon, "stationary", trunc_m)
             plan = PassagePlan(idx, tuple(ts), (blk,))
-        res = _map_reps(_passage_rep, int(reps), pool, seed=int(seed), plan=plan, rate=float(lam))
+        res = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
     xs = res["x"]
     unreached = int(np.isnan(res["e"]).sum())
     rows = []
@@ -535,9 +539,9 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
             rows.append((t, k, p, se, oracle, ok))
     header = {
         "beta": idx.spec_string(),
-        "seed": int(seed),
-        "reps": int(reps),
-        "lambda": float(lam),
+        "seed": seed,
+        "reps": reps,
+        "lambda": lam,
         "t": ",".join(_fmt(v) for v in ts),
         "horizon": idx.horizon,
         "horizon_tail_bound": tail,
@@ -564,13 +568,13 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
     level t vs the first-passage time E(t), and the composed walk vs the
     time-changed count X(t).  Each t is both a time and a level, so the
     horizon is at least the largest t."""
-    _check_common(reps, seed)
+    reps, seed = _check_common(reps, seed)
+    lam = float(lam)
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     L = ctrw.SlowlyVaryingFamily(lfamily)
-    ns = [int(v) for v in ns]
+    ns = sorted(int(v) for v in ns)
     _require(ns and all(v >= 2 for v in ns), f"n values must be integers >= 2, got {ns}")
-    ts = sorted(float(v) for v in ts)
-    _require(ts and all(_positive(v) for v in ts), f"t values must be positive and finite, got {ts}")
+    ts = _check_times(ts)
     longest = _T_END_CANDIDATES[-1]
     _require(ts[-1] <= longest,
              f"t values must be at most {longest:g}, the longest horizon, got {ts[-1]:g}")
@@ -593,20 +597,19 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
                      f"the row n={n} partial sums of the index {idx.spec_string()} can "
                      "overflow the float range; raise the index")
     # reference samples, shared by every n
-    T = max(ts)
-    blk_ref = _budget_block(idx, T, "threshold")
+    blk_ref = _budget_block(idx, ts[-1], "threshold")
     with _open_pool(workers) as pool:
-        dref = _map_reps(_increments_rep, int(reps), pool, seed=int(seed), channel=CH_D_REFERENCE,
+        dref = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_D_REFERENCE,
                          idx=idx, blk=blk_ref, windows=[(0.0, t) for t in ts])["inc"]
         plan = plan_passage(idx, ts, pool)
-        ref = _map_reps(_passage_rep, int(reps), pool, seed=int(seed), plan=plan, rate=float(lam))
+        ref = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
         eref, xref = ref["e"], ref["x"]
         rows = []
         flagged_total = 0
-        for i, n in enumerate(sorted(ns)):
-            res = _map_reps(_ctrw_rep, int(reps), pool, seed=int(seed),
+        for i, n in enumerate(ns):
+            res = _map_reps(_ctrw_rep, reps, pool, seed=seed,
                             channel=CH_CTRW_JUMPS + 2 * i, idx=idx, L=L, n=n, ts=ts,
-                            p_n=p_ns[n], lam=float(lam))
+                            p_n=p_ns[n], lam=lam)
             flagged_total += int(res["flagged"].sum())
             for j, t in enumerate(ts):
                 emask = ~np.isnan(eref[:, j])
@@ -618,13 +621,13 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
                 rows.append((n, t, ks_d, ks_e, ks_x, crit, ok))
     header = {
         "beta": idx.spec_string(),
-        "seed": int(seed),
-        "reps": int(reps),
+        "seed": seed,
+        "reps": reps,
         "lfamily": lfamily,
-        "n": ",".join(str(v) for v in sorted(ns)),
+        "n": ",".join(str(v) for v in ns),
         "t": ",".join(_fmt(v) for v in ts),
         "pn_rule": pn_rule,
-        "lambda": float(lam),
+        "lambda": lam,
         "alpha": float(alpha),
         "horizon": idx.horizon,
         "horizon_tail_bound": tail,
@@ -638,29 +641,28 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
 def run_paths(beta_spec, reps=10, seed=0, out="paths", workers=1, t=1.0, grid=101, lam=1.0):
     """Per-replication trajectory dumps of D, E and X on the uniform grid of
     [0, t], one file ``<out>.repNNNNN.csv`` each."""
-    _check_common(reps, seed)
+    reps, seed = _check_common(reps, seed)
     _require(isinstance(grid, (int, np.integer)) and grid >= 2,
              f"grid must be an integer >= 2, got {grid}")
     _require(_positive(t), f"t must be positive and finite, got {t}")
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
-    T = float(t)
+    T, lam, grid = float(t), float(lam), int(grid)
     ppp.check_points(grid, 0.0, T, "each replication writes one row per grid point; lower --grid")
     ppp.check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
     idx = StabilityIndex.from_spec(beta_spec, T)
     blk = _budget_block(idx, T, "threshold")
     with _open_pool(workers) as pool:
-        res = _map_reps(_paths_rep, int(reps), pool, seed=int(seed), idx=idx,
-                        ts=np.linspace(0.0, T, int(grid)), blk=blk, lam=float(lam),
-                        out_prefix=out)
-    rows = list(zip(range(int(reps)), res["file"].tolist(), res["nflag"].tolist(),
+        res = _map_reps(_paths_rep, reps, pool, seed=seed, idx=idx,
+                        ts=np.linspace(0.0, T, grid), blk=blk, lam=lam, out_prefix=out)
+    rows = list(zip(range(reps), res["file"].tolist(), res["nflag"].tolist(),
                     res["ok"].tolist()))
     header = {
         "beta": idx.spec_string(),
-        "seed": int(seed),
-        "reps": int(reps),
-        "lambda": float(lam),
+        "seed": seed,
+        "reps": reps,
+        "lambda": lam,
         "horizon": T,
-        "grid": int(grid),
+        "grid": grid,
         "truncation": f"{blk.trunc.mode}:{blk.trunc.parameter:.17g}",
     }
     return Report("paths", header, ("rep", "file", "flagged_rows", "pass"), rows)
@@ -684,8 +686,7 @@ def _count_inversions(seq):
 def run_verify(seed=0, workers=1, quick=False, scale=1.0):
     """The full property suite; one row per check, grouped by criterion."""
     _require(_positive(scale), f"scale must be positive and finite, got {scale}")
-    _check_seed(seed)
-    seed = int(seed)
+    seed = _check_seed(seed)
     if quick:
         sizes = dict(laplace=2000, cross=2000, continuity=2000, increments=2000,
                      monotone=50, mfpp=3000, tail=100_000, ctrw=1000)
@@ -742,7 +743,7 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         inc4 = _map_reps(_increments_rep, n4, pool, seed=seed, channel=CH_INCREMENTS, idx=idx_c,
                          blk=_budget_block(idx_c, 1.0, "stationary"),
                          windows=[(0.0, 0.5), (0.5, 1.0)])["inc"]
-        corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]).mean)
+        corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]))
         bound4 = 3.0 / math.sqrt(n4)
         rows.append((4, "increment correlation (0,0.5] vs (0.5,1]", corr, bound4, corr <= bound4))
 

@@ -213,41 +213,29 @@ def expected_count_window(idx, t0, t1, trunc):
 
 def solve_truncation(idx, T, mode, mass_budget, t0=0.0, max_count=math.inf):
     """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
-    ``mass_budget``.  A finite ``max_count`` caps a threshold truncation:
-    where the expected point count exceeds it, eps rises to the one whose
-    count equals ``max_count``, which excludes more mass.
+    ``mass_budget``.  A finite ``max_count`` caps the expected point count:
+    where it is exceeded, the parameter moves to where the count equals
+    ``max_count``, which excludes more mass.
 
-    Bisection on the log of the parameter; the mass is monotone in it
-    (increasing in eps, decreasing in M) and the count the other way.  The
-    count is only integrated when ``max_count`` is finite."""
+    Bisection on the log10 p of eps in (1e-300, 1) or of M in [1e-6, 1e300],
+    to a 1e-12 bracket that lands within the target; the mass rises in eps
+    and falls in M, the count the other way.  Where the whole bracket is
+    within the target, its end with the largest integral is returned."""
     if mass_budget <= 0:
         raise ValueError(f"mass budget must be positive, got {mass_budget}")
-    if max_count < math.inf and mode != "threshold":
-        raise ValueError(f"a point-count cap applies to threshold truncation, not {mode!r}")
+    lo, hi = (-300.0, -1e-9) if mode == "threshold" else (-6.0, 300.0)
 
-    def solve(window_integral, target, up_in_eps):
-        def at(logp):
-            return window_integral(idx, t0, T, Truncation(mode, 10.0**logp))
+    def solve(window_integral, target, rises):
+        def at(p):
+            return window_integral(idx, t0, T, Truncation(mode, 10.0**p))
 
-        if mode == "threshold":
-            return log_bisect(at, target, -300.0, -1e-9, up_in_eps)  # eps in (1e-300, 1)
-        return log_bisect(at, target, -6.0, 300.0, not up_in_eps)
+        edge = hi if rises else lo
+        if at(edge) <= target:
+            return 10.0**edge
+        a, b = bisect(lambda p: (at(p) > target) != rises, lo, hi, lambda a, b: b - a < 1e-12)
+        return 10.0 ** (a if rises else b)
 
-    p = solve(small_jump_mass_window, mass_budget, True)
+    p = solve(small_jump_mass_window, mass_budget, mode == "threshold")
     if max_count < math.inf and expected_count_window(idx, t0, T, Truncation(mode, p)) > max_count:
-        p = solve(expected_count_window, max_count, False)
+        p = solve(expected_count_window, max_count, mode != "threshold")
     return Truncation(mode, p)
-
-
-def log_bisect(f, target, lo, hi, increasing):
-    """10**p for the p in [lo, hi] where the monotone ``f`` crosses ``target``.
-
-    ``increasing`` says whether f grows with p.  The result lands on the
-    side with f(p) <= target, to a 1e-12 bracket in p; when f stays within
-    the target on the whole bracket, the end where f is largest is returned."""
-    edge = hi if increasing else lo
-    if f(edge) <= target:
-        return 10.0**edge
-    lo, hi = bisect(lambda p: (f(p) > target) != increasing, lo, hi,
-                    lambda lo, hi: hi - lo < 1e-12)
-    return 10.0 ** (lo if increasing else hi)

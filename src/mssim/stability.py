@@ -40,26 +40,19 @@ def _sin_extrema(p, a, b):
 
 
 class _Family(NamedTuple):
-    spec: str  # the family's name in textual specs
     n_params: int  # 0 marks the knot table, which takes any number of knots
     value: object  # (params, t array) -> beta(t)
     critical: object  # (params, a, b) -> interior candidates for extrema on [a, b]
 
 
 _FAMILIES = {
-    "constant": _Family("constant", 1, lambda p, t: np.full_like(t, p[0]),
-                        lambda p, a, b: []),
-    "affine": _Family("affine", 2, lambda p, t: p[0] + p[1] * t, lambda p, a, b: []),
-    "sinusoid": _Family("sin", 3, lambda p, t: p[0] + p[1] * np.sin(2.0 * math.pi * p[2] * t),
-                        _sin_extrema),
-    "table": _Family("table", 0,
-                     lambda p, t: np.interp(t, [k[0] for k in p], [k[1] for k in p]),
+    "constant": _Family(1, lambda p, t: np.full_like(t, p[0]), lambda p, a, b: []),
+    "affine": _Family(2, lambda p, t: p[0] + p[1] * t, lambda p, a, b: []),
+    "sin": _Family(3, lambda p, t: p[0] + p[1] * np.sin(2.0 * math.pi * p[2] * t), _sin_extrema),
+    "table": _Family(0, lambda p, t: np.interp(t, [k[0] for k in p], [k[1] for k in p]),
                      lambda p, a, b: [k[0] for k in p if a < k[0] < b]),
 }
 FAMILIES = tuple(_FAMILIES)
-
-# names accepted in textual specs: each family's spec name and its full name
-_BY_SPEC = {name: f for f, fam in _FAMILIES.items() for name in (f, fam.spec)}
 
 
 @dataclass(frozen=True)
@@ -69,7 +62,7 @@ class StabilityIndex:
     ``params`` per family:
       constant:  (c,)
       affine:    (c0, c1)            beta(t) = c0 + c1*t
-      sinusoid:  (c0, c1, c2)        beta(t) = c0 + c1*sin(2*pi*c2*t)
+      sin:       (c0, c1, c2)        beta(t) = c0 + c1*sin(2*pi*c2*t)
       table:     ((t0, b0), ...)     linear interpolation between knots
     """
 
@@ -171,7 +164,6 @@ class StabilityIndex:
         try:
             name, _, rest = spec.partition(":")
             name = name.strip().lower()
-            name = _BY_SPEC.get(name, name)
             if name in _FAMILIES and not _FAMILIES[name].n_params:
                 params = tuple(
                     tuple(float(v) for v in knot.split(","))
@@ -186,9 +178,8 @@ class StabilityIndex:
 
     def spec_string(self):
         """Canonical textual form, round-trips through from_spec."""
-        fam = _FAMILIES[self.family]
-        if fam.n_params:
+        if _FAMILIES[self.family].n_params:
             body = ",".join(f"{v:g}" for v in self.params)
         else:
             body = ";".join(f"{t:g},{b:g}" for t, b in self.params)
-        return f"{fam.spec}:{body}"
+        return f"{self.family}:{body}"

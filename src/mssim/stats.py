@@ -112,5 +112,4 @@ def increment_correlation(inc1, inc2):
         raise ValueError(f"need at least 2 paths, got {n}")
     if inc1.std() == 0.0 or inc2.std() == 0.0:
         raise DegenerateSampleError("an increment sample has zero variance")
-    corr = float(np.corrcoef(inc1, inc2)[0, 1])
-    return McEstimate(corr, 1.0 / math.sqrt(n), n)
+    return float(np.corrcoef(inc1, inc2)[0, 1])

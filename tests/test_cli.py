@@ -231,6 +231,16 @@ def test_omitted_options_take_the_former_defaults(name, tmp_path, monkeypatch, c
     assert outputs[0][0].startswith(f"# command={name}\n")
 
 
+def test_laplace_t_order_does_not_change_the_report(capsys):
+    outputs = []
+    for ts in ("1,0.5", "0.5,1"):
+        argv = ["laplace", "--beta", "affine:0.4,0.2", "--t", ts, "--reps", "50", "--seed", "1"]
+        assert cli.main(argv) in (0, 1)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "# t=0.5,1\n" in outputs[0]
+
+
 def test_out_of_memory_is_usage_error():
     # 1e14 replications need an 800 TB result array, beyond any address space
     res = run_cli("laplace", "--beta", "constant:0.5", "--t", "1", "--reps", "100000000000000",

@@ -177,8 +177,10 @@ def test_solve_truncation_caps_the_point_count():
     kept = expected_count_window(IDX_AFFINE, 0.0, 1.0, capped)
     assert kept <= count / 10.0 and kept == pytest.approx(count / 10.0, rel=1e-9)
     assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, capped) > 1e-3
-    with pytest.raises(ValueError, match="threshold"):
-        solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3, max_count=50.0)
+    # the stationary count M * (T - t0) rises in M, and the same solve caps it
+    m = solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3, max_count=50.0)
+    assert m.parameter <= 50.0 and m.parameter == pytest.approx(50.0, rel=1e-9)
+    assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, m) == pytest.approx(0.0315, abs=5e-5)
 
 
 @pytest.mark.parametrize("c2", [2, 4, 8])

@@ -25,7 +25,7 @@ def test_affine_evaluate():
 
 
 def test_sinusoid_evaluate():
-    idx = StabilityIndex("sinusoid", (0.5, 0.3, 1.0), 1.0)
+    idx = StabilityIndex("sin", (0.5, 0.3, 1.0), 1.0)
     assert idx.evaluate(0.25) == pytest.approx(0.8, abs=1e-12)
 
 
@@ -47,13 +47,13 @@ def test_bounds_affine():
 
 
 def test_bounds_sinusoid():
-    idx = StabilityIndex("sinusoid", (0.5, 0.3, 1.0), 1.0)
+    idx = StabilityIndex("sin", (0.5, 0.3, 1.0), 1.0)
     assert idx.beta_inf == pytest.approx(0.2, abs=1e-12)
     assert idx.beta_sup == pytest.approx(0.8, abs=1e-12)
 
 
 def test_bounds_on_subwindow_hits_interior_extremum():
-    idx = StabilityIndex("sinusoid", (0.5, 0.3, 1.0), 1.0)
+    idx = StabilityIndex("sin", (0.5, 0.3, 1.0), 1.0)
     lo, hi = idx.bounds_on(0.2, 0.3)  # the maximizer t=0.25 is interior
     assert hi == pytest.approx(0.8, abs=1e-12)
     assert lo < hi
@@ -63,11 +63,11 @@ def test_sin_extrema_are_capped_before_they_are_listed():
     # 2 * c2 * horizon extrema; past the cap, and where the product
     # overflows, the index is one line of error, not a list of 1e9 times
     at_cap = _MAX_SIN_EXTREMA / 2.0
-    assert len(StabilityIndex("sinusoid", (0.5, 0.2, at_cap), 1.0).critical_points(0.0, 1.0)) \
+    assert len(StabilityIndex("sin", (0.5, 0.2, at_cap), 1.0).critical_points(0.0, 1.0)) \
         == _MAX_SIN_EXTREMA
     for c2 in (at_cap * 1.01, 1e9, -1e9, 1e308):
         with pytest.raises(ValueError, match=re.escape(f"c2={c2:g} has more than")) as err:
-            StabilityIndex("sinusoid", (0.5, 0.2, c2), 1.0)
+            StabilityIndex("sin", (0.5, 0.2, c2), 1.0)
         assert "\n" not in str(err.value) and "[0, 1]" in str(err.value)
 
 
