@@ -48,31 +48,33 @@ def build_parser():
                             help="index spec, e.g. constant:0.5")
         return sp
 
+    rate = "rate of the Poisson process N in X = N(E)"
     lap = command("laplace", experiments.run_laplace, "transform of D(t) vs the closed form")
-    lap.add_argument("--theta", dest="thetas", type=_list("--theta"))
-    lap.add_argument("--t", dest="ts", type=_list("--t"))
+    lap.add_argument("--theta", dest="thetas", type=_list("--theta"), help="transform arguments")
+    lap.add_argument("--t", dest="ts", type=_list("--t"), help="comma-separated times t of D(t)")
     lap.add_argument("--trunc-m", type=float,
                      help="stationary truncation level (default: solve for the mass budget)")
-    lap.add_argument("--mass-budget", type=float)
+    lap.add_argument("--mass-budget", type=float, help="jump mass the truncation may exclude")
 
     mfpp = command("mfpp", experiments.run_mfpp, "marginal law of the time-changed count X(t)")
-    mfpp.add_argument("--lambda", dest="lam", type=float)
-    mfpp.add_argument("--t", dest="ts", type=_list("--t"))
-    mfpp.add_argument("--trunc-m", type=float)
+    mfpp.add_argument("--lambda", dest="lam", type=float, help=rate)
+    mfpp.add_argument("--t", dest="ts", type=_list("--t"), help="comma-separated times t of X(t)")
+    mfpp.add_argument("--trunc-m", type=float,
+                      help="stationary truncation level (default: solve threshold blocks)")
 
     ct = command("ctrw", experiments.run_ctrw, "array approximations vs direct simulation (KS)")
-    ct.add_argument("--lfamily", choices=("unit", "log"))
-    ct.add_argument("--n", dest="ns", type=_list("--n", int, "integers"))
-    ct.add_argument("--t", dest="ts", type=_list("--t"))
+    ct.add_argument("--lfamily", choices=("unit", "log"), help="slowly varying tail factor")
+    ct.add_argument("--n", dest="ns", type=_list("--n", int, "integers"), help="array rows n")
+    ct.add_argument("--t", dest="ts", type=_list("--t"), help="times t, also the levels of E")
     ct.add_argument("--pn-rule", help="'sqrt' or 'const:<v>'")
-    ct.add_argument("--lambda", dest="lam", type=float)
-    ct.add_argument("--alpha", type=float, choices=(0.01, 0.05))
+    ct.add_argument("--lambda", dest="lam", type=float, help=rate)
+    ct.add_argument("--alpha", type=float, choices=(0.01, 0.05), help="KS significance level")
 
     pa = command("paths", experiments.run_paths, "per-replication trajectory dumps of D, E, X",
                  "prefix of the files <out>.repNNNNN.csv (default: paths); summary to stdout")
     pa.add_argument("--t", type=float, help="horizon of the evaluation grid")
     pa.add_argument("--grid", type=int, help="number of grid points")
-    pa.add_argument("--lambda", dest="lam", type=float)
+    pa.add_argument("--lambda", dest="lam", type=float, help=rate)
 
     ver = command("verify", experiments.run_verify, "run the full property suite")
     ver.add_argument("--quick", action="store_true", help="reduced replication counts")

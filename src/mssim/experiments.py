@@ -46,6 +46,10 @@ CH_CTRW_JUMPS = 16  # + 2 * (index of n in the n list); walk channel is +1
 _CHANNEL_SHIFT = 40
 
 DEFAULT_MASS_BUDGET = 1e-3
+# points a whole-horizon block may draw over all replications of one run:
+# 100-160 s of drawing at the 50-80 ns per point measured on one core of a
+# 2-vCPU Xeon, and 5 times the full verify's laplace run (100,000 x 3,975)
+_MAX_RUN_POINTS = 2e9
 _PASSAGE_BLOCK_LEN = 0.25
 _PASSAGE_POINTS_CAP = 3.0e5
 _PASSAGE_TAIL_TARGET = 1e-8
@@ -230,16 +234,22 @@ class PassagePlan:
     blocks: tuple
 
 
-def _budget_block(idx, T, mode, trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
+def _budget_block(idx, T, mode, reps, trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
     """The block [0, T]: the stationary one at the level ``trunc_m`` if it is
     given, else the one under the truncation of ``mode`` that meets the
-    excluded-mass budget."""
+    excluded-mass budget.  A ValueError rejects, before anything is drawn, a
+    run whose ``reps`` replications draw more than ``_MAX_RUN_POINTS`` points."""
     if trunc_m is None:
         trunc = ppp.solve_truncation(idx, T, mode, mass_budget)
     else:
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc = ppp.Truncation("stationary", float(trunc_m))
-    return ppp.plan_block(idx, 0.0, T, trunc)
+    blk = ppp.plan_block(idx, 0.0, T, trunc)
+    drawn = ppp.drawn_count(blk)
+    _require(reps * drawn <= _MAX_RUN_POINTS,
+             f"{reps} replications at {drawn:.3g} points per replication draw "
+             f"{reps * drawn:.3g}, above the run cap of {_MAX_RUN_POINTS:g}; lower --reps")
+    return blk
 
 
 def _passage_block(idx, t0, t1):
@@ -467,7 +477,7 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
     _require(_positive(mass_budget), f"mass budget must be positive and finite, got {mass_budget}")
     T = ts[-1]
     idx = StabilityIndex.from_spec(beta_spec, T)
-    blk = _budget_block(idx, T, "stationary", trunc_m, mass_budget)
+    blk = _budget_block(idx, T, "stationary", reps, trunc_m, mass_budget)
     trunc = blk.trunc
     masses = [ppp.small_jump_mass_window(idx, 0.0, t, trunc) for t in ts]
     excluded = masses[-1]
@@ -515,7 +525,7 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
             plan = plan_passage(idx, ts, pool)
         else:
             # one stationary block on the whole horizon: no threshold to solve
-            blk = _budget_block(idx, idx.horizon, "stationary", trunc_m)
+            blk = _budget_block(idx, idx.horizon, "stationary", reps, trunc_m)
             plan = PassagePlan(idx, tuple(ts), (blk,))
         res = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
     xs = res["x"]
@@ -597,7 +607,7 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
                      f"the row n={n} partial sums of the index {idx.spec_string()} can "
                      "overflow the float range; raise the index")
     # reference samples, shared by every n
-    blk_ref = _budget_block(idx, ts[-1], "threshold")
+    blk_ref = _budget_block(idx, ts[-1], "threshold", reps)
     with _open_pool(workers) as pool:
         dref = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_D_REFERENCE,
                          idx=idx, blk=blk_ref, windows=[(0.0, t) for t in ts])["inc"]
@@ -650,7 +660,7 @@ def run_paths(beta_spec, reps=10, seed=0, out="paths", workers=1, t=1.0, grid=10
     ppp.check_points(grid, 0.0, T, "each replication writes one row per grid point; lower --grid")
     ppp.check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
     idx = StabilityIndex.from_spec(beta_spec, T)
-    blk = _budget_block(idx, T, "threshold")
+    blk = _budget_block(idx, T, "threshold", reps)
     with _open_pool(workers) as pool:
         res = _map_reps(_paths_rep, reps, pool, seed=seed, idx=idx,
                         ts=np.linspace(0.0, T, grid), blk=blk, lam=lam, out_prefix=out)
@@ -718,7 +728,7 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         samples = {}
         for mode, ch in (("stationary", CH_CROSS_STATIONARY), ("threshold", CH_CROSS_THRESHOLD)):
             samples[mode] = _map_reps(_increments_rep, n2, pool, seed=seed, channel=ch, idx=idx_c,
-                                      blk=_budget_block(idx_c, 1.0, mode),
+                                      blk=_budget_block(idx_c, 1.0, mode, n2),
                                       windows=[(0.0, 1.0)])["inc"][:, 0]
         ks = stats.ks_two_sample(samples["stationary"], samples["threshold"])
         crit = stats.ks_critical_value(n2, n2, 0.01)
@@ -729,7 +739,7 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         windows = [(t, t + h) for t in (0.0, 0.4) for h in (0.01, 0.05, 0.1)]
         idx3 = StabilityIndex.from_spec("constant:0.5", 0.5)
         inc = _map_reps(_increments_rep, n3, pool, seed=seed, channel=CH_CONTINUITY, idx=idx3,
-                        blk=_budget_block(idx3, 0.5, "stationary"), windows=windows)["inc"]
+                        blk=_budget_block(idx3, 0.5, "stationary", n3), windows=windows)["inc"]
         c_const = 21.0
         for j, (a, b) in enumerate(windows):
             h = b - a
@@ -741,7 +751,7 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         # 4: increments on (0, 0.5] and (0.5, 1] are uncorrelated
         n4 = sizes["increments"]
         inc4 = _map_reps(_increments_rep, n4, pool, seed=seed, channel=CH_INCREMENTS, idx=idx_c,
-                         blk=_budget_block(idx_c, 1.0, "stationary"),
+                         blk=_budget_block(idx_c, 1.0, "stationary", n4),
                          windows=[(0.0, 0.5), (0.5, 1.0)])["inc"]
         corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]))
         bound4 = 3.0 / math.sqrt(n4)
@@ -752,7 +762,7 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         for spec in _VERIFY_FAMILIES:
             idx5 = StabilityIndex.from_spec(spec, 1.0)
             bad = _map_reps(_monotone_rep, n5, pool, seed=seed, idx=idx5,
-                            blk=_budget_block(idx5, 1.0, "stationary"))
+                            blk=_budget_block(idx5, 1.0, "stationary", n5))
             total = int(bad["bad"].sum())
             rows.append((5, f"monotone+inverse violations {spec}", total, 0, total == 0))
 

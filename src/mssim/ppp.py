@@ -80,9 +80,9 @@ class Block:
 def plan_block(idx, t0, t1, trunc):
     """The ``Block`` on [t0, t1], a non-empty window inside [0, horizon];
     its mean count is ``expected_count_window``.  A ValueError rejects, before
-    anything is drawn, a block that draws more than ``MAX_POINTS`` points: its
-    mean count, or under threshold truncation its envelope count, which bounds
-    the rejection candidates to within the factor two of the batch rule."""
+    anything is drawn, a block whose ``drawn_count`` exceeds ``MAX_POINTS``;
+    under threshold truncation that is the envelope count, which bounds the
+    rejection candidates to within the factor two of the batch rule."""
     if not (np.isfinite(t0) and np.isfinite(t1)
             and 0.0 <= t0 < t1 <= idx.horizon * (1.0 + 1e-12)):
         raise ValueError(f"the window [{t0}, {t1}] must be non-empty and lie in "
@@ -90,9 +90,15 @@ def plan_block(idx, t0, t1, trunc):
     t0, t1 = float(t0), min(float(t1), idx.horizon)
     blk = Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc),
                 idx.bounds_on(t0, t1)[1])
-    drawn = envelope_count(blk) if trunc.mode == "threshold" else blk.mean_count
-    check_points(drawn, t0, t1, "the index is too close to 1 or the truncation level too high")
+    check_points(drawn_count(blk), t0, t1,
+                 "the index is too close to 1 or the truncation level too high")
     return blk
+
+
+def drawn_count(blk):
+    """The points one replication draws on the block, in the mean: its mean
+    count, or under threshold truncation its envelope count."""
+    return envelope_count(blk) if blk.trunc.mode == "threshold" else blk.mean_count
 
 
 def check_points(count, t0, t1, hint):

@@ -6,13 +6,15 @@ single PASS/FAIL line for it.  The determinism criterion additionally
 exercises the real command-line entry point.
 
 The negative controls at the end show that a criterion can fail: a sampler
-that reads its index 0.05 too high must trip it.
+that reads its index 0.05 too high, or a passage kernel that does not carry
+its running total across blocks, must trip it.
 """
 
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mssim import experiments, ppp, stats
@@ -133,7 +135,7 @@ def _criterion_2_ks(n):
     """Criterion 2's KS distance at n draws per sampler, and its critical value."""
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
     samples = [experiments._map_reps(experiments._increments_rep, n, None, seed=SEED, channel=ch,
-                                     idx=idx, blk=experiments._budget_block(idx, 1.0, mode),
+                                     idx=idx, blk=experiments._budget_block(idx, 1.0, mode, n),
                                      windows=[(0.0, 1.0)])["inc"][:, 0]
                for mode, ch in (("stationary", experiments.CH_CROSS_STATIONARY),
                                 ("threshold", experiments.CH_CROSS_THRESHOLD))]
@@ -148,3 +150,24 @@ def test_criterion_2_fails_when_one_sampler_shifts_beta(monkeypatch):
     _shift_beta(monkeypatch, "sample_threshold")
     ks, crit = _criterion_2_ks(2000)
     assert ks > 3.0 * crit
+
+
+def test_criterion_6_fails_when_the_passage_forgets_earlier_blocks(monkeypatch):
+    # criterion 6's run at the quick size: |p - oracle| is 0.0068 against
+    # 3*SE = 0.027, and 0.050 when each block's sum starts from zero again
+    args = ("constant:0.5", 1.0, [1.0], 3000, SEED)
+    assert experiments.run_mfpp(*args).all_pass()
+    passage = experiments._block_passage
+
+    def forgetful(stream, plan):
+        e = np.full(len(plan.levels), np.nan)
+        for blk in plan.blocks:
+            left = np.isnan(e)
+            if not left.any():
+                break
+            levels = tuple(np.asarray(plan.levels)[left])
+            e[left] = passage(stream, experiments.PassagePlan(plan.idx, levels, (blk,)))
+        return e
+
+    monkeypatch.setattr(experiments, "_block_passage", forgetful)
+    assert not experiments.run_mfpp(*args).all_pass()

@@ -103,6 +103,9 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     # raised inside a plan worker of the pool, and in the parent for ctrw's D reference
     ("mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
     ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
+    # 9.3e5 points per replication, within the replication cap, but 1.9e10 over the run
+    ("laplace", "--beta", "sin:0.5,0.2,2", "--theta", "0.5,2", "--t", "1", "--reps", "20000",
+     "--seed", "3"),
 ])
 def test_too_many_points_is_usage_error(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())
@@ -187,6 +190,12 @@ def test_every_option_is_a_parameter_of_its_pipeline():
         assert dests <= set(params), (name, dests - set(params))
         required = {k for k, v in params.items() if v.default is inspect.Parameter.empty}
         assert required == {a.dest for a in options if a.required}, name
+
+
+def test_every_option_has_help():
+    for name, sp in _commands().items():
+        bare = [a.option_strings[0] for a in sp._actions if not a.help]
+        assert not bare, (name, bare)
 
 
 def test_absent_options_are_not_passed(monkeypatch, capsys):

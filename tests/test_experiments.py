@@ -496,7 +496,7 @@ def test_a_plan_in_a_real_pool_equals_the_serial_plan():
 @pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)
 def test_increments_equal_the_two_mask_sums_bit_for_bit(mode):
     idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
-    blk = experiments._budget_block(idx, 1.0, mode)
+    blk = experiments._budget_block(idx, 1.0, mode, 12)
     # (0, t < T], (0, T], (0, b > T] and windows with a > 0
     windows = [(0.0, 0.3), (0.0, 0.95), (0.0, 1.0), (0.0, 2.0), (0.25, 0.75), (0.5, 1.0)]
     for rep in range(12):
