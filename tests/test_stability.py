@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mssim import StabilityIndex
-from mssim.stability import _MAX_SIN_EXTREMA
+from mssim.stability import _MAX_SIN_EXTREMA, FAMILIES
 
 
 def test_constant_evaluate():
@@ -101,11 +101,14 @@ def test_from_spec_round_trip():
     for spec in ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.3,1", "table:0,0.3;1,0.7"):
         idx = StabilityIndex.from_spec(spec, 1.0)
         assert StabilityIndex.from_spec(idx.spec_string(), 1.0) == idx
+        # one name per family, in the spec and in the index alike
+        assert idx.family == spec.partition(":")[0] and idx.family in FAMILIES
 
 
 def test_from_spec_rejects_garbage():
-    with pytest.raises(ValueError):
-        StabilityIndex.from_spec("parabola:0.5", 1.0)
+    for name in ("parabola", "sinusoid"):
+        with pytest.raises(ValueError, match="unknown family"):
+            StabilityIndex.from_spec(f"{name}:0.5,0.3,1", 1.0)
     with pytest.raises(ValueError):
         StabilityIndex.from_spec("constant:zero.five", 1.0)
 
