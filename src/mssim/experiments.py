@@ -234,13 +234,16 @@ class PassagePlan:
     blocks: tuple
 
 
-def _budget_block(idx, T, mode, reps, trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
+def _budget_block(idx, T, mode, reps, trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET,
+                  compensated=False):
     """The block [0, T]: the stationary one at the level ``trunc_m`` if it is
     given, else the one under the truncation of ``mode`` that meets the
-    excluded-mass budget.  A ValueError rejects, before anything is drawn, a
-    run whose ``reps`` replications draw more than ``_MAX_RUN_POINTS`` points."""
+    excluded-mass budget, which a ``compensated`` block spends on the sd of
+    the excluded jumps instead.  A ValueError rejects, before anything is
+    drawn, a run whose ``reps`` replications draw more than
+    ``_MAX_RUN_POINTS`` points."""
     if trunc_m is None:
-        trunc = ppp.solve_truncation(idx, T, mode, mass_budget)
+        trunc = ppp.solve_truncation(idx, T, mode, mass_budget, compensated=compensated)
     else:
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc = ppp.Truncation("stationary", float(trunc_m))
@@ -253,14 +256,16 @@ def _budget_block(idx, T, mode, reps, trunc_m=None, mass_budget=DEFAULT_MASS_BUD
 
 
 def _passage_block(idx, t0, t1):
-    """The threshold block on [t0, t1]: up to t=1 it respects the
-    excluded-mass rate exactly; later blocks (visited only when passage has
-    not yet happened) additionally cap the expected point count, trading a
-    small, quantified extra excluded mass for bounded cost where the local
-    index is close to 1."""
+    """The compensated threshold block on [t0, t1], with the excluded mass of
+    each of its ``_PASSAGE_BINS`` time bins as its drift: up to t=1 the sd
+    of its excluded jumps meets the budget rate exactly; later blocks
+    (visited only when passage has not yet happened) additionally cap the
+    expected point count, trading a small, quantified extra sd for bounded
+    cost where the local index is close to 1."""
     trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0,
-                                 max_count=_PASSAGE_POINTS_CAP if t1 > 1.0 else math.inf)
-    return ppp.plan_block(idx, t0, t1, trunc)
+                                 max_count=_PASSAGE_POINTS_CAP if t1 > 1.0 else math.inf,
+                                 compensated=True)
+    return ppp.plan_block(idx, t0, t1, trunc, bins=_PASSAGE_BINS)
 
 
 def plan_passage(idx, levels, pool=None):
@@ -292,13 +297,14 @@ def _block_passage(stream, plan):
     """First-passage times of one truncated path at every plan level.
 
     A block that leaves the path below the lowest open level only adds its
-    size sum.  A block that reaches a level is summed over ``_PASSAGE_BINS``
-    equal time bins, which hold ascending, disjoint time ranges; a level is
-    crossed in the first bin whose running sum reaches it, and only that
-    bin's points are sorted and searched.  This is the passage of the
-    block's sorted path up to the rounding of its partial sums.  Levels not
-    reached by the horizon stay NaN (the caller flags them); blocks after
-    the last passage are never sampled."""
+    size sum and its drift.  A block that reaches a level is summed over
+    ``_PASSAGE_BINS`` equal time bins, each with its drift, which hold
+    ascending, disjoint time ranges; a level is crossed in the first bin
+    whose running sum reaches it, and only that bin's points are sorted and
+    searched.  This is the passage of the block's sorted path up to the
+    rounding of its partial sums.  Levels not reached by the horizon stay
+    NaN (the caller flags them); blocks after the last passage are never
+    sampled."""
     levels = np.asarray(plan.levels)
     e = np.full(len(levels), np.nan)
     total = 0.0
@@ -306,28 +312,51 @@ def _block_passage(stream, plan):
     for blk in plan.blocks:
         pat = ppp.sample_pattern(stream, blk, plan.idx)
         t, x = pat.times, pat.sizes
-        mass = x.sum()
+        drift = 0.0 if blk.drift is None else blk.drift
+        mass = x.sum() + np.sum(drift)
         if total + mass < levels[nxt]:
             total += mass
             continue
         # rounding is monotone, so a later time never falls in an earlier bin
         scale = _PASSAGE_BINS / (blk.t1 - blk.t0)
+        width = (blk.t1 - blk.t0) / _PASSAGE_BINS
         bins = np.minimum(((t - blk.t0) * scale).astype(np.intp), _PASSAGE_BINS - 1)
-        ends = total + np.cumsum(np.bincount(bins, weights=x, minlength=_PASSAGE_BINS))
+        ends = total + np.cumsum(np.bincount(bins, weights=x, minlength=_PASSAGE_BINS) + drift)
         crossing = np.searchsorted(ends, levels[nxt:], side="left")
         for k in np.unique(crossing[crossing < _PASSAGE_BINS]):
             inside = np.flatnonzero(bins == k)
             order = inside[np.argsort(t[inside])]
-            prefix = (ends[k - 1] if k else total) + np.cumsum(x[order])
-            # the bin ends at its bin sum, so a level placed in it is reached in it
-            prefix[-1] = ends[k]
+            start = ends[k - 1] if k else total
+            prefix = start + np.cumsum(x[order])
             hit = nxt + np.flatnonzero(crossing == k)
-            e[hit] = inverse_mfpp.first_passage(t[order], prefix, levels[hit])
+            if blk.drift is None:
+                # the bin ends at its bin sum, so a level placed in it is reached in it
+                prefix[-1] = ends[k]
+                e[hit] = inverse_mfpp.first_passage(t[order], prefix, levels[hit])
+            else:
+                e[hit] = _ramp_passage(t[order], prefix, start, ends[k], blk.t0 + k * width,
+                                       width, drift[k], levels[hit])
         nxt += int(np.count_nonzero(crossing < _PASSAGE_BINS))
         if nxt >= len(levels):
             break
         total = ends[-1]
     return e
+
+
+def _ramp_passage(times, prefix, start, end, b0, width, drift, levels):
+    """First passage at each level in one bin [b0, b0 + width] of a
+    compensated block, where the path starts at ``start``, takes its jumps
+    (ascending ``times``, running sums ``prefix`` from ``start``) and rises
+    by ``drift`` spread linearly across the bin, to end at ``end``.
+
+    The first jump or bin end whose value reaches a level bounds its
+    passage; the drift reaches the level earlier where the line from the
+    jump sum before it crosses the level first."""
+    ramp = drift / width
+    jumps = np.concatenate(([start], prefix))  # the jump sum before each jump and the bin end
+    after = np.append(prefix + ramp * (times - b0), end)
+    j = np.searchsorted(after, levels, side="left")
+    return np.minimum(np.append(times, b0 + width)[j], b0 + (levels - jumps[j]) / ramp)
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +599,16 @@ def _parse_pn(pn_rule, n):
     raise ValueError(f"pn-rule must be 'sqrt' or 'const:<v>', got {pn_rule!r}")
 
 
+def _d_reference(idx, ts, reps, seed, pool):
+    """D(t) at each ascending t for every replication, from one compensated
+    threshold block on [0, max t]: its jump sum up to t plus the mass it
+    excludes up to t."""
+    blk = _budget_block(idx, ts[-1], "threshold", reps, compensated=True)
+    d = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_D_REFERENCE, idx=idx,
+                  blk=blk, windows=[(0.0, t) for t in ts])["inc"]
+    return d + [ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc) for t in ts]
+
+
 def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, seed=0, workers=1,
              pn_rule="sqrt", lam=1.0, alpha=0.01):
     """KS distances of the array approximations against direct simulation.
@@ -607,10 +646,8 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
                      f"the row n={n} partial sums of the index {idx.spec_string()} can "
                      "overflow the float range; raise the index")
     # reference samples, shared by every n
-    blk_ref = _budget_block(idx, ts[-1], "threshold", reps)
     with _open_pool(workers) as pool:
-        dref = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_D_REFERENCE,
-                         idx=idx, blk=blk_ref, windows=[(0.0, t) for t in ts])["inc"]
+        dref = _d_reference(idx, ts, reps, seed, pool)
         plan = plan_passage(idx, ts, pool)
         ref = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
         eref, xref = ref["e"], ref["x"]

@@ -7,8 +7,8 @@ cross-validate each other:
 
   stationary:  unit-rate points (t, u) on [0, T] x (0, M] mapped through
                (t, u) -> (t, u**(-1/beta(t)))
-  threshold:   only jumps of size >= eps, times from the non-homogeneous
-               rate eps**(-beta(t)) by rejection under the constant
+  threshold:   only jumps of size >= eps; times from the non-homogeneous
+               rate eps**(-beta(t)) by one-pass thinning of the constant
                envelope eps**(-sup beta), sizes conditional Pareto
 
 ``poisson_points`` draws the unsorted points of a homogeneous Poisson
@@ -19,9 +19,15 @@ Sampling is planned once and then only draws: ``plan_block`` fixes a time
 window, its truncation and the expected point count (a quadrature under the
 threshold mode) below ``MAX_POINTS``, and the samplers take that ``Block``.
 ``sample_pattern`` dispatches on the truncation mode, and ``solve_truncation``
-picks the truncation that meets a mass budget.  ``small_jump_mass_window``
-reports the expected total mass of the excluded jumps, so truncation bias
-can be budgeted analytically.
+picks the truncation that meets a budget.  ``small_jump_mass_window`` and
+``small_jump_variance_window`` report the expected total mass of the excluded
+jumps and its variance, so truncation error can be budgeted analytically.
+
+A pure-jump block budgets the excluded mass, which biases its path low.  A
+compensated block (Asmussen & Rosinski 2001) adds that mass back as a drift,
+one value per equal time bin, and budgets the sd of the excluded jumps
+instead; its error then has mean zero, and its point count stays bounded as
+the index approaches 1.
 """
 
 from dataclasses import dataclass
@@ -68,28 +74,33 @@ class PointPattern:
 class Block:
     """A planned sampling window [t0, t1] under one truncation, with the
     expected number of retained jumps and the supremum of beta over the
-    window; built by ``plan_block``."""
+    window; built by ``plan_block``.  A compensated block's ``drift`` holds
+    the excluded mass of each of its equal time bins, which its path adds
+    back; a pure-jump block has none."""
 
     t0: float
     t1: float
     trunc: Truncation
     mean_count: float
     sup_beta: float
+    drift: np.ndarray = None
 
 
-def plan_block(idx, t0, t1, trunc):
+def plan_block(idx, t0, t1, trunc, bins=0):
     """The ``Block`` on [t0, t1], a non-empty window inside [0, horizon];
-    its mean count is ``expected_count_window``.  A ValueError rejects, before
-    anything is drawn, a block whose ``drawn_count`` exceeds ``MAX_POINTS``;
-    under threshold truncation that is the envelope count, which bounds the
-    rejection candidates to within the factor two of the batch rule."""
+    its mean count is ``expected_count_window``.  With ``bins`` it is
+    compensated, with the excluded mass of each of that many equal time bins
+    as its drift.  A ValueError rejects, before anything is drawn, a block
+    whose ``drawn_count`` exceeds ``MAX_POINTS``; under threshold truncation
+    that is the envelope count, the mean number of thinning candidates."""
     if not (np.isfinite(t0) and np.isfinite(t1)
             and 0.0 <= t0 < t1 <= idx.horizon * (1.0 + 1e-12)):
         raise ValueError(f"the window [{t0}, {t1}] must be non-empty and lie in "
                          f"[0, horizon={idx.horizon}]")
     t0, t1 = float(t0), min(float(t1), idx.horizon)
     blk = Block(t0, t1, trunc, expected_count_window(idx, t0, t1, trunc),
-                idx.bounds_on(t0, t1)[1])
+                idx.bounds_on(t0, t1)[1],
+                small_jump_mass_window(idx, t0, t1, trunc, bins) if bins else None)
     check_points(drawn_count(blk), t0, t1,
                  "the index is too close to 1 or the truncation level too high")
     return blk
@@ -138,15 +149,10 @@ def sample_pattern(stream, blk, idx):
 def sample_threshold(stream, blk, idx):
     """Sample all jumps of size >= eps of a threshold-truncation block.
 
-    The jump count is Poisson with the block's mean count
-    Lambda = int_t0^t1 eps**(-beta(s)) ds; times follow the density
-    eps**(-beta(t))/Lambda via rejection under the constant envelope
-    eps**(-beta_sup); sizes are conditional Pareto, x = eps * U**(-1/beta(t))."""
-    eps = blk.trunc.parameter
-    k = stream.poisson(blk.mean_count)
-    t = sample_threshold_times(stream, idx, blk, k)
-    beta = idx.evaluate_many(t)
-    x = eps * stream.uniform(k) ** (-1.0 / beta)
+    Their times are ``sample_threshold_times``; sizes are conditional
+    Pareto, x = eps * U**(-1/beta(t))."""
+    t = sample_threshold_times(stream, idx, blk)
+    x = blk.trunc.parameter * stream.uniform(len(t)) ** (-1.0 / idx.evaluate_many(t))
     return PointPattern(t, x, blk.t1)
 
 
@@ -158,29 +164,25 @@ def envelope_count(blk):
     return (blk.t1 - blk.t0) * blk.trunc.parameter ** -blk.sup_beta
 
 
-def sample_threshold_times(stream, idx, blk, count):
-    """``count`` jump times on the threshold block's window [t0, t1] with
-    density proportional to eps**(-beta(t)).
+def sample_threshold_times(stream, idx, blk):
+    """The unsorted jump times of a threshold block: a Poisson process of
+    rate eps**(-beta(t)) on its window [t0, t1].
 
-    Rejection against the constant envelope eps**(-sup beta) over the window;
-    the envelope dominates exactly because the block's supremum is exact."""
-    t0, t1, eps, sup = blk.t0, blk.t1, blk.trunc.parameter, blk.sup_beta
-    out = np.empty(count)
-    have = 0
-    while have < count:
-        batch = max(64, 2 * (count - have))
-        cand = t0 + (t1 - t0) * stream.uniform(batch)
-        accept = stream.uniform(batch) < eps ** (sup - idx.evaluate_many(cand))
-        got = cand[accept]
-        take = min(len(got), count - have)
-        out[have : have + take] = got[:take]
-        have += take
-    return out
+    One-pass thinning (Lewis & Shedler 1979): the candidates are the
+    points of the constant envelope rate eps**(-sup beta), and each is kept
+    with probability eps**(sup beta - beta(t)), so the kept count is Poisson
+    with the block's mean count.  The envelope dominates exactly because the
+    block's supremum is exact."""
+    cand = poisson_points(stream, blk.t0, blk.t1, envelope_count(blk))
+    keep = stream.uniform(len(cand)) < blk.trunc.parameter ** (blk.sup_beta
+                                                               - idx.evaluate_many(cand))
+    return cand[keep]
 
 
-def small_jump_mass_window(idx, t0, t1, trunc):
+def small_jump_mass_window(idx, t0, t1, trunc, bins=0):
     """Expected total mass of the jumps a truncated sample excludes in the
-    time window [t0, t1]."""
+    time window [t0, t1]; with ``bins``, an array of the mass in each of
+    that many equal time bins of the window."""
     if t1 <= t0:
         return 0.0
     if trunc.mode == "threshold":
@@ -199,11 +201,28 @@ def small_jump_mass_window(idx, t0, t1, trunc):
                 return b / (1.0 - b) * m ** (1.0 - 1.0 / b)
 
     try:
+        if bins:
+            return integrate(f, t0, t1, points=t0 + (t1 - t0) / bins * np.arange(1, bins),
+                             pieces=True)
         return integrate(f, t0, t1, points=idx.critical_points(t0, t1))
     except FloatingPointError:
         # M**(1 - 1/beta) overflows for small M and an index below about
         # 0.02: the excluded mass is beyond the float range
         return math.inf
+
+
+def small_jump_variance_window(idx, t0, t1, trunc):
+    """Variance of the total size of the jumps a threshold-truncated sample
+    excludes in the time window [t0, t1], the integral of
+    beta/(2-beta) * eps**(2-beta(s)): the error of a compensated path, whose
+    drift is their mean."""
+    eps = trunc.parameter
+
+    def f(s):
+        b = idx.evaluate(s)
+        return b / (2.0 - b) * eps ** (2.0 - b)
+
+    return integrate(f, t0, t1, points=idx.critical_points(t0, t1))
 
 
 def expected_count_window(idx, t0, t1, trunc):
@@ -217,18 +236,21 @@ def expected_count_window(idx, t0, t1, trunc):
                      points=idx.critical_points(t0, t1))
 
 
-def solve_truncation(idx, T, mode, mass_budget, t0=0.0, max_count=math.inf):
+def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensated=False):
     """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
-    ``mass_budget``.  A finite ``max_count`` caps the expected point count:
-    where it is exceeded, the parameter moves to where the count equals
-    ``max_count``, which excludes more mass.
+    ``budget``, or for a ``compensated`` threshold block, whose excluded sd
+    (the square root of ``small_jump_variance_window``) does.  A finite
+    ``max_count`` caps the expected point count: where it is exceeded, the
+    parameter moves to where the count equals ``max_count``, which excludes
+    more.
 
     Bisection on the log10 p of eps in (1e-300, 1) or of M in [1e-6, 1e300],
-    to a 1e-12 bracket that lands within the target; the mass rises in eps
-    and falls in M, the count the other way.  Where the whole bracket is
-    within the target, its end with the largest integral is returned."""
-    if mass_budget <= 0:
-        raise ValueError(f"mass budget must be positive, got {mass_budget}")
+    to a 1e-12 bracket that lands within the target; the mass and the
+    variance rise in eps and fall in M, the count the other way.  Where the
+    whole bracket is within the target, its end with the largest integral is
+    returned."""
+    if budget <= 0:
+        raise ValueError(f"truncation budget must be positive, got {budget}")
     lo, hi = (-300.0, -1e-9) if mode == "threshold" else (-6.0, 300.0)
 
     def solve(window_integral, target, rises):
@@ -241,7 +263,10 @@ def solve_truncation(idx, T, mode, mass_budget, t0=0.0, max_count=math.inf):
         a, b = bisect(lambda p: (at(p) > target) != rises, lo, hi, lambda a, b: b - a < 1e-12)
         return 10.0 ** (a if rises else b)
 
-    p = solve(small_jump_mass_window, mass_budget, mode == "threshold")
+    if compensated:
+        p = solve(small_jump_variance_window, budget**2, mode == "threshold")
+    else:
+        p = solve(small_jump_mass_window, budget, mode == "threshold")
     if max_count < math.inf and expected_count_window(idx, t0, T, Truncation(mode, p)) > max_count:
         p = solve(expected_count_window, max_count, mode != "threshold")
     return Truncation(mode, p)

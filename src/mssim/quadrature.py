@@ -26,7 +26,7 @@ _MAX_LEVEL_NODES = 2**20
 _BISECT_STEPS = 200
 
 
-def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
+def integrate(f, a, b, tol=DEFAULT_TOL, points=(), pieces=False):
     """Integrate the vectorised ``f`` over [a, b] by adaptive composite Simpson.
 
     The rule starts from the pieces between the ``points`` inside (a, b),
@@ -43,6 +43,8 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
     the same integrand values.  A non-finite Simpson estimate raises
     ValueError: no subdivision can repair it.  So does a level that would
     evaluate more than ``_MAX_LEVEL_NODES`` nodes, which bounds the work.
+    With ``pieces`` the array of the values of the pieces, in order, is
+    returned instead of their sum.
     """
     if not -math.inf < a < b < math.inf:
         raise ValueError(f"integration bounds must be finite with a < b, got [{a}, {b}]")
@@ -94,7 +96,7 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=()):
         k = len(value) // 2
         est[split] = value[:k] + value[k:]
         value = est
-    return float(value.sum())
+    return value if pieces else float(value.sum())
 
 
 def bisect(high_side, lo, hi, close):

@@ -96,13 +96,20 @@ def mittag_leffler(beta, z):
     return integrate(f, 0.0, 1.0, tol=1e-12)
 
 
-def increment_correlation(inc1, inc2):
-    """Sample Pearson correlation of paired path increments over two windows,
-    one pair per path.
+def _ranks(v):
+    """The 1-based ranks of ``v``, tied values sharing their average rank."""
+    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
-    Under independent increments the null standard error is about 1/sqrt(n).
-    Zero-variance increment samples raise DegenerateSampleError rather than
-    propagating a NaN."""
+
+def increment_correlation(inc1, inc2):
+    """Sample rank (Spearman) correlation of paired path increments over two
+    windows, one pair per path.
+
+    Under independent increments its null standard error is 1/sqrt(n - 1)
+    whatever the tails of the increments, where one large jump can dominate
+    a Pearson correlation.  Zero-variance increment samples raise
+    DegenerateSampleError rather than propagating a NaN."""
     inc1 = np.asarray(inc1, dtype=float)
     inc2 = np.asarray(inc2, dtype=float)
     if inc1.shape != inc2.shape or inc1.ndim != 1:
@@ -112,4 +119,4 @@ def increment_correlation(inc1, inc2):
         raise ValueError(f"need at least 2 paths, got {n}")
     if inc1.std() == 0.0 or inc2.std() == 0.0:
         raise DegenerateSampleError("an increment sample has zero variance")
-    return float(np.corrcoef(inc1, inc2)[0, 1])
+    return float(np.corrcoef(_ranks(inc1), _ranks(inc2))[0, 1])

@@ -6,10 +6,12 @@ single PASS/FAIL line for it.  The determinism criterion additionally
 exercises the real command-line entry point.
 
 The negative controls at the end show that a criterion can fail: a sampler
-that reads its index 0.05 too high, or a passage kernel that does not carry
-its running total across blocks, must trip it.
+that reads its index 0.05 too high, increments over overlapping windows, or
+a passage kernel that does not carry its running total across blocks, must
+trip it.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -143,7 +145,7 @@ def _criterion_2_ks(n):
 
 
 def test_criterion_2_fails_when_one_sampler_shifts_beta(monkeypatch):
-    # KS is 0.017 against 0.052 at 2,000 draws per side, and 0.29 with the
+    # KS is 0.037 against 0.052 at 2,000 draws per side, and 0.31 with the
     # threshold sampler shifted
     ks, crit = _criterion_2_ks(2000)
     assert ks < crit
@@ -152,9 +154,29 @@ def test_criterion_2_fails_when_one_sampler_shifts_beta(monkeypatch):
     assert ks > 3.0 * crit
 
 
+def _criterion_4_corr(windows, n=2000):
+    """Criterion 4's rank correlation of the increments over two windows at
+    n replications, and its bound."""
+    idx = StabilityIndex.from_spec("constant:0.5", 1.0)
+    inc = experiments._map_reps(experiments._increments_rep, n, None, seed=SEED,
+                                channel=experiments.CH_INCREMENTS, idx=idx,
+                                blk=experiments._budget_block(idx, 1.0, "stationary", n),
+                                windows=windows)["inc"]
+    return abs(stats.increment_correlation(inc[:, 0], inc[:, 1])), 3.0 / math.sqrt(n)
+
+
+def test_criterion_4_fails_on_overlapping_windows():
+    # criterion 4's run at the quick size: disjoint windows give a rank
+    # correlation of 0.013 against 0.067, and (0, 0.5] with (0, 1] give 0.61
+    corr, bound = _criterion_4_corr([(0.0, 0.5), (0.5, 1.0)])
+    assert corr <= bound
+    corr, bound = _criterion_4_corr([(0.0, 0.5), (0.0, 1.0)])
+    assert corr > 3.0 * bound
+
+
 def test_criterion_6_fails_when_the_passage_forgets_earlier_blocks(monkeypatch):
-    # criterion 6's run at the quick size: |p - oracle| is 0.0068 against
-    # 3*SE = 0.027, and 0.050 when each block's sum starts from zero again
+    # criterion 6's run at the quick size: |p - oracle| is 0.0021 against
+    # 3*SE = 0.027, and 0.052 when each block's sum starts from zero again
     args = ("constant:0.5", 1.0, [1.0], 3000, SEED)
     assert experiments.run_mfpp(*args).all_pass()
     passage = experiments._block_passage

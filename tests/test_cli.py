@@ -89,7 +89,7 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
 
 @pytest.mark.parametrize("args", [
     ("laplace", "--beta", "constant:0.95", "--reps", "10"),
-    ("mfpp", "--beta", "constant:0.99", "--reps", "10"),
+    ("mfpp", "--beta", "constant:0.99", "--trunc-m", "1e12", "--reps", "10"),
     ("laplace", "--beta", "constant:0.5", "--trunc-m", "1e12", "--reps", "10"),
     ("ctrw", "--beta", "constant:0.5", "--n", "1000000000000", "--t", "1", "--reps", "2"),
     # Poisson arrivals, walk steps and grid rows per replication
@@ -98,11 +98,12 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     ("ctrw", "--beta", "constant:0.5", "--n", "100", "--pn-rule", "const:1e-12", "--reps", "2"),
     ("paths", "--beta", "constant:0.5", "--lambda", "1e13", "--reps", "2"),
     ("paths", "--beta", "constant:0.5", "--grid", "10000000000", "--reps", "2"),
-    # a mean count of 1.7e6 under a thinning envelope of 2.2e7
+    # a mean count of 1.7e6 under a thinning envelope of 2.2e7, and the mass
+    # budget's eps of 1e-300 at an index of 0.99: pure-jump blocks
     ("paths", "--beta", "affine:0.2,0.56", "--reps", "2"),
-    # raised inside a plan worker of the pool, and in the parent for ctrw's D reference
-    ("mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
-    ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
+    ("paths", "--beta", "constant:0.99", "--reps", "2"),
+    # raised in the parent for ctrw's D reference: 1.1e3 points, 2.2e9 over the run
+    ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2000000", "--workers", "2"),
     # 9.3e5 points per replication, within the replication cap, but 1.9e10 over the run
     ("laplace", "--beta", "sin:0.5,0.2,2", "--theta", "0.5,2", "--t", "1", "--reps", "20000",
      "--seed", "3"),
@@ -113,6 +114,31 @@ def test_too_many_points_is_usage_error(args, tmp_path):
     assert "points per replication" in res.stderr
     assert "Traceback" not in res.stderr and "lam value" not in res.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    # 7.3e5 points per compensated block, where a mass budget needed eps = 1e-300
+    ("mfpp", "--beta", "constant:0.99", "--reps", "10"),
+    # at most 2.6e4 and 1.1e3 points per block, where a mass budget needed 2.2e7
+    ("mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
+    ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
+])
+def test_compensated_blocks_keep_an_index_near_one_feasible(args, tmp_path):
+    res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())
+    assert res.returncode in (0, 1), res.stderr
+
+
+def test_a_plan_worker_error_is_a_usage_error():
+    # no compensated block of a valid index passes the point cap, so the
+    # parent lowers it before the pool forks the plan workers that raise
+    code = ("import sys\nfrom mssim import cli, ppp\nppp.MAX_POINTS = 1000.0\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    res = subprocess.run([sys.executable, "-c", code, "mfpp", "--beta", "affine:0.2,0.56",
+                          "--t", "1", "--reps", "2", "--workers", "2"], env=cli_env(),
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == 2
+    assert "points per replication expected on [0.75, 1]" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_the_cli_does_not_import_mpmath():
