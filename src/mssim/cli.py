@@ -53,8 +53,11 @@ def build_parser():
     lap.add_argument("--theta", dest="thetas", type=_list("--theta"), help="transform arguments")
     lap.add_argument("--t", dest="ts", type=_list("--t"), help="comma-separated times t of D(t)")
     lap.add_argument("--trunc-m", type=float,
-                     help="stationary truncation level (default: solve for the mass budget)")
-    lap.add_argument("--mass-budget", type=float, help="jump mass the truncation may exclude")
+                     help="stationary truncation level M of the compensated block (default: "
+                     "the smallest M that keeps every row within the mass budget)")
+    lap.add_argument("--mass-budget", type=float,
+                     help="jump mass a pure-jump block may exclude; no row's bias bound may "
+                     "exceed theta times that block's excluded mass up to t")
 
     mfpp = command("mfpp", experiments.run_mfpp, "marginal law of the time-changed count X(t)")
     mfpp.add_argument("--lambda", dest="lam", type=float, help=rate)

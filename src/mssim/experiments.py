@@ -46,9 +46,10 @@ CH_CTRW_JUMPS = 16  # + 2 * (index of n in the n list); walk channel is +1
 _CHANNEL_SHIFT = 40
 
 DEFAULT_MASS_BUDGET = 1e-3
-# points a whole-horizon block may draw over all replications of one run:
-# 100-160 s of drawing at the 50-80 ns per point measured on one core of a
-# 2-vCPU Xeon, and 5 times the full verify's laplace run (100,000 x 3,975)
+# points the replications of one run may surely draw, on whole-horizon
+# blocks, first passage blocks or ctrw cells: 100-160 s of drawing at the
+# 50-80 ns per point measured on one core of a 2-vCPU Xeon, and 3.6 times
+# the full verify's largest run (ctrw's 10,000 x 55,500 cells)
 _MAX_RUN_POINTS = 2e9
 _PASSAGE_BLOCK_LEN = 0.25
 _PASSAGE_POINTS_CAP = 3.0e5
@@ -234,25 +235,29 @@ class PassagePlan:
     blocks: tuple
 
 
-def _budget_block(idx, T, mode, reps, trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET,
-                  compensated=False):
+def _budget_block(idx, T, mode, reps, trunc_m=None, compensated=False):
     """The block [0, T]: the stationary one at the level ``trunc_m`` if it is
     given, else the one under the truncation of ``mode`` that meets the
-    excluded-mass budget, which a ``compensated`` block spends on the sd of
-    the excluded jumps instead.  A ValueError rejects, before anything is
-    drawn, a run whose ``reps`` replications draw more than
+    default excluded-mass budget, which a ``compensated`` block spends on
+    the sd of the excluded jumps instead.  A ValueError rejects, before
+    anything is drawn, a run whose ``reps`` replications draw more than
     ``_MAX_RUN_POINTS`` points."""
     if trunc_m is None:
-        trunc = ppp.solve_truncation(idx, T, mode, mass_budget, compensated=compensated)
+        trunc = ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET, compensated=compensated)
     else:
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc = ppp.Truncation("stationary", float(trunc_m))
     blk = ppp.plan_block(idx, 0.0, T, trunc)
-    drawn = ppp.drawn_count(blk)
+    _check_run_points(reps, ppp.drawn_count(blk))
+    return blk
+
+
+def _check_run_points(reps, drawn):
+    """Reject, before anything is drawn, a run whose ``reps`` replications
+    surely draw ``drawn`` points each, and more than ``_MAX_RUN_POINTS`` in all."""
     _require(reps * drawn <= _MAX_RUN_POINTS,
              f"{reps} replications at {drawn:.3g} points per replication draw "
              f"{reps * drawn:.3g}, above the run cap of {_MAX_RUN_POINTS:g}; lower --reps")
-    return blk
 
 
 def _passage_block(idx, t0, t1):
@@ -400,12 +405,12 @@ def _monotone_rep(rep, seed, idx, blk):
 
 
 def _passage_rep(rep, seed, plan, rate):
-    """First-passage times E at each plan level, and X = N(E) for a
-    rate-``rate`` Poisson process."""
+    """First-passage times E at each plan level (NaN where the horizon comes
+    first), and X = N(min(E, horizon)) for a rate-``rate`` Poisson process."""
     e = _block_passage(stream_for(seed, CH_PASSAGE, rep), plan)
-    arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate,
-                                                plan.idx.horizon)
-    return {"e": e, "x": inverse_mfpp.time_changed_count(arrivals, e)}
+    T = plan.idx.horizon
+    arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate, T)
+    return {"e": e, "x": inverse_mfpp.time_changed_count(arrivals, np.fmin(e, T))}
 
 
 def _tail_rep(rep, seed, beta, bound, batch):
@@ -493,11 +498,52 @@ def _check_times(ts):
     return ts
 
 
+def _laplace_level(idx, ts, theta_max, mass_budget):
+    """The smallest stationary level M at which no compensated transform row
+    allows more than the pure-jump block at the excluded-mass budget does.
+
+    That block excludes the mass m(t) up to t, capped at the budget, and its
+    rows allow theta * m(t).  A compensated row allows at most
+    expm1(theta**2 v(t) / 2) for the excluded variance v(t), so v(t) <=
+    2 log1p(theta * m(t)) / theta**2 suffices, and the right side falls in
+    theta.  The level is solved at the smallest t; a later t is checked at
+    it, and solved for where the check fails.
+
+    Both levels are solved to a millionth of a decade, 20 halvings short of
+    a block's solve.  A coarser pure-jump level only lies higher, where
+    m(t) is lower and every row is held tighter."""
+    pure = ppp.solve_truncation(idx, ts[-1], "stationary", mass_budget, decades=1e-6)
+    level = None
+    for t in ts:
+        mass = min(ppp.small_jump_mass_window(idx, 0.0, t, pure), mass_budget)
+        sd = math.sqrt(2.0 * math.log1p(theta_max * mass)) / theta_max
+        # the variance falls in M, so t's own level is above one that fails it
+        if level is None or ppp.small_jump_variance_window(idx, 0.0, t, level) > sd * sd:
+            level = ppp.solve_truncation(idx, t, "stationary", sd, compensated=True, decades=1e-6)
+    return level.parameter
+
+
+def _compensated_allowance(theta, mass, variance):
+    """A bound on |E exp(-theta D_c) - E exp(-theta D)| for a path D_c that
+    adds the excluded mean ``mass`` in place of jumps of that ``variance``:
+    exp(-theta m) expm1(theta**2 v / 2), or 1 - exp(-theta m) < theta m,
+    the gap of a pure-jump path, where that is smaller."""
+    jump = -math.expm1(-theta * mass)
+    spread = 0.5 * theta * theta * variance
+    if spread > 700.0:  # expm1 overflows; the jump bound alone holds
+        return jump
+    return min(jump, math.exp(-theta * mass) * math.expm1(spread))
+
+
 def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, seed=0, workers=1,
                 trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
     """Monte Carlo transform values of D(t) against the closed form.
 
-    Row pass: |MC mean - closed form| <= 3*SE + theta * excluded mass."""
+    D(t) is compensated: the jump sum of a stationary block up to t plus
+    the mass it excludes up to t.  The block's level is ``trunc_m`` or, by
+    default, the smallest one whose rows allow no more than a pure-jump
+    block at ``mass_budget`` would.  Row pass: |MC mean - closed form| <=
+    3*SE + bias_bound, the ``_compensated_allowance`` at t."""
     reps, seed = _check_common(reps, seed)
     thetas = [float(v) for v in thetas]
     _require(thetas and all(_positive(v) for v in thetas),
@@ -506,22 +552,25 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
     _require(_positive(mass_budget), f"mass budget must be positive and finite, got {mass_budget}")
     T = ts[-1]
     idx = StabilityIndex.from_spec(beta_spec, T)
-    blk = _budget_block(idx, T, "stationary", reps, trunc_m, mass_budget)
+    if trunc_m is None:
+        trunc_m = _laplace_level(idx, ts, max(thetas), mass_budget)
+    blk = _budget_block(idx, T, "stationary", reps, trunc_m)
     trunc = blk.trunc
     masses = [ppp.small_jump_mass_window(idx, 0.0, t, trunc) for t in ts]
-    excluded = masses[-1]
-    _require(excluded < math.inf,
+    _require(masses[-1] < math.inf,
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
              "the float range, so no row could fail; raise trunc-m")
+    variances = [ppp.small_jump_variance_window(idx, 0.0, t, trunc) for t in ts]
     with _open_pool(workers) as pool:
         d = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_LAPLACE,
                       idx=idx, blk=blk, windows=[(0.0, t) for t in ts])["inc"]
+    d = d + masses
     rows = []
     for theta in thetas:
         for j, t in enumerate(ts):
             est = stats.empirical_laplace(d[:, j], theta)
             oracle = subordinator.laplace_transform(idx, theta, t)
-            bias = theta * masses[j]
+            bias = _compensated_allowance(theta, masses[j], variances[j])
             ok = abs(est.mean - oracle) <= 3.0 * est.se + bias
             rows.append((idx.spec_string(), theta, t, est.mean, est.se, oracle, bias, ok))
     header = {
@@ -531,7 +580,8 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
         "theta": ",".join(_fmt(v) for v in thetas),
         "t": ",".join(_fmt(v) for v in ts),
         "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
-        "excluded_mass": excluded,
+        "excluded_mass": masses[-1],
+        "excluded_variance": variances[-1],
     }
     return Report("laplace", header,
                   ("beta_spec", "theta", "t", "mc_mean", "mc_se", "oracle", "bias_bound", "pass"),
@@ -552,17 +602,19 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
     with _open_pool(workers) as pool:
         if trunc_m is None:
             plan = plan_passage(idx, ts, pool)
+            # every replication draws the first block
+            _check_run_points(reps, ppp.drawn_count(plan.blocks[0]))
         else:
             # one stationary block on the whole horizon: no threshold to solve
             blk = _budget_block(idx, idx.horizon, "stationary", reps, trunc_m)
             plan = PassagePlan(idx, tuple(ts), (blk,))
         res = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
-    xs = res["x"]
-    unreached = int(np.isnan(res["e"]).sum())
+    # the rows condition on the replications that reached the level
+    reached = ~np.isnan(res["e"])
+    unreached = int((~reached).sum())
     rows = []
     for j, t in enumerate(ts):
-        col = xs[:, j]
-        col = col[~np.isnan(col)]
+        col = res["x"][reached[:, j], j]
         nv = len(col)
         kmax = int(col.max()) if nv else 0
         for k in range(kmax + 1):
@@ -645,12 +697,15 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
             _require(np.isfinite(math.ceil(n * idx.horizon) * j_max / b.min()),
                      f"the row n={n} partial sums of the index {idx.spec_string()} can "
                      "overflow the float range; raise the index")
+    _check_run_points(reps, sum(math.ceil(n * idx.horizon) for n in ns))
     # reference samples, shared by every n
     with _open_pool(workers) as pool:
-        dref = _d_reference(idx, ts, reps, seed, pool)
         plan = plan_passage(idx, ts, pool)
+        _check_run_points(reps, ppp.drawn_count(plan.blocks[0]))
+        dref = _d_reference(idx, ts, reps, seed, pool)
         ref = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
-        eref, xref = ref["e"], ref["x"]
+        # censored at the horizon, as E_n and the walk are: E is min(E, T)
+        eref, xref = np.fmin(ref["e"], idx.horizon), ref["x"]
         rows = []
         flagged_total = 0
         for i, n in enumerate(ns):
@@ -659,11 +714,10 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
                             p_n=p_ns[n], lam=lam)
             flagged_total += int(res["flagged"].sum())
             for j, t in enumerate(ts):
-                emask = ~np.isnan(eref[:, j])
                 ks_d = stats.ks_two_sample(res["s"][:, j], dref[:, j])
-                ks_e = stats.ks_two_sample(res["e"][:, j], eref[emask, j])
-                ks_x = stats.ks_two_sample(res["x"][:, j], xref[emask, j])
-                crit = stats.ks_critical_value(len(res["s"]), int(emask.sum()), alpha)
+                ks_e = stats.ks_two_sample(res["e"][:, j], eref[:, j])
+                ks_x = stats.ks_two_sample(res["x"][:, j], xref[:, j])
+                crit = stats.ks_critical_value(reps, reps, alpha)
                 ok = max(ks_d, ks_e, ks_x) < crit
                 rows.append((n, t, ks_d, ks_e, ks_x, crit, ok))
     header = {
@@ -735,7 +789,7 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
     _require(_positive(scale), f"scale must be positive and finite, got {scale}")
     seed = _check_seed(seed)
     if quick:
-        sizes = dict(laplace=2000, cross=2000, continuity=2000, increments=2000,
+        sizes = dict(laplace=8000, cross=2000, continuity=2000, increments=2000,
                      monotone=50, mfpp=3000, tail=100_000, ctrw=1000)
         ctrw_ns = (100, 1000)
         ctrw_alpha = 0.05

@@ -179,26 +179,21 @@ def sample_threshold_times(stream, idx, blk):
     return cand[keep]
 
 
-def small_jump_mass_window(idx, t0, t1, trunc, bins=0):
-    """Expected total mass of the jumps a truncated sample excludes in the
-    time window [t0, t1]; with ``bins``, an array of the mass in each of
-    that many equal time bins of the window."""
+def _excluded_moment(idx, t0, t1, trunc, k, bins=0):
+    """The k-th moment measure of the jumps a truncated sample excludes in
+    the time window [t0, t1]: the integral of beta/(k-beta) * c**(k-beta(s))
+    for the cutoff c = eps, or c = M**(-1/beta(s)) under stationary
+    truncation; with ``bins``, an array of its value on each of that many
+    equal time bins of the window."""
     if t1 <= t0:
         return 0.0
-    if trunc.mode == "threshold":
-        eps = trunc.parameter
+    p = trunc.parameter
+    threshold = trunc.mode == "threshold"
 
-        def f(s):
-            b = idx.evaluate(s)
-            return b / (1.0 - b) * eps ** (1.0 - b)
-
-    else:
-        m = trunc.parameter
-
-        def f(s):
-            b = idx.evaluate(s)
-            with np.errstate(over="raise"):
-                return b / (1.0 - b) * m ** (1.0 - 1.0 / b)
+    def f(s):
+        b = idx.evaluate(s)
+        with np.errstate(over="raise"):
+            return b / (k - b) * (p ** (k - b) if threshold else p ** (1.0 - k / b))
 
     try:
         if bins:
@@ -206,23 +201,25 @@ def small_jump_mass_window(idx, t0, t1, trunc, bins=0):
                              pieces=True)
         return integrate(f, t0, t1, points=idx.critical_points(t0, t1))
     except FloatingPointError:
-        # M**(1 - 1/beta) overflows for small M and an index below about
-        # 0.02: the excluded mass is beyond the float range
+        # M**(1 - k/beta) overflows for small M and a small index (below
+        # about 0.02 for the mass): the moment is beyond the float range
         return math.inf
 
 
+def small_jump_mass_window(idx, t0, t1, trunc, bins=0):
+    """Expected total mass of the jumps a truncated sample excludes in the
+    time window [t0, t1]; with ``bins``, an array of the mass in each of
+    that many equal time bins of the window."""
+    return _excluded_moment(idx, t0, t1, trunc, 1.0, bins)
+
+
 def small_jump_variance_window(idx, t0, t1, trunc):
-    """Variance of the total size of the jumps a threshold-truncated sample
-    excludes in the time window [t0, t1], the integral of
-    beta/(2-beta) * eps**(2-beta(s)): the error of a compensated path, whose
-    drift is their mean."""
-    eps = trunc.parameter
-
-    def f(s):
-        b = idx.evaluate(s)
-        return b / (2.0 - b) * eps ** (2.0 - b)
-
-    return integrate(f, t0, t1, points=idx.critical_points(t0, t1))
+    """Variance of the total size of the jumps a truncated sample excludes
+    in the time window [t0, t1], the integral of beta/(2-beta) *
+    eps**(2-beta(s)), or of beta/(2-beta) * M**(-(2-beta(s))/beta(s)) under
+    stationary truncation: the error of a compensated path, whose drift is
+    their mean."""
+    return _excluded_moment(idx, t0, t1, trunc, 2.0)
 
 
 def expected_count_window(idx, t0, t1, trunc):
@@ -236,19 +233,21 @@ def expected_count_window(idx, t0, t1, trunc):
                      points=idx.critical_points(t0, t1))
 
 
-def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensated=False):
+def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensated=False,
+                     decades=1e-12):
     """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
-    ``budget``, or for a ``compensated`` threshold block, whose excluded sd
-    (the square root of ``small_jump_variance_window``) does.  A finite
+    ``budget``, or for a ``compensated`` block, whose excluded sd (the
+    square root of ``small_jump_variance_window``) does.  A finite
     ``max_count`` caps the expected point count: where it is exceeded, the
     parameter moves to where the count equals ``max_count``, which excludes
     more.
 
     Bisection on the log10 p of eps in (1e-300, 1) or of M in [1e-6, 1e300],
-    to a 1e-12 bracket that lands within the target; the mass and the
-    variance rise in eps and fall in M, the count the other way.  Where the
-    whole bracket is within the target, its end with the largest integral is
-    returned."""
+    to a bracket ``decades`` wide that lands within the target; the mass and
+    the variance rise in eps and fall in M, the count the other way.  A
+    wider bracket takes fewer halvings and lands further inside the target.
+    Where the whole bracket is within the target, its end with the largest
+    integral is returned."""
     if budget <= 0:
         raise ValueError(f"truncation budget must be positive, got {budget}")
     lo, hi = (-300.0, -1e-9) if mode == "threshold" else (-6.0, 300.0)
@@ -260,7 +259,7 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
         edge = hi if rises else lo
         if at(edge) <= target:
             return 10.0**edge
-        a, b = bisect(lambda p: (at(p) > target) != rises, lo, hi, lambda a, b: b - a < 1e-12)
+        a, b = bisect(lambda p: (at(p) > target) != rises, lo, hi, lambda a, b: b - a < decades)
         return 10.0 ** (a if rises else b)
 
     if compensated:

@@ -88,7 +88,8 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
 
 
 @pytest.mark.parametrize("args", [
-    ("laplace", "--beta", "constant:0.95", "--reps", "10"),
+    # a compensated block needs 6.6e10 points to keep every row within this budget
+    ("laplace", "--beta", "constant:0.95", "--mass-budget", "1e-12", "--reps", "10"),
     ("mfpp", "--beta", "constant:0.99", "--trunc-m", "1e12", "--reps", "10"),
     ("laplace", "--beta", "constant:0.5", "--trunc-m", "1e12", "--reps", "10"),
     ("ctrw", "--beta", "constant:0.5", "--n", "1000000000000", "--t", "1", "--reps", "2"),
@@ -105,8 +106,13 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     # raised in the parent for ctrw's D reference: 1.1e3 points, 2.2e9 over the run
     ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2000000", "--workers", "2"),
     # 9.3e5 points per replication, within the replication cap, but 1.9e10 over the run
-    ("laplace", "--beta", "sin:0.5,0.2,2", "--theta", "0.5,2", "--t", "1", "--reps", "20000",
-     "--seed", "3"),
+    ("laplace", "--beta", "sin:0.5,0.2,2", "--theta", "0.5,2", "--t", "1", "--trunc-m", "9.3e5",
+     "--reps", "20000", "--seed", "3"),
+    # every passage replication draws the plan's first block of 27.5 points,
+    # and every ctrw row ceil(n * horizon) cells: 2.75e10, 2.75e9 and 1e12
+    ("mfpp", "--beta", "constant:0.5", "--reps", "1000000000", "--seed", "1"),
+    ("mfpp", "--beta", "constant:0.5", "--t", "40", "--reps", "100000000", "--seed", "1"),
+    ("ctrw", "--beta", "constant:0.5", "--n", "1000000", "--reps", "200000", "--seed", "1"),
 ])
 def test_too_many_points_is_usage_error(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())
@@ -122,6 +128,11 @@ def test_too_many_points_is_usage_error(args, tmp_path):
     # at most 2.6e4 and 1.1e3 points per block, where a mass budget needed 2.2e7
     ("mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
     ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
+    # a level of 1e81 under the mass budget, and of 470 compensated
+    ("laplace", "--beta", "constant:0.95", "--reps", "10"),
+    # 9.3e5 points per replication under the mass budget, and 14 compensated
+    ("laplace", "--beta", "sin:0.5,0.2,2", "--theta", "0.5,2", "--t", "1", "--reps", "20000",
+     "--seed", "3"),
 ])
 def test_compensated_blocks_keep_an_index_near_one_feasible(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())

@@ -145,6 +145,38 @@ def test_run_laplace_small():
 def test_run_laplace_honors_explicit_truncation():
     rep = run_laplace("constant:0.5", [1.0], [1.0], 50, 11, trunc_m=500.0)
     assert rep.header["truncation"] == "stationary:500"
+    # beta/(1-beta) * M**(1 - 1/beta) and beta/(2-beta) * M**(1 - 2/beta)
+    assert rep.header["excluded_mass"] == pytest.approx(1.0 / 500.0, rel=1e-9)
+    assert rep.header["excluded_variance"] == pytest.approx(500.0**-3 / 3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec", ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1",
+                                  "table:0,0.3;0.5,0.7;1,0.4"))
+def test_compensated_laplace_rows_allow_no_more_than_pure_jump_rows(spec):
+    # the pure-jump block at the same mass budget allowed theta * m(t) per
+    # row, and needed a level 144 to 67,000 times higher
+    thetas, ts = (0.5, 1.0, 2.0), (0.5, 1.0)
+    idx = StabilityIndex.from_spec(spec, 1.0)
+    pure = ppp.solve_truncation(idx, 1.0, "stationary", experiments.DEFAULT_MASS_BUDGET)
+    level = experiments._laplace_level(idx, ts, max(thetas), experiments.DEFAULT_MASS_BUDGET)
+    assert level < pure.parameter / 100.0
+    comp = ppp.Truncation("stationary", level)
+    for t in ts:
+        mass = ppp.small_jump_mass_window(idx, 0.0, t, comp)
+        var = ppp.small_jump_variance_window(idx, 0.0, t, comp)
+        for theta in thetas:
+            allowed = theta * ppp.small_jump_mass_window(idx, 0.0, t, pure)
+            assert experiments._compensated_allowance(theta, mass, var) <= allowed
+
+
+def test_compensated_allowance_never_exceeds_the_jump_gap():
+    for theta, mass, var in ((1.0, 0.1, 1e-3), (2.0, 1e-3, 1.0), (2.0, 3.0, 1e300),
+                             (0.5, 1e3, math.inf)):
+        gap = -math.expm1(-theta * mass)
+        bound = experiments._compensated_allowance(theta, mass, var)
+        assert bound <= gap <= theta * mass
+    assert experiments._compensated_allowance(1.0, 0.1, 1e-3) == pytest.approx(
+        math.exp(-0.1) * math.expm1(5e-4), rel=1e-12)
 
 
 def test_run_laplace_validates_inputs():
@@ -164,6 +196,28 @@ def test_run_mfpp_small():
     row0 = next(r for r in rep.rows if r[1] == 0)
     assert not math.isnan(row0[4])  # the constant-index oracle is present
     assert rep.header["unreached"] == 0
+
+
+def test_run_ctrw_compares_censored_samples(monkeypatch):
+    # the table ends at t = 1, so the horizon is 1 and about 30% of the
+    # replications never reach the level: E_n is clamped to the horizon,
+    # and the reference E must be censored there too, not dropped
+    samples = []
+    ks = experiments.stats.ks_two_sample
+
+    def record(a, b):
+        samples.append((a, b))
+        return ks(a, b)
+
+    monkeypatch.setattr(experiments.stats, "ks_two_sample", record)
+    rep = experiments.run_ctrw("table:0,0.3;0.5,0.7;1,0.4", ns=(100, 1000), ts=(1.0,), reps=200,
+                               seed=42, alpha=0.05)
+    assert rep.header["horizon"] == 1.0 and rep.header["flagged"] > 0
+    assert len(samples) == 6  # D, E and X for each n
+    for a, b in samples:
+        assert len(a) == len(b) == 200
+    for a, b in samples[1::3]:  # E_n against E
+        assert np.isfinite(b).all() and b.max() <= rep.header["horizon"]
 
 
 def _no_integrate(*args):

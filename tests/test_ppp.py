@@ -1,6 +1,7 @@
 """Tests for the truncated point-process samplers and their mass accounting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mssim import (
     small_jump_mass_window,
     solve_truncation,
 )
+from mssim.ppp import small_jump_variance_window
 
 IDX_HALF = StabilityIndex.from_spec("constant:0.5", 1.0)
 IDX_AFFINE = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
@@ -130,8 +132,10 @@ def test_threshold_conditional_size_tail():
     pat = sample_threshold(RngStream(5, 0), THRESHOLD_HALF, IDX_HALF)
     reps = 1
     sizes = [pat.sizes]
-    while sum(len(s) for s in sizes) < 200_000:
+    count = len(pat.sizes)
+    while count < 200_000:
         sizes.append(sample_threshold(RngStream(5, reps), THRESHOLD_HALF, IDX_HALF).sizes)
+        count += len(sizes[-1])
         reps += 1
     sizes = np.concatenate(sizes)
     p = float((sizes > 0.16).mean())
@@ -160,6 +164,15 @@ def test_solve_truncation_meets_budget():
     assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, m2) <= 1e-3 * (1 + 1e-9)
 
 
+def test_a_wider_solve_bracket_lands_higher_inside_the_budget():
+    # M falls where the mass meets the budget; a bracket of 1e-6 decades
+    # stops 20 halvings early, at most a factor 10**1e-6 higher
+    fine = solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3)
+    coarse = solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3, decades=1e-6)
+    assert fine.parameter <= coarse.parameter <= fine.parameter * 10.0**1e-6
+    assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, coarse) <= 1e-3
+
+
 def test_solve_truncation_below_the_overflow_index():
     # for beta = 0.01 the bracket start M = 1e-6 gives M**(1 - 1/beta) = 1e594,
     # beyond the float range; the root is M = (0.99 * 1e-3 / 0.01)**(-1/99)
@@ -167,6 +180,27 @@ def test_solve_truncation_below_the_overflow_index():
     assert small_jump_mass_window(idx, 0.0, 1.0, Truncation("stationary", 1e-6)) == math.inf
     m = solve_truncation(idx, 1.0, "stationary", 1e-3)
     assert m.parameter == pytest.approx(0.099 ** (-1.0 / 99.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.9])
+def test_stationary_excluded_variance_at_a_constant_index(beta):
+    # jumps below c = M**(-1/beta) have variance beta/(2-beta) * c**(2-beta) per unit time
+    idx = StabilityIndex.from_spec(f"constant:{beta}", 2.0)
+    var = small_jump_variance_window(idx, 0.0, 2.0, Truncation("stationary", 12.5))
+    assert var == pytest.approx(beta / (2.0 - beta) * 12.5 ** (-(2.0 - beta) / beta) * 2.0,
+                                rel=1e-12)
+
+
+def test_stationary_excluded_variance_overflows_to_inf_quietly():
+    # M**(1 - 2/beta) = 1e1194 at M = 1e-6 and beta = 0.01
+    idx = StabilityIndex.from_spec("constant:0.01", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert small_jump_variance_window(idx, 0.0, 1.0, Truncation("stationary", 1e-6)) \
+            == math.inf
+        # the compensated solve brackets through that overflow
+        m = solve_truncation(idx, 1.0, "stationary", 1e-3, compensated=True)
+    assert m.parameter == pytest.approx((1e-6 * 1.99 / 0.01) ** (-0.01 / 1.99), rel=1e-9)
 
 
 def test_solve_truncation_caps_the_point_count():
