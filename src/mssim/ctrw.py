@@ -43,10 +43,6 @@ class CtrwPath:
     n: int
     grid: np.ndarray  # length kmax + 1, grid[0] = 0
 
-    @property
-    def horizon(self):
-        return (len(self.grid) - 1) / self.n
-
 
 def _jnk_from_uniforms(u, beta, beta_sup, L):
     """Invert the tail at uniform levels ``u`` (arrays broadcast together).

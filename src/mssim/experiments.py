@@ -47,9 +47,10 @@ _CHANNEL_SHIFT = 40
 
 DEFAULT_MASS_BUDGET = 1e-3
 # points the replications of one run may surely draw, on whole-horizon
-# blocks, first passage blocks or ctrw cells: 100-160 s of drawing at the
-# 50-80 ns per point measured on one core of a 2-vCPU Xeon, and 3.6 times
-# the full verify's largest run (ctrw's 10,000 x 55,500 cells)
+# blocks, first passage blocks, ctrw cells and D reference blocks: 100-160 s
+# of drawing at the 50-80 ns per point measured on one core of a 2-vCPU
+# Xeon, and 3.6 times the full verify's largest run (ctrw's 10,000 x 55,600
+# points, 55,500 of them cells)
 _MAX_RUN_POINTS = 2e9
 _PASSAGE_BLOCK_LEN = 0.25
 _PASSAGE_POINTS_CAP = 3.0e5
@@ -235,15 +236,14 @@ class PassagePlan:
     blocks: tuple
 
 
-def _budget_block(idx, T, mode, reps, trunc_m=None, compensated=False):
+def _budget_block(idx, T, mode, reps, trunc_m=None):
     """The block [0, T]: the stationary one at the level ``trunc_m`` if it is
     given, else the one under the truncation of ``mode`` that meets the
-    default excluded-mass budget, which a ``compensated`` block spends on
-    the sd of the excluded jumps instead.  A ValueError rejects, before
-    anything is drawn, a run whose ``reps`` replications draw more than
+    default excluded-mass budget.  A ValueError rejects, before anything is
+    drawn, a run whose ``reps`` replications draw more than
     ``_MAX_RUN_POINTS`` points."""
     if trunc_m is None:
-        trunc = ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET, compensated=compensated)
+        trunc = ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET)
     else:
         _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
         trunc = ppp.Truncation("stationary", float(trunc_m))
@@ -424,15 +424,16 @@ def _ctrw_rep(rep, seed, channel, idx, L, n, ts, p_n, lam):
     """S_n(t), E_n(t) and the composed walk at each t for one row-n path.
 
     The summands use stream ``channel`` and the walk ``channel + 1``; a
-    level past the last partial sum clamps E_n to the horizon and flags the
-    replication.  The walk is the running sum of Bernoulli(p_n) steps, read
-    after floor(lambda * E_n / p_n) of them."""
+    level past the last partial sum flags the replication.  E_n is censored
+    at the horizon T, min(E_n, T), since the last cell can end past T.  The
+    walk is the running sum of Bernoulli(p_n) steps, read after
+    floor(lambda * E_n / p_n) of them."""
     path = ctrw.partial_sum_path(stream_for(seed, channel, rep), n, idx, L)
     ts = np.asarray(ts, dtype=float)
     s = path.grid[np.minimum(np.floor(n * ts + 1e-9).astype(int), len(path.grid) - 1)]
     e = ctrw.inverse_ctrw(path, ts)
     unreached = np.isnan(e)
-    e[unreached] = path.horizon
+    e = np.fmin(e, idx.horizon)  # an unreached level's NaN becomes T too
     m = np.floor(lam * e / p_n + 1e-12).astype(np.int64)
     steps = stream_for(seed, channel + 1, rep).bernoulli(p_n, int(m.max()))
     x = np.concatenate(([0], np.cumsum(steps)))[m].astype(float)
@@ -507,19 +508,15 @@ def _laplace_level(idx, ts, theta_max, mass_budget):
     expm1(theta**2 v(t) / 2) for the excluded variance v(t), so v(t) <=
     2 log1p(theta * m(t)) / theta**2 suffices, and the right side falls in
     theta.  The level is solved at the smallest t; a later t is checked at
-    it, and solved for where the check fails.
-
-    Both levels are solved to a millionth of a decade, 20 halvings short of
-    a block's solve.  A coarser pure-jump level only lies higher, where
-    m(t) is lower and every row is held tighter."""
-    pure = ppp.solve_truncation(idx, ts[-1], "stationary", mass_budget, decades=1e-6)
+    it, and solved for where the check fails."""
+    pure = ppp.solve_truncation(idx, ts[-1], "stationary", mass_budget)
     level = None
     for t in ts:
         mass = min(ppp.small_jump_mass_window(idx, 0.0, t, pure), mass_budget)
         sd = math.sqrt(2.0 * math.log1p(theta_max * mass)) / theta_max
         # the variance falls in M, so t's own level is above one that fails it
         if level is None or ppp.small_jump_variance_window(idx, 0.0, t, level) > sd * sd:
-            level = ppp.solve_truncation(idx, t, "stationary", sd, compensated=True, decades=1e-6)
+            level = ppp.solve_truncation(idx, t, "stationary", sd, compensated=True)
     return level.parameter
 
 
@@ -564,7 +561,7 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
     with _open_pool(workers) as pool:
         d = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_LAPLACE,
                       idx=idx, blk=blk, windows=[(0.0, t) for t in ts])["inc"]
-    d = d + masses
+    d += masses
     rows = []
     for theta in thetas:
         for j, t in enumerate(ts):
@@ -651,11 +648,17 @@ def _parse_pn(pn_rule, n):
     raise ValueError(f"pn-rule must be 'sqrt' or 'const:<v>', got {pn_rule!r}")
 
 
-def _d_reference(idx, ts, reps, seed, pool):
-    """D(t) at each ascending t for every replication, from one compensated
-    threshold block on [0, max t]: its jump sum up to t plus the mass it
-    excludes up to t."""
-    blk = _budget_block(idx, ts[-1], "threshold", reps, compensated=True)
+def _d_reference_block(idx, T):
+    """The compensated threshold block on [0, T] whose excluded sd meets the
+    default budget."""
+    trunc = ppp.solve_truncation(idx, T, "threshold", DEFAULT_MASS_BUDGET, compensated=True)
+    return ppp.plan_block(idx, 0.0, T, trunc)
+
+
+def _d_reference(idx, ts, reps, seed, pool, blk):
+    """D(t) at each ascending t for every replication, from the compensated
+    threshold block ``blk`` on [0, max t]: its jump sum up to t plus the
+    mass it excludes up to t."""
     d = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_D_REFERENCE, idx=idx,
                   blk=blk, windows=[(0.0, t) for t in ts])["inc"]
     return d + [ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc) for t in ts]
@@ -697,12 +700,15 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
             _require(np.isfinite(math.ceil(n * idx.horizon) * j_max / b.min()),
                      f"the row n={n} partial sums of the index {idx.spec_string()} can "
                      "overflow the float range; raise the index")
-    _check_run_points(reps, sum(math.ceil(n * idx.horizon) for n in ns))
     # reference samples, shared by every n
     with _open_pool(workers) as pool:
         plan = plan_passage(idx, ts, pool)
-        _check_run_points(reps, ppp.drawn_count(plan.blocks[0]))
-        dref = _d_reference(idx, ts, reps, seed, pool)
+        dblk = _d_reference_block(idx, ts[-1])
+        # each replication surely draws every row's cells, the first passage
+        # block and the whole D reference block
+        _check_run_points(reps, sum(math.ceil(n * idx.horizon) for n in ns)
+                          + ppp.drawn_count(plan.blocks[0]) + ppp.drawn_count(dblk))
+        dref = _d_reference(idx, ts, reps, seed, pool, dblk)
         ref = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
         # censored at the horizon, as E_n and the walk are: E is min(E, T)
         eref, xref = np.fmin(ref["e"], idx.horizon), ref["x"]

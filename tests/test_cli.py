@@ -113,6 +113,9 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     ("mfpp", "--beta", "constant:0.5", "--reps", "1000000000", "--seed", "1"),
     ("mfpp", "--beta", "constant:0.5", "--t", "40", "--reps", "100000000", "--seed", "1"),
     ("ctrw", "--beta", "constant:0.5", "--n", "1000000", "--reps", "200000", "--seed", "1"),
+    # 1,250 cells and a D reference block of 1.1e3 points: each under the
+    # cap over the run, 2.4e9 together
+    ("ctrw", "--beta", "affine:0.2,0.56", "--n", "1000", "--t", "1", "--reps", "1000000"),
 ])
 def test_too_many_points_is_usage_error(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())

@@ -120,7 +120,6 @@ def test_partial_sum_path_basics():
     path = partial_sum_path(RngStream(1, 1), 50, IDX_HALF, UNIT)
     assert len(path.grid) == 51
     assert (np.diff(path.grid) > 0).all()
-    assert path.horizon == pytest.approx(1.0)
 
 
 def test_inverse_ctrw_examples():
@@ -215,7 +214,7 @@ def test_ctrw_rep_clamps_and_flags_an_unreached_level(monkeypatch):
     out = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.3, 1.0],
                     p_n=1.0, lam=1.0)
     assert out["s"].tolist() == [0.1, 0.1, 0.4]
-    assert out["e"].tolist() == [0.75, 0.75, SHORT.horizon]
+    assert out["e"].tolist() == [0.75, 0.75, IDX_HALF.horizon]
     assert out["x"].tolist() == [0.0, 0.0, 1.0]
     assert out["flagged"] is True
     reached = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.4],

@@ -100,9 +100,9 @@ def test_first_passage_of_the_compensated_plan_follows_the_exact_law():
 def _d_reference(t, reps=REPS):
     """The compensated ctrw reference D(t), its index, and its drift."""
     idx, _ = experiments.choose_horizon("affine:0.4,0.2", t, shortest=t)
-    d = experiments._d_reference(idx, [t], reps, SEED, None)[:, 0]
-    trunc = experiments._budget_block(idx, t, "threshold", reps, compensated=True).trunc
-    return d, idx, ppp.small_jump_mass_window(idx, 0.0, t, trunc)
+    blk = experiments._d_reference_block(idx, t)
+    d = experiments._d_reference(idx, [t], reps, SEED, None, blk)[:, 0]
+    return d, idx, ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc)
 
 
 def test_compensated_d_reference_follows_the_exact_law():

@@ -198,10 +198,9 @@ def test_run_mfpp_small():
     assert rep.header["unreached"] == 0
 
 
-def test_run_ctrw_compares_censored_samples(monkeypatch):
-    # the table ends at t = 1, so the horizon is 1 and about 30% of the
-    # replications never reach the level: E_n is clamped to the horizon,
-    # and the reference E must be censored there too, not dropped
+def _ctrw_ks_samples(monkeypatch, spec, ns):
+    """The report of a 200-replication ctrw run at t = 1 and the sample
+    pairs its KS rows compared, D, E and X for each n in turn."""
     samples = []
     ks = experiments.stats.ks_two_sample
 
@@ -210,14 +209,31 @@ def test_run_ctrw_compares_censored_samples(monkeypatch):
         return ks(a, b)
 
     monkeypatch.setattr(experiments.stats, "ks_two_sample", record)
-    rep = experiments.run_ctrw("table:0,0.3;0.5,0.7;1,0.4", ns=(100, 1000), ts=(1.0,), reps=200,
-                               seed=42, alpha=0.05)
-    assert rep.header["horizon"] == 1.0 and rep.header["flagged"] > 0
-    assert len(samples) == 6  # D, E and X for each n
+    rep = experiments.run_ctrw(spec, ns=ns, ts=(1.0,), reps=200, seed=42, alpha=0.05)
+    assert len(samples) == 3 * len(ns)
     for a, b in samples:
         assert len(a) == len(b) == 200
+    return rep, samples
+
+
+def test_run_ctrw_compares_censored_samples(monkeypatch):
+    # the table ends at t = 1, so the horizon is 1 and about 30% of the
+    # replications never reach the level: E_n is clamped to the horizon,
+    # and the reference E must be censored there too, not dropped
+    rep, samples = _ctrw_ks_samples(monkeypatch, "table:0,0.3;0.5,0.7;1,0.4", (100, 1000))
+    assert rep.header["horizon"] == 1.0 and rep.header["flagged"] > 0
     for a, b in samples[1::3]:  # E_n against E
         assert np.isfinite(b).all() and b.max() <= rep.header["horizon"]
+
+
+def test_run_ctrw_censors_both_samples_off_the_cell_grid(monkeypatch):
+    # the table ends at t = 1.4, so the horizon is 1.25, while the ten
+    # cells per unit of the row n = 10 end at 1.3: a passage in (1.25, 1.3]
+    # or none at all must read as the horizon on both sides
+    rep, samples = _ctrw_ks_samples(monkeypatch, "table:0,0.3;0.5,0.7;1.4,0.4", (10,))
+    assert rep.header["horizon"] == 1.25 and rep.header["flagged"] > 0
+    _, (a, b), _ = samples
+    assert a.max() == b.max() == 1.25
 
 
 def _no_integrate(*args):
