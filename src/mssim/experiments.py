@@ -5,8 +5,8 @@ random streams (master seed, channel, replication index), reduces them
 into a ``Report`` of named columns, and never depends on the number of
 worker processes: identical configuration and seed give byte-identical
 output.  A replication is one call of a per-replication worker
-``fn(rep, **params)`` returning named values; ``_map_reps`` is the only
-loop over replications.
+``fn(rep, **params)`` returning named values, or one row of a chunk
+kernel's arrays; ``_map_reps`` is the only loop over replications.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -127,6 +127,12 @@ class Report:
 
 _MIN_CHUNK = 16
 _CHUNKS_PER_WORKER = 8
+# a chunk kernel's calls: at most this many replications, and about this
+# many expected points, so a call's arrays stay near 64 kB each; criteria 2
+# and 4 draw 1,000 points a replication, and at 2**15 points a call and
+# more they took longer than one replication at a time
+_KERNEL_REPS = 1024
+_KERNEL_POINTS = 2**13
 
 
 def _open_pool(workers):
@@ -139,9 +145,14 @@ def _open_pool(workers):
     return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
 
 
-def _map_chunk(fn, lo, hi, params):
+def _map_chunk(fn, lo, hi, params, kernel_reps=0):
     """``fn(rep, **params)`` for each rep in [lo, hi), each named output
-    written to its replication's row of one array per name."""
+    written to its replication's row of one array per name; or, with
+    ``kernel_reps``, the chunk kernel ``fn(a, b, **params)`` on consecutive
+    ranges [a, b) of at most that many replications, its arrays joined."""
+    if kernel_reps:
+        parts = [fn(a, min(a + kernel_reps, hi), **params) for a in range(lo, hi, kernel_reps)]
+        return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
     out = {}
     for i, rep in enumerate(range(lo, hi)):
         for k, v in fn(rep, **params).items():
@@ -153,9 +164,12 @@ def _map_chunk(fn, lo, hi, params):
     return out
 
 
-def _map_reps(fn, reps, pool, **params):
+def _map_reps(fn, reps, pool, kernel_reps=0, **params):
     """Run the worker ``fn(rep, **params)`` for every rep in [0, reps), on
-    ``pool`` or serially if it is ``None``.
+    ``pool`` or serially if it is ``None``; with ``kernel_reps``, ``fn`` is
+    a chunk kernel ``fn(lo, hi, **params)`` that returns one array per name
+    for the replications [lo, hi), handed at most ``kernel_reps`` of them
+    a call.
 
     Each named output becomes one array whose first axis is the
     replication.  Chunks are reduced in replication order, and every
@@ -164,10 +178,10 @@ def _map_reps(fn, reps, pool, **params):
     per process, each of at least ``_MIN_CHUNK`` replications; fewer than
     two chunks run serially."""
     if pool is None or reps < 2 * _MIN_CHUNK:
-        return _map_chunk(fn, 0, reps, params)
+        return _map_chunk(fn, 0, reps, params, kernel_reps)
     # _max_workers is the size the executor was built with
     chunk = max(_MIN_CHUNK, -(-reps // (_CHUNKS_PER_WORKER * pool._max_workers)))
-    futures = [pool.submit(_map_chunk, fn, lo, min(lo + chunk, reps), params)
+    futures = [pool.submit(_map_chunk, fn, lo, min(lo + chunk, reps), params, kernel_reps)
                for lo in range(0, reps, chunk)]
     parts = [f.result() for f in futures]
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
@@ -328,7 +342,8 @@ def _block_passage(stream, plan):
         bins = np.minimum(((t - blk.t0) * scale).astype(np.intp), _PASSAGE_BINS - 1)
         ends = total + np.cumsum(np.bincount(bins, weights=x, minlength=_PASSAGE_BINS) + drift)
         crossing = np.searchsorted(ends, levels[nxt:], side="left")
-        for k in np.unique(crossing[crossing < _PASSAGE_BINS]):
+        inside_bins = crossing[crossing < _PASSAGE_BINS]  # ascending
+        for k in inside_bins[np.diff(inside_bins, prepend=-1) > 0]:
             inside = np.flatnonzero(bins == k)
             order = inside[np.argsort(t[inside])]
             start = ends[k - 1] if k else total
@@ -365,22 +380,81 @@ def _ramp_passage(times, prefix, start, end, b0, width, drift, levels):
 
 
 # ---------------------------------------------------------------------------
-# per-replication workers (top level so worker processes can import them);
-# each returns a dict of named values, which ``_map_reps`` gathers into arrays
+# per-replication workers and chunk kernels (top level so worker processes
+# can import them); each returns a dict of named values, which ``_map_reps``
+# gathers into arrays
 # ---------------------------------------------------------------------------
 
 
-def _increments_rep(rep, seed, channel, idx, blk, windows):
-    """Increments of D over each (a, b] window, all from one pattern of the
-    block [0, T].  Its jump times T*u lie in (0, T], so the window (0, t]
-    gives D(t) from the mask t' <= t alone, and from no mask once t >= T;
-    either selects the jumps both masks select, in order, so the sums are
-    the same floats."""
-    pat = ppp.sample_pattern(stream_for(seed, channel, rep), blk, idx)
-    t, x = pat.times, pat.sizes
-    return {"inc": np.array([x[(t > a) & (t <= b)].sum() if a > 0.0
-                             else x.sum() if b >= blk.t1 else x[t <= b].sum()
-                             for a, b in windows])}
+def _increments(reps, pool, seed, channel, idx, blk, windows):
+    """Increments of D over each (a, b] window for every replication, each
+    from one pattern of the block [0, T]: an array of one row per
+    replication, worked by ``_increments_chunk`` in calls of at most
+    ``_KERNEL_REPS`` replications and about ``_KERNEL_POINTS`` points."""
+    kernel_reps = max(1, min(_KERNEL_REPS, int(_KERNEL_POINTS / ppp.drawn_count(blk))))
+    return _map_reps(_increments_chunk, reps, pool, kernel_reps, seed=seed, channel=channel,
+                     idx=idx, blk=blk, windows=windows)["inc"]
+
+
+def _increments_chunk(lo, hi, seed, channel, idx, blk, windows):
+    """The increments of the replications [lo, hi), a chunk kernel.
+
+    Each replication draws from its own stream what ``ppp.sample_pattern``
+    draws, in its order: a threshold stream stays open across the thinning
+    and then draws the sizes of its kept points.  The index, the thinning,
+    the sizes and the window sums run once over the chunk.  A pattern's jump
+    times T*u lie in (0, T], so the window (0, t] selects by t' <= t alone,
+    and selects every jump once t >= T; either selects the jumps both masks
+    select, in order, and ``_rep_sums`` adds them as their own 1-D sum
+    would, so every increment is the float of the replication's own masked
+    sum."""
+    if blk.trunc.mode == "stationary":
+        pats = [ppp.sample_stationary(stream_for(seed, channel, rep), blk)
+                for rep in range(lo, hi)]
+        t = np.concatenate([p.times for p in pats])
+        x = ppp.stationary_sizes(np.concatenate([p.sizes for p in pats]), idx.evaluate_many(t))
+        ends = np.cumsum([len(p.times) for p in pats])
+    else:
+        streams = [stream_for(seed, channel, rep) for rep in range(lo, hi)]
+        drawn = [ppp.threshold_candidates(s, blk) for s in streams]
+        cand = np.concatenate([c for c, _ in drawn])
+        beta = idx.evaluate_many(cand)
+        kept = np.flatnonzero(ppp.thinned(blk, np.concatenate([k for _, k in drawn]), beta))
+        ends = np.searchsorted(kept, np.cumsum([len(c) for c, _ in drawn]))
+        sizes = [s.uniform(k) for s, k in zip(streams, np.diff(ends, prepend=0).tolist())]
+        t, x = cand[kept], ppp.threshold_sizes(blk, np.concatenate(sizes), beta[kept])
+    inc = np.empty((hi - lo, len(windows)))
+    for j, (a, b) in enumerate(windows):
+        if a == 0.0 and b >= blk.t1:
+            inc[:, j] = _rep_sums(x, ends)
+        else:
+            # positions, not a boolean mask: numpy gathers a long array by
+            # position about 4 times faster than it selects by mask
+            pos = np.flatnonzero((t > a) & (t <= b) if a > 0.0 else t <= b)
+            inc[:, j] = _rep_sums(x[pos], np.searchsorted(pos, ends))
+    return {"inc": inc}
+
+
+def _rep_sums(x, ends):
+    """The sum of each replication's run of ``x``, where replication r's run
+    ends before ``ends[r]`` and starts where the run before it ends.
+
+    The runs are gathered in ascending length, so the runs of one length
+    are the rows of one 2-D block, summed along its rows; numpy adds each
+    row as it adds the row alone, so every sum is the float ``run.sum()``
+    gives, which ``np.add.reduceat`` and ``np.bincount`` do not."""
+    counts = np.diff(ends, prepend=0)
+    order = np.argsort(counts, kind="stable")
+    ordered = counts[order]
+    offsets = np.cumsum(ordered) - ordered
+    y = x[np.repeat(ends[order] - ordered - offsets, ordered) + np.arange(len(x))]
+    edges = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(order)]
+    out = np.zeros(len(counts))
+    for g0, g1 in zip(edges, edges[1:]):
+        c, o = int(ordered[g0]), int(offsets[g0])
+        if c:
+            out[order[g0:g1]] = y[o:o + (g1 - g0) * c].reshape(g1 - g0, c).sum(axis=1)
+    return out
 
 
 def _monotone_rep(rep, seed, idx, blk):
@@ -559,8 +633,7 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
              "the float range, so no row could fail; raise trunc-m")
     variances = [ppp.small_jump_variance_window(idx, 0.0, t, trunc) for t in ts]
     with _open_pool(workers) as pool:
-        d = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_LAPLACE,
-                      idx=idx, blk=blk, windows=[(0.0, t) for t in ts])["inc"]
+        d = _increments(reps, pool, seed, CH_LAPLACE, idx, blk, [(0.0, t) for t in ts])
     d += masses
     rows = []
     for theta in thetas:
@@ -659,8 +732,7 @@ def _d_reference(idx, ts, reps, seed, pool, blk):
     """D(t) at each ascending t for every replication, from the compensated
     threshold block ``blk`` on [0, max t]: its jump sum up to t plus the
     mass it excludes up to t."""
-    d = _map_reps(_increments_rep, reps, pool, seed=seed, channel=CH_D_REFERENCE, idx=idx,
-                  blk=blk, windows=[(0.0, t) for t in ts])["inc"]
+    d = _increments(reps, pool, seed, CH_D_REFERENCE, idx, blk, [(0.0, t) for t in ts])
     return d + [ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc) for t in ts]
 
 
@@ -824,9 +896,8 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         n2 = sizes["cross"]
         samples = {}
         for mode, ch in (("stationary", CH_CROSS_STATIONARY), ("threshold", CH_CROSS_THRESHOLD)):
-            samples[mode] = _map_reps(_increments_rep, n2, pool, seed=seed, channel=ch, idx=idx_c,
-                                      blk=_budget_block(idx_c, 1.0, mode, n2),
-                                      windows=[(0.0, 1.0)])["inc"][:, 0]
+            blk = _budget_block(idx_c, 1.0, mode, n2)
+            samples[mode] = _increments(n2, pool, seed, ch, idx_c, blk, [(0.0, 1.0)])[:, 0]
         ks = stats.ks_two_sample(samples["stationary"], samples["threshold"])
         crit = stats.ks_critical_value(n2, n2, 0.01)
         rows.append((2, "sampler cross-validation KS at t=1", ks, crit, ks < crit))
@@ -835,8 +906,8 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         n3 = sizes["continuity"]
         windows = [(t, t + h) for t in (0.0, 0.4) for h in (0.01, 0.05, 0.1)]
         idx3 = StabilityIndex.from_spec("constant:0.5", 0.5)
-        inc = _map_reps(_increments_rep, n3, pool, seed=seed, channel=CH_CONTINUITY, idx=idx3,
-                        blk=_budget_block(idx3, 0.5, "stationary", n3), windows=windows)["inc"]
+        inc = _increments(n3, pool, seed, CH_CONTINUITY, idx3,
+                          _budget_block(idx3, 0.5, "stationary", n3), windows)
         c_const = 21.0
         for j, (a, b) in enumerate(windows):
             h = b - a
@@ -847,9 +918,8 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
 
         # 4: increments on (0, 0.5] and (0.5, 1] are uncorrelated
         n4 = sizes["increments"]
-        inc4 = _map_reps(_increments_rep, n4, pool, seed=seed, channel=CH_INCREMENTS, idx=idx_c,
-                         blk=_budget_block(idx_c, 1.0, "stationary", n4),
-                         windows=[(0.0, 0.5), (0.5, 1.0)])["inc"]
+        inc4 = _increments(n4, pool, seed, CH_INCREMENTS, idx_c,
+                           _budget_block(idx_c, 1.0, "stationary", n4), [(0.0, 0.5), (0.5, 1.0)])
         corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]))
         bound4 = 3.0 / math.sqrt(n4)
         rows.append((4, "increment correlation (0,0.5] vs (0.5,1]", corr, bound4, corr <= bound4))

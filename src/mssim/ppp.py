@@ -18,10 +18,13 @@ clock of the counting process.
 Sampling is planned once and then only draws: ``plan_block`` fixes a time
 window, its truncation and the expected point count (a quadrature under the
 threshold mode) below ``MAX_POINTS``, and the samplers take that ``Block``.
-``sample_pattern`` dispatches on the truncation mode, and ``solve_truncation``
-picks the truncation that meets a budget.  ``small_jump_mass_window`` and
-``small_jump_variance_window`` report the expected total mass of the excluded
-jumps and its variance, so truncation error can be budgeted analytically.
+``sample_pattern`` dispatches on the truncation mode.  The point transforms
+``stationary_sizes``, ``thinned`` and ``threshold_sizes`` act elementwise,
+so a caller that draws many patterns may apply them to all at once.
+``solve_truncation`` picks the truncation that meets a budget.
+``small_jump_mass_window`` and ``small_jump_variance_window`` report the
+expected total mass of the excluded jumps and its variance, so truncation
+error can be budgeted analytically.
 
 A pure-jump block budgets the excluded mass, which biases its path low.  A
 compensated block (Asmussen & Rosinski 2001) adds that mass back as a drift,
@@ -126,17 +129,22 @@ def poisson_points(stream, t0, t1, mean):
     return t0 + (t1 - t0) * stream.uniform(stream.poisson(mean))
 
 
-def sample_stationary(stream, blk, idx):
+def sample_stationary(stream, blk, idx=None):
     """Sample a stationary-truncation block with level cutoff M.
 
     K ~ Poisson(mean count) points uniform on [t0, t1] x (0, M] are mapped
     through u -> u**(-1/beta(t)); the image has exactly the target intensity
-    restricted to the retained region x >= M**(-1/beta(t))."""
+    restricted to the retained region x >= M**(-1/beta(t)).  Without ``idx``
+    the sizes are the levels u themselves, for a caller that maps many
+    patterns in one ``stationary_sizes`` call."""
     t = poisson_points(stream, blk.t0, blk.t1, blk.mean_count)
     u = blk.trunc.parameter * stream.uniform(len(t))
-    beta = idx.evaluate_many(t)
-    x = u ** (-1.0 / beta)
-    return PointPattern(t, x, blk.t1)
+    return PointPattern(t, u if idx is None else stationary_sizes(u, idx.evaluate_many(t)), blk.t1)
+
+
+def stationary_sizes(u, beta):
+    """The jump sizes u**(-1/beta) of stationary levels u at index values beta."""
+    return u ** (-1.0 / beta)
 
 
 def sample_pattern(stream, blk, idx):
@@ -149,11 +157,17 @@ def sample_pattern(stream, blk, idx):
 def sample_threshold(stream, blk, idx):
     """Sample all jumps of size >= eps of a threshold-truncation block.
 
-    Their times are ``sample_threshold_times``; sizes are conditional
-    Pareto, x = eps * U**(-1/beta(t))."""
+    Their times are ``sample_threshold_times``; sizes are
+    ``threshold_sizes``, drawn after the times from the same stream."""
     t = sample_threshold_times(stream, idx, blk)
-    x = blk.trunc.parameter * stream.uniform(len(t)) ** (-1.0 / idx.evaluate_many(t))
-    return PointPattern(t, x, blk.t1)
+    return PointPattern(t, threshold_sizes(blk, stream.uniform(len(t)), idx.evaluate_many(t)),
+                        blk.t1)
+
+
+def threshold_sizes(blk, u, beta):
+    """The conditional Pareto sizes eps * u**(-1/beta) of a threshold block's
+    jumps, for uniforms u and the index values beta at their times."""
+    return blk.trunc.parameter * u ** (-1.0 / beta)
 
 
 def envelope_count(blk):
@@ -173,10 +187,22 @@ def sample_threshold_times(stream, idx, blk):
     with probability eps**(sup beta - beta(t)), so the kept count is Poisson
     with the block's mean count.  The envelope dominates exactly because the
     block's supremum is exact."""
+    cand, keep = threshold_candidates(stream, blk)
+    return cand[thinned(blk, keep, idx.evaluate_many(cand))]
+
+
+def threshold_candidates(stream, blk):
+    """The unsorted thinning candidates of a threshold block, the points of
+    its envelope rate, and the keep uniform of each."""
     cand = poisson_points(stream, blk.t0, blk.t1, envelope_count(blk))
-    keep = stream.uniform(len(cand)) < blk.trunc.parameter ** (blk.sup_beta
-                                                               - idx.evaluate_many(cand))
-    return cand[keep]
+    return cand, stream.uniform(len(cand))
+
+
+def thinned(blk, keep, beta):
+    """Which candidates of a threshold block one-pass thinning keeps: those
+    whose keep uniform is below eps**(sup beta - beta), for the index values
+    beta at their times."""
+    return keep < blk.trunc.parameter ** (blk.sup_beta - beta)
 
 
 def _excluded_moment(idx, t0, t1, trunc, k, bins=0):

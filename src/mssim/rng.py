@@ -5,6 +5,8 @@ Every replication gets its own stream derived statelessly from
 order on any number of workers and still produce identical output.
 """
 
+import math
+
 import numpy as np
 
 _U64 = 2**64
@@ -57,7 +59,7 @@ class RngStream:
         power -1/beta, so the endpoints must never appear.
         """
         u = self._gen.random(size)
-        if not u.all():
+        if np.count_nonzero(u) < u.size:
             zero = u == 0.0
             while zero.any():
                 u[zero] = self._gen.random(int(zero.sum()))
@@ -66,7 +68,7 @@ class RngStream:
 
     def poisson(self, mean):
         """A single Poisson(mean) count."""
-        if not np.isfinite(mean) or mean < 0:
+        if not 0.0 <= mean < math.inf:  # NaN fails too
             raise ValueError(f"mean must be finite and non-negative, got {mean}")
         return int(self._gen.poisson(mean))
 

@@ -103,19 +103,14 @@ def test_criterion_9_determinism(verify_report):
 # -- negative controls --------------------------------------------------------
 
 
-class _ShiftedIndex:
-    """An index read 0.05 higher than it is, by the one sampler given it."""
-
-    def __init__(self, idx):
-        self._idx = idx
-
-    def evaluate_many(self, t):
-        return self._idx.evaluate_many(t) + 0.05
-
-
-def _shift_beta(monkeypatch, sampler):
-    draw = getattr(ppp, sampler)
-    monkeypatch.setattr(ppp, sampler, lambda stream, blk, idx: draw(stream, blk, _ShiftedIndex(idx)))
+def _shift_beta(monkeypatch, *transforms):
+    """Read the index 0.05 higher in the named ``ppp`` point transforms, which
+    take the index values last; the samplers and the increments kernel share
+    them."""
+    for name in transforms:
+        transform = getattr(ppp, name)
+        monkeypatch.setattr(ppp, name,
+                            lambda *args, f=transform: f(*args[:-1], args[-1] + 0.05))
 
 
 @pytest.mark.parametrize("spec", experiments._VERIFY_FAMILIES)
@@ -129,7 +124,7 @@ def test_criterion_1_fails_when_the_sampler_shifts_beta(spec, monkeypatch):
     args = (spec, (0.5, 1.0, 2.0), (0.5, 1.0), 8000, SEED)
     plain = experiments.run_laplace(*args)
     assert plain.all_pass() and worst(plain) < 1.0
-    _shift_beta(monkeypatch, "sample_stationary")
+    _shift_beta(monkeypatch, "stationary_sizes")
     shifted = experiments.run_laplace(*args)
     assert not shifted.all_pass() and worst(shifted) > 2.0
 
@@ -137,9 +132,9 @@ def test_criterion_1_fails_when_the_sampler_shifts_beta(spec, monkeypatch):
 def _criterion_2_ks(n):
     """Criterion 2's KS distance at n draws per sampler, and its critical value."""
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
-    samples = [experiments._map_reps(experiments._increments_rep, n, None, seed=SEED, channel=ch,
-                                     idx=idx, blk=experiments._budget_block(idx, 1.0, mode, n),
-                                     windows=[(0.0, 1.0)])["inc"][:, 0]
+    samples = [experiments._increments(n, None, SEED, ch, idx,
+                                       experiments._budget_block(idx, 1.0, mode, n),
+                                       [(0.0, 1.0)])[:, 0]
                for mode, ch in (("stationary", experiments.CH_CROSS_STATIONARY),
                                 ("threshold", experiments.CH_CROSS_THRESHOLD))]
     return stats.ks_two_sample(*samples), stats.ks_critical_value(n, n, 0.01)
@@ -150,7 +145,7 @@ def test_criterion_2_fails_when_one_sampler_shifts_beta(monkeypatch):
     # threshold sampler shifted
     ks, crit = _criterion_2_ks(2000)
     assert ks < crit
-    _shift_beta(monkeypatch, "sample_threshold")
+    _shift_beta(monkeypatch, "thinned", "threshold_sizes")
     ks, crit = _criterion_2_ks(2000)
     assert ks > 3.0 * crit
 
@@ -159,10 +154,8 @@ def _criterion_4_corr(windows, n=2000):
     """Criterion 4's rank correlation of the increments over two windows at
     n replications, and its bound."""
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
-    inc = experiments._map_reps(experiments._increments_rep, n, None, seed=SEED,
-                                channel=experiments.CH_INCREMENTS, idx=idx,
-                                blk=experiments._budget_block(idx, 1.0, "stationary", n),
-                                windows=windows)["inc"]
+    inc = experiments._increments(n, None, SEED, experiments.CH_INCREMENTS, idx,
+                                  experiments._budget_block(idx, 1.0, "stationary", n), windows)
     return abs(stats.increment_correlation(inc[:, 0], inc[:, 1])), 3.0 / math.sqrt(n)
 
 

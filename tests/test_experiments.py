@@ -2,6 +2,10 @@
 
 from concurrent.futures import Future
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from mssim.experiments import (
     CH_PASSAGE,
     Report,
     _block_passage,
-    _increments_rep,
+    _increments,
+    _increments_chunk,
     _map_reps,
     choose_horizon,
     level_tail_bound,
@@ -258,8 +263,7 @@ def test_replications_never_integrate(monkeypatch):
     for rep, blk in enumerate(blocks):
         pat = ppp.sample_threshold(stream_for(1, 1, rep), blk, idx)
         assert ((pat.times >= blk.t0) & (pat.times <= blk.t1)).all()
-    inc = _map_reps(_increments_rep, 4, None, seed=1, channel=1, idx=idx, blk=blocks[0],
-                    windows=[(0.0, 0.5), (0.0, 1.0)])["inc"]
+    inc = _increments(4, None, 1, 1, idx, blocks[0], [(0.0, 0.5), (0.0, 1.0)])
     assert inc.shape == (4, 2) and (inc[:, 1] >= inc[:, 0]).all()
 
 
@@ -503,11 +507,11 @@ def test_pool_size_is_bounded_by_chunks_and_cpus(inline_pool, monkeypatch):
     kwargs = dict(seed=4, channel=1, idx=StabilityIndex.from_spec("constant:0.5", 1.0),
                   windows=[(0.0, 1.0)])
     kwargs["blk"] = ppp.plan_block(kwargs["idx"], 0.0, 1.0, ppp.Truncation("stationary", 50.0))
-    serial = _map_reps(_increments_rep, 128, None, **kwargs)["inc"]
+    serial = _increments(128, None, **kwargs)
     for workers, size in ((100_000, 3), (2, 2)):
         inline_pool.calls.clear()
         with experiments._open_pool(workers) as pool:
-            pooled = _map_reps(_increments_rep, 128, pool, **kwargs)["inc"]
+            pooled = _increments(128, pool, **kwargs)
         assert pooled.tobytes() == serial.tobytes()
         assert inline_pool.sizes[-1] == size
     # about eight chunks per process, of at least 16 replications, in rep order:
@@ -517,7 +521,7 @@ def test_pool_size_is_bounded_by_chunks_and_cpus(inline_pool, monkeypatch):
     # fewer than two chunks of 16 run serially
     inline_pool.calls.clear()
     with experiments._open_pool(2) as pool:
-        _map_reps(_increments_rep, 31, pool, **kwargs)
+        _increments(31, pool, **kwargs)
     assert not inline_pool.calls
 
 
@@ -639,8 +643,95 @@ def test_increments_equal_the_two_mask_sums_bit_for_bit(mode):
         pat = ppp.sample_pattern(stream_for(5, 1, rep), blk, idx)
         t, x = pat.times, pat.sizes
         want = np.array([x[(t > a) & (t <= b)].sum() for a, b in windows])
-        got = _increments_rep(rep, 5, 1, idx, blk, windows)["inc"]
-        assert got.tobytes() == want.tobytes()
+        got = _increments_chunk(rep, rep + 1, 5, 1, idx, blk, windows)["inc"]
+        assert got.shape == (1, len(windows)) and got[0].tobytes() == want.tobytes()
+
+
+def _one_rep_rows(lo, hi, **kwargs):
+    """The kernel's rows for [lo, hi), one replication a call; each must be
+    the masked sums of the replication's own ``sample_pattern``."""
+    rows = np.vstack([_increments_chunk(rep, rep + 1, **kwargs)["inc"] for rep in range(lo, hi)])
+    for rep, row in zip(range(lo, hi), rows):
+        pat = ppp.sample_pattern(stream_for(kwargs["seed"], kwargs["channel"], rep),
+                                 kwargs["blk"], kwargs["idx"])
+        t, x = pat.times, pat.sizes
+        assert row.tobytes() == np.array([x[(t > a) & (t <= b)].sum()
+                                          for a, b in kwargs["windows"]]).tobytes()
+    return rows
+
+
+# about 5, 40 and 500 points a replication: numpy adds fewer than 8 values in
+# sequence, up to 128 with eight partial sums, and more pairwise
+KERNEL_BLOCKS = {
+    "stationary": [ppp.Truncation("stationary", m) for m in (5.0, 40.0, 500.0)],
+    "threshold": [ppp.Truncation("threshold", eps) for eps in (0.04, 6e-4, 4e-6)],
+}
+
+
+@pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)
+@pytest.mark.parametrize("level", range(3))
+def test_increments_chunk_is_the_stack_of_its_one_replication_calls(mode, level):
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    blk = ppp.plan_block(idx, 0.0, 1.0, KERNEL_BLOCKS[mode][level])
+    assert [5, 40, 500][level] / 2 < blk.mean_count < [5, 40, 500][level] * 2
+    # (0, t < T], (0, T], (0, t > T] and (a, b] windows
+    kwargs = dict(seed=9, channel=3, idx=idx, blk=blk,
+                  windows=[(0.0, 0.4), (0.0, 1.0), (0.0, 1.5), (0.2, 0.7), (0.6, 1.0)])
+    lo, hi = 17, 17 + (40 if level < 2 else 12)
+    got = _increments_chunk(lo, hi, **kwargs)["inc"]
+    assert got.tobytes() == _one_rep_rows(lo, hi, **kwargs).tobytes()
+    # runs of one length shared rows in that call; an empty window sums to +0.0
+    assert np.signbit(got).sum() == 0
+
+
+@pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)
+def test_increments_cross_kernel_calls_and_pools_bit_for_bit(mode, monkeypatch):
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    blk = ppp.plan_block(idx, 0.0, 1.0, KERNEL_BLOCKS[mode][1])
+    kwargs = dict(seed=2, channel=4, idx=idx, blk=blk, windows=[(0.0, 0.5), (0.25, 1.0)])
+    want = _one_rep_rows(0, 40, **kwargs)
+    with experiments.ProcessPoolExecutor(max_workers=2) as pool:
+        pooled = _increments(40, pool, **kwargs)
+    assert pooled.tobytes() == want.tobytes()
+    ranges = []
+
+    def recording(lo, hi, **params):
+        ranges.append((lo, hi))
+        return _increments_chunk(lo, hi, **params)
+
+    monkeypatch.setattr(experiments, "_increments_chunk", recording)
+    monkeypatch.setattr(experiments, "_KERNEL_REPS", 7)
+    assert _increments(40, None, **kwargs).tobytes() == want.tobytes()
+    assert ranges == [(lo, min(lo + 7, 40)) for lo in range(0, 40, 7)]
+
+
+def test_row_sums_along_axis_1_equal_the_one_row_sums():
+    # the kernel's window sums rely on it; a numpy that breaks it fails here
+    gen = np.random.default_rng(3)
+    for length in range(301):
+        a = gen.pareto(0.5, (5, length))
+        assert a.sum(axis=1).tobytes() == np.array([row.sum() for row in a]).tobytes(), length
+
+
+def test_a_serial_run_is_worked_in_bounded_kernel_calls(monkeypatch):
+    # 20,000 replications are not one array of all their points: at about 7
+    # points a replication the kernel gets 1,024 of them a call, and at
+    # 1,000 points the 2**13 point bound makes it 8
+    widest = []
+
+    def recording(lo, hi, **params):
+        widest.append(hi - lo)
+        return _increments_chunk(lo, hi, **params)
+
+    monkeypatch.setattr(experiments, "_increments_chunk", recording)
+    rep = run_laplace("constant:0.5", [1.0], [1.0], 20_000, 1)
+    assert float(rep.header["truncation"].partition(":")[2]) < experiments._KERNEL_POINTS / 1024
+    assert max(widest) == experiments._KERNEL_REPS == 1024 and sum(widest) == 20_000
+    idx = StabilityIndex.from_spec("constant:0.5", 1.0)
+    blk = ppp.plan_block(idx, 0.0, 1.0, ppp.Truncation("stationary", 1000.0))
+    widest.clear()
+    _increments(600, None, 1, 1, idx, blk, [(0.0, 1.0)])
+    assert widest == [8] * 75
 
 
 @pytest.mark.parametrize("lfamily", ("unit", "log"))
@@ -660,3 +751,18 @@ def test_runaway_quadrature_is_a_usage_error():
     # on its deepest level; the node cap stops it at the first level past 2**20
     with pytest.raises(ValueError, match=r"over \[0, 1\] needs more than 1048576"):
         run_laplace("sin:0.5,0.45,31", [1.0], [1.0], 2, 1)
+
+
+def test_the_pipelines_leave_numpy_ma_unimported():
+    # numpy.ma costs a process about 10 ms to import; np.unique imports it
+    code = ("import sys\n"
+            "from mssim import experiments as e\n"
+            "e.run_laplace('affine:0.4,0.2', reps=2)\n"
+            "e.run_mfpp('constant:0.5', reps=2)\n"
+            "e.run_ctrw('constant:0.5', reps=2)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(pathlib.Path(experiments.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -58,8 +58,35 @@ def test_poisson_draws():
     draws = np.array([s.poisson(4.0) for _ in range(20_000)])
     assert abs(draws.mean() - 4.0) < 0.05
     assert s.poisson(0.0) == 0
-    with pytest.raises(ValueError):
-        s.poisson(-1.0)
+
+
+@pytest.mark.parametrize("mean", (float("nan"), float("inf"), -float("inf"), -1.0))
+def test_poisson_rejects_a_mean_that_is_not_finite_and_non_negative(mean):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        RngStream(11, 0).poisson(mean)
+
+
+class _ScriptedGenerator:
+    """A generator stand-in whose ``random`` returns scripted draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.draws.pop(0)
+
+
+def test_uniform_redraws_an_exact_zero_from_the_same_stream():
+    s = RngStream(11, 0)
+    real, s._gen = s._gen, _ScriptedGenerator([0.25, 0.0, 0.5, 0.0], [0.0, 0.75], [0.125])
+    try:
+        # the two zeros are redrawn together, then the one zero of that redraw
+        assert s.uniform(4).tolist() == [0.25, 0.125, 0.5, 0.75]
+        assert s._gen.sizes == [4, 2, 1] and not s._gen.draws
+    finally:
+        s._gen = real  # the stream hands its generator back to the spares
 
 
 def test_bernoulli_frequency():

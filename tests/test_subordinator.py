@@ -19,7 +19,7 @@ from mssim import (
     sample_pattern,
     sample_threshold,
 )
-from mssim.experiments import _increments_rep, _map_reps, stream_for
+from mssim.experiments import _increments, stream_for
 
 
 def _pattern(times, sizes, horizon=1.0):
@@ -91,8 +91,7 @@ def test_increment_examples():
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
     blk = plan_block(idx, 0.0, 1.0, Truncation("stationary", 200.0))
     windows = [(0.1, 0.4), (0.25, 0.35), (0.1, 0.55), (0.0, 0.5), (0.5, 1.0)]
-    inc = _map_reps(_increments_rep, 20, None, seed=3, channel=5, idx=idx, blk=blk,
-                    windows=windows)["inc"]
+    inc = _increments(20, None, 3, 5, idx, blk, windows)
     for rep in range(20):
         path = build_path(sample_pattern(stream_for(3, 5, rep), blk, idx))
         a, b = np.array(windows).T
