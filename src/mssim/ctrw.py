@@ -105,12 +105,18 @@ def norming_bnk(a_n, beta_kn, beta_sup):
     return a_n ** (beta_sup / beta_kn)
 
 
+def cell_count(n, horizon):
+    """The cells of width 1/n that cover [0, horizon]: ceil(n * horizon),
+    where an n * horizon within 1e-9 above an integer rounds to it."""
+    return math.ceil(n * horizon - 1e-9)
+
+
 def partial_sum_path(stream, n, idx, L):
     """The row-n partial-sum path on [0, T], T the horizon: one fresh J per cell.
 
-    Grid value at k/n is sum_{j<=k} b_{nj}**-1 * J_{nj} for k = 0..ceil(nT).
+    Grid value at k/n is sum_{j<=k} b_{nj}**-1 * J_{nj} for k = 0..``cell_count(n, T)``.
     """
-    kmax = math.ceil(n * idx.horizon - 1e-9)
+    kmax = cell_count(n, idx.horizon)
     ks = np.arange(1, kmax + 1)
     beta = idx.evaluate_many(np.minimum(ks / n, idx.horizon))
     b = norming_bnk(norming_an(n, L, idx.beta_sup), beta, idx.beta_sup)

@@ -153,15 +153,9 @@ def _map_chunk(fn, lo, hi, params, kernel_reps=0):
     if kernel_reps:
         parts = [fn(a, min(a + kernel_reps, hi), **params) for a in range(lo, hi, kernel_reps)]
         return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
-    out = {}
-    for i, rep in enumerate(range(lo, hi)):
-        for k, v in fn(rep, **params).items():
-            if k not in out:
-                # strings differ in width from rep to rep, so they stay objects
-                dtype = object if isinstance(v, str) else np.asarray(v).dtype
-                out[k] = np.empty((hi - lo,) + np.shape(v), dtype)
-            out[k][i] = v
-    return out
+    outs = [fn(rep, **params) for rep in range(lo, hi)]
+    # a name's strings take the widest one's width, as np.concatenate does
+    return {k: np.array([o[k] for o in outs]) for k in outs[0]}
 
 
 def _map_reps(fn, reps, pool, kernel_reps=0, **params):
@@ -316,14 +310,14 @@ def _block_passage(stream, plan):
     """First-passage times of one truncated path at every plan level.
 
     A block that leaves the path below the lowest open level only adds its
-    size sum and its drift.  A block that reaches a level is summed over
-    ``_PASSAGE_BINS`` equal time bins, each with its drift, which hold
-    ascending, disjoint time ranges; a level is crossed in the first bin
-    whose running sum reaches it, and only that bin's points are sorted and
-    searched.  This is the passage of the block's sorted path up to the
-    rounding of its partial sums.  Levels not reached by the horizon stay
-    NaN (the caller flags them); blocks after the last passage are never
-    sampled."""
+    size sum and its drift, zero for a block without one.  A block that
+    reaches a level is summed over ``_PASSAGE_BINS`` equal time bins, each
+    with its drift, which hold ascending, disjoint time ranges; a level is
+    crossed in the first bin whose running sum reaches it, and only that
+    bin's points are sorted and searched, by ``first_passage``.  This is the
+    passage of the block's sorted path up to the rounding of its partial
+    sums.  Levels not reached by the horizon stay NaN (the caller flags
+    them); blocks after the last passage are never sampled."""
     levels = np.asarray(plan.levels)
     e = np.full(len(levels), np.nan)
     total = 0.0
@@ -331,7 +325,7 @@ def _block_passage(stream, plan):
     for blk in plan.blocks:
         pat = ppp.sample_pattern(stream, blk, plan.idx)
         t, x = pat.times, pat.sizes
-        drift = 0.0 if blk.drift is None else blk.drift
+        drift = np.zeros(_PASSAGE_BINS) if blk.drift is None else blk.drift
         mass = x.sum() + np.sum(drift)
         if total + mass < levels[nxt]:
             total += mass
@@ -348,35 +342,19 @@ def _block_passage(stream, plan):
             order = inside[np.argsort(t[inside])]
             start = ends[k - 1] if k else total
             prefix = start + np.cumsum(x[order])
-            hit = nxt + np.flatnonzero(crossing == k)
-            if blk.drift is None:
-                # the bin ends at its bin sum, so a level placed in it is reached in it
+            if not drift[k]:
+                # the bin holds a jump and ends at its bin sum, so a level
+                # placed in it is reached in it
                 prefix[-1] = ends[k]
-                e[hit] = inverse_mfpp.first_passage(t[order], prefix, levels[hit])
-            else:
-                e[hit] = _ramp_passage(t[order], prefix, start, ends[k], blk.t0 + k * width,
-                                       width, drift[k], levels[hit])
+            b0 = blk.t0 + k * width
+            hit = nxt + np.flatnonzero(crossing == k)
+            e[hit] = inverse_mfpp.first_passage(t[order], prefix, levels[hit], start,
+                                                drift[k] / width, b0, b0 + width)
         nxt += int(np.count_nonzero(crossing < _PASSAGE_BINS))
         if nxt >= len(levels):
             break
         total = ends[-1]
     return e
-
-
-def _ramp_passage(times, prefix, start, end, b0, width, drift, levels):
-    """First passage at each level in one bin [b0, b0 + width] of a
-    compensated block, where the path starts at ``start``, takes its jumps
-    (ascending ``times``, running sums ``prefix`` from ``start``) and rises
-    by ``drift`` spread linearly across the bin, to end at ``end``.
-
-    The first jump or bin end whose value reaches a level bounds its
-    passage; the drift reaches the level earlier where the line from the
-    jump sum before it crosses the level first."""
-    ramp = drift / width
-    jumps = np.concatenate(([start], prefix))  # the jump sum before each jump and the bin end
-    after = np.append(prefix + ramp * (times - b0), end)
-    j = np.searchsorted(after, levels, side="left")
-    return np.minimum(np.append(times, b0 + width)[j], b0 + (levels - jumps[j]) / ramp)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +584,15 @@ def _compensated_allowance(theta, mass, variance):
     return min(jump, math.exp(-theta * mass) * math.expm1(spread))
 
 
+def _d_reference(idx, ts, reps, seed, pool, blk, channel=CH_D_REFERENCE):
+    """D(t) at each ascending t for every replication on ``channel``, from
+    the compensated block ``blk`` on [0, max t]: its jump sum up to t plus
+    the mass it excludes up to t, added in place."""
+    d = _increments(reps, pool, seed, channel, idx, blk, [(0.0, t) for t in ts])
+    d += [ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc) for t in ts]
+    return d
+
+
 def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, seed=0, workers=1,
                 trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
     """Monte Carlo transform values of D(t) against the closed form.
@@ -633,8 +620,7 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
              "the float range, so no row could fail; raise trunc-m")
     variances = [ppp.small_jump_variance_window(idx, 0.0, t, trunc) for t in ts]
     with _open_pool(workers) as pool:
-        d = _increments(reps, pool, seed, CH_LAPLACE, idx, blk, [(0.0, t) for t in ts])
-    d += masses
+        d = _d_reference(idx, ts, reps, seed, pool, blk, CH_LAPLACE)
     rows = []
     for theta in thetas:
         for j, t in enumerate(ts):
@@ -728,14 +714,6 @@ def _d_reference_block(idx, T):
     return ppp.plan_block(idx, 0.0, T, trunc)
 
 
-def _d_reference(idx, ts, reps, seed, pool, blk):
-    """D(t) at each ascending t for every replication, from the compensated
-    threshold block ``blk`` on [0, max t]: its jump sum up to t plus the
-    mass it excludes up to t."""
-    d = _increments(reps, pool, seed, CH_D_REFERENCE, idx, blk, [(0.0, t) for t in ts])
-    return d + [ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc) for t in ts]
-
-
 def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, seed=0, workers=1,
              pn_rule="sqrt", lam=1.0, alpha=0.01):
     """KS distances of the array approximations against direct simulation.
@@ -757,19 +735,20 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
     idx, tail = choose_horizon(beta_spec, ts[-1], shortest=ts[-1])
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
-    # a row's largest partial sum: ceil(nT) summands at beta_inf and the
+    cells = {n: ctrw.cell_count(n, idx.horizon) for n in ns}
+    # a row's largest partial sum: its cells' summands at beta_inf and the
     # smallest non-zero uniform, 2**-53, each over the smallest b_nk
     with np.errstate(over="ignore", invalid="ignore"):
         j_max = float(ctrw._jnk_from_uniforms(2.0**-53, idx.beta_inf, idx.beta_sup, L))
         for n in ns:
-            ppp.check_points(math.ceil(n * idx.horizon), 0.0, idx.horizon,
+            ppp.check_points(cells[n], 0.0, idx.horizon,
                              hint=f"the row n={n} draws one summand per cell of width 1/n")
             ppp.check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
                              hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli "
                              "steps; lower --lambda or raise the pn-rule")
             b = ctrw.norming_bnk(ctrw.norming_an(n, L, idx.beta_sup),
                                  np.array([idx.beta_inf, idx.beta_sup]), idx.beta_sup)
-            _require(np.isfinite(math.ceil(n * idx.horizon) * j_max / b.min()),
+            _require(np.isfinite(cells[n] * j_max / b.min()),
                      f"the row n={n} partial sums of the index {idx.spec_string()} can "
                      "overflow the float range; raise the index")
     # reference samples, shared by every n
@@ -778,7 +757,7 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         dblk = _d_reference_block(idx, ts[-1])
         # each replication surely draws every row's cells, the first passage
         # block and the whole D reference block
-        _check_run_points(reps, sum(math.ceil(n * idx.horizon) for n in ns)
+        _check_run_points(reps, sum(cells.values())
                           + ppp.drawn_count(plan.blocks[0]) + ppp.drawn_count(dblk))
         dref = _d_reference(idx, ts, reps, seed, pool, dblk)
         ref = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)

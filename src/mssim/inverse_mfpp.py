@@ -16,19 +16,27 @@ def sample_poisson_path(stream, rate, horizon):
     return np.sort(poisson_points(stream, 0.0, horizon, rate * horizon))
 
 
-def first_passage(times, prefix, levels):
-    """E(r) = inf{t : D(t) >= r} at each level r, for the step path that
-    jumps to ``prefix[i]`` at ``times[i]`` (both ascending).
+def first_passage(times, prefix, levels, start=0.0, drift=0.0, t0=0.0, t1=np.inf):
+    """E(r) = inf{t : D(t) >= r} at each level r, for the path D that is
+    ``start`` at ``t0``, rises by ``drift`` per unit time, and jumps at the
+    ascending ``times`` to the ascending jump sums ``prefix`` (which count
+    from ``start`` and leave out the drift); by default a step path from 0.
 
-    The first jump whose prefix sum reaches r is found by binary search.
-    Levels the path never reaches give NaN, and level 0 gives 0 (the
-    infimum over {t : D(t) >= 0})."""
+    r is reached at the first jump whose value reaches it, found by binary
+    search, or earlier, by drift, on the line from the jump sum before that
+    jump.  Past the last jump only the drift reaches r, by ``t1`` at the
+    latest: the time is capped there, so a caller passes the levels its path
+    reaches by its end.  A level at or below ``start`` gives ``t0``, and a
+    level that a path without drift never reaches gives NaN."""
     levels = np.asarray(levels, dtype=float)
-    pos = np.searchsorted(prefix, levels, side="left")
-    reached = pos < len(prefix)
-    e = np.full(levels.shape, np.nan)
-    e[reached] = times[pos[reached]]
-    e[levels == 0.0] = 0.0
+    after = prefix + drift * (times - t0) if drift > 0 else prefix
+    j = np.searchsorted(after, levels, side="left")
+    inside = j < len(times)
+    e = np.full(levels.shape, t1 if drift > 0 else np.nan)
+    e[inside] = times[j[inside]]
+    if drift > 0:
+        e = np.minimum(e, t0 + (levels - np.append(start, prefix)[j]) / drift)
+    e[levels <= start] = t0
     return e
 
 

@@ -26,11 +26,11 @@ so a caller that draws many patterns may apply them to all at once.
 expected total mass of the excluded jumps and its variance, so truncation
 error can be budgeted analytically.
 
-A pure-jump block budgets the excluded mass, which biases its path low.  A
-compensated block (Asmussen & Rosinski 2001) adds that mass back as a drift,
-one value per equal time bin, and budgets the sd of the excluded jumps
-instead; its error then has mean zero, and its point count stays bounded as
-the index approaches 1.
+A pure-jump block has zero drift, so its path is a step path; it budgets
+the excluded mass, which biases the path low.  A compensated block (Asmussen
+& Rosinski 2001) adds that mass back as a drift, one value per equal time
+bin, and budgets the sd of the excluded jumps instead; its error then has
+mean zero, and its point count stays bounded as the index approaches 1.
 """
 
 from dataclasses import dataclass
@@ -79,7 +79,7 @@ class Block:
     expected number of retained jumps and the supremum of beta over the
     window; built by ``plan_block``.  A compensated block's ``drift`` holds
     the excluded mass of each of its equal time bins, which its path adds
-    back; a pure-jump block has none."""
+    back; a pure-jump block's is ``None``, read as zero drift."""
 
     t0: float
     t1: float

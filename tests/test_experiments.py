@@ -440,6 +440,18 @@ def test_block_passage_reaches_a_level_by_drift_between_jumps(monkeypatch):
                                rtol=0.0, atol=1e-12)
 
 
+def test_block_passage_finds_the_last_jump_where_the_time_order_sum_rounds_low(monkeypatch):
+    # one bin holds all three jumps; bincount adds them in array order, to
+    # 1 + 2**-52, and the time order adds 1.0 first, which absorbs each 1e-16
+    w = 1.0 / 256
+    t = np.array([10.75 * w, 10.5 * w, 10.25 * w])
+    x = np.array([1e-16, 1e-16, 1.0])
+    top = float(np.bincount(np.zeros(3, np.intp), weights=x)[0])
+    assert np.cumsum(x[::-1])[-1] == 1.0 < top
+    got, _ = _fixed_block_passage(monkeypatch, [(0.0, 1.0)], [(t, x)], [1.0, top])
+    np.testing.assert_array_equal(got, [10.25 * w, 10.75 * w])
+
+
 def test_mfpp_oracle_follows_the_index_values_not_its_family():
     # affine:0.5,0 is the constant index 0.5 under another family name
     constant = run_mfpp("constant:0.5", 1.0, [1.0], 200, 13)
@@ -537,6 +549,22 @@ def test_a_run_builds_one_pool_and_one_worker_builds_none(inline_pool):
     assert submitted == {experiments._map_chunk, experiments._passage_block}
     run_mfpp("constant:0.5", 1.0, [1.0], 64, 3, workers=2)
     assert inline_pool.sizes == [2, 2] and inline_pool.exits == 2
+
+
+def test_pooled_paths_write_the_serial_bytes(tmp_path, monkeypatch, capsys):
+    # 40 replications reach the pool in three chunks, whose file names are
+    # joined across chunks; every summary and trajectory byte stays serial
+    outputs = []
+    for workers in ("1", "2"):
+        cwd = tmp_path / workers
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli.main(["paths", "--beta", "constant:0.5", "--grid", "5", "--reps", "40",
+                         "--seed", "3", "--out", "traj", "--workers", workers]) == 0
+        files = {f.name: f.read_bytes() for f in sorted(cwd.iterdir())}
+        outputs.append((capsys.readouterr().out, files))
+    assert len(outputs[0][1]) == 40
+    assert outputs[0] == outputs[1]
 
 
 def test_the_pool_is_shut_down_when_a_plan_block_raises(inline_pool, monkeypatch):

@@ -50,22 +50,74 @@ def test_inverse_many_matches_scalar():
     assert e[0] == 0.2 and np.isnan(e[1])
 
 
+def _scan_passage(times, prefix, r, start, drift, t1):
+    """First passage at level r by a linear scan over the segments of the
+    path from 0: each runs from the value after one jump (or ``start`` at
+    time 0) to the value just before the next jump (or to time ``t1``)."""
+    if r <= start:
+        return 0.0
+    t_prev, v_prev = 0.0, start
+    for t, p in zip(times, prefix):
+        if drift and v_prev + drift * (t - t_prev) >= r:
+            return t_prev + (r - v_prev) / drift
+        t_prev, v_prev = t, p + drift * t
+        if v_prev >= r:
+            return t
+    return min(t1, t_prev + (r - v_prev) / drift) if drift else math.nan
+
+
 @given(
     st.lists(st.floats(0.0, 10.0), min_size=0, max_size=30),
     st.lists(st.floats(1e-6, 5.0), min_size=30, max_size=30),
     st.lists(st.one_of(st.just(0.0), st.floats(0.0, 200.0)), min_size=1, max_size=20),
+    st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    st.one_of(st.just(math.inf), st.floats(10.0, 20.0)),
 )
-def test_first_passage_matches_linear_scan(times, sizes, levels):
-    # sorted times (repeats allowed), positive sizes, levels including 0,
-    # repeats, exact prefix sums and levels above the total mass
+def test_first_passage_matches_linear_scan(times, sizes, levels, drift, start, t1):
+    # sorted times (repeats allowed), positive sizes, a drift, a start and
+    # an end; levels including 0, the start, repeats, exact prefix sums and
+    # one above the value at any finite end
     times = np.sort(np.array(times))
-    prefix = np.cumsum(np.array(sizes[: len(times)]))
-    levels = levels + levels[:2] + prefix[: len(levels)].tolist()
-    got = first_passage(times, prefix, levels)
-    for r, e in zip(levels, got):
-        hits = [t for t, p in zip(times, prefix) if p >= r]
-        want = 0.0 if r == 0.0 else (hits[0] if hits else None)
-        assert np.isnan(e) if want is None else e == want
+    prefix = start + np.cumsum(np.array(sizes[: len(times)]))
+    top = (prefix[-1] if len(prefix) else start) + 20.0 * drift + 1.0
+    levels = levels + levels[:2] + [start, top] + prefix[: len(levels)].tolist()
+    got = first_passage(times, prefix, levels, start, drift, 0.0, t1)
+    want = [_scan_passage(times, prefix, r, start, drift, t1) for r in levels]
+    if drift:
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        return
+    # without drift, today's step rule exactly: the first jump whose prefix
+    # sum reaches r, 0 at level 0 and NaN above the total
+    np.testing.assert_array_equal(got, want)
+    if start == 0.0:
+        for r, e in zip(levels, got):
+            hits = [t for t, p in zip(times, prefix) if p >= r]
+            step = 0.0 if r == 0.0 else (hits[0] if hits else None)
+            assert np.isnan(e) if step is None else e == step
+
+
+# the path from 1.0 at t0 = 0.5, with drift 2 and a jump of 0.25 at 0.625:
+# 1.25 just before the jump, 1.5 just after, and 1.75 at t1 = 0.75
+_RAMP = dict(start=1.0, drift=2.0, t0=0.5, t1=0.75)
+
+
+def test_first_passage_with_drift_examples():
+    levels = [0.5, 1.0, 1.125, 1.25, 1.375, 1.5, 1.625, 1.75]
+    e = first_passage(np.array([0.625]), np.array([1.25]), levels, **_RAMP)
+    # at the start, by drift, at the jump, by drift after it, at the end
+    assert e.tolist() == [0.5, 0.5, 0.5625, 0.625, 0.625, 0.625, 0.6875, 0.75]
+
+
+def test_first_passage_caps_the_drift_at_t1():
+    # a level the drift would reach only past t1 gives t1
+    e = first_passage(np.array([0.625]), np.array([1.25]), [1.75 + 1e-12, 2.5], **_RAMP)
+    assert e.tolist() == [0.75, 0.75]
+
+
+def test_first_passage_crosses_by_drift_in_an_empty_bin():
+    e = first_passage(np.empty(0), np.empty(0), [1.0, 1.25, 1.5], **_RAMP)
+    assert e.tolist() == [0.5, 0.625, 0.75]
 
 
 def test_inverse_plateaus_cover_every_jump():
