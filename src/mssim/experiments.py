@@ -6,7 +6,9 @@ into a ``Report`` of named columns, and never depends on the number of
 worker processes: identical configuration and seed give byte-identical
 output.  A replication is one call of a per-replication worker
 ``fn(rep, **params)`` returning named values, or one row of a chunk
-kernel's arrays; ``_map_reps`` is the only loop over replications.
+kernel's arrays; ``_map_reps`` is the only loop over replications.  Both
+chunk kernels, of window increments and of first passages, draw through
+``_draw_chunk`` and sum by keyed ``np.bincount``, in draw order.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -306,54 +308,62 @@ def plan_passage(idx, levels, pool=None):
     return PassagePlan(idx, tuple(levels), tuple(blocks))
 
 
-def _block_passage(stream, plan):
-    """First-passage times of one truncated path at every plan level.
+def _block_passage(streams, plan):
+    """First-passage times at every plan level of one truncated path per
+    stream, one row per stream.
 
-    A block that leaves the path below the lowest open level only adds its
-    size sum and its drift, zero for a block without one.  A block that
-    reaches a level is summed over ``_PASSAGE_BINS`` equal time bins, each
-    with its drift, which hold ascending, disjoint time ranges; a level is
-    crossed in the first bin whose running sum reaches it, and only that
-    bin's points are sorted and searched, by ``first_passage``.  This is the
-    passage of the block's sorted path up to the rounding of its partial
-    sums.  Levels not reached by the horizon stay NaN (the caller flags
-    them); blocks after the last passage are never sampled."""
+    Each block is drawn only for the streams still below a level, in groups
+    of about ``_KERNEL_POINTS`` expected points, and summed by one
+    ``np.bincount`` on (stream, bin) keys over ``_PASSAGE_BINS`` equal time
+    bins, each with its drift; the last running sum is the block's end.  A
+    level is crossed in the first bin whose running sum reaches it, and
+    only that bin's points are sorted and searched, by ``first_passage``.
+    This is the passage of the block's sorted path up to the rounding of
+    its partial sums.  Levels not reached by the horizon stay NaN (the
+    caller flags them); a stream draws no block after its last passage."""
     levels = np.asarray(plan.levels)
-    e = np.full(len(levels), np.nan)
-    total = 0.0
-    nxt = 0
+    e = np.full((len(streams), len(levels)), np.nan)
+    total = np.zeros(len(streams))
+    nxt = np.zeros(len(streams), dtype=np.intp)
+    active = np.arange(len(streams))
     for blk in plan.blocks:
-        pat = ppp.sample_pattern(stream, blk, plan.idx)
-        t, x = pat.times, pat.sizes
         drift = np.zeros(_PASSAGE_BINS) if blk.drift is None else blk.drift
-        mass = x.sum() + np.sum(drift)
-        if total + mass < levels[nxt]:
-            total += mass
-            continue
         # rounding is monotone, so a later time never falls in an earlier bin
         scale = _PASSAGE_BINS / (blk.t1 - blk.t0)
         width = (blk.t1 - blk.t0) / _PASSAGE_BINS
-        bins = np.minimum(((t - blk.t0) * scale).astype(np.intp), _PASSAGE_BINS - 1)
-        ends = total + np.cumsum(np.bincount(bins, weights=x, minlength=_PASSAGE_BINS) + drift)
-        crossing = np.searchsorted(ends, levels[nxt:], side="left")
-        inside_bins = crossing[crossing < _PASSAGE_BINS]  # ascending
-        for k in inside_bins[np.diff(inside_bins, prepend=-1) > 0]:
-            inside = np.flatnonzero(bins == k)
-            order = inside[np.argsort(t[inside])]
-            start = ends[k - 1] if k else total
-            prefix = start + np.cumsum(x[order])
-            if not drift[k]:
-                # the bin holds a jump and ends at its bin sum, so a level
-                # placed in it is reached in it
-                prefix[-1] = ends[k]
-            b0 = blk.t0 + k * width
-            hit = nxt + np.flatnonzero(crossing == k)
-            e[hit] = inverse_mfpp.first_passage(t[order], prefix, levels[hit], start,
-                                                drift[k] / width, b0, b0 + width)
-        nxt += int(np.count_nonzero(crossing < _PASSAGE_BINS))
-        if nxt >= len(levels):
+        per = max(1, int(_KERNEL_POINTS / ppp.drawn_count(blk)))
+        for g in range(0, len(active), per):
+            group = active[g:g + per]
+            t, x, counts = _draw_chunk([streams[i] for i in group], plan.idx, blk)
+            bins = np.minimum(((t - blk.t0) * scale).astype(np.intp), _PASSAGE_BINS - 1)
+            bins += np.repeat(np.arange(0, len(group) * _PASSAGE_BINS, _PASSAGE_BINS), counts)
+            sums = np.bincount(bins, weights=x, minlength=len(group) * _PASSAGE_BINS)
+            ends = total[group, None] + np.cumsum(sums.reshape(len(group), -1) + drift, axis=1)
+            stops = np.cumsum(counts)
+            for r in np.flatnonzero(ends[:, -1] >= levels[nxt[group]]):
+                i, row = group[r], ends[r]
+                own = slice(stops[r] - counts[r], stops[r])
+                tr, xr, keys = t[own], x[own], bins[own]
+                crossing = np.searchsorted(row, levels[nxt[i]:], side="left")
+                inside_bins = crossing[crossing < _PASSAGE_BINS]  # ascending
+                for k in inside_bins[np.diff(inside_bins, prepend=-1) > 0]:
+                    inside = np.flatnonzero(keys == r * _PASSAGE_BINS + k)
+                    order = inside[np.argsort(tr[inside])]
+                    start = row[k - 1] if k else total[i]
+                    prefix = start + np.cumsum(xr[order])
+                    if not drift[k]:
+                        # the bin holds a jump and ends at its bin sum, so a
+                        # level placed in it is reached in it
+                        prefix[-1] = row[k]
+                    b0 = blk.t0 + k * width
+                    hit = nxt[i] + np.flatnonzero(crossing == k)
+                    e[i, hit] = inverse_mfpp.first_passage(tr[order], prefix, levels[hit], start,
+                                                           drift[k] / width, b0, b0 + width)
+                nxt[i] += int(np.count_nonzero(crossing < _PASSAGE_BINS))
+            total[group] = ends[:, -1]
+        active = active[nxt[active] < len(levels)]
+        if not len(active):
             break
-        total = ends[-1]
     return e
 
 
@@ -374,65 +384,46 @@ def _increments(reps, pool, seed, channel, idx, blk, windows):
                      idx=idx, blk=blk, windows=windows)["inc"]
 
 
-def _increments_chunk(lo, hi, seed, channel, idx, blk, windows):
-    """The increments of the replications [lo, hi), a chunk kernel.
+def _draw_chunk(streams, idx, blk):
+    """The patterns of ``blk`` that ``ppp.sample_pattern`` draws from each of
+    the iterable ``streams``, joined in stream order: their times, their
+    sizes and each stream's count of points.
 
-    Each replication draws from its own stream what ``ppp.sample_pattern``
-    draws, in its order: a threshold stream stays open across the thinning
-    and then draws the sizes of its kept points.  The index, the thinning,
-    the sizes and the window sums run once over the chunk.  A pattern's jump
-    times T*u lie in (0, T], so the window (0, t] selects by t' <= t alone,
-    and selects every jump once t >= T; either selects the jumps both masks
-    select, in order, and ``_rep_sums`` adds them as their own 1-D sum
-    would, so every increment is the float of the replication's own masked
-    sum."""
+    Each stream draws what ``sample_pattern`` draws, in its order: a
+    threshold stream stays open across the thinning and then draws the
+    sizes of its kept points, while a stationary one is done after one
+    ``sample_stationary`` call and can hand its generator to the next.  The
+    index, the thinning and the sizes run once over all the streams."""
     if blk.trunc.mode == "stationary":
-        pats = [ppp.sample_stationary(stream_for(seed, channel, rep), blk)
-                for rep in range(lo, hi)]
+        pats = [ppp.sample_stationary(s, blk) for s in streams]
         t = np.concatenate([p.times for p in pats])
         x = ppp.stationary_sizes(np.concatenate([p.sizes for p in pats]), idx.evaluate_many(t))
-        ends = np.cumsum([len(p.times) for p in pats])
-    else:
-        streams = [stream_for(seed, channel, rep) for rep in range(lo, hi)]
-        drawn = [ppp.threshold_candidates(s, blk) for s in streams]
-        cand = np.concatenate([c for c, _ in drawn])
-        beta = idx.evaluate_many(cand)
-        kept = np.flatnonzero(ppp.thinned(blk, np.concatenate([k for _, k in drawn]), beta))
-        ends = np.searchsorted(kept, np.cumsum([len(c) for c, _ in drawn]))
-        sizes = [s.uniform(k) for s, k in zip(streams, np.diff(ends, prepend=0).tolist())]
-        t, x = cand[kept], ppp.threshold_sizes(blk, np.concatenate(sizes), beta[kept])
+        return t, x, np.array([len(p.times) for p in pats])
+    streams = list(streams)
+    drawn = [ppp.threshold_candidates(s, blk) for s in streams]
+    cand = np.concatenate([c for c, _ in drawn])
+    beta = idx.evaluate_many(cand)
+    kept = np.flatnonzero(ppp.thinned(blk, np.concatenate([k for _, k in drawn]), beta))
+    counts = np.diff(np.searchsorted(kept, np.cumsum([len(c) for c, _ in drawn])), prepend=0)
+    sizes = [s.uniform(k) for s, k in zip(streams, counts.tolist())]
+    return cand[kept], ppp.threshold_sizes(blk, np.concatenate(sizes), beta[kept]), counts
+
+
+def _increments_chunk(lo, hi, seed, channel, idx, blk, windows):
+    """The increments of the replications [lo, hi), a chunk kernel: one
+    ``_draw_chunk`` of their streams, then each window's sums by one
+    ``np.bincount`` keyed by replication, which adds each replication's
+    jumps in the window in draw order."""
+    t, x, counts = _draw_chunk((stream_for(seed, channel, rep) for rep in range(lo, hi)),
+                               idx, blk)
+    rep = np.repeat(np.arange(hi - lo), counts)
     inc = np.empty((hi - lo, len(windows)))
     for j, (a, b) in enumerate(windows):
-        if a == 0.0 and b >= blk.t1:
-            inc[:, j] = _rep_sums(x, ends)
-        else:
-            # positions, not a boolean mask: numpy gathers a long array by
-            # position about 4 times faster than it selects by mask
-            pos = np.flatnonzero((t > a) & (t <= b) if a > 0.0 else t <= b)
-            inc[:, j] = _rep_sums(x[pos], np.searchsorted(pos, ends))
+        # positions, not a boolean mask: numpy gathers a long array by
+        # position about 4 times faster than it selects by mask
+        pos = np.flatnonzero((t > a) & (t <= b))
+        inc[:, j] = np.bincount(rep[pos], weights=x[pos], minlength=hi - lo)
     return {"inc": inc}
-
-
-def _rep_sums(x, ends):
-    """The sum of each replication's run of ``x``, where replication r's run
-    ends before ``ends[r]`` and starts where the run before it ends.
-
-    The runs are gathered in ascending length, so the runs of one length
-    are the rows of one 2-D block, summed along its rows; numpy adds each
-    row as it adds the row alone, so every sum is the float ``run.sum()``
-    gives, which ``np.add.reduceat`` and ``np.bincount`` do not."""
-    counts = np.diff(ends, prepend=0)
-    order = np.argsort(counts, kind="stable")
-    ordered = counts[order]
-    offsets = np.cumsum(ordered) - ordered
-    y = x[np.repeat(ends[order] - ordered - offsets, ordered) + np.arange(len(x))]
-    edges = [0, *(np.flatnonzero(np.diff(ordered)) + 1).tolist(), len(order)]
-    out = np.zeros(len(counts))
-    for g0, g1 in zip(edges, edges[1:]):
-        c, o = int(ordered[g0]), int(offsets[g0])
-        if c:
-            out[order[g0:g1]] = y[o:o + (g1 - g0) * c].reshape(g1 - g0, c).sum(axis=1)
-    return out
 
 
 def _monotone_rep(rep, seed, idx, blk):
@@ -456,13 +447,16 @@ def _monotone_rep(rep, seed, idx, blk):
     return {"bad": bad}
 
 
-def _passage_rep(rep, seed, plan, rate):
+def _passage_chunk(lo, hi, seed, plan, rate):
     """First-passage times E at each plan level (NaN where the horizon comes
-    first), and X = N(min(E, horizon)) for a rate-``rate`` Poisson process."""
-    e = _block_passage(stream_for(seed, CH_PASSAGE, rep), plan)
+    first), and X = N(min(E, horizon)) for a rate-``rate`` Poisson process,
+    of the replications [lo, hi): a chunk kernel."""
+    e = _block_passage([stream_for(seed, CH_PASSAGE, rep) for rep in range(lo, hi)], plan)
     T = plan.idx.horizon
-    arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate, T)
-    return {"e": e, "x": inverse_mfpp.time_changed_count(arrivals, np.fmin(e, T))}
+    arrivals = [inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate, T)
+                for rep in range(lo, hi)]
+    x = [inverse_mfpp.time_changed_count(a, np.fmin(row, T)) for a, row in zip(arrivals, e)]
+    return {"e": e, "x": np.array(x)}
 
 
 def _tail_rep(rep, seed, beta, bound, batch):
@@ -664,7 +658,8 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
             # one stationary block on the whole horizon: no threshold to solve
             blk = _budget_block(idx, idx.horizon, "stationary", reps, trunc_m)
             plan = PassagePlan(idx, tuple(ts), (blk,))
-        res = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
+        res = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
+                        rate=lam)
     # the rows condition on the replications that reached the level
     reached = ~np.isnan(res["e"])
     unreached = int((~reached).sum())
@@ -732,6 +727,7 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
     longest = _T_END_CANDIDATES[-1]
     _require(ts[-1] <= longest,
              f"t values must be at most {longest:g}, the longest horizon, got {ts[-1]:g}")
+    crit = stats.ks_critical_value(reps, reps, alpha)
     idx, tail = choose_horizon(beta_spec, ts[-1], shortest=ts[-1])
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
@@ -760,7 +756,8 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         _check_run_points(reps, sum(cells.values())
                           + ppp.drawn_count(plan.blocks[0]) + ppp.drawn_count(dblk))
         dref = _d_reference(idx, ts, reps, seed, pool, dblk)
-        ref = _map_reps(_passage_rep, reps, pool, seed=seed, plan=plan, rate=lam)
+        ref = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
+                        rate=lam)
         # censored at the horizon, as E_n and the walk are: E is min(E, T)
         eref, xref = np.fmin(ref["e"], idx.horizon), ref["x"]
         rows = []
@@ -774,7 +771,6 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
                 ks_d = stats.ks_two_sample(res["s"][:, j], dref[:, j])
                 ks_e = stats.ks_two_sample(res["e"][:, j], eref[:, j])
                 ks_x = stats.ks_two_sample(res["x"][:, j], xref[:, j])
-                crit = stats.ks_critical_value(reps, reps, alpha)
                 ok = max(ks_d, ks_e, ks_x) < crit
                 rows.append((n, t, ks_d, ks_e, ks_x, crit, ok))
     header = {

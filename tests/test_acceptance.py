@@ -175,14 +175,15 @@ def test_criterion_6_fails_when_the_passage_forgets_earlier_blocks(monkeypatch):
     assert experiments.run_mfpp(*args).all_pass()
     passage = experiments._block_passage
 
-    def forgetful(stream, plan):
-        e = np.full(len(plan.levels), np.nan)
-        for blk in plan.blocks:
-            left = np.isnan(e)
-            if not left.any():
-                break
-            levels = tuple(np.asarray(plan.levels)[left])
-            e[left] = passage(stream, experiments.PassagePlan(plan.idx, levels, (blk,)))
+    def forgetful(streams, plan):
+        e = np.full((len(streams), len(plan.levels)), np.nan)
+        for stream, row in zip(streams, e):
+            for blk in plan.blocks:
+                left = np.isnan(row)
+                if not left.any():
+                    break
+                levels = tuple(np.asarray(plan.levels)[left])
+                row[left] = passage([stream], experiments.PassagePlan(plan.idx, levels, (blk,)))[0]
         return e
 
     monkeypatch.setattr(experiments, "_block_passage", forgetful)

@@ -361,7 +361,7 @@ def test_block_passage_equals_the_inline_kernel():
         assert idx.horizon == horizon and len(plan.blocks) == 4 * horizon
         es = []
         for rep in range(reps):
-            got = _block_passage(stream_for(5, CH_PASSAGE, rep), plan)
+            got = _block_passage([stream_for(5, CH_PASSAGE, rep)], plan)[0]
             want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
             # the two sum the drift in different orders
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-11,
@@ -377,7 +377,7 @@ def test_block_passage_of_one_stationary_block_equals_the_inline_kernel():
     blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", 2000.0))
     plan = experiments.PassagePlan(idx, (0.05, 0.3, 1.0), (blk,))
     for rep in range(12):
-        got = _block_passage(stream_for(5, CH_PASSAGE, rep), plan)
+        got = _block_passage([stream_for(5, CH_PASSAGE, rep)], plan)[0]
         want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
         np.testing.assert_array_equal(got, want)
         assert not np.isnan(got).any()
@@ -388,11 +388,15 @@ def _fixed_block_passage(monkeypatch, windows, patterns, levels, drift=None):
     window, each block with the given drift, and the sorted kernel over the
     same patterns."""
     draws = iter(patterns)
-    monkeypatch.setattr(ppp, "sample_pattern",
-                        lambda stream, blk, idx: ppp.PointPattern(*next(draws), blk.t1))
+
+    def fixed(streams, idx, blk):
+        t, x = next(draws)
+        return t, x, np.array([len(t)])
+
+    monkeypatch.setattr(experiments, "_draw_chunk", fixed)
     blocks = tuple(ppp.Block(t0, t1, ppp.Truncation("threshold", 0.01), 1.0, 0.5, drift)
                    for t0, t1 in windows)
-    got = _block_passage(None, experiments.PassagePlan(None, tuple(levels), blocks))
+    got = _block_passage([None], experiments.PassagePlan(None, tuple(levels), blocks))[0]
     return got, _sorted_passage(((*p, b) for p, b in zip(patterns, blocks)), levels)
 
 
@@ -430,14 +434,14 @@ def test_block_passage_reaches_a_level_by_drift_between_jumps(monkeypatch):
     drift = np.full(experiments._PASSAGE_BINS, 2.0**-8)
     windows = [(0.0, 1.0), (1.0, 2.0)]
     patterns = [(np.array([0.5]), np.array([0.25])), (np.array([1.5]), np.array([0.125]))]
-    levels = [0.125, 0.5, 0.6, 0.8, 1.25, 1.3, 1.8, 2.0, 2.375, 2.5]
+    levels = [0.125, 0.5, 0.6, 0.8, 1.25, 1.252, 1.3, 1.8, 2.0, 2.375, 2.5]
     got, want = _fixed_block_passage(monkeypatch, windows, patterns, levels, drift)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
     # by drift, at the jump, by drift after it, at the block end, by drift in
-    # the next block, at its jump, by drift after it and at its end; the top
-    # level is never reached
-    np.testing.assert_allclose(got, [0.125, 0.5, 0.5, 0.55, 1.0, 1.05, 1.5, 1.625, 2.0, np.nan],
-                               rtol=0.0, atol=1e-12)
+    # the next block's first bin and later, at its jump, by drift after it
+    # and at its end; the top level is never reached
+    np.testing.assert_allclose(got, [0.125, 0.5, 0.5, 0.55, 1.0, 1.002, 1.05, 1.5, 1.625, 2.0,
+                                     np.nan], rtol=0.0, atol=1e-12)
 
 
 def test_block_passage_finds_the_last_jump_where_the_time_order_sum_rounds_low(monkeypatch):
@@ -450,6 +454,75 @@ def test_block_passage_finds_the_last_jump_where_the_time_order_sum_rounds_low(m
     assert np.cumsum(x[::-1])[-1] == 1.0 < top
     got, _ = _fixed_block_passage(monkeypatch, [(0.0, 1.0)], [(t, x)], [1.0, top])
     np.testing.assert_array_equal(got, [10.25 * w, 10.75 * w])
+
+
+def _passage_plans():
+    """A threshold plan whose passages spread over several blocks, and one
+    stationary block of 10,000 points, as ``mfpp --trunc-m`` plans."""
+    idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
+    blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", 4000.0))
+    return (plan_passage(idx, [0.05, 0.3, 1.0]),
+            experiments.PassagePlan(idx, (0.05, 0.3, 1.0), (blk,)))
+
+
+def _one_rep_passages(lo, hi, **kwargs):
+    """``_passage_chunk``'s arrays for [lo, hi), one replication a call."""
+    parts = [experiments._passage_chunk(rep, rep + 1, **kwargs) for rep in range(lo, hi)]
+    return {k: np.concatenate([p[k] for p in parts]) for k in ("e", "x")}
+
+
+@pytest.mark.parametrize("which", ("threshold", "stationary"))
+def test_passage_chunk_is_the_stack_of_its_one_replication_calls(which, monkeypatch):
+    plan = _passage_plans()[which == "stationary"]
+    kwargs = dict(seed=4, plan=plan, rate=2.0)
+    want = _one_rep_passages(0, 40, **kwargs)
+    assert np.isnan(want["e"]).sum() < want["e"].size
+    # a few streams a group, so every block is drawn in several groups
+    monkeypatch.setattr(experiments, "_KERNEL_POINTS", 3 * ppp.drawn_count(plan.blocks[0]))
+    got = experiments._passage_chunk(0, 40, **kwargs)
+    with experiments.ProcessPoolExecutor(max_workers=2) as pool:
+        pooled = _map_reps(experiments._passage_chunk, 40, pool, experiments._KERNEL_REPS,
+                           **kwargs)
+    for k in ("e", "x"):
+        assert got[k].tobytes() == want[k].tobytes() == pooled[k].tobytes(), k
+
+
+def test_passage_groups_stay_near_the_kernel_points(monkeypatch):
+    # each block is drawn in groups of at most _KERNEL_POINTS expected
+    # points, or one stream where one stream expects more
+    draw = experiments._draw_chunk
+    groups = []
+
+    def recording(streams, idx, blk):
+        groups.append((len(streams), ppp.drawn_count(blk)))
+        return draw(streams, idx, blk)
+
+    monkeypatch.setattr(experiments, "_draw_chunk", recording)
+    for plan in _passage_plans():
+        streams = [stream_for(6, CH_PASSAGE, rep) for rep in range(300)]
+        _block_passage(streams, plan)
+    points = experiments._KERNEL_POINTS
+    assert all(n * drawn <= max(points, drawn) for n, drawn in groups)
+    # the early threshold blocks group many streams; the stationary block
+    # takes one at a time
+    assert max(n for n, _ in groups) > 100
+    assert groups.count((1, 10_000.0)) == 300
+
+
+def test_streams_that_cross_in_different_blocks_pass_as_they_do_alone():
+    # four streams: the top level crossed in three different blocks, and
+    # never by the fourth, on the first four blocks of the plan
+    idx, _ = choose_horizon("constant:0.5", 1.0)
+    full = plan_passage(idx, [0.2, 1.0])
+    plan = experiments.PassagePlan(idx, full.levels, full.blocks[:4])
+    alone = {rep: _block_passage([stream_for(8, CH_PASSAGE, rep)], plan)[0] for rep in range(60)}
+    picked = {}
+    for rep, e in alone.items():
+        picked.setdefault(-1 if np.isnan(e[1]) else int(e[1] // 0.25), rep)
+    assert len(picked) >= 4 and -1 in picked
+    reps = [picked[-1], *sorted(v for k, v in picked.items() if k >= 0)[:3]]
+    got = _block_passage([stream_for(8, CH_PASSAGE, rep) for rep in reps], plan)
+    assert got.tobytes() == np.array([alone[rep] for rep in reps]).tobytes()
 
 
 def test_mfpp_oracle_follows_the_index_values_not_its_family():
@@ -670,26 +743,35 @@ def test_increments_equal_the_two_mask_sums_bit_for_bit(mode):
     for rep in range(12):
         pat = ppp.sample_pattern(stream_for(5, 1, rep), blk, idx)
         t, x = pat.times, pat.sizes
-        want = np.array([x[(t > a) & (t <= b)].sum() for a, b in windows])
+        want = np.array([_draw_order_sum(x[(t > a) & (t <= b)]) for a, b in windows])
         got = _increments_chunk(rep, rep + 1, 5, 1, idx, blk, windows)["inc"]
         assert got.shape == (1, len(windows)) and got[0].tobytes() == want.tobytes()
 
 
+def _draw_order_sum(v):
+    """The sum of ``v``, added one value at a time in array order."""
+    total = 0.0
+    for y in v.tolist():
+        total += y
+    return total
+
+
 def _one_rep_rows(lo, hi, **kwargs):
     """The kernel's rows for [lo, hi), one replication a call; each must be
-    the masked sums of the replication's own ``sample_pattern``."""
+    the draw-order sums of the replication's own ``sample_pattern`` in each
+    window."""
     rows = np.vstack([_increments_chunk(rep, rep + 1, **kwargs)["inc"] for rep in range(lo, hi)])
     for rep, row in zip(range(lo, hi), rows):
         pat = ppp.sample_pattern(stream_for(kwargs["seed"], kwargs["channel"], rep),
                                  kwargs["blk"], kwargs["idx"])
         t, x = pat.times, pat.sizes
-        assert row.tobytes() == np.array([x[(t > a) & (t <= b)].sum()
+        assert row.tobytes() == np.array([_draw_order_sum(x[(t > a) & (t <= b)])
                                           for a, b in kwargs["windows"]]).tobytes()
     return rows
 
 
-# about 5, 40 and 500 points a replication: numpy adds fewer than 8 values in
-# sequence, up to 128 with eight partial sums, and more pairwise
+# about 5, 40 and 500 points a replication, where numpy's own sum would add
+# in sequence, with eight partial sums and pairwise
 KERNEL_BLOCKS = {
     "stationary": [ppp.Truncation("stationary", m) for m in (5.0, 40.0, 500.0)],
     "threshold": [ppp.Truncation("threshold", eps) for eps in (0.04, 6e-4, 4e-6)],
@@ -708,7 +790,7 @@ def test_increments_chunk_is_the_stack_of_its_one_replication_calls(mode, level)
     lo, hi = 17, 17 + (40 if level < 2 else 12)
     got = _increments_chunk(lo, hi, **kwargs)["inc"]
     assert got.tobytes() == _one_rep_rows(lo, hi, **kwargs).tobytes()
-    # runs of one length shared rows in that call; an empty window sums to +0.0
+    # an empty window sums to +0.0
     assert np.signbit(got).sum() == 0
 
 
@@ -733,12 +815,16 @@ def test_increments_cross_kernel_calls_and_pools_bit_for_bit(mode, monkeypatch):
     assert ranges == [(lo, min(lo + 7, 40)) for lo in range(0, 40, 7)]
 
 
-def test_row_sums_along_axis_1_equal_the_one_row_sums():
-    # the kernel's window sums rely on it; a numpy that breaks it fails here
+def test_keyed_sums_add_each_key_in_array_order():
+    # the window sums and the passage bins rely on it, contiguous runs and
+    # interleaved keys alike; a numpy that breaks it fails here
     gen = np.random.default_rng(3)
     for length in range(301):
-        a = gen.pareto(0.5, (5, length))
-        assert a.sum(axis=1).tobytes() == np.array([row.sum() for row in a]).tobytes(), length
+        x = gen.pareto(0.5, 5 * length)
+        for keys in (np.repeat(np.arange(5), length), gen.permutation(5 * length) % 5):
+            got = np.bincount(keys, weights=x, minlength=5)
+            want = np.array([_draw_order_sum(x[keys == k]) for k in range(5)])
+            assert got.tobytes() == want.tobytes(), length
 
 
 def test_a_serial_run_is_worked_in_bounded_kernel_calls(monkeypatch):
@@ -771,6 +857,17 @@ def test_run_ctrw_rejects_an_index_whose_partial_sums_overflow(lfamily, monkeypa
     monkeypatch.setattr(experiments, "_map_reps", no_reps)
     with pytest.raises(ValueError, match="overflow the float range") as err:
         experiments.run_ctrw("constant:0.01", lfamily, [100], [1.0], 20, 1)
+    assert "\n" not in str(err.value)
+
+
+def test_run_ctrw_rejects_a_bad_alpha_before_drawing(monkeypatch):
+    def no_reps(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(experiments, "_map_reps", no_reps)
+    monkeypatch.setattr(experiments, "plan_passage", no_reps)
+    with pytest.raises(ValueError, match="alpha must be one of") as err:
+        experiments.run_ctrw("affine:0.4,0.2", "unit", [100], [1.0], 200, 1, alpha=0.1)
     assert "\n" not in str(err.value)
 
 

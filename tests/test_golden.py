@@ -70,9 +70,11 @@ def test_golden_bytes(name, tmp_path):
         assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"
 
 
-# all three map their passage replications in the pool; the threshold runs
-# also solve their passage plan there, and the stationary run has one block
-@pytest.mark.parametrize("name", ("ctrw_affine", "mfpp_stationary", "mfpp_threshold"))
+# the ctrw and mfpp runs map their passage replications in the pool; the
+# threshold runs also solve their passage plan there, and the stationary run
+# has one block; the laplace runs sum their windows by keys across chunks
+@pytest.mark.parametrize("name", ("ctrw_affine", "laplace_affine", "laplace_trunc_m",
+                                  "mfpp_stationary", "mfpp_threshold"))
 def test_golden_bytes_with_two_workers(name, tmp_path):
     for fname, data in run_case(name, tmp_path, ("--workers", "2")).items():
         assert data == (GOLDEN / fname).read_bytes(), f"{fname} differs from its golden"

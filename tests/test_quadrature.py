@@ -109,7 +109,7 @@ def _polynomial(coefs):
     return f
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(_coef, min_size=1, max_size=7), _end, _end,
        st.sampled_from([DEFAULT_TOL, 1e-6, 1e-13]))
 def test_breadth_first_equals_depth_first_on_polynomials(coefs, a, b, tol):
@@ -119,7 +119,7 @@ def test_breadth_first_equals_depth_first_on_polynomials(coefs, a, b, tol):
     assert integrate(f, a, b, tol) == _depth_first(_scalar(f), a, b, tol)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(_end, _end, st.lists(st.tuples(_end, _coef), min_size=1, max_size=4), _coef)
 def test_breadth_first_equals_depth_first_on_steps(a, b, steps, base):
     # at a jump the local error shrinks no faster than the tolerance, so
