@@ -63,7 +63,8 @@ def build_parser():
     mfpp.add_argument("--lambda", dest="lam", type=float, help=rate)
     mfpp.add_argument("--t", dest="ts", type=_list("--t"), help="comma-separated times t of X(t)")
     mfpp.add_argument("--trunc-m", type=float,
-                      help="stationary truncation level (default: solve threshold blocks)")
+                      help="stationary truncation level M of the compensated passage blocks "
+                      "(default: solve threshold blocks)")
 
     ct = command("ctrw", experiments.run_ctrw, "array approximations vs direct simulation (KS)")
     ct.add_argument("--lfamily", choices=("unit", "log"), help="slowly varying tail factor")

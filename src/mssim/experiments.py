@@ -48,11 +48,12 @@ CH_CTRW_JUMPS = 16  # + 2 * (index of n in the n list); walk channel is +1
 _CHANNEL_SHIFT = 40
 
 DEFAULT_MASS_BUDGET = 1e-3
-# points the replications of one run may surely draw, on whole-horizon
-# blocks, first passage blocks, ctrw cells and D reference blocks: 100-160 s
-# of drawing at the 50-80 ns per point measured on one core of a 2-vCPU
-# Xeon, and 3.6 times the full verify's largest run (ctrw's 10,000 x 55,600
-# points, 55,500 of them cells)
+# points the replications of one run may draw in the mean, on whole-horizon
+# blocks, passage plans (each block past the first weighted by a bound on the
+# chance the top level is unreached at its start), ctrw cells and walk steps,
+# Poisson arrivals and D reference blocks: 100-160 s of drawing at the 50-80
+# ns per point measured on one core of a 2-vCPU Xeon, and 3.5 times the full
+# verify's largest run (ctrw's 10,000 x 56,400 points, 55,500 of them cells)
 _MAX_RUN_POINTS = 2e9
 _PASSAGE_BLOCK_LEN = 0.25
 _PASSAGE_POINTS_CAP = 3.0e5
@@ -270,25 +271,28 @@ def _check_run_points(reps, drawn):
              f"{reps * drawn:.3g}, above the run cap of {_MAX_RUN_POINTS:g}; lower --reps")
 
 
-def _passage_block(idx, t0, t1):
-    """The compensated threshold block on [t0, t1], with the excluded mass of
-    each of its ``_PASSAGE_BINS`` time bins as its drift: up to t=1 the sd
-    of its excluded jumps meets the budget rate exactly; later blocks
-    (visited only when passage has not yet happened) additionally cap the
-    expected point count, trading a small, quantified extra sd for bounded
-    cost where the local index is close to 1."""
-    trunc = ppp.solve_truncation(idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0,
-                                 max_count=_PASSAGE_POINTS_CAP if t1 > 1.0 else math.inf,
-                                 compensated=True)
-    return ppp.plan_block(idx, t0, t1, trunc, bins=_PASSAGE_BINS)
+def _passage_block(idx, t0, t1, trunc_m=None):
+    """The compensated block on [t0, t1], stationary at the level ``trunc_m``
+    or else threshold, with the excluded mass of each of its ``_PASSAGE_BINS``
+    time bins as its drift.  A threshold block's excluded sd meets the budget
+    rate up to t=1; later ones (drawn only before passage) also cap the mean
+    count: a small, quantified extra sd buys bounded cost near an index of 1."""
+    trunc = ppp.solve_truncation(
+        idx, t1, "threshold", DEFAULT_MASS_BUDGET * (t1 - t0), t0=t0, compensated=True,
+        max_count=_PASSAGE_POINTS_CAP if t1 > 1.0 else math.inf,
+    ) if trunc_m is None else ppp.Truncation("stationary", float(trunc_m))
+    blk = ppp.plan_block(idx, t0, t1, trunc, bins=_PASSAGE_BINS)
+    _require(np.isfinite(blk.drift).all(), f"the truncation {trunc.mode}:{trunc.parameter:g} "
+             "excludes a jump mass beyond the float range; raise trunc-m")
+    return blk
 
 
-def plan_passage(idx, levels, pool=None):
-    """Threshold blocks covering [0, horizon], each planned from its window
-    alone, so on ``pool`` they are solved side by side and read back in time
-    order.  The pool gets the latest windows first, since the point-capped
-    ones past t = 1 cost most, and a block that raises cancels the windows
-    still queued.  ``levels`` are positive and ascending."""
+def plan_passage(idx, levels, pool=None, trunc_m=None):
+    """Compensated blocks covering [0, horizon] for the positive, ascending
+    ``levels``, stationary at the level ``trunc_m`` or else threshold, each
+    planned from its window alone, so on ``pool`` they are solved side by
+    side and read back in time order, the latest windows first, since the
+    point-capped ones past t = 1 cost most; one that raises cancels the rest."""
     windows = []
     t0 = 0.0
     while t0 < idx.horizon - 1e-12:
@@ -296,9 +300,9 @@ def plan_passage(idx, levels, pool=None):
         windows.append((t0, t1))
         t0 = t1
     if pool is None:
-        blocks = [_passage_block(idx, t0, t1) for t0, t1 in windows]
+        blocks = [_passage_block(idx, *w, trunc_m) for w in windows]
     else:
-        futures = [pool.submit(_passage_block, idx, t0, t1) for t0, t1 in reversed(windows)]
+        futures = [pool.submit(_passage_block, idx, *w, trunc_m) for w in reversed(windows)]
         try:
             blocks = [f.result() for f in reversed(futures)]
         except BaseException:
@@ -306,6 +310,17 @@ def plan_passage(idx, levels, pool=None):
                 f.cancel()
             raise
     return PassagePlan(idx, tuple(levels), tuple(blocks))
+
+
+def _plan_points(plan):
+    """The points one replication draws on ``plan``, bounded in the mean: the
+    first block's, and each later block's times ``level_tail_bound`` of the
+    top level at the block's start, which bounds the chance that the
+    replication has not passed it there and draws the block."""
+    idx, top = plan.idx, plan.levels[-1]
+    weights = [1.0] + [level_tail_bound(StabilityIndex(idx.family, idx.params, b.t0), top)
+                       for b in plan.blocks[1:]]
+    return sum(ppp.drawn_count(b) * w for b, w in zip(plan.blocks, weights))
 
 
 def _block_passage(streams, plan):
@@ -457,13 +472,6 @@ def _passage_chunk(lo, hi, seed, plan, rate):
                 for rep in range(lo, hi)]
     x = [inverse_mfpp.time_changed_count(a, np.fmin(row, T)) for a, row in zip(arrivals, e)]
     return {"e": e, "x": np.array(x)}
-
-
-def _tail_rep(rep, seed, beta, bound, batch):
-    """Exceedances of ``bound`` among ``batch`` unit-family array summands
-    of constant index beta."""
-    u = stream_for(seed, CH_TAIL, rep).uniform(batch)
-    return {"hits": int((ctrw._jnk_from_uniforms(u, beta, beta, ctrw.UNIT) > bound).sum())}
 
 
 def _ctrw_rep(rep, seed, channel, idx, L, n, ts, p_n, lam):
@@ -647,17 +655,13 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
     lam = float(lam)
     _require(_positive(lam), f"lambda must be positive and finite, got {lam}")
     ts = _check_times(ts)
+    _require(trunc_m is None or _positive(trunc_m),
+             f"trunc-m must be positive and finite, got {trunc_m}")
     idx, tail = choose_horizon(beta_spec, ts[-1])
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     with _open_pool(workers) as pool:
-        if trunc_m is None:
-            plan = plan_passage(idx, ts, pool)
-            # every replication draws the first block
-            _check_run_points(reps, ppp.drawn_count(plan.blocks[0]))
-        else:
-            # one stationary block on the whole horizon: no threshold to solve
-            blk = _budget_block(idx, idx.horizon, "stationary", reps, trunc_m)
-            plan = PassagePlan(idx, tuple(ts), (blk,))
+        plan = plan_passage(idx, ts, pool, trunc_m)
+        _check_run_points(reps, _plan_points(plan) + lam * idx.horizon)
         res = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
                         rate=lam)
     # the rows condition on the replications that reached the level
@@ -751,10 +755,10 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
     with _open_pool(workers) as pool:
         plan = plan_passage(idx, ts, pool)
         dblk = _d_reference_block(idx, ts[-1])
-        # each replication surely draws every row's cells, the first passage
-        # block and the whole D reference block
-        _check_run_points(reps, sum(cells.values())
-                          + ppp.drawn_count(plan.blocks[0]) + ppp.drawn_count(dblk))
+        # each replication draws every row's cells and walk steps, the
+        # passage plan, the whole D reference block and the Poisson arrivals
+        _check_run_points(reps, sum(cells[n] + lam * idx.horizon / p_ns[n] for n in ns)
+                          + _plan_points(plan) + ppp.drawn_count(dblk) + lam * idx.horizon)
         dref = _d_reference(idx, ts, reps, seed, pool, dblk)
         ref = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
                         rate=lam)
@@ -805,6 +809,7 @@ def run_paths(beta_spec, reps=10, seed=0, out="paths", workers=1, t=1.0, grid=10
     ppp.check_points(lam * T, 0.0, T, hint=_ARRIVALS_HINT)
     idx = StabilityIndex.from_spec(beta_spec, T)
     blk = _budget_block(idx, T, "threshold", reps)
+    _check_run_points(reps, ppp.drawn_count(blk) + lam * T)
     with _open_pool(workers) as pool:
         res = _map_reps(_paths_rep, reps, pool, seed=seed, idx=idx,
                         ts=np.linspace(0.0, T, grid), blk=blk, lam=lam, out_prefix=out)
@@ -919,10 +924,12 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
     batch = 10_000
     nbatches = max(2, -(-n_tail // batch))
     bound7 = ctrw.norming_bnk(ctrw.norming_an(n_row, ctrw.UNIT, 0.5), 0.5, 0.5)
-    hits = _map_reps(_tail_rep, nbatches, None, seed=seed, beta=0.5, bound=bound7,
-                     batch=batch)["hits"]
+    hits = 0
+    for rep in range(nbatches):
+        u = stream_for(seed, CH_TAIL, rep).uniform(batch)
+        hits += int((ctrw._jnk_from_uniforms(u, 0.5, 0.5, ctrw.UNIT) > bound7).sum())
     draws = nbatches * batch
-    p = float(hits.sum()) / draws
+    p = hits / draws
     est = n_row * p
     se = n_row * math.sqrt(p * (1.0 - p) / draws)
     rows.append((7, "tail normalization |n*P - 1|", abs(est - 1.0), 3.0 * se, abs(est - 1.0) <= 3.0 * se))

@@ -236,7 +236,7 @@ def _excluded_moment(idx, t0, t1, trunc, k, bins=0):
     except FloatingPointError:
         # M**(1 - k/beta) overflows for small M and a small index (below
         # about 0.02 for the mass): the moment is beyond the float range
-        return math.inf
+        return np.full(bins, math.inf) if bins else math.inf
 
 
 def small_jump_mass_window(idx, t0, t1, trunc, bins=0):

@@ -6,9 +6,9 @@ single PASS/FAIL line for it.  The determinism criterion additionally
 exercises the real command-line entry point.
 
 The negative controls at the end show that a criterion can fail: a sampler
-that reads its index 0.05 too high, increments over overlapping windows, or
-a passage kernel that does not carry its running total across blocks, must
-trip it.
+that reads its index 0.05 too high, increments over overlapping windows, a
+path whose jumps are not sorted by time, or a passage kernel that does not
+carry its running total across blocks, must trip it.
 """
 
 import math
@@ -19,7 +19,7 @@ import sys
 import numpy as np
 import pytest
 
-from mssim import experiments, ppp, stats
+from mssim import experiments, ppp, stats, subordinator
 from mssim.stability import StabilityIndex
 
 SEED = 42
@@ -166,6 +166,29 @@ def test_criterion_4_fails_on_overlapping_windows():
     assert corr <= bound
     corr, bound = _criterion_4_corr([(0.0, 0.5), (0.0, 1.0)])
     assert corr > 3.0 * bound
+
+
+def _criterion_5_violations(spec, n=50):
+    """Criterion 5's violation count for one index at n replications."""
+    idx = StabilityIndex.from_spec(spec, 1.0)
+    blk = experiments._budget_block(idx, 1.0, "stationary", n)
+    return int(experiments._map_reps(experiments._monotone_rep, n, None, seed=SEED, idx=idx,
+                                     blk=blk)["bad"].sum())
+
+
+@pytest.mark.parametrize("spec", experiments._VERIFY_FAMILIES)
+def test_criterion_5_fails_when_the_path_is_not_sorted(spec, monkeypatch):
+    # criterion 5's run at the quick size counts no violation, and 3,655
+    # (constant) and 3,585 (affine) when the jumps keep their draw order
+    assert _criterion_5_violations(spec) == 0
+
+    def unsorted(pattern):
+        sizes = np.asarray(pattern.sizes, dtype=float)
+        return subordinator.JumpPath(np.asarray(pattern.times, dtype=float), sizes,
+                                     np.cumsum(sizes), pattern.horizon)
+
+    monkeypatch.setattr(subordinator, "build_path", unsorted)
+    assert _criterion_5_violations(spec) > 1000
 
 
 def test_criterion_6_fails_when_the_passage_forgets_earlier_blocks(monkeypatch):

@@ -79,12 +79,14 @@ def test_tiny_index_reports_without_traceback():
 
 
 def test_truncation_with_infinite_excluded_mass_is_usage_error():
-    # M**(1 - 1/beta) = 1e396 overflows: bias_bound would be inf and every row pass
-    res = run_cli("laplace", "--beta", "constant:0.01", "--trunc-m", "1e-4", "--reps", "10",
-                  timeout=10)
-    assert res.returncode == 2
-    assert "jump mass beyond the float range" in res.stderr
-    assert "Traceback" not in res.stderr
+    # M**(1 - 1/beta) = 1e396 overflows: bias_bound would be inf and every row
+    # pass, and every bin of every passage block would drift to inf
+    for command in ("laplace", "mfpp"):
+        res = run_cli(command, "--beta", "constant:0.01", "--t", "1", "--trunc-m", "1e-4",
+                      "--reps", "10", timeout=10)
+        assert res.returncode == 2, command
+        assert "jump mass beyond the float range" in res.stderr and "raise trunc-m" in res.stderr
+        assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -116,6 +118,15 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     # 1,250 cells and a D reference block of 1.1e3 points: each under the
     # cap over the run, 2.4e9 together
     ("ctrw", "--beta", "affine:0.2,0.56", "--n", "1000", "--t", "1", "--reps", "1000000"),
+    # a passage plan's later blocks, each weighted by the chance the level is
+    # unreached at its start: 1,785 points a replication, 3.6e10 over the run
+    ("mfpp", "--beta", "affine:0.4,0.2", "--t", "2", "--reps", "20000000", "--seed", "1"),
+    # the stationary windows of --trunc-m 2000: 2,250 points a replication
+    ("mfpp", "--beta", "constant:0.5", "--trunc-m", "2000", "--reps", "1000000"),
+    # 5e6 walk steps and 5e6 Poisson arrivals a replication: 5e12 and 5e11
+    ("ctrw", "--beta", "constant:0.5", "--n", "100", "--reps", "1000000", "--lambda", "1000",
+     "--pn-rule", "const:0.001", "--seed", "1"),
+    ("mfpp", "--beta", "constant:0.5", "--lambda", "1000000", "--reps", "100000", "--seed", "1"),
 ])
 def test_too_many_points_is_usage_error(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())

@@ -88,12 +88,15 @@ def test_inversion_matches_mpmath_for_an_affine_index():
 
 
 def test_first_passage_of_the_compensated_plan_follows_the_exact_law():
+    # the threshold plan, and the stationary one of ``mfpp --trunc-m 2000``
     idx, _ = experiments.choose_horizon("affine:0.4,0.2", 1.0)
-    plan = experiments.plan_passage(idx, [1.0])
-    streams = [experiments.stream_for(SEED, experiments.CH_PASSAGE, rep) for rep in range(REPS)]
-    e = experiments._block_passage(streams, plan)[:, 0]
-    assert not np.isnan(e).any()
-    assert ks_one_sample(e, lambda ts: cdf_e(idx, 1.0, ts)) < KS_CRIT
+    for trunc_m in (None, 2000.0):
+        plan = experiments.plan_passage(idx, [1.0], trunc_m=trunc_m)
+        streams = [experiments.stream_for(SEED, experiments.CH_PASSAGE, rep)
+                   for rep in range(REPS)]
+        e = experiments._block_passage(streams, plan)[:, 0]
+        assert not np.isnan(e).any()
+        assert ks_one_sample(e, lambda ts: cdf_e(idx, 1.0, ts)) < KS_CRIT, trunc_m
 
 
 def _d_reference(t, reps=REPS):

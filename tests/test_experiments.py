@@ -245,10 +245,14 @@ def _no_integrate(*args):
     raise AssertionError("integrate called")
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solve_truncation called")
+
+
 def test_mfpp_stationary_truncation_solves_no_block(monkeypatch):
-    # under trunc_m the plan is one stationary block, whose count T * M
-    # needs no quadrature, so no block truncation is solved
-    monkeypatch.setattr(ppp, "integrate", _no_integrate)
+    # under trunc_m every block is stationary at the level M, whose count
+    # (t1 - t0) * M is given, so no block truncation is solved
+    monkeypatch.setattr(ppp, "solve_truncation", _no_solve)
     rep = run_mfpp("affine:0.4,0.2", 1.0, [1.0], 20, 13, trunc_m=2000.0)
     assert rep.header["horizon"] == 2.5
     assert rep.header["unreached"] == 0
@@ -371,11 +375,10 @@ def test_block_passage_equals_the_inline_kernel():
         assert len({int(v // 0.25) for v in np.ravel(es)}) >= 3
 
 
-def test_block_passage_of_one_stationary_block_equals_the_inline_kernel():
-    # the plan of ``mfpp --trunc-m``: one stationary block on the whole horizon
+def test_block_passage_of_the_stationary_plan_equals_the_inline_kernel():
+    # the plan of ``mfpp --trunc-m``: compensated stationary blocks at one level
     idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
-    blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", 2000.0))
-    plan = experiments.PassagePlan(idx, (0.05, 0.3, 1.0), (blk,))
+    plan = plan_passage(idx, (0.05, 0.3, 1.0), trunc_m=2000.0)
     for rep in range(12):
         got = _block_passage([stream_for(5, CH_PASSAGE, rep)], plan)[0]
         want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
@@ -457,12 +460,11 @@ def test_block_passage_finds_the_last_jump_where_the_time_order_sum_rounds_low(m
 
 
 def _passage_plans():
-    """A threshold plan whose passages spread over several blocks, and one
-    stationary block of 10,000 points, as ``mfpp --trunc-m`` plans."""
+    """A threshold plan whose passages spread over several blocks, and the
+    stationary plan of ``mfpp --trunc-m 4000``, of 1,000 points a block."""
     idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
-    blk = ppp.plan_block(idx, 0.0, idx.horizon, ppp.Truncation("stationary", 4000.0))
     return (plan_passage(idx, [0.05, 0.3, 1.0]),
-            experiments.PassagePlan(idx, (0.05, 0.3, 1.0), (blk,)))
+            plan_passage(idx, [0.05, 0.3, 1.0], trunc_m=4000.0))
 
 
 def _one_rep_passages(lo, hi, **kwargs):
@@ -503,10 +505,10 @@ def test_passage_groups_stay_near_the_kernel_points(monkeypatch):
         _block_passage(streams, plan)
     points = experiments._KERNEL_POINTS
     assert all(n * drawn <= max(points, drawn) for n, drawn in groups)
-    # the early threshold blocks group many streams; the stationary block
-    # takes one at a time
+    # the early threshold blocks group many streams; a stationary block
+    # takes eight at a time
     assert max(n for n, _ in groups) > 100
-    assert groups.count((1, 10_000.0)) == 300
+    assert groups.count((8, 1000.0)) >= 300 // 8
 
 
 def test_streams_that_cross_in_different_blocks_pass_as_they_do_alone():
@@ -643,10 +645,10 @@ def test_pooled_paths_write_the_serial_bytes(tmp_path, monkeypatch, capsys):
 def test_the_pool_is_shut_down_when_a_plan_block_raises(inline_pool, monkeypatch):
     solve = experiments._passage_block
 
-    def failing_block(idx, t0, t1):
+    def failing_block(idx, t0, t1, trunc_m=None):
         if t0 >= 0.5:
             raise ValueError("too many points")
-        return solve(idx, t0, t1)
+        return solve(idx, t0, t1, trunc_m)
 
     monkeypatch.setattr(experiments, "_passage_block", failing_block)
     with pytest.raises(ValueError, match="too many points"):
@@ -732,6 +734,32 @@ def test_a_plan_in_a_real_pool_equals_the_serial_plan():
     # compensated blocks stay far below the point cap past t = 1
     assert max(b.mean_count for b in serial.blocks) < 0.1 * experiments._PASSAGE_POINTS_CAP
     assert _fields(pooled) == _fields(serial)
+
+
+def test_a_stationary_plan_is_compensated_windows_at_one_level():
+    # the plan of ``mfpp --trunc-m 2000``: a 0.25 stationary window at the
+    # level M per block, each with the positive, finite mass of its bins as
+    # its drift, the same when its blocks are solved in a real pool
+    idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
+    serial = plan_passage(idx, [1.0], trunc_m=2000.0)
+    with experiments.ProcessPoolExecutor(max_workers=2) as pool:
+        pooled = plan_passage(idx, [1.0], pool, 2000.0)
+    assert len(serial.blocks) == 10
+    for k, blk in enumerate(serial.blocks):
+        assert (blk.t0, blk.t1) == (0.25 * k, 0.25 * (k + 1))
+        assert blk.trunc == ppp.Truncation("stationary", 2000.0) and blk.mean_count == 500.0
+        assert blk.drift.shape == (experiments._PASSAGE_BINS,)
+        assert (blk.drift > 0.0).all() and np.isfinite(blk.drift).all()
+        mass = ppp.small_jump_mass_window(idx, blk.t0, blk.t1, blk.trunc)
+        assert blk.drift.sum() == pytest.approx(mass, rel=1e-9)
+    assert _fields(pooled) == _fields(serial)
+
+
+@pytest.mark.parametrize("trunc_m", (0.0, -1.0, math.nan, math.inf))
+def test_mfpp_rejects_a_bad_level_before_the_pool_opens(trunc_m, inline_pool):
+    with pytest.raises(ValueError, match="trunc-m must be positive and finite"):
+        run_mfpp("constant:0.5", 1.0, [1.0], 64, 3, workers=2, trunc_m=trunc_m)
+    assert inline_pool.sizes == []
 
 
 @pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)

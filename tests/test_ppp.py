@@ -169,6 +169,9 @@ def test_solve_truncation_below_the_overflow_index():
     # beyond the float range; the root is M = (0.99 * 1e-3 / 0.01)**(-1/99)
     idx = StabilityIndex.from_spec("constant:0.01", 1.0)
     assert small_jump_mass_window(idx, 0.0, 1.0, Truncation("stationary", 1e-6)) == math.inf
+    # binned, it is inf in every bin
+    binned = small_jump_mass_window(idx, 0.0, 1.0, Truncation("stationary", 1e-6), 4)
+    assert binned.shape == (4,) and np.isposinf(binned).all()
     m = solve_truncation(idx, 1.0, "stationary", 1e-3)
     assert m.parameter == pytest.approx(0.099 ** (-1.0 / 99.0), rel=1e-9)
 
