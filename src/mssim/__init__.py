@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 
 from .ctrw import (
     CtrwPath,
+    RowPlan,
     SlowlyVaryingFamily,
     inverse_ctrw,
     norming_an,
@@ -66,6 +67,7 @@ __all__ = [
     "PointPattern",
     "Report",
     "RngStream",
+    "RowPlan",
     "SlowlyVaryingFamily",
     "StabilityIndex",
     "Truncation",

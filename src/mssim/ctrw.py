@@ -41,7 +41,7 @@ class CtrwPath:
     """Partial sums on the 1/n grid: grid[k] = sum_{j<=k} b_{nj}**-1 * J_{nj}."""
 
     n: int
-    grid: np.ndarray  # length kmax + 1, grid[0] = 0
+    grid: np.ndarray  # the drawn cells' sums, grid[0] = 0
 
 
 def _jnk_from_uniforms(u, beta, beta_sup, L):
@@ -111,18 +111,35 @@ def cell_count(n, horizon):
     return math.ceil(n * horizon - 1e-9)
 
 
-def partial_sum_path(stream, n, idx, L):
-    """The row-n partial-sum path on [0, T], T the horizon: one fresh J per cell.
+class RowPlan:
+    """What every replication of row n on [0, T], T the horizon of ``idx``,
+    shares: beta(k/n) and the cell scalings b_{nk}, k = 1..``cell_count(n, T)``."""
 
-    Grid value at k/n is sum_{j<=k} b_{nj}**-1 * J_{nj} for k = 0..``cell_count(n, T)``.
-    """
-    kmax = cell_count(n, idx.horizon)
-    ks = np.arange(1, kmax + 1)
-    beta = idx.evaluate_many(np.minimum(ks / n, idx.horizon))
-    b = norming_bnk(norming_an(n, L, idx.beta_sup), beta, idx.beta_sup)
-    j = _jnk_from_uniforms(stream.uniform(kmax), beta, idx.beta_sup, L)
-    grid = np.concatenate(([0.0], np.cumsum(j / b)))
-    return CtrwPath(int(n), grid)
+    def __init__(self, n, idx, L):
+        ks = np.arange(1, cell_count(n, idx.horizon) + 1)
+        self.n, self.beta_sup, self.L = int(n), idx.beta_sup, L
+        self.beta = idx.evaluate_many(np.minimum(ks / n, idx.horizon))
+        self.b = norming_bnk(norming_an(n, L, idx.beta_sup), self.beta, idx.beta_sup)
+
+
+def partial_sum_path(stream, row, level):
+    """The partial-sum path of the ``RowPlan`` ``row``, one fresh J per cell,
+    drawn until its sum reaches ``level`` or its last cell: grid[k] is
+    sum_{j<=k} b_{nj}**-1 * J_{nj}.  The cells up to max(1, floor(n * level))
+    come first, then n/4 at a time; each piece draws the next uniforms and
+    adds the running total into its first summand before one cumsum, so the
+    grid holds the floats of one draw and one cumsum."""
+    n, kmax = row.n, len(row.b)
+    grid = np.zeros(kmax + 1)
+    k, stop = 0, min(kmax, max(1, math.floor(n * level + 1e-9)))
+    while True:
+        x = _jnk_from_uniforms(stream.uniform(stop - k), row.beta[k:stop], row.beta_sup, row.L)
+        x /= row.b[k:stop]
+        x[0] += grid[k]
+        np.cumsum(x, out=grid[k + 1:stop + 1])
+        k, stop = stop, min(kmax, stop + max(1, n // 4))
+        if grid[k] >= level or k == kmax:
+            return CtrwPath(n, grid[:k + 1])
 
 
 def inverse_ctrw(path, levels):

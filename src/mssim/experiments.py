@@ -474,17 +474,18 @@ def _passage_chunk(lo, hi, seed, plan, rate):
     return {"e": e, "x": np.array(x)}
 
 
-def _ctrw_rep(rep, seed, channel, idx, L, n, ts, p_n, lam):
-    """S_n(t), E_n(t) and the composed walk at each t for one row-n path.
+def _ctrw_rep(rep, seed, channel, idx, row, ts, p_n, lam):
+    """S_n(t), E_n(t) and the composed walk at each t for one path of the
+    ``RowPlan`` ``row``, drawn until it passes the largest t.
 
-    The summands use stream ``channel`` and the walk ``channel + 1``; a
-    level past the last partial sum flags the replication.  E_n is censored
-    at the horizon T, min(E_n, T), since the last cell can end past T.  The
-    walk is the running sum of Bernoulli(p_n) steps, read after
-    floor(lambda * E_n / p_n) of them."""
-    path = ctrw.partial_sum_path(stream_for(seed, channel, rep), n, idx, L)
+    The summands use stream ``channel`` and the walk ``channel + 1``; a level
+    past the last partial sum flags the replication.  E_n is censored at the
+    horizon T, min(E_n, T), since the last cell can end past T.  The walk is
+    the running sum of Bernoulli(p_n) steps, read after floor(lambda * E_n /
+    p_n) of them."""
     ts = np.asarray(ts, dtype=float)
-    s = path.grid[np.minimum(np.floor(n * ts + 1e-9).astype(int), len(path.grid) - 1)]
+    path = ctrw.partial_sum_path(stream_for(seed, channel, rep), row, ts.max())
+    s = path.grid[np.minimum(np.floor(row.n * ts + 1e-9).astype(int), len(path.grid) - 1)]
     e = ctrw.inverse_ctrw(path, ts)
     unreached = np.isnan(e)
     e = np.fmin(e, idx.horizon)  # an unreached level's NaN becomes T too
@@ -737,7 +738,8 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
     p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
     cells = {n: ctrw.cell_count(n, idx.horizon) for n in ns}
     # a row's largest partial sum: its cells' summands at beta_inf and the
-    # smallest non-zero uniform, 2**-53, each over the smallest b_nk
+    # smallest non-zero uniform, 2**-53, each over the smallest b_nk, which is
+    # a_n = b_nk at beta_sup, since a_n >= 1
     with np.errstate(over="ignore", invalid="ignore"):
         j_max = float(ctrw._jnk_from_uniforms(2.0**-53, idx.beta_inf, idx.beta_sup, L))
         for n in ns:
@@ -746,9 +748,7 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
             ppp.check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
                              hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli "
                              "steps; lower --lambda or raise the pn-rule")
-            b = ctrw.norming_bnk(ctrw.norming_an(n, L, idx.beta_sup),
-                                 np.array([idx.beta_inf, idx.beta_sup]), idx.beta_sup)
-            _require(np.isfinite(cells[n] * j_max / b.min()),
+            _require(np.isfinite(cells[n] * j_max / ctrw.norming_an(n, L, idx.beta_sup)),
                      f"the row n={n} partial sums of the index {idx.spec_string()} can "
                      "overflow the float range; raise the index")
     # reference samples, shared by every n
@@ -767,9 +767,8 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         rows = []
         flagged_total = 0
         for i, n in enumerate(ns):
-            res = _map_reps(_ctrw_rep, reps, pool, seed=seed,
-                            channel=CH_CTRW_JUMPS + 2 * i, idx=idx, L=L, n=n, ts=ts,
-                            p_n=p_ns[n], lam=lam)
+            res = _map_reps(_ctrw_rep, reps, pool, seed=seed, channel=CH_CTRW_JUMPS + 2 * i,
+                            idx=idx, row=ctrw.RowPlan(n, idx, L), ts=ts, p_n=p_ns[n], lam=lam)
             flagged_total += int(res["flagged"].sum())
             for j, t in enumerate(ts):
                 ks_d = stats.ks_two_sample(res["s"][:, j], dref[:, j])

@@ -266,6 +266,24 @@ def expected_count_window(idx, t0, t1, trunc):
                      points=idx.critical_points(t0, t1))
 
 
+def _log_root(at, target, p, v, lo, hi):
+    """Where the window integral ``at`` meets ``target``: a secant on its
+    log10, nearly linear in log10 p, from the end p of [lo, hi], where it is
+    v, and one decade inside; a step that is not finite or leaves the values'
+    bracket halves it.  None if 12 steps leave it moving by 1e-12 or more."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rises, p0, g0 = p == hi, p, np.log10(v) - np.log10(target)
+        p = p - 1.0 if rises else p + 1.0
+        for _ in range(12):
+            g = np.log10(at(p)) - np.log10(target)
+            lo, hi = (lo, p) if (g > 0) == rises else (p, hi)
+            step = g * (p - p0) / (g - g0) if np.isfinite(g - g0) else math.nan
+            if abs(step) < 1e-12:
+                return float(p - step)
+            p0, g0, p = p, g, p - step if lo < p - step < hi else 0.5 * (lo + hi)
+    return None
+
+
 def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensated=False):
     """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
     ``budget``, or for a ``compensated`` block, whose excluded sd (the
@@ -278,7 +296,8 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
     to a 1e-12 bracket that lands within the target; the mass and the
     variance rise in eps and fall in M, the count the other way.  Where the
     whole bracket is within the target, its end with the largest integral is
-    returned."""
+    returned.  Where two integrals confirm the root in p* +- 1e-11, p* from
+    ``_log_root``, a step outside that band follows from monotonicity."""
     if budget <= 0:
         raise ValueError(f"truncation budget must be positive, got {budget}")
     lo, hi = (-300.0, -1e-9) if mode == "threshold" else (-6.0, 300.0)
@@ -287,10 +306,19 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
         def at(p):
             return window_integral(idx, t0, T, Truncation(mode, 10.0**p))
 
+        def high_side(p):
+            return (at(p) > target) != rises
+
         edge = hi if rises else lo
-        if at(edge) <= target:
+        v = at(edge)
+        if v <= target:
             return 10.0**edge
-        a, b = bisect(lambda p: (at(p) > target) != rises, lo, hi, lambda a, b: b - a < 1e-12)
+        root = _log_root(at, target, edge, v, lo, hi)
+        up_to, down_from = -math.inf, math.inf  # where a step needs no integral
+        if root is not None and high_side(root - 1e-11) and not high_side(root + 1e-11):
+            up_to, down_from = root - 1e-11, root + 1e-11
+        a, b = bisect(lambda p: p <= up_to or (p < down_from and high_side(p)), lo, hi,
+                      lambda a, b: b - a < 1e-12)
         return 10.0 ** (a if rises else b)
 
     if compensated:

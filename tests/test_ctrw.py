@@ -9,6 +9,7 @@ import pytest
 from mssim import (
     CtrwPath,
     RngStream,
+    RowPlan,
     SlowlyVaryingFamily,
     StabilityIndex,
     inverse_ctrw,
@@ -22,6 +23,12 @@ from mssim.experiments import _ctrw_rep, _map_reps, stream_for
 
 IDX_HALF = StabilityIndex.from_spec("constant:0.5", 1.0)
 LOG = SlowlyVaryingFamily("log")
+
+
+def _full_path(stream, n):
+    """A row-n path of IDX_HALF over its whole horizon 1: the level 1 puts
+    every cell in the first piece."""
+    return partial_sum_path(stream, RowPlan(n, IDX_HALF, UNIT), IDX_HALF.horizon)
 
 
 def test_family_parsing():
@@ -87,6 +94,18 @@ def test_log_tail_inverse_residual_down_to_tiny_levels(beta):
         assert (np.abs(_log_survival(t, beta, beta_sup) - u) <= 1e-12 * u).all()
 
 
+def test_log_summands_do_not_depend_on_their_batch():
+    # each cell's tail bisection stops where it closes, whatever cells share its call
+    u = RngStream(23, 0).uniform(20_000)
+    beta = np.linspace(0.3, 0.7, u.size)
+    whole = _jnk_from_uniforms(u, beta, 0.7, LOG)
+    parts = [_jnk_from_uniforms(u[i:i + 500], beta[i:i + 500], 0.7, LOG)
+             for i in range(0, u.size, 500)]
+    assert np.concatenate(parts).tolist() == whole.tolist()
+    assert [_jnk_from_uniforms(u[i], beta[i], 0.7, LOG) for i in range(0, 20_000, 97)] \
+        == whole[::97].tolist()
+
+
 def test_norming_an_log_meets_the_sampled_tail():
     # n * S(a_n) = 1 for the survival S that is sampled; at n = 2 and
     # beta_sup = 0.7 the level 1/2 lies above the kink value exp(-0.7), so
@@ -113,11 +132,11 @@ def test_norming_bnk():
 
 
 def test_partial_sum_path_basics():
-    path = partial_sum_path(RngStream(1, 0), 1, IDX_HALF, UNIT)
+    path = _full_path(RngStream(1, 0), 1)
     assert path.grid[0] == 0.0
     # n=1: a_1 = 1, b_11 = 1, so S_1(1) = J_11 >= 1
     assert path.grid[1] >= 1.0
-    path = partial_sum_path(RngStream(1, 1), 50, IDX_HALF, UNIT)
+    path = _full_path(RngStream(1, 1), 50)
     assert len(path.grid) == 51
     assert (np.diff(path.grid) > 0).all()
 
@@ -133,14 +152,14 @@ def test_inverse_ctrw_examples():
 
 
 def test_inverse_ctrw_monotone_in_level():
-    path = partial_sum_path(RngStream(2, 0), 200, IDX_HALF, UNIT)
+    path = _full_path(RngStream(2, 0), 200)
     vals = inverse_ctrw(path, np.linspace(0.0, path.grid[-1], 100))
     assert (np.diff(vals) >= 0).all()
 
 
 def test_inverse_ctrw_matches_scalar_search():
     # level 0, every grid value, points between them and levels past the last sum
-    path = partial_sum_path(RngStream(2, 1), 50, IDX_HALF, UNIT)
+    path = _full_path(RngStream(2, 1), 50)
     g = path.grid
     levels = np.concatenate(([0.0], g, 0.5 * (g[:-1] + g[1:]), [g[-1] * 1.5, g[-1] + 1.0]))
     got = inverse_ctrw(path, levels)
@@ -164,12 +183,13 @@ def test_tail_normalization_identity():
 
 # the path jumps to grid[k] at k/4 and ends at 0.4: E_4(0.25) = 0.75, E_4(0.4) = 1
 SHORT = CtrwPath(4, np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
+ROW4 = RowPlan(4, IDX_HALF, UNIT)
 
 
 def _walk(monkeypatch, rep, ts, p_n, lam):
     """The composed walk of ``_ctrw_rep`` on the short path above."""
     monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: SHORT)
-    return _ctrw_rep(rep, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=ts, p_n=p_n,
+    return _ctrw_rep(rep, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=ts, p_n=p_n,
                      lam=lam)["x"]
 
 
@@ -201,8 +221,8 @@ def test_ctrw_process_degenerate_walk():
     # p_n = 1 makes every walk step 1, so the composed walk is floor(lambda * E_n(t));
     # lambda * E_n(t) lies on the grid 1.5 * k / 20, which never comes near an
     # integer above 0, and levels past the last partial sum clamp E_n to the horizon
-    out = _map_reps(_ctrw_rep, 50, None, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=20,
-                    ts=[0.0, 0.05, 0.7, 5.0], p_n=1.0, lam=1.5)
+    out = _map_reps(_ctrw_rep, 50, None, seed=8, channel=1, idx=IDX_HALF,
+                    row=RowPlan(20, IDX_HALF, UNIT), ts=[0.0, 0.05, 0.7, 5.0], p_n=1.0, lam=1.5)
     assert (out["x"] == np.floor(1.5 * out["e"])).all()
     assert (out["x"][:, 0] == 0).all()
     assert out["flagged"].any()
@@ -211,12 +231,40 @@ def test_ctrw_process_degenerate_walk():
 def test_ctrw_rep_clamps_and_flags_an_unreached_level(monkeypatch):
     # the short path ends at 0.4, below the level 1
     monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: SHORT)
-    out = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.3, 1.0],
+    out = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=[0.25, 0.3, 1.0],
                     p_n=1.0, lam=1.0)
     assert out["s"].tolist() == [0.1, 0.1, 0.4]
     assert out["e"].tolist() == [0.75, 0.75, IDX_HALF.horizon]
     assert out["x"].tolist() == [0.0, 0.0, 1.0]
     assert out["flagged"] is True
-    reached = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, L=UNIT, n=4, ts=[0.25, 0.4],
+    reached = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=[0.25, 0.4],
                         p_n=1.0, lam=1.0)
     assert reached["e"].tolist() == [0.75, 1.0] and reached["flagged"] is False
+
+
+@pytest.mark.parametrize("spec,L", [("constant:0.5", UNIT), ("constant:0.5", LOG),
+                                    ("affine:0.4,0.2", UNIT)])
+def test_a_row_drawn_until_its_level_is_a_prefix_of_the_whole_row(spec, L):
+    # horizon 2.5: a row draws its cells up to n * level, then n/4 at a time until
+    # its sum reaches the level; the log family's bisections run in other batches
+    idx = StabilityIndex.from_spec(spec, 2.5)
+    for n in (20, 101):
+        row = RowPlan(n, idx, L)
+        for rep in range(40):
+            whole = partial_sum_path(RngStream(21, rep), row, 1e300).grid
+            assert len(whole) == len(row.b) + 1
+            grid = partial_sum_path(RngStream(21, rep), row, 1.0).grid
+            assert grid.tolist() == whole[:len(grid)].tolist()
+            k = len(grid) - 1
+            assert k >= n and (grid[-1] >= 1.0 or k == len(row.b))
+            # the piece before the last one had not reached the level
+            assert k == n or grid[k - n // 4] < 1.0 or k == len(row.b)
+
+
+def test_a_row_that_never_reaches_its_level_draws_every_cell_and_is_flagged():
+    row = RowPlan(50, IDX_HALF, UNIT)
+    path = partial_sum_path(RngStream(22, 0), row, 1e12)
+    assert len(path.grid) == len(row.b) + 1 == 51 and path.grid[-1] < 1e12
+    out = _ctrw_rep(0, seed=22, channel=1, idx=IDX_HALF, row=row, ts=[0.5, 1e12], p_n=1.0,
+                    lam=1.0)
+    assert out["flagged"] is True and out["e"][1] == IDX_HALF.horizon

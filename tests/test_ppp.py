@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mssim import ppp
+from mssim import experiments, ppp
 from mssim import (
     PointPattern,
     RngStream,
@@ -209,6 +209,59 @@ def test_solve_truncation_caps_the_point_count():
     m = solve_truncation(IDX_AFFINE, 1.0, "stationary", 1e-3, max_count=50.0)
     assert m.parameter <= 50.0 and m.parameter == pytest.approx(50.0, rel=1e-9)
     assert small_jump_mass_window(IDX_AFFINE, 0.0, 1.0, m) == pytest.approx(0.0315, abs=5e-5)
+
+
+def _solve_sweep():
+    """Truncation solves of every index family, in both modes, for the mass and
+    the sd, at the passage budget, at 1e3 and at 1e-200, and with a binding
+    count cap."""
+    cases = []
+    for spec in ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1", "table:0,0.4;2,0.6"):
+        idx = StabilityIndex.from_spec(spec, 2.0)
+        for mode in ("threshold", "stationary"):
+            for compensated in (False, True):
+                for budget, t0, t1 in ((2.5e-4, 0.0, 0.25), (2.5e-4, 1.25, 1.5),
+                                       (1e3, 0.0, 1.0), (1e-200, 0.0, 1.0)):
+                    cases.append((idx, t1, mode, budget, t0, math.inf, compensated))
+                cases.append((idx, 1.5, mode, 2.5e-4, 1.25, 1e3, compensated))
+    return cases
+
+
+def test_a_replayed_truncation_solve_is_a_plain_bisection(monkeypatch):
+    # the replay answers the bisection's steps outside a confirmed band by
+    # monotonicity; without the secant's root, every step integrates
+    replayed = [solve_truncation(*case) for case in _solve_sweep()]
+    monkeypatch.setattr(ppp, "_log_root", lambda *args: None)
+    plain = [solve_truncation(*case) for case in _solve_sweep()]
+    assert [t.parameter.hex() for t in replayed] == [t.parameter.hex() for t in plain]
+
+
+def test_a_passage_plan_solve_takes_at_most_20_integrals(monkeypatch):
+    # the affine:0.4,0.2 passage plan at horizon 2.5: ten windows of 0.25; a
+    # solve bisects twice where its point cap binds
+    real_integrate, real_root, real_solve = ppp.integrate, ppp._log_root, ppp.solve_truncation
+    counts, per_call = {}, []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def solve(*args, **kwargs):
+        counts.update(integrate=0, roots=0)
+        trunc = real_solve(*args, **kwargs)
+        per_call.append((counts["integrate"], counts["roots"]))
+        return trunc
+
+    monkeypatch.setattr(ppp, "integrate", counting("integrate", real_integrate))
+    monkeypatch.setattr(ppp, "_log_root", counting("roots", real_root))
+    monkeypatch.setattr(ppp, "solve_truncation", solve)
+    idx, _ = experiments.choose_horizon("affine:0.4,0.2", 1.0, shortest=1.0)
+    assert idx.horizon == 2.5
+    experiments.plan_passage(idx, [1.0])
+    assert len(per_call) == 10
+    assert all(1 <= roots and integrals <= 20 * roots for integrals, roots in per_call), per_call
 
 
 @pytest.mark.parametrize("c2", [2, 4, 8])

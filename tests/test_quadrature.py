@@ -198,8 +198,8 @@ def test_bisect_is_elementwise():
     assert (close(lo, hi)).all()
     for i, v in enumerate(targets):
         one = bisect(lambda mid: mid**2 < v, 0.0, 6.0, lambda a, b: b - a < 1e-9 * max(1.0, a))
-        # an element keeps halving until every bracket is close, so it is at least as tight
-        assert lo[i] >= one[0] and hi[i] <= one[1]
+        # a bracket stops where it closes, though the others halve on
+        assert (lo[i], hi[i]) == one
     assert (lo <= np.sqrt(targets)).all() and (np.sqrt(targets) <= hi).all()
 
 

@@ -89,6 +89,16 @@ def test_uniform_redraws_an_exact_zero_from_the_same_stream():
         s._gen = real  # the stream hands its generator back to the spares
 
 
+def test_uniform_in_pieces_draws_what_one_draw_does():
+    # the pieces continue the stream, so a path drawn until it passes a level
+    # holds the uniforms of one draw; only an exact zero, whose redraw comes
+    # right after its piece, would move them, with probability 2**-53 a draw
+    whole = RngStream(17, 3).uniform(1000)
+    s = RngStream(17, 3)
+    pieces = [s.uniform(k) for k in (1, 250, 3, 0, 746)]
+    assert np.concatenate(pieces).tolist() == whole.tolist()
+
+
 def test_bernoulli_frequency():
     hits = RngStream(13, 0).bernoulli(0.3, 200_000)
     assert hits.dtype == bool
