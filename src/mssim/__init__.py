@@ -35,8 +35,6 @@ from .ppp import (
     expected_count_window,
     plan_block,
     sample_pattern,
-    sample_stationary,
-    sample_threshold,
     small_jump_mass_window,
     solve_truncation,
 )
@@ -51,7 +49,6 @@ from .stats import (
     mittag_leffler,
 )
 from .subordinator import (
-    JumpPath,
     build_path,
     eval_many,
     gamma_fn,
@@ -62,7 +59,6 @@ __all__ = [
     "Block",
     "CtrwPath",
     "DegenerateSampleError",
-    "JumpPath",
     "McEstimate",
     "PointPattern",
     "Report",
@@ -94,8 +90,6 @@ __all__ = [
     "run_verify",
     "sample_pattern",
     "sample_poisson_path",
-    "sample_stationary",
-    "sample_threshold",
     "small_jump_mass_window",
     "solve_truncation",
     "time_changed_count",

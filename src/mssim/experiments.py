@@ -4,11 +4,12 @@ Each pipeline draws its Monte Carlo replications from per-replication
 random streams (master seed, channel, replication index), reduces them
 into a ``Report`` of named columns, and never depends on the number of
 worker processes: identical configuration and seed give byte-identical
-output.  A replication is one call of a per-replication worker
-``fn(rep, **params)`` returning named values, or one row of a chunk
-kernel's arrays; ``_map_reps`` is the only loop over replications.  Both
-chunk kernels, of window increments and of first passages, draw through
-``_draw_chunk`` and sum by keyed ``np.bincount``, in draw order.
+output.  A replication is one row of a chunk kernel's arrays, and
+``_map_reps`` is the only map over replications.  Every kernel that draws
+jumps draws a list of streams through ``ppp.sample_pattern``: the window
+increments and the first passages sum them by keyed ``np.bincount``, in
+draw order, and the ``paths`` and criterion-5 kernels sort each stream's
+path with ``subordinator.build_path``.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -138,6 +139,13 @@ _KERNEL_REPS = 1024
 _KERNEL_POINTS = 2**13
 
 
+def _kernel_reps(blk):
+    """The replications of one kernel call that draws ``blk``: at most
+    ``_KERNEL_REPS`` and about ``_KERNEL_POINTS`` points, or one where one
+    replication draws more."""
+    return max(1, min(_KERNEL_REPS, int(_KERNEL_POINTS / ppp.drawn_count(blk))))
+
+
 def _open_pool(workers):
     """The one process pool of a run, for its plan and every replication
     map: none (serial) at one worker, else at most one process per CPU.
@@ -148,25 +156,18 @@ def _open_pool(workers):
     return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
 
 
-def _map_chunk(fn, lo, hi, params, kernel_reps=0):
-    """``fn(rep, **params)`` for each rep in [lo, hi), each named output
-    written to its replication's row of one array per name; or, with
-    ``kernel_reps``, the chunk kernel ``fn(a, b, **params)`` on consecutive
-    ranges [a, b) of at most that many replications, its arrays joined."""
-    if kernel_reps:
-        parts = [fn(a, min(a + kernel_reps, hi), **params) for a in range(lo, hi, kernel_reps)]
-        return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
-    outs = [fn(rep, **params) for rep in range(lo, hi)]
-    # a name's strings take the widest one's width, as np.concatenate does
-    return {k: np.array([o[k] for o in outs]) for k in outs[0]}
+def _map_chunk(fn, lo, hi, params, kernel_reps):
+    """The chunk kernel ``fn(a, b, **params)`` on consecutive ranges [a, b)
+    of at most ``kernel_reps`` replications of [lo, hi), its arrays joined."""
+    parts = [fn(a, min(a + kernel_reps, hi), **params) for a in range(lo, hi, kernel_reps)]
+    return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
-def _map_reps(fn, reps, pool, kernel_reps=0, **params):
-    """Run the worker ``fn(rep, **params)`` for every rep in [0, reps), on
-    ``pool`` or serially if it is ``None``; with ``kernel_reps``, ``fn`` is
-    a chunk kernel ``fn(lo, hi, **params)`` that returns one array per name
-    for the replications [lo, hi), handed at most ``kernel_reps`` of them
-    a call.
+def _map_reps(fn, reps, pool, kernel_reps, **params):
+    """Run the chunk kernel ``fn(lo, hi, **params)``, which returns one array
+    per name for the replications [lo, hi), over every rep in [0, reps), on
+    ``pool`` or serially if it is ``None``, handed at most ``kernel_reps``
+    replications a call.
 
     Each named output becomes one array whose first axis is the
     replication.  Chunks are reduced in replication order, and every
@@ -247,18 +248,12 @@ class PassagePlan:
     blocks: tuple
 
 
-def _budget_block(idx, T, mode, reps, trunc_m=None):
-    """The block [0, T]: the stationary one at the level ``trunc_m`` if it is
-    given, else the one under the truncation of ``mode`` that meets the
+def _budget_block(idx, T, mode, reps):
+    """The block [0, T] under the truncation of ``mode`` that meets the
     default excluded-mass budget.  A ValueError rejects, before anything is
     drawn, a run whose ``reps`` replications draw more than
     ``_MAX_RUN_POINTS`` points."""
-    if trunc_m is None:
-        trunc = ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET)
-    else:
-        _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
-        trunc = ppp.Truncation("stationary", float(trunc_m))
-    blk = ppp.plan_block(idx, 0.0, T, trunc)
+    blk = ppp.plan_block(idx, 0.0, T, ppp.solve_truncation(idx, T, mode, DEFAULT_MASS_BUDGET))
     _check_run_points(reps, ppp.drawn_count(blk))
     return blk
 
@@ -346,10 +341,11 @@ def _block_passage(streams, plan):
         # rounding is monotone, so a later time never falls in an earlier bin
         scale = _PASSAGE_BINS / (blk.t1 - blk.t0)
         width = (blk.t1 - blk.t0) / _PASSAGE_BINS
-        per = max(1, int(_KERNEL_POINTS / ppp.drawn_count(blk)))
+        per = _kernel_reps(blk)
         for g in range(0, len(active), per):
             group = active[g:g + per]
-            t, x, counts = _draw_chunk([streams[i] for i in group], plan.idx, blk)
+            pat = ppp.sample_pattern([streams[i] for i in group], blk, plan.idx)
+            t, x, counts = pat.times, pat.sizes, pat.counts
             bins = np.minimum(((t - blk.t0) * scale).astype(np.intp), _PASSAGE_BINS - 1)
             bins += np.repeat(np.arange(0, len(group) * _PASSAGE_BINS, _PASSAGE_BINS), counts)
             sums = np.bincount(bins, weights=x, minlength=len(group) * _PASSAGE_BINS)
@@ -383,55 +379,28 @@ def _block_passage(streams, plan):
 
 
 # ---------------------------------------------------------------------------
-# per-replication workers and chunk kernels (top level so worker processes
-# can import them); each returns a dict of named values, which ``_map_reps``
-# gathers into arrays
+# chunk kernels (top level so worker processes can import them); each takes
+# the replications [lo, hi) and returns a dict of named arrays with one row
+# per replication, which ``_map_reps`` joins
 # ---------------------------------------------------------------------------
 
 
 def _increments(reps, pool, seed, channel, idx, blk, windows):
     """Increments of D over each (a, b] window for every replication, each
     from one pattern of the block [0, T]: an array of one row per
-    replication, worked by ``_increments_chunk`` in calls of at most
-    ``_KERNEL_REPS`` replications and about ``_KERNEL_POINTS`` points."""
-    kernel_reps = max(1, min(_KERNEL_REPS, int(_KERNEL_POINTS / ppp.drawn_count(blk))))
-    return _map_reps(_increments_chunk, reps, pool, kernel_reps, seed=seed, channel=channel,
-                     idx=idx, blk=blk, windows=windows)["inc"]
-
-
-def _draw_chunk(streams, idx, blk):
-    """The patterns of ``blk`` that ``ppp.sample_pattern`` draws from each of
-    the iterable ``streams``, joined in stream order: their times, their
-    sizes and each stream's count of points.
-
-    Each stream draws what ``sample_pattern`` draws, in its order: a
-    threshold stream stays open across the thinning and then draws the
-    sizes of its kept points, while a stationary one is done after one
-    ``sample_stationary`` call and can hand its generator to the next.  The
-    index, the thinning and the sizes run once over all the streams."""
-    if blk.trunc.mode == "stationary":
-        pats = [ppp.sample_stationary(s, blk) for s in streams]
-        t = np.concatenate([p.times for p in pats])
-        x = ppp.stationary_sizes(np.concatenate([p.sizes for p in pats]), idx.evaluate_many(t))
-        return t, x, np.array([len(p.times) for p in pats])
-    streams = list(streams)
-    drawn = [ppp.threshold_candidates(s, blk) for s in streams]
-    cand = np.concatenate([c for c, _ in drawn])
-    beta = idx.evaluate_many(cand)
-    kept = np.flatnonzero(ppp.thinned(blk, np.concatenate([k for _, k in drawn]), beta))
-    counts = np.diff(np.searchsorted(kept, np.cumsum([len(c) for c, _ in drawn])), prepend=0)
-    sizes = [s.uniform(k) for s, k in zip(streams, counts.tolist())]
-    return cand[kept], ppp.threshold_sizes(blk, np.concatenate(sizes), beta[kept]), counts
+    replication, worked by ``_increments_chunk``."""
+    return _map_reps(_increments_chunk, reps, pool, _kernel_reps(blk), seed=seed,
+                     channel=channel, idx=idx, blk=blk, windows=windows)["inc"]
 
 
 def _increments_chunk(lo, hi, seed, channel, idx, blk, windows):
-    """The increments of the replications [lo, hi), a chunk kernel: one
-    ``_draw_chunk`` of their streams, then each window's sums by one
-    ``np.bincount`` keyed by replication, which adds each replication's
-    jumps in the window in draw order."""
-    t, x, counts = _draw_chunk((stream_for(seed, channel, rep) for rep in range(lo, hi)),
-                               idx, blk)
-    rep = np.repeat(np.arange(hi - lo), counts)
+    """The increments of the replications [lo, hi): one ``sample_pattern``
+    of their streams, then each window's sums by one ``np.bincount`` keyed
+    by replication, which adds each replication's jumps in the window in
+    draw order."""
+    pat = ppp.sample_pattern((stream_for(seed, channel, rep) for rep in range(lo, hi)), blk, idx)
+    t, x = pat.times, pat.sizes
+    rep = np.repeat(np.arange(hi - lo), pat.counts)
     inc = np.empty((hi - lo, len(windows)))
     for j, (a, b) in enumerate(windows):
         # positions, not a boolean mask: numpy gathers a long array by
@@ -441,31 +410,41 @@ def _increments_chunk(lo, hi, seed, channel, idx, blk, windows):
     return {"inc": inc}
 
 
-def _monotone_rep(rep, seed, idx, blk):
+def _sorted_paths(pat):
+    """The path (times, prefix) of each stream's points in the pattern
+    ``pat``, by ``subordinator.build_path``."""
+    cut = np.cumsum(pat.counts)[:-1]
+    return [subordinator.build_path(t, x)
+            for t, x in zip(np.split(pat.times, cut), np.split(pat.sizes, cut))]
+
+
+def _monotone_chunk(lo, hi, seed, idx, blk):
     """Strict-monotonicity and inverse-consistency violations of one path
-    on [0, horizon], probed at 100 random levels and 100 random times."""
-    s = stream_for(seed, CH_MONOTONE, rep)
-    T = idx.horizon
-    path = subordinator.build_path(ppp.sample_pattern(s, blk, idx))
-    if len(path.prefix) == 0:
-        return {"bad": 1}
-    bad = int(path.prefix[0] <= 0.0 or (np.diff(path.prefix) <= 0.0).any())
-    # first-passage consistency: D(E(r)) >= r and the path is still
-    # below r just before E(r); and E(D(t)) <= t for every t
-    rs = s.uniform(100) * path.total
-    e = inverse_mfpp.first_passage(path.times, path.prefix, rs)
-    before = np.concatenate(([0.0], path.prefix))[np.searchsorted(path.times, e, side="left")]
-    bad += int(((subordinator.eval_many(path, e) < rs) | (before >= rs)).sum())
-    ts = T * s.uniform(100)
-    e = inverse_mfpp.first_passage(path.times, path.prefix, subordinator.eval_many(path, ts))
-    bad += int((e > ts * (1.0 + 1e-12)).sum())
+    on [0, horizon] per replication, probed at 100 random levels and 100
+    random times drawn from its stream after its pattern."""
+    streams = [stream_for(seed, CH_MONOTONE, rep) for rep in range(lo, hi)]
+    paths = _sorted_paths(ppp.sample_pattern(streams, blk, idx))
+    bad = np.ones(hi - lo, dtype=np.int64)  # an empty path is one violation
+    for r, (s, (times, prefix)) in enumerate(zip(streams, paths)):
+        if not len(prefix):
+            continue
+        bad[r] = int(prefix[0] <= 0.0 or (np.diff(prefix) <= 0.0).any())
+        # first-passage consistency: D(E(r)) >= r and the path is still
+        # below r just before E(r); and E(D(t)) <= t for every t
+        rs = s.uniform(100) * prefix[-1]
+        e = inverse_mfpp.first_passage(times, prefix, rs)
+        before = np.concatenate(([0.0], prefix))[np.searchsorted(times, e, side="left")]
+        bad[r] += int(((subordinator.eval_many(times, prefix, e) < rs) | (before >= rs)).sum())
+        ts = idx.horizon * s.uniform(100)
+        e = inverse_mfpp.first_passage(times, prefix, subordinator.eval_many(times, prefix, ts))
+        bad[r] += int((e > ts * (1.0 + 1e-12)).sum())
     return {"bad": bad}
 
 
 def _passage_chunk(lo, hi, seed, plan, rate):
     """First-passage times E at each plan level (NaN where the horizon comes
     first), and X = N(min(E, horizon)) for a rate-``rate`` Poisson process,
-    of the replications [lo, hi): a chunk kernel."""
+    of the replications [lo, hi)."""
     e = _block_passage([stream_for(seed, CH_PASSAGE, rep) for rep in range(lo, hi)], plan)
     T = plan.idx.horizon
     arrivals = [inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate, T)
@@ -474,9 +453,10 @@ def _passage_chunk(lo, hi, seed, plan, rate):
     return {"e": e, "x": np.array(x)}
 
 
-def _ctrw_rep(rep, seed, channel, idx, row, ts, p_n, lam):
-    """S_n(t), E_n(t) and the composed walk at each t for one path of the
-    ``RowPlan`` ``row``, drawn until it passes the largest t.
+def _ctrw_chunk(lo, hi, seed, channel, idx, row, ts, p_n, lam):
+    """S_n(t), E_n(t) and the composed walk at each t of the replications
+    [lo, hi), each from one path of the ``RowPlan`` ``row`` drawn until it
+    passes the largest t.
 
     The summands use stream ``channel`` and the walk ``channel + 1``; a level
     past the last partial sum flags the replication.  E_n is censored at the
@@ -484,41 +464,48 @@ def _ctrw_rep(rep, seed, channel, idx, row, ts, p_n, lam):
     the running sum of Bernoulli(p_n) steps, read after floor(lambda * E_n /
     p_n) of them."""
     ts = np.asarray(ts, dtype=float)
-    path = ctrw.partial_sum_path(stream_for(seed, channel, rep), row, ts.max())
-    s = path.grid[np.minimum(np.floor(row.n * ts + 1e-9).astype(int), len(path.grid) - 1)]
-    e = ctrw.inverse_ctrw(path, ts)
-    unreached = np.isnan(e)
-    e = np.fmin(e, idx.horizon)  # an unreached level's NaN becomes T too
-    m = np.floor(lam * e / p_n + 1e-12).astype(np.int64)
-    steps = stream_for(seed, channel + 1, rep).bernoulli(p_n, int(m.max()))
-    x = np.concatenate(([0], np.cumsum(steps)))[m].astype(float)
-    return {"s": s, "e": e, "x": x, "flagged": bool(unreached.any())}
+    cells = np.floor(row.n * ts + 1e-9).astype(int)
+    s, e, x = (np.empty((hi - lo, len(ts))) for _ in range(3))
+    for r, rep in enumerate(range(lo, hi)):
+        path = ctrw.partial_sum_path(stream_for(seed, channel, rep), row, ts.max())
+        s[r] = path.grid[np.minimum(cells, len(path.grid) - 1)]
+        e[r] = ctrw.inverse_ctrw(path, ts)
+        # an unreached level's NaN becomes T too
+        m = np.floor(lam * np.fmin(e[r], idx.horizon) / p_n + 1e-12).astype(np.int64)
+        steps = stream_for(seed, channel + 1, rep).bernoulli(p_n, int(m.max()))
+        x[r] = np.concatenate(([0], np.cumsum(steps)))[m]
+    return {"s": s, "e": np.fmin(e, idx.horizon), "x": x, "flagged": np.isnan(e).any(axis=1)}
 
 
-def _paths_rep(rep, seed, idx, ts, blk, lam, out_prefix):
-    """Write one trajectory CSV of D, E and X on the grid ``ts``; report its
-    name, its flagged rows and whether D and X are non-decreasing."""
+def _paths_chunk(lo, hi, seed, idx, ts, blk, lam, out_prefix):
+    """Write one trajectory CSV of D, E and X on the grid ``ts`` per
+    replication of [lo, hi); report its name, its flagged rows and whether
+    D and X are non-decreasing."""
     T = idx.horizon
-    pat = ppp.sample_pattern(stream_for(seed, CH_PATHS_JUMPS, rep), blk, idx)
-    path = subordinator.build_path(pat)
-    arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_PATHS_ARRIVALS, rep), lam, T)
-    d = subordinator.eval_many(path, ts)
-    e = inverse_mfpp.first_passage(path.times, path.prefix, ts)
-    x = inverse_mfpp.time_changed_count(arrivals, e)
-    flags = np.isnan(e)
-    header = {
-        "beta": idx.spec_string(),
-        "seed": seed,
-        "rep": rep,
-        "lambda": lam,
-        "horizon": T,
-        "truncation": f"{blk.trunc.mode}:{blk.trunc.parameter:.17g}",
-    }
-    rows = list(zip(ts.tolist(), d.tolist(), e.tolist(), x.tolist(), flags.tolist()))
-    name = f"{out_prefix}.rep{rep:05d}.csv"
-    Report("paths", header, ("t", "d", "e", "x", "flagged"), rows).write(name)
-    ok = not ((np.diff(d) < 0).any() or (np.diff(x[~flags]) < 0).any())
-    return {"file": name, "nflag": int(flags.sum()), "ok": ok}
+    pat = ppp.sample_pattern([stream_for(seed, CH_PATHS_JUMPS, rep) for rep in range(lo, hi)],
+                             blk, idx)
+    out = {"file": [], "nflag": [], "ok": []}
+    for rep, (times, prefix) in zip(range(lo, hi), _sorted_paths(pat)):
+        arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_PATHS_ARRIVALS, rep),
+                                                    lam, T)
+        d = subordinator.eval_many(times, prefix, ts)
+        e = inverse_mfpp.first_passage(times, prefix, ts)
+        x = inverse_mfpp.time_changed_count(arrivals, e)
+        flags = np.isnan(e)
+        header = {
+            "beta": idx.spec_string(),
+            "seed": seed,
+            "rep": rep,
+            "lambda": lam,
+            "horizon": T,
+            "truncation": f"{blk.trunc.mode}:{blk.trunc.parameter:.17g}",
+        }
+        rows = list(zip(ts.tolist(), d.tolist(), e.tolist(), x.tolist(), flags.tolist()))
+        out["file"].append(f"{out_prefix}.rep{rep:05d}.csv")
+        Report("paths", header, ("t", "d", "e", "x", "flagged"), rows).write(out["file"][-1])
+        out["nflag"].append(int(flags.sum()))
+        out["ok"].append(not ((np.diff(d) < 0).any() or (np.diff(x[~flags]) < 0).any()))
+    return {k: np.array(v) for k, v in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +598,15 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
              f"theta values must be positive and finite, got {thetas}")
     ts = _check_times(ts)
     _require(_positive(mass_budget), f"mass budget must be positive and finite, got {mass_budget}")
+    _require(trunc_m is None or _positive(trunc_m),
+             f"trunc-m must be positive and finite, got {trunc_m}")
     T = ts[-1]
     idx = StabilityIndex.from_spec(beta_spec, T)
     if trunc_m is None:
         trunc_m = _laplace_level(idx, ts, max(thetas), mass_budget)
-    blk = _budget_block(idx, T, "stationary", reps, trunc_m)
-    trunc = blk.trunc
+    trunc = ppp.Truncation("stationary", float(trunc_m))
+    blk = ppp.plan_block(idx, 0.0, T, trunc)
+    _check_run_points(reps, ppp.drawn_count(blk))
     masses = [ppp.small_jump_mass_window(idx, 0.0, t, trunc) for t in ts]
     _require(masses[-1] < math.inf,
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
@@ -767,8 +757,9 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         rows = []
         flagged_total = 0
         for i, n in enumerate(ns):
-            res = _map_reps(_ctrw_rep, reps, pool, seed=seed, channel=CH_CTRW_JUMPS + 2 * i,
-                            idx=idx, row=ctrw.RowPlan(n, idx, L), ts=ts, p_n=p_ns[n], lam=lam)
+            res = _map_reps(_ctrw_chunk, reps, pool, _KERNEL_REPS, seed=seed,
+                            channel=CH_CTRW_JUMPS + 2 * i, idx=idx, row=ctrw.RowPlan(n, idx, L),
+                            ts=ts, p_n=p_ns[n], lam=lam)
             flagged_total += int(res["flagged"].sum())
             for j, t in enumerate(ts):
                 ks_d = stats.ks_two_sample(res["s"][:, j], dref[:, j])
@@ -810,7 +801,7 @@ def run_paths(beta_spec, reps=10, seed=0, out="paths", workers=1, t=1.0, grid=10
     blk = _budget_block(idx, T, "threshold", reps)
     _check_run_points(reps, ppp.drawn_count(blk) + lam * T)
     with _open_pool(workers) as pool:
-        res = _map_reps(_paths_rep, reps, pool, seed=seed, idx=idx,
+        res = _map_reps(_paths_chunk, reps, pool, _kernel_reps(blk), seed=seed, idx=idx,
                         ts=np.linspace(0.0, T, grid), blk=blk, lam=lam, out_prefix=out)
     rows = list(zip(range(reps), res["file"].tolist(), res["nflag"].tolist(),
                     res["ok"].tolist()))
@@ -907,8 +898,9 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         n5 = sizes["monotone"]
         for spec in _VERIFY_FAMILIES:
             idx5 = StabilityIndex.from_spec(spec, 1.0)
-            bad = _map_reps(_monotone_rep, n5, pool, seed=seed, idx=idx5,
-                            blk=_budget_block(idx5, 1.0, "stationary", n5))
+            blk5 = _budget_block(idx5, 1.0, "stationary", n5)
+            bad = _map_reps(_monotone_chunk, n5, pool, _kernel_reps(blk5), seed=seed, idx=idx5,
+                            blk=blk5)
             total = int(bad["bad"].sum())
             rows.append((5, f"monotone+inverse violations {spec}", total, 0, total == 0))
 

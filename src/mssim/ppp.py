@@ -17,14 +17,15 @@ clock of the counting process.
 
 Sampling is planned once and then only draws: ``plan_block`` fixes a time
 window, its truncation and the expected point count (a quadrature under the
-threshold mode) below ``MAX_POINTS``, and the samplers take that ``Block``.
-``sample_pattern`` dispatches on the truncation mode.  The point transforms
-``stationary_sizes``, ``thinned`` and ``threshold_sizes`` act elementwise,
-so a caller that draws many patterns may apply them to all at once.
-``solve_truncation`` picks the truncation that meets a budget.
-``small_jump_mass_window`` and ``small_jump_variance_window`` report the
-expected total mass of the excluded jumps and its variance, so truncation
-error can be budgeted analytically.
+threshold mode) below ``MAX_POINTS``, and ``sample_pattern``, the one
+pattern draw, takes that ``Block`` and a list of streams, one per
+replication.  Each stream draws its own points; the index and the point
+transforms ``stationary_sizes``, ``thinned`` and ``threshold_sizes`` run
+once over all of them.  ``solve_truncation`` picks the truncation that
+meets a budget.  ``small_jump_mass_window`` and
+``small_jump_variance_window`` report the expected total mass of the
+excluded jumps and its variance, so truncation error can be budgeted
+analytically.
 
 A pure-jump block has zero drift, so its path is a step path; it budgets
 the excluded mass, which biases the path low.  A compensated block (Asmussen
@@ -66,11 +67,13 @@ class Truncation:
 
 @dataclass(frozen=True)
 class PointPattern:
-    """A truncated realization: jump times in [0, horizon] and positive sizes."""
+    """Truncated realizations of one or more streams, joined in stream
+    order: unsorted jump times, positive sizes, and each stream's count of
+    points (an int for the pattern of one stream)."""
 
     times: np.ndarray
     sizes: np.ndarray
-    horizon: float
+    counts: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -129,17 +132,36 @@ def poisson_points(stream, t0, t1, mean):
     return t0 + (t1 - t0) * stream.uniform(stream.poisson(mean))
 
 
-def sample_stationary(stream, blk, idx=None):
-    """Sample a stationary-truncation block with level cutoff M.
+def sample_pattern(streams, blk, idx):
+    """The patterns of ``blk`` drawn from each of ``streams``, joined in
+    stream order, with one index evaluation per drawn point.
 
-    K ~ Poisson(mean count) points uniform on [t0, t1] x (0, M] are mapped
-    through u -> u**(-1/beta(t)); the image has exactly the target intensity
-    restricted to the retained region x >= M**(-1/beta(t)).  Without ``idx``
-    the sizes are the levels u themselves, for a caller that maps many
-    patterns in one ``stationary_sizes`` call."""
+    Each stream draws its points in this order.  Stationary: the Poisson
+    count, the times, then the levels (``sample_stationary``); the iterable
+    is consumed one stream at a time, so a stream that is then collected
+    hands its generator to the next.  Threshold: the envelope count, the
+    candidate times and their keep uniforms, then the sizes of the kept
+    points (``sample_threshold``); every stream of the list stays open
+    across the thinning."""
+    if blk.trunc.mode == "stationary":
+        pats = [sample_stationary(s, blk) for s in streams]
+        t = np.concatenate([p.times for p in pats])
+        return PointPattern(t, stationary_sizes(np.concatenate([p.sizes for p in pats]),
+                                                idx.evaluate_many(t)),
+                            np.array([p.counts for p in pats]))
+    return sample_threshold(list(streams), blk, idx)
+
+
+def sample_stationary(stream, blk):
+    """One stream's stationary-truncation pattern at level cutoff M, whose
+    sizes are the levels u.
+
+    K ~ Poisson(mean count) points uniform on [t0, t1] x (0, M]; mapped
+    through u -> u**(-1/beta(t)) by ``stationary_sizes``, the image has
+    exactly the target intensity restricted to the retained region
+    x >= M**(-1/beta(t))."""
     t = poisson_points(stream, blk.t0, blk.t1, blk.mean_count)
-    u = blk.trunc.parameter * stream.uniform(len(t))
-    return PointPattern(t, u if idx is None else stationary_sizes(u, idx.evaluate_many(t)), blk.t1)
+    return PointPattern(t, blk.trunc.parameter * stream.uniform(len(t)), len(t))
 
 
 def stationary_sizes(u, beta):
@@ -147,21 +169,13 @@ def stationary_sizes(u, beta):
     return u ** (-1.0 / beta)
 
 
-def sample_pattern(stream, blk, idx):
-    """Sample a block under either truncation mode."""
-    if blk.trunc.mode == "stationary":
-        return sample_stationary(stream, blk, idx)
-    return sample_threshold(stream, blk, idx)
-
-
-def sample_threshold(stream, blk, idx):
-    """Sample all jumps of size >= eps of a threshold-truncation block.
-
-    Their times are ``sample_threshold_times``; sizes are
-    ``threshold_sizes``, drawn after the times from the same stream."""
-    t = sample_threshold_times(stream, idx, blk)
-    return PointPattern(t, threshold_sizes(blk, stream.uniform(len(t)), idx.evaluate_many(t)),
-                        blk.t1)
+def sample_threshold(streams, blk, idx):
+    """The jumps of size >= eps of a threshold-truncation block, drawn from
+    each of the list ``streams``: their times are ``sample_threshold_times``,
+    and each stream then draws the ``threshold_sizes`` of its kept points."""
+    t, beta, counts = sample_threshold_times(streams, idx, blk)
+    u = np.concatenate([s.uniform(k) for s, k in zip(streams, counts.tolist())])
+    return PointPattern(t, threshold_sizes(blk, u, beta), counts)
 
 
 def threshold_sizes(blk, u, beta):
@@ -178,24 +192,26 @@ def envelope_count(blk):
     return (blk.t1 - blk.t0) * blk.trunc.parameter ** -blk.sup_beta
 
 
-def sample_threshold_times(stream, idx, blk):
-    """The unsorted jump times of a threshold block: a Poisson process of
-    rate eps**(-beta(t)) on its window [t0, t1].
+def sample_threshold_times(streams, idx, blk):
+    """The unsorted jump times of a threshold block drawn from each of the
+    list ``streams``, a Poisson process of rate eps**(-beta(t)) on its window
+    [t0, t1], joined in stream order: the times, the index at each, and each
+    stream's count.
 
-    One-pass thinning (Lewis & Shedler 1979): the candidates are the
-    points of the constant envelope rate eps**(-sup beta), and each is kept
-    with probability eps**(sup beta - beta(t)), so the kept count is Poisson
-    with the block's mean count.  The envelope dominates exactly because the
-    block's supremum is exact."""
-    cand, keep = threshold_candidates(stream, blk)
-    return cand[thinned(blk, keep, idx.evaluate_many(cand))]
-
-
-def threshold_candidates(stream, blk):
-    """The unsorted thinning candidates of a threshold block, the points of
-    its envelope rate, and the keep uniform of each."""
-    cand = poisson_points(stream, blk.t0, blk.t1, envelope_count(blk))
-    return cand, stream.uniform(len(cand))
+    One-pass thinning (Lewis & Shedler 1979): each stream draws the points
+    of the constant envelope rate eps**(-sup beta) and a keep uniform for
+    each, and a candidate is kept with probability eps**(sup beta - beta(t)),
+    so the kept count is Poisson with the block's mean count.  The envelope
+    dominates exactly because the block's supremum is exact."""
+    cand, keep = [], []
+    for s in streams:
+        cand.append(poisson_points(s, blk.t0, blk.t1, envelope_count(blk)))
+        keep.append(s.uniform(len(cand[-1])))
+    ends = np.cumsum([len(c) for c in cand])
+    cand = np.concatenate(cand)
+    beta = idx.evaluate_many(cand)
+    kept = np.flatnonzero(thinned(blk, np.concatenate(keep), beta))
+    return cand[kept], beta[kept], np.diff(np.searchsorted(kept, ends), prepend=0)
 
 
 def thinned(blk, keep, beta):

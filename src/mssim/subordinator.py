@@ -1,7 +1,6 @@
 """The increasing pure-jump process built from a point pattern, and its
 closed-form Laplace transform used as the Monte Carlo oracle."""
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -9,53 +8,22 @@ import numpy as np
 from .quadrature import integrate
 
 
-@dataclass(frozen=True)
-class JumpPath:
-    """A truncated path on [0, T]: sorted jump times, sizes, prefix sums.
-
-    ``prefix[i]`` is the path value at ``times[i]``; the path is a
-    right-continuous step function that is 0 before the first jump.
-    """
-
-    times: np.ndarray
-    sizes: np.ndarray
-    prefix: np.ndarray
-    horizon: float
-
-    @property
-    def total(self):
-        return float(self.prefix[-1]) if len(self.prefix) else 0.0
+def build_path(times, sizes):
+    """The right-continuous step path, 0 before its first jump, with jumps
+    ``sizes`` at ``times``: the times sorted, by one argsort, and the path
+    value at each, the prefix sums of the sizes in that order.  Distinct
+    times have one sorting permutation, so any sort kind gives the same
+    path; tied times, which have probability zero, each read the sum of the
+    whole tie."""
+    order = np.argsort(times)
+    return times[order], np.cumsum(sizes[order])
 
 
-def build_path(pattern):
-    """Sort a point pattern by time and accumulate prefix sums.
-
-    Distinct times have one sorting permutation, so any sort kind gives
-    the same path.  Coincident times (a probability-zero event that
-    floating point can still produce) are merged into one jump carrying the
-    summed size, so times stay strictly increasing and binary search is
-    well defined; each tie group is summed in ascending size, whatever the
-    order of the pattern.
-    """
-    order = np.argsort(pattern.times)
-    t = np.asarray(pattern.times, dtype=float)[order]
-    s = np.asarray(pattern.sizes, dtype=float)[order]
-    if len(t) > 1 and (np.diff(t) == 0.0).any():
-        order = np.lexsort((s, t))
-        t, inverse = np.unique(t[order], return_inverse=True)
-        s = np.bincount(inverse, weights=s[order])
-    return JumpPath(t, s, np.cumsum(s), pattern.horizon)
-
-
-def eval_many(path, ts):
-    """Path values at the times ``ts``: the prefix sum at the last jump time
-    <= t, or 0 before the first jump."""
-    ts = np.asarray(ts, dtype=float)
-    if len(ts) and (ts.min() < 0 or ts.max() > path.horizon * (1.0 + 1e-12)):
-        raise ValueError(f"times must lie in [0, horizon={path.horizon}]")
-    idx = np.searchsorted(path.times, ts, side="right")
-    padded = np.concatenate(([0.0], path.prefix))
-    return padded[idx]
+def eval_many(times, prefix, ts):
+    """Values at the times ``ts`` of the path ``build_path`` returns as
+    (times, prefix): the prefix sum at the last jump time <= t, or 0 before
+    the first jump."""
+    return np.concatenate(([0.0], prefix))[np.searchsorted(times, ts, side="right")]
 
 
 def gamma_fn(z):

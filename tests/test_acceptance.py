@@ -7,8 +7,9 @@ exercises the real command-line entry point.
 
 The negative controls at the end show that a criterion can fail: a sampler
 that reads its index 0.05 too high, increments over overlapping windows, a
-path whose jumps are not sorted by time, or a passage kernel that does not
-carry its running total across blocks, must trip it.
+path whose jumps are not sorted by time, a passage kernel that does not
+carry its running total across blocks, or a walk that every replication
+reads from one stream, must trip it.
 """
 
 import math
@@ -172,7 +173,8 @@ def _criterion_5_violations(spec, n=50):
     """Criterion 5's violation count for one index at n replications."""
     idx = StabilityIndex.from_spec(spec, 1.0)
     blk = experiments._budget_block(idx, 1.0, "stationary", n)
-    return int(experiments._map_reps(experiments._monotone_rep, n, None, seed=SEED, idx=idx,
+    return int(experiments._map_reps(experiments._monotone_chunk, n, None,
+                                     experiments._kernel_reps(blk), seed=SEED, idx=idx,
                                      blk=blk)["bad"].sum())
 
 
@@ -182,10 +184,8 @@ def test_criterion_5_fails_when_the_path_is_not_sorted(spec, monkeypatch):
     # (constant) and 3,585 (affine) when the jumps keep their draw order
     assert _criterion_5_violations(spec) == 0
 
-    def unsorted(pattern):
-        sizes = np.asarray(pattern.sizes, dtype=float)
-        return subordinator.JumpPath(np.asarray(pattern.times, dtype=float), sizes,
-                                     np.cumsum(sizes), pattern.horizon)
+    def unsorted(times, sizes):
+        return times, np.cumsum(sizes)
 
     monkeypatch.setattr(subordinator, "build_path", unsorted)
     assert _criterion_5_violations(spec) > 1000
@@ -211,3 +211,23 @@ def test_criterion_6_fails_when_the_passage_forgets_earlier_blocks(monkeypatch):
 
     monkeypatch.setattr(experiments, "_block_passage", forgetful)
     assert not experiments.run_mfpp(*args).all_pass()
+
+
+@pytest.mark.parametrize("spec", experiments._VERIFY_FAMILIES)
+def test_criterion_8_fails_when_the_replications_share_one_walk_stream(spec, monkeypatch):
+    # criterion 8's run at the quick size: the walk's KS at n = 1,000 is
+    # 0.012 (constant) and 0.014 (affine) against 0.061, and 0.18 and 0.22
+    # when every replication's walk reads the steps of replication 0
+    args = (spec, "unit", (100, 1000), [1.0], 1000, SEED)
+    assert experiments.run_ctrw(*args, alpha=0.05).all_pass()
+    stream_for = experiments.stream_for
+
+    def shared_walk(seed, channel, rep):
+        # a row's walk channel is an odd offset from its jump channel
+        walk = channel > experiments.CH_CTRW_JUMPS and (channel - experiments.CH_CTRW_JUMPS) % 2
+        return stream_for(seed, channel, 0 if walk else rep)
+
+    monkeypatch.setattr(experiments, "stream_for", shared_walk)
+    shared = experiments.run_ctrw(*args, alpha=0.05)
+    ks_x, crit = shared.rows[-1][4:6]
+    assert not shared.all_pass() and ks_x > 2.0 * crit

@@ -19,7 +19,7 @@ from mssim import (
 )
 from mssim import ctrw
 from mssim.ctrw import UNIT, _jnk_from_uniforms
-from mssim.experiments import _ctrw_rep, _map_reps, stream_for
+from mssim.experiments import _KERNEL_REPS, _ctrw_chunk, _map_reps, stream_for
 
 IDX_HALF = StabilityIndex.from_spec("constant:0.5", 1.0)
 LOG = SlowlyVaryingFamily("log")
@@ -186,11 +186,18 @@ SHORT = CtrwPath(4, np.array([0.0, 0.1, 0.2, 0.3, 0.4]))
 ROW4 = RowPlan(4, IDX_HALF, UNIT)
 
 
+def _one_rep(rep, **kwargs):
+    """Replication ``rep``'s row of ``_ctrw_chunk``, its flag a bool."""
+    out = {k: v[0] for k, v in _ctrw_chunk(rep, rep + 1, **kwargs).items()}
+    out["flagged"] = bool(out["flagged"])
+    return out
+
+
 def _walk(monkeypatch, rep, ts, p_n, lam):
-    """The composed walk of ``_ctrw_rep`` on the short path above."""
+    """The composed walk of ``_ctrw_chunk`` on the short path above."""
     monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: SHORT)
-    return _ctrw_rep(rep, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=ts, p_n=p_n,
-                     lam=lam)["x"]
+    return _one_rep(rep, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=ts, p_n=p_n,
+                    lam=lam)["x"]
 
 
 def test_bernoulli_walk_examples(monkeypatch):
@@ -221,7 +228,7 @@ def test_ctrw_process_degenerate_walk():
     # p_n = 1 makes every walk step 1, so the composed walk is floor(lambda * E_n(t));
     # lambda * E_n(t) lies on the grid 1.5 * k / 20, which never comes near an
     # integer above 0, and levels past the last partial sum clamp E_n to the horizon
-    out = _map_reps(_ctrw_rep, 50, None, seed=8, channel=1, idx=IDX_HALF,
+    out = _map_reps(_ctrw_chunk, 50, None, _KERNEL_REPS, seed=8, channel=1, idx=IDX_HALF,
                     row=RowPlan(20, IDX_HALF, UNIT), ts=[0.0, 0.05, 0.7, 5.0], p_n=1.0, lam=1.5)
     assert (out["x"] == np.floor(1.5 * out["e"])).all()
     assert (out["x"][:, 0] == 0).all()
@@ -231,14 +238,14 @@ def test_ctrw_process_degenerate_walk():
 def test_ctrw_rep_clamps_and_flags_an_unreached_level(monkeypatch):
     # the short path ends at 0.4, below the level 1
     monkeypatch.setattr(ctrw, "partial_sum_path", lambda *args: SHORT)
-    out = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=[0.25, 0.3, 1.0],
-                    p_n=1.0, lam=1.0)
+    out = _one_rep(0, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=[0.25, 0.3, 1.0],
+                   p_n=1.0, lam=1.0)
     assert out["s"].tolist() == [0.1, 0.1, 0.4]
     assert out["e"].tolist() == [0.75, 0.75, IDX_HALF.horizon]
     assert out["x"].tolist() == [0.0, 0.0, 1.0]
     assert out["flagged"] is True
-    reached = _ctrw_rep(0, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=[0.25, 0.4],
-                        p_n=1.0, lam=1.0)
+    reached = _one_rep(0, seed=8, channel=1, idx=IDX_HALF, row=ROW4, ts=[0.25, 0.4],
+                       p_n=1.0, lam=1.0)
     assert reached["e"].tolist() == [0.75, 1.0] and reached["flagged"] is False
 
 
@@ -265,6 +272,6 @@ def test_a_row_that_never_reaches_its_level_draws_every_cell_and_is_flagged():
     row = RowPlan(50, IDX_HALF, UNIT)
     path = partial_sum_path(RngStream(22, 0), row, 1e12)
     assert len(path.grid) == len(row.b) + 1 == 51 and path.grid[-1] < 1e12
-    out = _ctrw_rep(0, seed=22, channel=1, idx=IDX_HALF, row=row, ts=[0.5, 1e12], p_n=1.0,
-                    lam=1.0)
+    out = _one_rep(0, seed=22, channel=1, idx=IDX_HALF, row=row, ts=[0.5, 1e12], p_n=1.0,
+                   lam=1.0)
     assert out["flagged"] is True and out["e"][1] == IDX_HALF.horizon

@@ -265,7 +265,7 @@ def test_replications_never_integrate(monkeypatch):
               for t0, t1 in ((0.0, 1.0), (0.25, 0.5))]
     monkeypatch.setattr(ppp, "integrate", _no_integrate)
     for rep, blk in enumerate(blocks):
-        pat = ppp.sample_threshold(stream_for(1, 1, rep), blk, idx)
+        pat = ppp.sample_threshold([stream_for(1, 1, rep)], blk, idx)
         assert ((pat.times >= blk.t0) & (pat.times <= blk.t1)).all()
     inc = _increments(4, None, 1, 1, idx, blocks[0], [(0.0, 0.5), (0.0, 1.0)])
     assert inc.shape == (4, 2) and (inc[:, 1] >= inc[:, 0]).all()
@@ -284,23 +284,26 @@ def test_point_cap_bounds_the_envelope_count():
     assert f"{envelope:.3g} points" in str(err.value) and "\n" not in str(err.value)
 
 
+def _draw_alone(stream, blk, idx):
+    """One stream's pattern of ``blk`` written out by hand, the oracle of
+    ``ppp.sample_pattern``: a Poisson count of uniform times, thinned in one
+    pass under threshold truncation, then the sizes; (times, sizes)."""
+    p, beta = blk.trunc.parameter, idx.evaluate_many
+    if blk.trunc.mode == "stationary":
+        k = stream.poisson(blk.mean_count)
+        t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
+        return t, (p * stream.uniform(k)) ** (-1.0 / beta(t))
+    k = stream.poisson((blk.t1 - blk.t0) * p ** -blk.sup_beta)
+    t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
+    t = t[stream.uniform(k) < p ** (blk.sup_beta - beta(t))]
+    return t, p * stream.uniform(len(t)) ** (-1.0 / beta(t))
+
+
 def _inline_patterns(stream, plan):
-    """The block draws written out by hand: one (times, sizes, block) triple
-    per block, drawn only when the caller asks for the next block.  Threshold
-    times thin the envelope's candidates in one pass."""
-    beta = plan.idx.evaluate_many
+    """The block draws of ``_draw_alone``: one (times, sizes, block) triple
+    per block, drawn only when the caller asks for the next block."""
     for blk in plan.blocks:
-        p = blk.trunc.parameter
-        if blk.trunc.mode == "stationary":
-            k = stream.poisson(blk.mean_count)
-            t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
-            x = (p * stream.uniform(k)) ** (-1.0 / beta(t))
-        else:
-            k = stream.poisson((blk.t1 - blk.t0) * p ** -blk.sup_beta)
-            t = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(k)
-            t = t[stream.uniform(k) < p ** (blk.sup_beta - beta(t))]
-            x = p * stream.uniform(len(t)) ** (-1.0 / beta(t))
-        yield t, x, blk
+        yield (*_draw_alone(stream, blk, plan.idx), blk)
 
 
 def _sorted_passage(patterns, levels):
@@ -392,11 +395,11 @@ def _fixed_block_passage(monkeypatch, windows, patterns, levels, drift=None):
     same patterns."""
     draws = iter(patterns)
 
-    def fixed(streams, idx, blk):
+    def fixed(streams, blk, idx):
         t, x = next(draws)
-        return t, x, np.array([len(t)])
+        return ppp.PointPattern(t, x, np.array([len(t)]))
 
-    monkeypatch.setattr(experiments, "_draw_chunk", fixed)
+    monkeypatch.setattr(ppp, "sample_pattern", fixed)
     blocks = tuple(ppp.Block(t0, t1, ppp.Truncation("threshold", 0.01), 1.0, 0.5, drift)
                    for t0, t1 in windows)
     got = _block_passage([None], experiments.PassagePlan(None, tuple(levels), blocks))[0]
@@ -492,14 +495,14 @@ def test_passage_chunk_is_the_stack_of_its_one_replication_calls(which, monkeypa
 def test_passage_groups_stay_near_the_kernel_points(monkeypatch):
     # each block is drawn in groups of at most _KERNEL_POINTS expected
     # points, or one stream where one stream expects more
-    draw = experiments._draw_chunk
+    draw = ppp.sample_pattern
     groups = []
 
-    def recording(streams, idx, blk):
+    def recording(streams, blk, idx):
         groups.append((len(streams), ppp.drawn_count(blk)))
-        return draw(streams, idx, blk)
+        return draw(streams, blk, idx)
 
-    monkeypatch.setattr(experiments, "_draw_chunk", recording)
+    monkeypatch.setattr(ppp, "sample_pattern", recording)
     for plan in _passage_plans():
         streams = [stream_for(6, CH_PASSAGE, rep) for rep in range(300)]
         _block_passage(streams, plan)
@@ -757,8 +760,11 @@ def test_a_stationary_plan_is_compensated_windows_at_one_level():
 
 @pytest.mark.parametrize("trunc_m", (0.0, -1.0, math.nan, math.inf))
 def test_mfpp_rejects_a_bad_level_before_the_pool_opens(trunc_m, inline_pool):
+    # and so does laplace, whose level is checked at entry as well
     with pytest.raises(ValueError, match="trunc-m must be positive and finite"):
         run_mfpp("constant:0.5", 1.0, [1.0], 64, 3, workers=2, trunc_m=trunc_m)
+    with pytest.raises(ValueError, match="trunc-m must be positive and finite"):
+        run_laplace("constant:0.5", [1.0], [1.0], 64, 3, workers=2, trunc_m=trunc_m)
     assert inline_pool.sizes == []
 
 
@@ -769,11 +775,28 @@ def test_increments_equal_the_two_mask_sums_bit_for_bit(mode):
     # (0, t < T], (0, T], (0, b > T] and windows with a > 0
     windows = [(0.0, 0.3), (0.0, 0.95), (0.0, 1.0), (0.0, 2.0), (0.25, 0.75), (0.5, 1.0)]
     for rep in range(12):
-        pat = ppp.sample_pattern(stream_for(5, 1, rep), blk, idx)
-        t, x = pat.times, pat.sizes
+        t, x = _draw_alone(stream_for(5, 1, rep), blk, idx)
         want = np.array([_draw_order_sum(x[(t > a) & (t <= b)]) for a, b in windows])
         got = _increments_chunk(rep, rep + 1, 5, 1, idx, blk, windows)["inc"]
         assert got.shape == (1, len(windows)) and got[0].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)
+def test_sample_pattern_draws_each_stream_as_it_draws_alone(mode):
+    # about 5 points a stream, so some streams draw none; each stream is left
+    # where drawing alone leaves it, for the uniforms a caller draws next
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    blk = ppp.plan_block(idx, 0.0, 1.0, KERNEL_BLOCKS[mode][0])
+    streams = [stream_for(11, 2, rep) for rep in range(300)]
+    pat = ppp.sample_pattern(streams, blk, idx)
+    assert len(pat.counts) == 300 and (pat.counts == 0).any()
+    cut = np.cumsum(pat.counts)[:-1]
+    for rep, (s, t, x) in enumerate(zip(streams, np.split(pat.times, cut),
+                                        np.split(pat.sizes, cut))):
+        alone = stream_for(11, 2, rep)
+        want_t, want_x = _draw_alone(alone, blk, idx)
+        assert t.tobytes() == want_t.tobytes() and x.tobytes() == want_x.tobytes()
+        assert s.uniform(200).tobytes() == alone.uniform(200).tobytes()
 
 
 def _draw_order_sum(v):
@@ -786,13 +809,12 @@ def _draw_order_sum(v):
 
 def _one_rep_rows(lo, hi, **kwargs):
     """The kernel's rows for [lo, hi), one replication a call; each must be
-    the draw-order sums of the replication's own ``sample_pattern`` in each
-    window."""
+    the draw-order sums of the replication's own pattern, drawn alone, in
+    each window."""
     rows = np.vstack([_increments_chunk(rep, rep + 1, **kwargs)["inc"] for rep in range(lo, hi)])
     for rep, row in zip(range(lo, hi), rows):
-        pat = ppp.sample_pattern(stream_for(kwargs["seed"], kwargs["channel"], rep),
-                                 kwargs["blk"], kwargs["idx"])
-        t, x = pat.times, pat.sizes
+        t, x = _draw_alone(stream_for(kwargs["seed"], kwargs["channel"], rep), kwargs["blk"],
+                           kwargs["idx"])
         assert row.tobytes() == np.array([_draw_order_sum(x[(t > a) & (t <= b)])
                                           for a, b in kwargs["windows"]]).tobytes()
     return rows

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 
 from mssim import (
-    JumpPath,
     RngStream,
+    build_path,
     eval_many,
     first_passage,
     sample_poisson_path,
@@ -16,16 +16,14 @@ from mssim import (
 
 
 def _path(times, sizes):
-    times = np.asarray(times, float)
-    sizes = np.asarray(sizes, float)
-    return JumpPath(times, sizes, np.cumsum(sizes), 1.0)
+    return build_path(np.asarray(times, float), np.asarray(sizes, float))
 
 
 REF = _path([0.2, 0.5, 0.9], [1.0, 2.0, 0.5])  # prefix [1.0, 3.0, 3.5]
 
 
 def _e(path, levels):
-    return first_passage(path.times, path.prefix, levels).tolist()
+    return first_passage(*path, levels).tolist()
 
 
 def test_inverse_examples():
@@ -46,7 +44,7 @@ def test_inverse_many_matches_scalar():
     assert _e(REF, rs) == [0.0, 0.2, 0.2, 0.5, 0.5, 0.9, 0.9]
     assert [_e(REF, [r])[0] for r in rs] == _e(REF, rs)
     # unreached levels are NaN
-    e = first_passage(REF.times, REF.prefix, np.array([1.0, 9.0]))
+    e = first_passage(*REF, np.array([1.0, 9.0]))
     assert e[0] == 0.2 and np.isnan(e[1])
 
 
@@ -124,8 +122,8 @@ def test_first_passage_crosses_by_drift_in_an_empty_bin():
 def test_inverse_plateaus_cover_every_jump():
     # each jump time is attained on the whole prefix window (D(tau-), D(tau)]
     prev = 0.0
-    for i, tau in enumerate(REF.times):
-        top = REF.prefix[i]
+    for i, tau in enumerate(REF[0]):
+        top = REF[1][i]
         assert _e(REF, [prev + 1e-12, 0.5 * (prev + top), top]) == [tau] * 3
         prev = top
 
@@ -133,11 +131,11 @@ def test_inverse_plateaus_cover_every_jump():
 def test_inverse_is_galois_adjoint_of_eval():
     rng = np.random.default_rng(31)
     ts = rng.uniform(0.0, 1.0, 200)
-    v = eval_many(REF, ts)
+    v = eval_many(*REF, ts)
     reached = v > 0.0
-    assert (first_passage(REF.times, REF.prefix, v[reached]) <= ts[reached] + 1e-12).all()
-    rs = rng.uniform(0.0, REF.total, 200)
-    assert (eval_many(REF, first_passage(REF.times, REF.prefix, rs)) >= rs).all()
+    assert (first_passage(*REF, v[reached]) <= ts[reached] + 1e-12).all()
+    rs = rng.uniform(0.0, REF[1][-1], 200)
+    assert (eval_many(*REF, first_passage(*REF, rs)) >= rs).all()
 
 
 def test_poisson_path_zero_horizon():
@@ -161,7 +159,7 @@ def test_poisson_path_mean_count():
 
 def _mfpp(d_path, arrivals, levels):
     """X(t) = N(E(t)) at each level t."""
-    return time_changed_count(arrivals, first_passage(d_path.times, d_path.prefix, levels))
+    return time_changed_count(arrivals, first_passage(*d_path, levels))
 
 
 def test_mfpp_value_examples():
@@ -176,6 +174,6 @@ def test_mfpp_value_examples():
 
 def test_mfpp_value_monotone_in_t():
     arrivals = sample_poisson_path(RngStream(4, 0), 5.0, 1.0)
-    vals = _mfpp(REF, arrivals, np.linspace(0.0, REF.total, 50))
+    vals = _mfpp(REF, arrivals, np.linspace(0.0, REF[1][-1], 50))
     assert (np.diff(vals) >= 0).all()
     assert (vals == np.round(vals)).all()

@@ -18,8 +18,7 @@ from mssim import (
     ks_two_sample,
     laplace_transform,
     plan_block,
-    sample_stationary,
-    sample_threshold,
+    sample_pattern,
     small_jump_mass_window,
     solve_truncation,
 )
@@ -47,7 +46,7 @@ def test_zero_window_gives_empty_pattern():
     # a window whose expected count is 1e-15 draws no point
     blk = _block(IDX_HALF, "stationary", 1e-6, t1=1e-9)
     assert blk.mean_count == pytest.approx(1e-15)
-    pat = sample_stationary(RngStream(1, 0), blk, IDX_HALF)
+    pat = sample_pattern([RngStream(1, 0)], blk, IDX_HALF)
     assert len(pat.times) == 0 and len(pat.sizes) == 0
 
 
@@ -62,25 +61,25 @@ def test_plan_block_rejects_empty_and_outside_windows():
 
 
 def test_stationary_pattern_invariants():
-    pat = sample_stationary(RngStream(2, 0), STATIONARY_100, IDX_HALF)
+    pat = sample_pattern([RngStream(2, 0)], STATIONARY_100, IDX_HALF)
     assert ((pat.times >= 0) & (pat.times <= 1.0)).all()
     assert (pat.sizes >= 100.0 ** (-1.0 / 0.5)).all()  # x >= M**(-1/beta)
 
 
 def test_stationary_mean_count():
     counts = [
-        len(sample_stationary(RngStream(3, rep), STATIONARY_100, IDX_HALF).times)
+        len(sample_pattern([RngStream(3, rep)], STATIONARY_100, IDX_HALF).times)
         for rep in range(10_000)
     ]
     assert abs(np.mean(counts) - 100.0) <= 3.0 * math.sqrt(100.0 / 10_000)
 
 
 def test_threshold_pattern_invariants():
-    pat = sample_threshold(RngStream(4, 0), _block(IDX_AFFINE, "threshold", 0.01), IDX_AFFINE)
+    pat = sample_pattern([RngStream(4, 0)], _block(IDX_AFFINE, "threshold", 0.01), IDX_AFFINE)
     assert ((pat.times >= 0) & (pat.times <= 1.0)).all()
     assert (pat.sizes >= 0.01).all()
     # a block inside the horizon keeps its times in the block
-    pat = sample_threshold(RngStream(4, 1), _block(IDX_AFFINE, "threshold", 0.01, 0.25, 0.5),
+    pat = sample_pattern([RngStream(4, 1)], _block(IDX_AFFINE, "threshold", 0.01, 0.25, 0.5),
                            IDX_AFFINE)
     assert len(pat.times) and ((pat.times >= 0.25) & (pat.times <= 0.5)).all()
 
@@ -129,12 +128,12 @@ def test_expected_count_matches_closed_form(spec, eps, window):
 
 def test_threshold_conditional_size_tail():
     # given beta = 0.5, P(x > 0.16) = (0.16/0.01)**-0.5 = 0.25
-    pat = sample_threshold(RngStream(5, 0), THRESHOLD_HALF, IDX_HALF)
+    pat = sample_pattern([RngStream(5, 0)], THRESHOLD_HALF, IDX_HALF)
     reps = 1
     sizes = [pat.sizes]
     count = len(pat.sizes)
     while count < 200_000:
-        sizes.append(sample_threshold(RngStream(5, reps), THRESHOLD_HALF, IDX_HALF).sizes)
+        sizes.append(sample_pattern([RngStream(5, reps)], THRESHOLD_HALF, IDX_HALF).sizes)
         count += len(sizes[-1])
         reps += 1
     sizes = np.concatenate(sizes)
@@ -285,10 +284,10 @@ def test_sampler_equivalence_ks():
     m = plan_block(IDX_HALF, 0.0, 1.0, solve_truncation(IDX_HALF, 1.0, "stationary", 1e-3))
     eps = plan_block(IDX_HALF, 0.0, 1.0, solve_truncation(IDX_HALF, 1.0, "threshold", 1e-3))
     a = np.array(
-        [sample_stationary(RngStream(6, r), m, IDX_HALF).sizes.sum() for r in range(n)]
+        [sample_pattern([RngStream(6, r)], m, IDX_HALF).sizes.sum() for r in range(n)]
     )
     b = np.array(
-        [sample_threshold(RngStream(7, r), eps, IDX_HALF).sizes.sum() for r in range(n)]
+        [sample_pattern([RngStream(7, r)], eps, IDX_HALF).sizes.sum() for r in range(n)]
     )
     assert ks_two_sample(a, b) < ks_critical_value(n, n, 0.01)
 
@@ -299,7 +298,7 @@ def test_point_count_law_chi_square():
     reps = 10_000
     mean = 5.0
     counts = np.array([
-        int((sample_threshold(RngStream(8, r), THRESHOLD_HALF, IDX_HALF).sizes < 0.04).sum())
+        int((sample_pattern([RngStream(8, r)], THRESHOLD_HALF, IDX_HALF).sizes < 0.04).sum())
         for r in range(reps)
     ])
     cells = 10  # 0..8 and >= 9
@@ -311,10 +310,10 @@ def test_point_count_law_chi_square():
 
 
 def _steep_times(sampler, reps=4000):
-    """Per-replication jump times of ``sampler(stream, blk, idx)`` on a steep
-    threshold block over [0, 1]."""
+    """Per-replication jump times of ``sampler([stream], blk, idx)`` on a
+    steep threshold block over [0, 1]."""
     blk = _block(IDX_STEEP, "threshold", 1e-3)
-    return [sampler(RngStream(9, r), blk, IDX_STEEP).times for r in range(reps)]
+    return [sampler([RngStream(9, r)], blk, IDX_STEEP).times for r in range(reps)]
 
 
 def _steep_cdf(t):
@@ -332,8 +331,9 @@ def _ks_to_steep_cdf(times):
     return max((i / n - f).max(), (f - (i - 1) / n).max()), 1.628 / math.sqrt(n)
 
 
-def _shifted_threshold(stream, blk, idx):
+def _shifted_threshold(streams, blk, idx):
     # a mutant: the index is read 0.05 too high in the acceptance step
+    (stream,) = streams
     k = stream.poisson(blk.mean_count)
     sup = blk.sup_beta
     eps = blk.trunc.parameter
@@ -342,7 +342,7 @@ def _shifted_threshold(stream, blk, idx):
         cand = blk.t0 + (blk.t1 - blk.t0) * stream.uniform(2 * k)
         accept = stream.uniform(2 * k) < eps ** (sup - idx.evaluate_many(cand) - 0.05)
         got = np.concatenate((got, cand[accept]))
-    return PointPattern(got[:k], np.ones(k), blk.t1)
+    return PointPattern(got[:k], np.ones(k), k)
 
 
 def test_steep_block_accepts_fewer_than_half():
@@ -359,13 +359,13 @@ def test_threshold_sampling_reads_the_planned_supremum(monkeypatch):
     blk = _block(idx, "threshold", 1e-3, 0.2, 0.3)
     assert blk.sup_beta == idx.bounds_on(0.2, 0.3)[1] == pytest.approx(0.7)
     monkeypatch.setattr(StabilityIndex, "bounds_on", None)
-    pat = sample_threshold(RngStream(8, 0), blk, idx)
+    pat = sample_pattern([RngStream(8, 0)], blk, idx)
     assert len(pat.times) and ((pat.times >= 0.2) & (pat.times <= 0.3)).all()
 
 
 def test_threshold_count_is_poisson_with_the_mean_count():
     mean = _block(IDX_STEEP, "threshold", 1e-3).mean_count
-    counts = np.array([len(t) for t in _steep_times(sample_threshold)])
+    counts = np.array([len(t) for t in _steep_times(sample_pattern)])
     # ten cells with edges near the Poisson deciles
     ks = np.arange(int(3 * mean) + 50)
     pmf = np.exp(-mean + ks * math.log(mean) - np.array([math.lgamma(k + 1) for k in ks]))
@@ -378,7 +378,7 @@ def test_threshold_count_is_poisson_with_the_mean_count():
 
 
 def test_threshold_times_follow_the_closed_form_cdf():
-    times = np.concatenate(_steep_times(sample_threshold))
+    times = np.concatenate(_steep_times(sample_pattern))
     assert ((times >= 0.0) & (times <= 1.0)).all()
     d, crit = _ks_to_steep_cdf(times)
     assert d < crit

@@ -19,7 +19,7 @@ from mssim import (
     ks_two_sample,
     mittag_leffler,
     plan_block,
-    sample_stationary,
+    sample_pattern,
 )
 
 
@@ -140,9 +140,9 @@ def _increments(seed, n, windows):
     blk = plan_block(idx, 0.0, 1.0, Truncation("stationary", 200.0))
     a, b = np.array(windows).T
     return np.array([
-        eval_many(p, b) - eval_many(p, a)
-        for p in (build_path(sample_stationary(RngStream(seed, r), blk, idx))
-                  for r in range(n))
+        eval_many(*p, b) - eval_many(*p, a)
+        for p in (build_path(q.times, q.sizes)
+                  for q in (sample_pattern([RngStream(seed, r)], blk, idx) for r in range(n)))
     ])
 
 
