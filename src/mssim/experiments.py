@@ -258,9 +258,20 @@ def _budget_block(idx, T, mode, reps):
     return blk
 
 
-def _check_run_points(reps, drawn):
+def _check_run_points(reps, drawn, plan=None):
     """Reject, before anything is drawn, a run whose ``reps`` replications
-    surely draw ``drawn`` points each, and more than ``_MAX_RUN_POINTS`` in all."""
+    surely draw ``drawn`` points each, and in the mean the first block of
+    ``plan`` and each later block times ``level_tail_bound`` of the top level
+    at its start, which bounds the chance that a replication has not passed
+    it there and draws the block, more than ``_MAX_RUN_POINTS`` in all.  The
+    weights are at most 1, so they are needed only where weights of 1 fail."""
+    if plan is not None:
+        points = [ppp.drawn_count(b) for b in plan.blocks]
+        if reps * (drawn + sum(points)) > _MAX_RUN_POINTS:
+            idx, top = plan.idx, plan.levels[-1]
+            points[1:] = [x * level_tail_bound(StabilityIndex(idx.family, idx.params, b.t0), top)
+                          for x, b in zip(points[1:], plan.blocks[1:])]
+        drawn += sum(points)
     _require(reps * drawn <= _MAX_RUN_POINTS,
              f"{reps} replications at {drawn:.3g} points per replication draw "
              f"{reps * drawn:.3g}, above the run cap of {_MAX_RUN_POINTS:g}; lower --reps")
@@ -305,17 +316,6 @@ def plan_passage(idx, levels, pool=None, trunc_m=None):
                 f.cancel()
             raise
     return PassagePlan(idx, tuple(levels), tuple(blocks))
-
-
-def _plan_points(plan):
-    """The points one replication draws on ``plan``, bounded in the mean: the
-    first block's, and each later block's times ``level_tail_bound`` of the
-    top level at the block's start, which bounds the chance that the
-    replication has not passed it there and draws the block."""
-    idx, top = plan.idx, plan.levels[-1]
-    weights = [1.0] + [level_tail_bound(StabilityIndex(idx.family, idx.params, b.t0), top)
-                       for b in plan.blocks[1:]]
-    return sum(ppp.drawn_count(b) * w for b, w in zip(plan.blocks, weights))
 
 
 def _block_passage(streams, plan):
@@ -652,7 +652,7 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
     with _open_pool(workers) as pool:
         plan = plan_passage(idx, ts, pool, trunc_m)
-        _check_run_points(reps, _plan_points(plan) + lam * idx.horizon)
+        _check_run_points(reps, lam * idx.horizon, plan)
         res = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
                         rate=lam)
     # the rows condition on the replications that reached the level
@@ -748,7 +748,7 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         # each replication draws every row's cells and walk steps, the
         # passage plan, the whole D reference block and the Poisson arrivals
         _check_run_points(reps, sum(cells[n] + lam * idx.horizon / p_ns[n] for n in ns)
-                          + _plan_points(plan) + ppp.drawn_count(dblk) + lam * idx.horizon)
+                          + ppp.drawn_count(dblk) + lam * idx.horizon, plan)
         dref = _d_reference(idx, ts, reps, seed, pool, dblk)
         ref = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
                         rate=lam)

@@ -3,17 +3,15 @@ process, and their composition into the time-changed counting process."""
 
 import numpy as np
 
-from .ppp import poisson_points
-
 
 def sample_poisson_path(stream, rate, horizon):
     """Ascending arrival times of a rate-``rate`` homogeneous Poisson
-    process on [0, horizon]."""
+    process on [0, horizon]: a Poisson(rate * horizon) count of uniform times."""
     if rate <= 0:
         raise ValueError(f"rate must be positive, got {rate}")
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    return np.sort(poisson_points(stream, 0.0, horizon, rate * horizon))
+    return np.sort(horizon * stream.uniform(stream.poisson(rate * horizon)))
 
 
 def first_passage(times, prefix, levels, start=0.0, drift=0.0, t0=0.0, t1=np.inf):

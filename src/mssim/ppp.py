@@ -11,21 +11,17 @@ cross-validate each other:
                rate eps**(-beta(t)) by one-pass thinning of the constant
                envelope eps**(-sup beta), sizes conditional Pareto
 
-``poisson_points`` draws the unsorted points of a homogeneous Poisson
-process on a window, for the stationary construction and for the Poisson
-clock of the counting process.
-
 Sampling is planned once and then only draws: ``plan_block`` fixes a time
 window, its truncation and the expected point count (a quadrature under the
 threshold mode) below ``MAX_POINTS``, and ``sample_pattern``, the one
 pattern draw, takes that ``Block`` and a list of streams, one per
-replication.  Each stream draws its own points; the index and the point
-transforms ``stationary_sizes``, ``thinned`` and ``threshold_sizes`` run
-once over all of them.  ``solve_truncation`` picks the truncation that
-meets a budget.  ``small_jump_mass_window`` and
-``small_jump_variance_window`` report the expected total mass of the
-excluded jumps and its variance, so truncation error can be budgeted
-analytically.
+replication.  Each stream draws its own unit points with one ``uniform``
+call; the maps onto the window, the index and the point transforms
+``stationary_sizes``, ``thinned`` and ``threshold_sizes`` run once over all
+of them.  ``solve_truncation`` picks the truncation that meets a budget.
+``small_jump_mass_window`` and ``small_jump_variance_window`` report the
+expected total mass of the excluded jumps and its variance, so truncation
+error can be budgeted analytically.
 
 A pure-jump block has zero drift, so its path is a step path; it budgets
 the excluded mass, which biases the path low.  A compensated block (Asmussen
@@ -59,10 +55,8 @@ class Truncation:
         if not (np.isfinite(self.parameter) and self.parameter > 0):
             raise ValueError(f"truncation parameter must be positive, got {self.parameter}")
         if self.mode == "threshold" and self.parameter >= 1.0:
-            raise ValueError(
-                f"threshold eps must be in (0, 1), got {self.parameter} "
-                "(the rejection envelope inequality reverses at eps >= 1)"
-            )
+            raise ValueError(f"threshold eps must be in (0, 1), got {self.parameter} "
+                             "(the rejection envelope inequality reverses at eps >= 1)")
 
 
 @dataclass(frozen=True)
@@ -126,42 +120,46 @@ def check_points(count, t0, t1, hint):
                          f"above the cap of {MAX_POINTS:g}; {hint}")
 
 
-def poisson_points(stream, t0, t1, mean):
-    """The points of a homogeneous Poisson process on [t0, t1] with ``mean``
-    expected points, unsorted: a Poisson(mean) count of uniform times."""
-    return t0 + (t1 - t0) * stream.uniform(stream.poisson(mean))
-
-
 def sample_pattern(streams, blk, idx):
     """The patterns of ``blk`` drawn from each of ``streams``, joined in
     stream order, with one index evaluation per drawn point.
 
-    Each stream draws its points in this order.  Stationary: the Poisson
-    count, the times, then the levels (``sample_stationary``); the iterable
-    is consumed one stream at a time, so a stream that is then collected
-    hands its generator to the next.  Threshold: the envelope count, the
-    candidate times and their keep uniforms, then the sizes of the kept
-    points (``sample_threshold``); every stream of the list stays open
-    across the thinning."""
+    Each stream draws its Poisson count K, then in one call K unit times and
+    K levels (``sample_stationary``) or K keep uniforms, and then the sizes
+    of its kept points (``sample_threshold``).  The maps onto [t0, t1] and
+    (0, M] run elementwise over the joined streams, so each stream's points
+    are the floats it draws alone.  A stationary iterable is consumed one
+    stream at a time, so a collected stream hands its generator to the next;
+    every stream of a threshold list stays open."""
     if blk.trunc.mode == "stationary":
-        pats = [sample_stationary(s, blk) for s in streams]
-        t = np.concatenate([p.times for p in pats])
-        return PointPattern(t, stationary_sizes(np.concatenate([p.sizes for p in pats]),
-                                                idx.evaluate_many(t)),
-                            np.array([p.counts for p in pats]))
+        t, u, counts = _joined(blk, [sample_stationary(s, blk) for s in streams])
+        u *= blk.trunc.parameter
+        return PointPattern(t, stationary_sizes(u, idx.evaluate_many(t)), counts)
     return sample_threshold(list(streams), blk, idx)
 
 
-def sample_stationary(stream, blk):
-    """One stream's stationary-truncation pattern at level cutoff M, whose
-    sizes are the levels u.
+def _unit_pattern(stream, mean):
+    """A Poisson(``mean``) count K of points uniform on the unit square, from
+    one ``uniform(2K)`` call: the K first coordinates, then the K second.  Its
+    exact zeros are redrawn after all 2K, so against two calls of K a later
+    draw lands elsewhere with probability 2**-53 a draw."""
+    k = stream.poisson(mean)
+    u = stream.uniform(2 * k)
+    return PointPattern(u[:k], u[k:], k)
 
-    K ~ Poisson(mean count) points uniform on [t0, t1] x (0, M]; mapped
-    through u -> u**(-1/beta(t)) by ``stationary_sizes``, the image has
-    exactly the target intensity restricted to the retained region
-    x >= M**(-1/beta(t))."""
-    t = poisson_points(stream, blk.t0, blk.t1, blk.mean_count)
-    return PointPattern(t, blk.trunc.parameter * stream.uniform(len(t)), len(t))
+
+def _joined(blk, pats):
+    """The unit patterns ``pats`` joined in stream order: their times mapped
+    onto the block's window, their second coordinates, and their counts."""
+    return (blk.t0 + (blk.t1 - blk.t0) * np.concatenate([p.times for p in pats]),
+            np.concatenate([p.sizes for p in pats]), np.array([p.counts for p in pats]))
+
+
+def sample_stationary(stream, blk):
+    """One stream's stationary-truncation pattern on the unit square: K ~
+    Poisson(mean count) times and their levels, which ``sample_pattern`` maps
+    onto [t0, t1] x (0, M] and then the levels u to the sizes u**(-1/beta(t))."""
+    return _unit_pattern(stream, blk.mean_count)
 
 
 def stationary_sizes(u, beta):
@@ -200,18 +198,14 @@ def sample_threshold_times(streams, idx, blk):
 
     One-pass thinning (Lewis & Shedler 1979): each stream draws the points
     of the constant envelope rate eps**(-sup beta) and a keep uniform for
-    each, and a candidate is kept with probability eps**(sup beta - beta(t)),
-    so the kept count is Poisson with the block's mean count.  The envelope
-    dominates exactly because the block's supremum is exact."""
-    cand, keep = [], []
-    for s in streams:
-        cand.append(poisson_points(s, blk.t0, blk.t1, envelope_count(blk)))
-        keep.append(s.uniform(len(cand[-1])))
-    ends = np.cumsum([len(c) for c in cand])
-    cand = np.concatenate(cand)
-    beta = idx.evaluate_many(cand)
-    kept = np.flatnonzero(thinned(blk, np.concatenate(keep), beta))
-    return cand[kept], beta[kept], np.diff(np.searchsorted(kept, ends), prepend=0)
+    each, in one ``uniform`` call; a candidate is kept with probability
+    eps**(sup beta - beta(t)), so the kept count is Poisson with the block's
+    mean count.  The exact supremum makes the envelope dominate."""
+    mean = envelope_count(blk)
+    t, keep, counts = _joined(blk, [_unit_pattern(s, mean) for s in streams])
+    beta = idx.evaluate_many(t)
+    kept = np.flatnonzero(thinned(blk, keep, beta))
+    return t[kept], beta[kept], np.diff(np.searchsorted(kept, np.cumsum(counts)), prepend=0)
 
 
 def thinned(blk, keep, beta):
@@ -286,17 +280,26 @@ def _log_root(at, target, p, v, lo, hi):
     """Where the window integral ``at`` meets ``target``: a secant on its
     log10, nearly linear in log10 p, from the end p of [lo, hi], where it is
     v, and one decade inside; a step that is not finite or leaves the values'
-    bracket halves it.  None if 12 steps leave it moving by 1e-12 or more."""
+    bracket halves it, but the first past the far end goes to that end, and
+    -inf or inf says the root lies beyond it too.  None if 12 steps leave it
+    moving by 1e-12 or more."""
     with np.errstate(divide="ignore", invalid="ignore"):
         rises, p0, g0 = p == hi, p, np.log10(v) - np.log10(target)
-        p = p - 1.0 if rises else p + 1.0
+        far, p = (lo, p - 1.0) if rises else (hi, p + 1.0)
         for _ in range(12):
             g = np.log10(at(p)) - np.log10(target)
             lo, hi = (lo, p) if (g > 0) == rises else (p, hi)
+            if lo == hi:  # p is the far end, on the edge's side of the root
+                return -math.inf if rises else math.inf
             step = g * (p - p0) / (g - g0) if np.isfinite(g - g0) else math.nan
             if abs(step) < 1e-12:
                 return float(p - step)
-            p0, g0, p = p, g, p - step if lo < p - step < hi else 0.5 * (lo + hi)
+            q = p - step
+            if far is not None and (q <= far if rises else q >= far):
+                q, far = far, None
+            elif not lo < q < hi:
+                q = 0.5 * (lo + hi)
+            p0, g0, p = p, g, q
     return None
 
 
@@ -313,7 +316,8 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
     variance rise in eps and fall in M, the count the other way.  Where the
     whole bracket is within the target, its end with the largest integral is
     returned.  Where two integrals confirm the root in p* +- 1e-11, p* from
-    ``_log_root``, a step outside that band follows from monotonicity."""
+    ``_log_root``, or past the far end, a step outside that band follows from
+    monotonicity."""
     if budget <= 0:
         raise ValueError(f"truncation budget must be positive, got {budget}")
     lo, hi = (-300.0, -1e-9) if mode == "threshold" else (-6.0, 300.0)
@@ -329,9 +333,10 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
         v = at(edge)
         if v <= target:
             return 10.0**edge
-        root = _log_root(at, target, edge, v, lo, hi)
+        root = _log_root(at, target, edge, v, lo, hi) if target else None  # 0 has no log
         up_to, down_from = -math.inf, math.inf  # where a step needs no integral
-        if root is not None and high_side(root - 1e-11) and not high_side(root + 1e-11):
+        if root is not None and (math.isinf(root) or high_side(root - 1e-11)
+                                 and not high_side(root + 1e-11)):
             up_to, down_from = root - 1e-11, root + 1e-11
         a, b = bisect(lambda p: p <= up_to or (p < down_from and high_side(p)), lo, hi,
                       lambda a, b: b - a < 1e-12)

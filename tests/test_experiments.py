@@ -284,6 +284,25 @@ def test_point_cap_bounds_the_envelope_count():
     assert f"{envelope:.3g} points" in str(err.value) and "\n" not in str(err.value)
 
 
+def test_run_cap_weighs_a_plan_only_where_weights_of_one_fail(monkeypatch):
+    # twenty blocks of 1,000 points: at weight 1 the run cap of 2e9 holds
+    # 100,000 replications; past that, each later block counts times its
+    # level_tail_bound, at most 1, one bound per block
+    idx = StabilityIndex.from_spec("constant:0.5", 5.0)
+    trunc = ppp.Truncation("stationary", 4000.0)
+    plan = experiments.PassagePlan(idx, (1.0,), tuple(
+        ppp.Block(t0, t0 + 0.25, trunc, 1000.0, 0.5) for t0 in np.arange(20) * 0.25))
+    calls = []
+    monkeypatch.setattr(experiments, "level_tail_bound",
+                        lambda *args: calls.append(args) or level_tail_bound(*args))
+    experiments._check_run_points(100_000, 0.0, plan)
+    assert calls == []
+    experiments._check_run_points(100_001, 0.0, plan)
+    assert len(calls) == 19
+    with pytest.raises(ValueError, match="points per replication"):
+        experiments._check_run_points(10**7, 0.0, plan)
+
+
 def _draw_alone(stream, blk, idx):
     """One stream's pattern of ``blk`` written out by hand, the oracle of
     ``ppp.sample_pattern``: a Poisson count of uniform times, thinned in one

@@ -235,6 +235,40 @@ def test_a_replayed_truncation_solve_is_a_plain_bisection(monkeypatch):
     assert [t.parameter.hex() for t in replayed] == [t.parameter.hex() for t in plain]
 
 
+def _counted_solve(monkeypatch, *args, **kwargs):
+    """A truncation solve and the number of integrals it takes."""
+    real, calls = ppp.integrate, []
+
+    def counting(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    with monkeypatch.context() as m:
+        m.setattr(ppp, "integrate", counting)
+        return solve_truncation(*args, **kwargs), len(calls)
+
+
+@pytest.mark.parametrize("beta, mode, compensated, replayed_integrals", [
+    # a constant index excludes beta/(1-beta) * eps**(1-beta) of mass under
+    # threshold truncation, and beta/(1-beta) * M**(1-1/beta) under stationary:
+    # 1e-150 at beta = 0.5 and eps = 1e-300, and 9e-34 at beta = 0.9 and
+    # M = 1e300, the far ends of the brackets, so the root of a 1e-200 mass
+    # budget lies past them
+    (0.5, "threshold", False, 3),
+    (0.9, "stationary", False, 3),
+    # the variance target of a 1e-200 sd, 1e-400, underflows to 0: no log
+    (0.5, "threshold", True, 50),
+])
+def test_a_solve_past_its_bracket_takes_no_more_integrals_than_a_bisection(
+        monkeypatch, beta, mode, compensated, replayed_integrals):
+    case = (StabilityIndex.from_spec(f"constant:{beta}", 1.0), 1.0, mode, 1e-200)
+    replayed, n_replayed = _counted_solve(monkeypatch, *case, compensated=compensated)
+    monkeypatch.setattr(ppp, "_log_root", lambda *args: None)
+    plain, n_plain = _counted_solve(monkeypatch, *case, compensated=compensated)
+    assert replayed.parameter.hex() == plain.parameter.hex()
+    assert n_plain == 50 and n_replayed == replayed_integrals
+
+
 def test_a_passage_plan_solve_takes_at_most_20_integrals(monkeypatch):
     # the affine:0.4,0.2 passage plan at horizon 2.5: ten windows of 0.25; a
     # solve bisects twice where its point cap binds
@@ -385,3 +419,38 @@ def test_threshold_times_follow_the_closed_form_cdf():
     # the test has the power to see an index off by 0.05 in the acceptance step
     d_mutant, crit_mutant = _ks_to_steep_cdf(np.concatenate(_steep_times(_shifted_threshold)))
     assert d_mutant > crit_mutant
+
+
+def _bare(seed, stream_id):
+    return np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+
+
+@pytest.mark.parametrize("mode, parameter", [("stationary", 1.5), ("threshold", 0.5)])
+def test_sample_pattern_draw_layout_is_pinned_against_a_bare_philox(mode, parameter):
+    # about 1.1 points a stream, so some streams draw none.  Stationary: the
+    # count, then K times, then K levels.  Threshold: the envelope count,
+    # then K candidate times, then K keep uniforms, then the sizes of the
+    # kept points.  Each stream is left where the bare generator is.
+    blk = _block(IDX_AFFINE, mode, parameter, 0.25, 1.0)
+    streams = [RngStream(31, i) for i in range(40)]
+    pat = sample_pattern(streams, blk, IDX_AFFINE)
+    times, sizes, counts = [], [], []
+    for i, s in enumerate(streams):
+        g = _bare(31, i)
+        if mode == "stationary":
+            k = int(g.poisson(blk.mean_count))
+            t = 0.25 + (1.0 - 0.25) * g.random(k)
+            x = (parameter * g.random(k)) ** (-1.0 / IDX_AFFINE.evaluate_many(t))
+        else:
+            k = int(g.poisson((1.0 - 0.25) * parameter ** -blk.sup_beta))
+            t = 0.25 + (1.0 - 0.25) * g.random(k)
+            t = t[g.random(k) < parameter ** (blk.sup_beta - IDX_AFFINE.evaluate_many(t))]
+            x = parameter * g.random(len(t)) ** (-1.0 / IDX_AFFINE.evaluate_many(t))
+        times.append(t)
+        sizes.append(x)
+        counts.append(len(t))
+        assert s.uniform(5).tobytes() == g.random(5).tobytes()
+    assert 0 in counts and max(counts) > 1
+    assert pat.counts.tolist() == counts
+    assert pat.times.tobytes() == np.concatenate(times).tobytes()
+    assert pat.sizes.tobytes() == np.concatenate(sizes).tobytes()

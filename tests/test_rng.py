@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from mssim import RngStream, sample_poisson_path
+from mssim import (
+    RngStream, StabilityIndex, Truncation, plan_block, ppp, sample_pattern, sample_poisson_path,
+)
 from mssim.experiments import stream_for
 
 
@@ -67,15 +69,20 @@ def test_poisson_rejects_a_mean_that_is_not_finite_and_non_negative(mean):
 
 
 class _ScriptedGenerator:
-    """A generator stand-in whose ``random`` returns scripted draws in turn."""
+    """A generator stand-in whose ``random`` returns scripted draws in turn,
+    and whose ``poisson`` returns ``count``."""
 
-    def __init__(self, *draws):
+    def __init__(self, *draws, count=None):
         self.draws = [np.array(d, dtype=float) for d in draws]
         self.sizes = []
+        self.count = count
 
     def random(self, size):
         self.sizes.append(size)
         return self.draws.pop(0)
+
+    def poisson(self, mean):
+        return self.count
 
 
 def test_uniform_redraws_an_exact_zero_from_the_same_stream():
@@ -97,6 +104,35 @@ def test_uniform_in_pieces_draws_what_one_draw_does():
     s = RngStream(17, 3)
     pieces = [s.uniform(k) for k in (1, 250, 3, 0, 746)]
     assert np.concatenate(pieces).tolist() == whole.tolist()
+
+
+@pytest.mark.parametrize("mode", ppp.TRUNCATION_MODES)
+def test_an_exact_zero_in_either_half_of_a_pattern_draw_is_redrawn(mode):
+    # a stream draws its K unit times and K levels (or keep uniforms) in one
+    # uniform(2K) call, so a zero in the times is redrawn after the levels;
+    # two calls of K would redraw it before them.  This is the one deliberate
+    # change to which draw lands where, with probability 2**-53 a draw
+    idx = StabilityIndex.from_spec("constant:0.5", 2.0)
+    s = RngStream(11, 0)
+    real = s._gen
+    try:
+        if mode == "stationary":
+            s._gen = _ScriptedGenerator([0.25, 0.0, 0.5, 0.0], [0.75, 0.125], count=2)
+            pat = sample_pattern([s], plan_block(idx, 0.0, 2.0, Truncation(mode, 4.0)), idx)
+            assert pat.times.tolist() == [0.5, 1.5]
+            assert pat.sizes.tolist() == [2.0 ** -2.0, 0.5 ** -2.0]
+            assert s._gen.sizes == [4, 2]
+        else:
+            # a constant index keeps every candidate; then the two sizes
+            s._gen = _ScriptedGenerator([0.0, 0.5, 0.0, 0.25], [0.375, 0.0], [0.125],
+                                        [0.5, 0.0], [0.25], count=2)
+            pat = sample_pattern([s], plan_block(idx, 0.0, 1.0, Truncation(mode, 0.01)), idx)
+            assert pat.times.tolist() == [0.375, 0.5]
+            assert pat.sizes.tolist() == [0.01 * 0.5 ** -2.0, 0.01 * 0.25 ** -2.0]
+            assert s._gen.sizes == [4, 2, 1, 2, 1]
+        assert not s._gen.draws and (pat.times > 0).all() and (pat.sizes > 0).all()
+    finally:
+        s._gen = real  # the stream hands its generator back to the spares
 
 
 def test_bernoulli_frequency():
