@@ -70,7 +70,6 @@ def build_parser():
     ct.add_argument("--lfamily", choices=("unit", "log"), help="slowly varying tail factor")
     ct.add_argument("--n", dest="ns", type=_list("--n", int, "integers"), help="array rows n")
     ct.add_argument("--t", dest="ts", type=_list("--t"), help="times t, also the levels of E")
-    ct.add_argument("--pn-rule", help="'sqrt' or 'const:<v>'")
     ct.add_argument("--lambda", dest="lam", type=float, help=rate)
     ct.add_argument("--alpha", type=float, choices=(0.01, 0.05), help="KS significance level")
 

@@ -85,13 +85,14 @@ def _invert_log_tail(u, beta, beta_sup):
 def norming_an(n, L, beta_sup):
     """The row scaling a_n, where n * P(J > a_n) = 1 for the summand J of
     index beta_sup: the tail inverse of ``_jnk_from_uniforms`` at level 1/n,
-    n**(1/beta_sup) in closed form for the unit family."""
+    n**(1/beta_sup) in closed form for the unit family; inf past the float
+    range, with numpy's overflow warning."""
     if n < 1 or int(n) != n:
         raise ValueError(f"n must be a positive integer, got {n}")
     if not 0.0 < beta_sup < 1.0:
         raise ValueError(f"beta_sup must be in (0, 1), got {beta_sup}")
     if L.kind == "unit":
-        return float(n) ** (1.0 / beta_sup)
+        return float(np.float64(n) ** (1.0 / beta_sup))
     return float(_jnk_from_uniforms(1.0 / n, beta_sup, beta_sup, L))
 
 
@@ -113,13 +114,22 @@ def cell_count(n, horizon):
 
 class RowPlan:
     """What every replication of row n on [0, T], T the horizon of ``idx``,
-    shares: beta(k/n) and the cell scalings b_{nk}, k = 1..``cell_count(n, T)``."""
+    shares: beta(k/n) and the cell scalings b_{nk}, k = 1..``cell_count(n, T)``,
+    built only once its partial sums are shown to stay in the float range."""
 
     def __init__(self, n, idx, L):
-        ks = np.arange(1, cell_count(n, idx.horizon) + 1)
+        cells = cell_count(n, idx.horizon)
+        # the largest partial sum: each cell's summand at beta_inf and the least
+        # uniform, 2**-53, over the least b_nk, a_n = b_nk at beta_sup as a_n >= 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_n = norming_an(n, L, idx.beta_sup)
+            top = cells * float(_jnk_from_uniforms(2.0**-53, idx.beta_inf, idx.beta_sup, L)) / a_n
+        if not np.isfinite(top):
+            raise ValueError(f"the row n={n} partial sums of the index {idx.spec_string()} can "
+                             "overflow the float range; raise the index")
         self.n, self.beta_sup, self.L = int(n), idx.beta_sup, L
-        self.beta = idx.evaluate_many(np.minimum(ks / n, idx.horizon))
-        self.b = norming_bnk(norming_an(n, L, idx.beta_sup), self.beta, idx.beta_sup)
+        self.beta = idx.evaluate_many(np.minimum(np.arange(1, cells + 1) / n, idx.horizon))
+        self.b = norming_bnk(a_n, self.beta, idx.beta_sup)
 
 
 def partial_sum_path(stream, row, level):

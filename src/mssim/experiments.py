@@ -163,6 +163,17 @@ def _map_chunk(fn, lo, hi, params, kernel_reps):
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
+def _results(futures):
+    """The results of ``futures`` in their order; the first one that raises
+    cancels the rest, those still queued, and its error propagates."""
+    try:
+        return [f.result() for f in futures]
+    except BaseException:
+        for f in futures:
+            f.cancel()
+        raise
+
+
 def _map_reps(fn, reps, pool, kernel_reps, **params):
     """Run the chunk kernel ``fn(lo, hi, **params)``, which returns one array
     per name for the replications [lo, hi), over every rep in [0, reps), on
@@ -179,9 +190,8 @@ def _map_reps(fn, reps, pool, kernel_reps, **params):
         return _map_chunk(fn, 0, reps, params, kernel_reps)
     # _max_workers is the size the executor was built with
     chunk = max(_MIN_CHUNK, -(-reps // (_CHUNKS_PER_WORKER * pool._max_workers)))
-    futures = [pool.submit(_map_chunk, fn, lo, min(lo + chunk, reps), params, kernel_reps)
-               for lo in range(0, reps, chunk)]
-    parts = [f.result() for f in futures]
+    parts = _results([pool.submit(_map_chunk, fn, lo, min(lo + chunk, reps), params, kernel_reps)
+                      for lo in range(0, reps, chunk)])
     return {k: np.concatenate([p[k] for p in parts], axis=0) for k in parts[0]}
 
 
@@ -309,12 +319,7 @@ def plan_passage(idx, levels, pool=None, trunc_m=None):
         blocks = [_passage_block(idx, *w, trunc_m) for w in windows]
     else:
         futures = [pool.submit(_passage_block, idx, *w, trunc_m) for w in reversed(windows)]
-        try:
-            blocks = [f.result() for f in reversed(futures)]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
+        blocks = _results(futures[::-1])
     return PassagePlan(idx, tuple(levels), tuple(blocks))
 
 
@@ -687,16 +692,6 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
     return Report("mfpp", header, ("t", "k", "p_hat", "se", "oracle", "pass"), rows)
 
 
-def _parse_pn(pn_rule, n):
-    if pn_rule == "sqrt":
-        return n ** -0.5
-    if pn_rule.startswith("const:"):
-        v = float(pn_rule.partition(":")[2])
-        _require(0.0 < v <= 1.0, f"pn-rule constant must be in (0, 1], got {v}")
-        return v
-    raise ValueError(f"pn-rule must be 'sqrt' or 'const:<v>', got {pn_rule!r}")
-
-
 def _d_reference_block(idx, T):
     """The compensated threshold block on [0, T] whose excluded sd meets the
     default budget."""
@@ -705,7 +700,7 @@ def _d_reference_block(idx, T):
 
 
 def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, seed=0, workers=1,
-             pn_rule="sqrt", lam=1.0, alpha=0.01):
+             lam=1.0, alpha=0.01):
     """KS distances of the array approximations against direct simulation.
 
     For each n: the normalized partial sum at t vs D(t), its inverse at
@@ -725,29 +720,22 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
     crit = stats.ks_critical_value(reps, reps, alpha)
     idx, tail = choose_horizon(beta_spec, ts[-1], shortest=ts[-1])
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
-    p_ns = {n: _parse_pn(pn_rule, n) for n in ns}
-    cells = {n: ctrw.cell_count(n, idx.horizon) for n in ns}
-    # a row's largest partial sum: its cells' summands at beta_inf and the
-    # smallest non-zero uniform, 2**-53, each over the smallest b_nk, which is
-    # a_n = b_nk at beta_sup, since a_n >= 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        j_max = float(ctrw._jnk_from_uniforms(2.0**-53, idx.beta_inf, idx.beta_sup, L))
-        for n in ns:
-            ppp.check_points(cells[n], 0.0, idx.horizon,
-                             hint=f"the row n={n} draws one summand per cell of width 1/n")
-            ppp.check_points(lam * idx.horizon / p_ns[n], 0.0, idx.horizon,
-                             hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli "
-                             "steps; lower --lambda or raise the pn-rule")
-            _require(np.isfinite(cells[n] * j_max / ctrw.norming_an(n, L, idx.beta_sup)),
-                     f"the row n={n} partial sums of the index {idx.spec_string()} can "
-                     "overflow the float range; raise the index")
+    rowplans = []  # (row, p_n) per n
+    for n in ns:
+        p_n = n ** -0.5  # the walk's step chance, which goes to 0 as the limit needs
+        ppp.check_points(ctrw.cell_count(n, idx.horizon), 0.0, idx.horizon,
+                         hint=f"the row n={n} draws one summand per cell of width 1/n")
+        ppp.check_points(lam * idx.horizon / p_n, 0.0, idx.horizon,
+                         hint=f"the row n={n} walk takes lambda * horizon / p_n Bernoulli "
+                         "steps; lower --lambda")
+        rowplans.append((ctrw.RowPlan(n, idx, L), p_n))
     # reference samples, shared by every n
     with _open_pool(workers) as pool:
         plan = plan_passage(idx, ts, pool)
         dblk = _d_reference_block(idx, ts[-1])
         # each replication draws every row's cells and walk steps, the
         # passage plan, the whole D reference block and the Poisson arrivals
-        _check_run_points(reps, sum(cells[n] + lam * idx.horizon / p_ns[n] for n in ns)
+        _check_run_points(reps, sum(len(row.b) + lam * idx.horizon / p_n for row, p_n in rowplans)
                           + ppp.drawn_count(dblk) + lam * idx.horizon, plan)
         dref = _d_reference(idx, ts, reps, seed, pool, dblk)
         ref = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
@@ -756,17 +744,16 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         eref, xref = np.fmin(ref["e"], idx.horizon), ref["x"]
         rows = []
         flagged_total = 0
-        for i, n in enumerate(ns):
-            res = _map_reps(_ctrw_chunk, reps, pool, _KERNEL_REPS, seed=seed,
-                            channel=CH_CTRW_JUMPS + 2 * i, idx=idx, row=ctrw.RowPlan(n, idx, L),
-                            ts=ts, p_n=p_ns[n], lam=lam)
+        for i, (row, p_n) in enumerate(rowplans):
+            res = _map_reps(_ctrw_chunk, reps, pool, _KERNEL_REPS, seed=seed, idx=idx, row=row,
+                            channel=CH_CTRW_JUMPS + 2 * i, ts=ts, p_n=p_n, lam=lam)
             flagged_total += int(res["flagged"].sum())
             for j, t in enumerate(ts):
                 ks_d = stats.ks_two_sample(res["s"][:, j], dref[:, j])
                 ks_e = stats.ks_two_sample(res["e"][:, j], eref[:, j])
                 ks_x = stats.ks_two_sample(res["x"][:, j], xref[:, j])
                 ok = max(ks_d, ks_e, ks_x) < crit
-                rows.append((n, t, ks_d, ks_e, ks_x, crit, ok))
+                rows.append((row.n, t, ks_d, ks_e, ks_x, crit, ok))
     header = {
         "beta": idx.spec_string(),
         "seed": seed,
@@ -774,7 +761,7 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         "lfamily": lfamily,
         "n": ",".join(str(v) for v in ns),
         "t": ",".join(_fmt(v) for v in ts),
-        "pn_rule": pn_rule,
+        "pn_rule": "sqrt",
         "lambda": lam,
         "alpha": float(alpha),
         "horizon": idx.horizon,

@@ -89,6 +89,11 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
         assert "Traceback" not in res.stderr
 
 
+# 5e6 Poisson arrivals a replication pass its point cap, and 5e7 walk steps
+# at p_n = n**(-1/2) = 0.1 do not
+WALK_ARGV = ("ctrw", "--beta", "constant:0.5", "--n", "100", "--lambda", "1e6", "--reps", "2")
+
+
 @pytest.mark.parametrize("args", [
     # a compensated block needs 6.6e10 points to keep every row within this budget
     ("laplace", "--beta", "constant:0.95", "--mass-budget", "1e-12", "--reps", "10"),
@@ -98,7 +103,7 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     # Poisson arrivals, walk steps and grid rows per replication
     ("mfpp", "--beta", "constant:0.5", "--lambda", "1e13", "--reps", "2"),
     ("ctrw", "--beta", "constant:0.5", "--n", "100", "--lambda", "1e13", "--reps", "2"),
-    ("ctrw", "--beta", "constant:0.5", "--n", "100", "--pn-rule", "const:1e-12", "--reps", "2"),
+    WALK_ARGV,
     ("paths", "--beta", "constant:0.5", "--lambda", "1e13", "--reps", "2"),
     ("paths", "--beta", "constant:0.5", "--grid", "10000000000", "--reps", "2"),
     # a mean count of 1.7e6 under a thinning envelope of 2.2e7, and the mass
@@ -123,15 +128,17 @@ def test_truncation_with_infinite_excluded_mass_is_usage_error():
     ("mfpp", "--beta", "affine:0.4,0.2", "--t", "2", "--reps", "20000000", "--seed", "1"),
     # the stationary windows of --trunc-m 2000: 2,250 points a replication
     ("mfpp", "--beta", "constant:0.5", "--trunc-m", "2000", "--reps", "1000000"),
-    # 5e6 walk steps and 5e6 Poisson arrivals a replication: 5e12 and 5e11
+    # 5e4 walk steps a replication, 5.57e10 over the run with the rest; and
+    # 5e6 Poisson arrivals a replication, 5e11
     ("ctrw", "--beta", "constant:0.5", "--n", "100", "--reps", "1000000", "--lambda", "1000",
-     "--pn-rule", "const:0.001", "--seed", "1"),
+     "--seed", "1"),
     ("mfpp", "--beta", "constant:0.5", "--lambda", "1000000", "--reps", "100000", "--seed", "1"),
 ])
 def test_too_many_points_is_usage_error(args, tmp_path):
     res = run_cli(*args, timeout=10, cwd=tmp_path, env=cli_env())
     assert res.returncode == 2
     assert "points per replication" in res.stderr
+    assert args != WALK_ARGV or "walk takes" in res.stderr
     assert "Traceback" not in res.stderr and "lam value" not in res.stderr
     assert not list(tmp_path.iterdir())
 
@@ -249,6 +256,33 @@ def test_every_option_has_help():
         assert not bare, (name, bare)
 
 
+# every option of every command: a new option is added here on purpose
+OPTIONS = {
+    "laplace": ["--seed", "--workers", "--out", "--reps", "--beta", "--theta", "--t", "--trunc-m",
+                "--mass-budget"],
+    "mfpp": ["--seed", "--workers", "--out", "--reps", "--beta", "--lambda", "--t", "--trunc-m"],
+    "ctrw": ["--seed", "--workers", "--out", "--reps", "--beta", "--lfamily", "--n", "--t",
+             "--lambda", "--alpha"],
+    "paths": ["--seed", "--workers", "--out", "--reps", "--beta", "--t", "--grid", "--lambda"],
+    "verify": ["--seed", "--workers", "--out", "--quick", "--scale"],
+}
+
+
+def test_every_command_has_exactly_its_listed_options():
+    options = {name: [a.option_strings[0] for a in sp._actions if a.dest != "help"]
+               for name, sp in _commands().items()}
+    assert options == OPTIONS
+
+
+def test_the_retired_pn_rule_is_an_unrecognized_argument():
+    # the walk's p_n is n**(-1/2); a constant p_n never approaches the limit
+    res = run_cli("ctrw", "--beta", "constant:0.5", "--pn-rule", "const:0.3", "--reps", "2",
+                  timeout=10)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --pn-rule const:0.3" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_absent_options_are_not_passed(monkeypatch, capsys):
     calls = []
 
@@ -269,8 +303,8 @@ DEFAULTED = {
                 ("--theta", "0.5,1,2", "--t", "0.5,1", "--mass-budget", "0.001")),
     "mfpp": (("mfpp", "--beta", "constant:0.5", "--reps", "50"), ("--lambda", "1", "--t", "1")),
     "ctrw": (("ctrw", "--beta", "constant:0.5", "--reps", "20"),
-             ("--lfamily", "unit", "--n", "100,1000", "--t", "1", "--pn-rule", "sqrt",
-              "--lambda", "1", "--alpha", "0.01")),
+             ("--lfamily", "unit", "--n", "100,1000", "--t", "1", "--lambda", "1",
+              "--alpha", "0.01")),
     "paths": (("paths", "--beta", "constant:0.5"),
               ("--reps", "10", "--t", "1", "--grid", "101", "--lambda", "1", "--out", "paths")),
 }
@@ -386,8 +420,7 @@ FLAGS = {
                 "--mass-budget": NUMBERS, "--out": OUTS},
     "mfpp": {"--lambda": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS, "--out": OUTS},
     "ctrw": {"--n": ("2", "100", "100,1000", "0", "-5", "x"), "--t": NUMBERS,
-             "--lfamily": ("unit", "log", "poly"), "--lambda": NUMBERS,
-             "--pn-rule": ("sqrt", "const:0.3", "const:0", "const:nan", "bogus"), "--out": OUTS},
+             "--lfamily": ("unit", "log", "poly"), "--lambda": NUMBERS, "--out": OUTS},
     "paths": {"--t": NUMBERS, "--grid": ("2", "21", "0", "-3", "x"), "--lambda": NUMBERS,
               "--out": OUTS},
 }

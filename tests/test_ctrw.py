@@ -2,6 +2,7 @@
 their inverse, and the composed counting walk."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ def test_tail_normalization_identity():
     p = float((j > bound).mean())
     se = n * math.sqrt(p * (1.0 - p) / draws)
     assert abs(n * p - 1.0) <= 3.0 * se
+
+
+@pytest.mark.parametrize("L", [UNIT, LOG])
+@pytest.mark.parametrize("n", [100, 10_000])
+def test_a_row_whose_partial_sums_overflow_is_rejected_before_its_scalings(L, n, monkeypatch):
+    # at beta = 0.01 the summand at the smallest uniform, 2**-53, is not
+    # finite, and at n = 10,000 neither is the unit family's a_n = n**100
+    def no_scalings(*args):
+        raise AssertionError("a b_nk was built")
+
+    monkeypatch.setattr(ctrw, "norming_bnk", no_scalings)
+    idx = StabilityIndex.from_spec("constant:0.01", 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"row n={n} .* overflow the float range"):
+            RowPlan(n, idx, L)
 
 
 # the path jumps to grid[k] at k/4 and ends at 0.4: E_4(0.25) = 0.75, E_4(0.4) = 1

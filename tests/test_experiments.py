@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from mssim import cli, experiments, ppp
+from mssim import cli, ctrw, experiments, ppp
 from mssim.experiments import (
     CH_PASSAGE,
     Report,
@@ -747,6 +747,26 @@ def test_a_plan_block_that_raises_cancels_the_queued_windows(inline_pool, monkey
     assert _DeferredPool.exits == 1
 
 
+def test_a_replication_chunk_that_raises_cancels_the_queued_chunks(inline_pool, monkeypatch):
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _DeferredPool)
+    monkeypatch.setattr(_DeferredPool, "futures", [])
+    ran = []
+
+    def kernel(lo, hi):
+        ran.append(lo)
+        if lo == 0:
+            raise ValueError("the first chunk failed")
+        return {"x": np.zeros(hi - lo)}
+
+    # 128 replications make eight chunks of 16; the first one's error
+    # surfaces, and the seven after it are cancelled unrun
+    with experiments._open_pool(2) as pool:
+        with pytest.raises(ValueError, match="the first chunk failed"):
+            _map_reps(kernel, 128, pool, experiments._KERNEL_REPS)
+    assert ran == [0]
+    assert [f.cancelled() for f in _DeferredPool.futures] == [False] + [True] * 7
+
+
 def test_a_plan_in_a_real_pool_equals_the_serial_plan():
     idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
     serial = plan_passage(idx, [1.0])
@@ -927,6 +947,13 @@ def test_run_ctrw_rejects_an_index_whose_partial_sums_overflow(lfamily, monkeypa
     with pytest.raises(ValueError, match="overflow the float range") as err:
         experiments.run_ctrw("constant:0.01", lfamily, [100], [1.0], 20, 1)
     assert "\n" not in str(err.value)
+
+
+def test_run_ctrw_solves_each_row_norming_once(monkeypatch):
+    solve, calls = ctrw.norming_an, []
+    monkeypatch.setattr(ctrw, "norming_an", lambda n, *args: calls.append(n) or solve(n, *args))
+    experiments.run_ctrw("constant:0.5", "log", [20, 50, 100], [1.0], 20, 1)
+    assert calls == [20, 50, 100]
 
 
 def test_run_ctrw_rejects_a_bad_alpha_before_drawing(monkeypatch):
