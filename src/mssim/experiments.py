@@ -5,11 +5,13 @@ random streams (master seed, channel, replication index), reduces them
 into a ``Report`` of named columns, and never depends on the number of
 worker processes: identical configuration and seed give byte-identical
 output.  A replication is one row of a chunk kernel's arrays, and
-``_map_reps`` is the only map over replications.  Every kernel that draws
-jumps draws a list of streams through ``ppp.sample_pattern``: the window
-increments and the first passages sum them by keyed ``np.bincount``, in
-draw order, and the ``paths`` and criterion-5 kernels sort each stream's
-path with ``subordinator.build_path``.
+``_map_reps`` is the only map over replications.  A kernel takes the
+streams of its replications on each channel as one ``streams_for`` batch.
+Every kernel that draws jumps draws its streams through
+``ppp.sample_pattern``: the window increments and the first passages sum
+them by keyed ``np.bincount``, in draw order, and the ``paths`` and
+criterion-5 kernels sort each stream's path with
+``subordinator.build_path``.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -70,6 +72,12 @@ _ARRIVALS_HINT = "the Poisson process draws about lambda * horizon arrivals; low
 def stream_for(seed, channel, rep):
     """The random stream of one replication on one experiment channel."""
     return rng.RngStream(seed, (channel << _CHANNEL_SHIFT) + rep)
+
+
+def streams_for(seed, channel, lo, hi):
+    """The random streams of the replications [lo, hi) on one experiment
+    channel, as one ``rng.Streams`` batch."""
+    return rng.Streams(seed, (channel << _CHANNEL_SHIFT) + lo, hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +147,16 @@ _KERNEL_REPS = 1024
 _KERNEL_POINTS = 2**13
 
 
+def _reps_for(points):
+    """The replications of one kernel call whose replications each draw
+    ``points`` in the mean: at most ``_KERNEL_REPS`` and about
+    ``_KERNEL_POINTS`` points, or one where one replication draws more."""
+    return max(1, min(_KERNEL_REPS, int(_KERNEL_POINTS / points)))
+
+
 def _kernel_reps(blk):
-    """The replications of one kernel call that draws ``blk``: at most
-    ``_KERNEL_REPS`` and about ``_KERNEL_POINTS`` points, or one where one
-    replication draws more."""
-    return max(1, min(_KERNEL_REPS, int(_KERNEL_POINTS / ppp.drawn_count(blk))))
+    """The replications of one kernel call that draws ``blk``."""
+    return _reps_for(ppp.drawn_count(blk))
 
 
 def _open_pool(workers):
@@ -403,7 +416,7 @@ def _increments_chunk(lo, hi, seed, channel, idx, blk, windows):
     of their streams, then each window's sums by one ``np.bincount`` keyed
     by replication, which adds each replication's jumps in the window in
     draw order."""
-    pat = ppp.sample_pattern((stream_for(seed, channel, rep) for rep in range(lo, hi)), blk, idx)
+    pat = ppp.sample_pattern(streams_for(seed, channel, lo, hi), blk, idx)
     t, x = pat.times, pat.sizes
     rep = np.repeat(np.arange(hi - lo), pat.counts)
     inc = np.empty((hi - lo, len(windows)))
@@ -427,7 +440,7 @@ def _monotone_chunk(lo, hi, seed, idx, blk):
     """Strict-monotonicity and inverse-consistency violations of one path
     on [0, horizon] per replication, probed at 100 random levels and 100
     random times drawn from its stream after its pattern."""
-    streams = [stream_for(seed, CH_MONOTONE, rep) for rep in range(lo, hi)]
+    streams = list(streams_for(seed, CH_MONOTONE, lo, hi))
     paths = _sorted_paths(ppp.sample_pattern(streams, blk, idx))
     bad = np.ones(hi - lo, dtype=np.int64)  # an empty path is one violation
     for r, (s, (times, prefix)) in enumerate(zip(streams, paths)):
@@ -449,13 +462,14 @@ def _monotone_chunk(lo, hi, seed, idx, blk):
 def _passage_chunk(lo, hi, seed, plan, rate):
     """First-passage times E at each plan level (NaN where the horizon comes
     first), and X = N(min(E, horizon)) for a rate-``rate`` Poisson process,
-    of the replications [lo, hi)."""
-    e = _block_passage([stream_for(seed, CH_PASSAGE, rep) for rep in range(lo, hi)], plan)
+    of the replications [lo, hi); the counts of all of them are taken at
+    once, by ``inverse_mfpp.time_changed_counts``, so a run hands a call
+    about ``_KERNEL_POINTS`` arrivals (``_reps_for``)."""
+    e = _block_passage(list(streams_for(seed, CH_PASSAGE, lo, hi)), plan)
     T = plan.idx.horizon
-    arrivals = [inverse_mfpp.sample_poisson_path(stream_for(seed, CH_ARRIVALS, rep), rate, T)
-                for rep in range(lo, hi)]
-    x = [inverse_mfpp.time_changed_count(a, np.fmin(row, T)) for a, row in zip(arrivals, e)]
-    return {"e": e, "x": np.array(x)}
+    x = inverse_mfpp.time_changed_counts(streams_for(seed, CH_ARRIVALS, lo, hi), rate, T,
+                                         np.fmin(e, T))
+    return {"e": e, "x": x}
 
 
 def _ctrw_chunk(lo, hi, seed, channel, idx, row, ts, p_n, lam):
@@ -471,13 +485,14 @@ def _ctrw_chunk(lo, hi, seed, channel, idx, row, ts, p_n, lam):
     ts = np.asarray(ts, dtype=float)
     cells = np.floor(row.n * ts + 1e-9).astype(int)
     s, e, x = (np.empty((hi - lo, len(ts))) for _ in range(3))
-    for r, rep in enumerate(range(lo, hi)):
-        path = ctrw.partial_sum_path(stream_for(seed, channel, rep), row, ts.max())
+    walks = streams_for(seed, channel + 1, lo, hi)
+    for r, (jumps, walk) in enumerate(zip(streams_for(seed, channel, lo, hi), walks)):
+        path = ctrw.partial_sum_path(jumps, row, ts.max())
         s[r] = path.grid[np.minimum(cells, len(path.grid) - 1)]
         e[r] = ctrw.inverse_ctrw(path, ts)
         # an unreached level's NaN becomes T too
         m = np.floor(lam * np.fmin(e[r], idx.horizon) / p_n + 1e-12).astype(np.int64)
-        steps = stream_for(seed, channel + 1, rep).bernoulli(p_n, int(m.max()))
+        steps = walk.bernoulli(p_n, int(m.max()))
         x[r] = np.concatenate(([0], np.cumsum(steps)))[m]
     return {"s": s, "e": np.fmin(e, idx.horizon), "x": x, "flagged": np.isnan(e).any(axis=1)}
 
@@ -487,12 +502,11 @@ def _paths_chunk(lo, hi, seed, idx, ts, blk, lam, out_prefix):
     replication of [lo, hi); report its name, its flagged rows and whether
     D and X are non-decreasing."""
     T = idx.horizon
-    pat = ppp.sample_pattern([stream_for(seed, CH_PATHS_JUMPS, rep) for rep in range(lo, hi)],
-                             blk, idx)
+    pat = ppp.sample_pattern(streams_for(seed, CH_PATHS_JUMPS, lo, hi), blk, idx)
     out = {"file": [], "nflag": [], "ok": []}
-    for rep, (times, prefix) in zip(range(lo, hi), _sorted_paths(pat)):
-        arrivals = inverse_mfpp.sample_poisson_path(stream_for(seed, CH_PATHS_ARRIVALS, rep),
-                                                    lam, T)
+    for rep, (times, prefix), stream in zip(range(lo, hi), _sorted_paths(pat),
+                                            streams_for(seed, CH_PATHS_ARRIVALS, lo, hi)):
+        arrivals = inverse_mfpp.sample_poisson_path(stream, lam, T)
         d = subordinator.eval_many(times, prefix, ts)
         e = inverse_mfpp.first_passage(times, prefix, ts)
         x = inverse_mfpp.time_changed_count(arrivals, e)
@@ -658,8 +672,8 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
     with _open_pool(workers) as pool:
         plan = plan_passage(idx, ts, pool, trunc_m)
         _check_run_points(reps, lam * idx.horizon, plan)
-        res = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
-                        rate=lam)
+        res = _map_reps(_passage_chunk, reps, pool, _reps_for(lam * idx.horizon), seed=seed,
+                        plan=plan, rate=lam)
     # the rows condition on the replications that reached the level
     reached = ~np.isnan(res["e"])
     unreached = int((~reached).sum())
@@ -738,8 +752,8 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
         _check_run_points(reps, sum(len(row.b) + lam * idx.horizon / p_n for row, p_n in rowplans)
                           + ppp.drawn_count(dblk) + lam * idx.horizon, plan)
         dref = _d_reference(idx, ts, reps, seed, pool, dblk)
-        ref = _map_reps(_passage_chunk, reps, pool, _KERNEL_REPS, seed=seed, plan=plan,
-                        rate=lam)
+        ref = _map_reps(_passage_chunk, reps, pool, _reps_for(lam * idx.horizon), seed=seed,
+                        plan=plan, rate=lam)
         # censored at the horizon, as E_n and the walk are: E is min(E, T)
         eref, xref = np.fmin(ref["e"], idx.horizon), ref["x"]
         rows = []

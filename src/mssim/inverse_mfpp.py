@@ -3,6 +3,8 @@ process, and their composition into the time-changed counting process."""
 
 import numpy as np
 
+from . import rng
+
 
 def sample_poisson_path(stream, rate, horizon):
     """Ascending arrival times of a rate-``rate`` homogeneous Poisson
@@ -12,6 +14,30 @@ def sample_poisson_path(stream, rate, horizon):
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
     return np.sort(horizon * stream.uniform(stream.poisson(rate * horizon)))
+
+
+def time_changed_counts(streams, rate, horizon, e):
+    """X = N(e) at each operational time of row i of ``e`` (each at most
+    ``horizon``) for a rate-``rate`` Poisson process on [0, horizon] drawn
+    from the i-th stream of the ``rng.Streams`` batch ``streams``.
+
+    Each stream draws what ``sample_poisson_path`` draws from it, through
+    ``Streams.raw`` with the mean and the draws checked once, and its
+    arrivals are left unsorted: a count is one comparison of the joined
+    arrivals with their stream's times, summed by stream."""
+    mean = rate * horizon
+    rng.check_mean(mean)
+    draws = [s.uniform(s.poisson(mean)) for s in streams.raw()]
+    counts = np.array([len(u) for u in draws])
+    u = np.concatenate(draws)
+    for j in rng.zero_streams(counts, u):
+        s = streams[j]
+        draws[j] = s.uniform(s.poisson(mean))
+        u = np.concatenate(draws)
+    owner = np.repeat(np.arange(len(streams)), counts)
+    hits = horizon * u[:, None] <= e[owner]
+    return np.stack([np.bincount(owner, weights=h, minlength=len(streams)) for h in hits.T],
+                    axis=1)
 
 
 def first_passage(times, prefix, levels, start=0.0, drift=0.0, t0=0.0, t1=np.inf):

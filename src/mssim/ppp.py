@@ -14,8 +14,8 @@ cross-validate each other:
 Sampling is planned once and then only draws: ``plan_block`` fixes a time
 window, its truncation and the expected point count (a quadrature under the
 threshold mode) below ``MAX_POINTS``, and ``sample_pattern``, the one
-pattern draw, takes that ``Block`` and a list of streams, one per
-replication.  Each stream draws its own unit points with one ``uniform``
+pattern draw, takes that ``Block`` and the streams of its replications,
+one each.  Each stream draws its own unit points with one ``uniform``
 call; the maps onto the window, the index and the point transforms
 ``stationary_sizes``, ``thinned`` and ``threshold_sizes`` run once over all
 of them.  ``solve_truncation`` picks the truncation that meets a budget.
@@ -32,9 +32,11 @@ mean zero, and its point count stays bounded as the index approaches 1.
 
 from dataclasses import dataclass
 import math
+from typing import NamedTuple
 
 import numpy as np
 
+from . import rng
 from .quadrature import bisect, integrate
 
 TRUNCATION_MODES = ("stationary", "threshold")
@@ -59,8 +61,7 @@ class Truncation:
                              "(the rejection envelope inequality reverses at eps >= 1)")
 
 
-@dataclass(frozen=True)
-class PointPattern:
+class PointPattern(NamedTuple):
     """Truncated realizations of one or more streams, joined in stream
     order: unsorted jump times, positive sizes, and each stream's count of
     points (an int for the pattern of one stream)."""
@@ -121,21 +122,31 @@ def check_points(count, t0, t1, hint):
 
 
 def sample_pattern(streams, blk, idx):
-    """The patterns of ``blk`` drawn from each of ``streams``, joined in
-    stream order, with one index evaluation per drawn point.
+    """The patterns of ``blk`` drawn from each of ``streams``, a list of
+    streams or an ``rng.Streams`` batch, joined in stream order, with one
+    index evaluation per drawn point.
 
     Each stream draws its Poisson count K, then in one call K unit times and
     K levels (``sample_stationary``) or K keep uniforms, and then the sizes
     of its kept points (``sample_threshold``).  The maps onto [t0, t1] and
     (0, M] run elementwise over the joined streams, so each stream's points
-    are the floats it draws alone.  A stationary iterable is consumed one
-    stream at a time, so a collected stream hands its generator to the next;
-    every stream of a threshold list stays open."""
-    if blk.trunc.mode == "stationary":
-        t, u, counts = _joined(blk, [sample_stationary(s, blk) for s in streams])
-        u *= blk.trunc.parameter
-        return PointPattern(t, stationary_sizes(u, idx.evaluate_many(t)), counts)
-    return sample_threshold(list(streams), blk, idx)
+    are the floats it draws alone.  A stationary batch is drawn through
+    ``Streams.raw``, one stream after another on one generator, and its mean
+    and its draws are checked once: a stream that drew an exact zero is
+    drawn again as an ``RngStream``, whose ``uniform`` redraws it.  Every
+    stream of a threshold list stays open."""
+    if blk.trunc.mode != "stationary":
+        return sample_threshold(list(streams), blk, idx)
+    rng.check_mean(blk.mean_count)
+    draws = streams.raw() if isinstance(streams, rng.Streams) else streams
+    pats = [sample_stationary(s, blk) for s in draws]
+    t, u, counts = _joined(pats)
+    for j in rng.zero_streams(counts, t, u):
+        pats[j] = sample_stationary(streams[j], blk)
+        t, u, counts = _joined(pats)
+    t = blk.t0 + (blk.t1 - blk.t0) * t
+    u *= blk.trunc.parameter
+    return PointPattern(t, stationary_sizes(u, idx.evaluate_many(t)), counts)
 
 
 def _unit_pattern(stream, mean):
@@ -148,11 +159,11 @@ def _unit_pattern(stream, mean):
     return PointPattern(u[:k], u[k:], k)
 
 
-def _joined(blk, pats):
-    """The unit patterns ``pats`` joined in stream order: their times mapped
-    onto the block's window, their second coordinates, and their counts."""
-    return (blk.t0 + (blk.t1 - blk.t0) * np.concatenate([p.times for p in pats]),
-            np.concatenate([p.sizes for p in pats]), np.array([p.counts for p in pats]))
+def _joined(pats):
+    """The unit patterns ``pats`` joined in stream order: their first
+    coordinates, their second, and their counts."""
+    return (np.concatenate([p.times for p in pats]), np.concatenate([p.sizes for p in pats]),
+            np.array([p.counts for p in pats]))
 
 
 def sample_stationary(stream, blk):
@@ -202,7 +213,8 @@ def sample_threshold_times(streams, idx, blk):
     eps**(sup beta - beta(t)), so the kept count is Poisson with the block's
     mean count.  The exact supremum makes the envelope dominate."""
     mean = envelope_count(blk)
-    t, keep, counts = _joined(blk, [_unit_pattern(s, mean) for s in streams])
+    t, keep, counts = _joined([_unit_pattern(s, mean) for s in streams])
+    t = blk.t0 + (blk.t1 - blk.t0) * t
     beta = idx.evaluate_many(t)
     kept = np.flatnonzero(thinned(blk, keep, beta))
     return t[kept], beta[kept], np.diff(np.searchsorted(kept, np.cumsum(counts)), prepend=0)

@@ -220,14 +220,16 @@ def test_criterion_8_fails_when_the_replications_share_one_walk_stream(spec, mon
     # when every replication's walk reads the steps of replication 0
     args = (spec, "unit", (100, 1000), [1.0], 1000, SEED)
     assert experiments.run_ctrw(*args, alpha=0.05).all_pass()
-    stream_for = experiments.stream_for
+    streams_for = experiments.streams_for
 
-    def shared_walk(seed, channel, rep):
+    def shared_walk(seed, channel, lo, hi):
         # a row's walk channel is an odd offset from its jump channel
         walk = channel > experiments.CH_CTRW_JUMPS and (channel - experiments.CH_CTRW_JUMPS) % 2
-        return stream_for(seed, channel, 0 if walk else rep)
+        if walk:
+            return (experiments.stream_for(seed, channel, 0) for _ in range(lo, hi))
+        return streams_for(seed, channel, lo, hi)
 
-    monkeypatch.setattr(experiments, "stream_for", shared_walk)
+    monkeypatch.setattr(experiments, "streams_for", shared_walk)
     shared = experiments.run_ctrw(*args, alpha=0.05)
     ks_x, crit = shared.rows[-1][4:6]
     assert not shared.all_pass() and ks_x > 2.0 * crit

@@ -937,6 +937,21 @@ def test_a_serial_run_is_worked_in_bounded_kernel_calls(monkeypatch):
     assert widest == [8] * 75
 
 
+def test_a_passage_call_joins_about_its_kernel_points_of_arrivals(monkeypatch):
+    # a passage kernel call joins the Poisson arrivals of its replications:
+    # lambda * horizon = 2,000 arrivals a replication makes it 4 a call
+    widest = []
+    passage = experiments._passage_chunk
+
+    def recording(lo, hi, **params):
+        widest.append(hi - lo)
+        return passage(lo, hi, **params)
+
+    monkeypatch.setattr(experiments, "_passage_chunk", recording)
+    rep = run_mfpp("constant:0.5", 400.0, [1.0], 40, 3)
+    assert rep.header["horizon"] == 5.0 and widest == [4] * 10
+
+
 @pytest.mark.parametrize("lfamily", ("unit", "log"))
 def test_run_ctrw_rejects_an_index_whose_partial_sums_overflow(lfamily, monkeypatch):
     # at beta = 0.01 the summand at the smallest uniform, 2**-53, is not finite

@@ -4,15 +4,18 @@ import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
+import pytest
 
 from mssim import (
     RngStream,
     build_path,
     eval_many,
     first_passage,
+    rng,
     sample_poisson_path,
     time_changed_count,
 )
+from mssim.inverse_mfpp import time_changed_counts
 
 
 def _path(times, sizes):
@@ -160,6 +163,22 @@ def test_poisson_path_mean_count():
 def _mfpp(d_path, arrivals, levels):
     """X(t) = N(E(t)) at each level t."""
     return time_changed_count(arrivals, first_passage(*d_path, levels))
+
+
+def test_batch_counts_are_those_of_each_streams_poisson_path():
+    # times at 0, at the horizon, between arrivals and on them; rate 2 on
+    # [0, 1.5] leaves some streams without arrivals
+    batch = rng.Streams(9, 50, 40)
+    paths = [sample_poisson_path(s, 2.0, 1.5) for s in batch]
+    assert min(map(len, paths)) == 0 and max(map(len, paths)) > 4
+    grid = np.random.default_rng(0).uniform(0.0, 1.5, (40, 3))
+    e = np.column_stack([np.zeros(40), np.full(40, 1.5), grid,
+                         [a[len(a) // 2] if len(a) else 0.7 for a in paths]])
+    want = np.array([time_changed_count(a, row) for a, row in zip(paths, e)])
+    got = time_changed_counts(batch, 2.0, 1.5, e)
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        time_changed_counts(batch, math.inf, 1.5, e)
 
 
 def test_mfpp_value_examples():

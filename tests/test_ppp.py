@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mssim import experiments, ppp
+from mssim import experiments, ppp, rng
 from mssim import (
     PointPattern,
     RngStream,
@@ -454,3 +454,20 @@ def test_sample_pattern_draw_layout_is_pinned_against_a_bare_philox(mode, parame
     assert pat.counts.tolist() == counts
     assert pat.times.tobytes() == np.concatenate(times).tobytes()
     assert pat.sizes.tobytes() == np.concatenate(sizes).tobytes()
+
+
+@pytest.mark.parametrize("mode, parameter", [("stationary", 1.5), ("threshold", 0.5)])
+def test_a_batch_draws_the_patterns_of_its_streams(mode, parameter):
+    # the stationary batch is drawn raw, one stream after another on one
+    # generator; the threshold batch opens one stream each
+    blk = _block(IDX_AFFINE, mode, parameter, 0.25, 1.0)
+    want = sample_pattern([RngStream(31, 7 + i) for i in range(40)], blk, IDX_AFFINE)
+    got = sample_pattern(rng.Streams(31, 7, 40), blk, IDX_AFFINE)
+    assert 0 in want.counts.tolist() and max(want.counts) > 1
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+
+
+def test_a_stationary_batch_checks_its_mean_once():
+    blk = ppp.Block(0.0, 1.0, Truncation("stationary", 1.0), math.nan, 0.5)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        sample_pattern(rng.Streams(31, 7, 4), blk, IDX_HALF)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mssim import (
-    RngStream, StabilityIndex, Truncation, plan_block, ppp, sample_pattern, sample_poisson_path,
+    RngStream, StabilityIndex, Truncation, experiments, inverse_mfpp, plan_block, ppp, rng,
+    sample_pattern, sample_poisson_path,
 )
 from mssim.experiments import stream_for
 
@@ -191,3 +192,117 @@ def test_sequential_streams_reuse_their_generators(monkeypatch):
     for rep in range(1000):
         stream_for(7, 1, rep).uniform(3)
     assert len(built) <= 2
+
+
+def test_zero_streams_names_each_stream_that_drew_an_exact_zero():
+    # streams of 2, 0, 3 and 1 draws in two joined arrays
+    counts = np.array([2, 0, 3, 1])
+    a = np.array([0.5, 0.25, 0.125, 0.0, 0.75, 0.375])
+    b = np.array([0.0, 0.5, 0.25, 0.5, 0.0, 0.5])
+    assert rng.zero_streams(counts, a, b) == [0, 2]
+    assert rng.zero_streams(counts, a[:0] + 1.0, b[:0]) == []
+    assert rng.zero_streams(counts, np.full(6, 0.5)) == []
+    assert rng.zero_streams(counts, np.array([0.5] * 5 + [0.0])) == [3]
+
+
+BATCHES = ((42, (7 << 40) + 5, 6), (2**64 - 1, 2**64 - 3, 3), (3, 0, 1))
+
+
+@pytest.mark.parametrize("seed, first, count", BATCHES)
+def test_a_batch_draws_what_each_of_its_keys_draws(seed, first, count):
+    # by index, by iteration and raw, with a generator reused from before
+    RngStream(1, 2).uniform(5)
+    batch = rng.Streams(seed, first, count)
+    assert len(batch) == count
+    want = [_fresh_draws(_fresh((seed, first + i))) for i in range(count)]
+    assert [_draws(batch[i]) for i in range(count)] == want
+    assert [_draws(s) for s in batch] == want
+    raw = [[int(r.poisson(3.5)), r.uniform(9).tolist(), (r.uniform(7) < 0.4).tolist()]
+           for r in batch.raw()]
+    assert raw == want
+    with pytest.raises(IndexError):
+        batch[count]
+
+
+def test_a_batch_checks_its_key_range():
+    for args in ((-1, 0, 1), (0.5, 0, 1), (0, -1, 1), (0, 2**64, 0), (0, 2**64 - 2, 3),
+                 (0, 0, -1), (0, 5, -1), (0, 0, 1.0)):
+        with pytest.raises(ValueError):
+            rng.Streams(*args)
+    assert len(rng.Streams(0, 2**64 - 2, 2)) == 2
+
+
+class _Zeroing:
+    """A raw stream whose first ``uniform`` call reads an exact zero at ``at``."""
+
+    def __init__(self, raw, at):
+        self.poisson, self.raw, self.at = raw.poisson, raw, at
+
+    def uniform(self, size):
+        u = self.raw.uniform(size)
+        u[self.at(size)] = 0.0
+        self.uniform = self.raw.uniform
+        return u
+
+
+def _zero_in_raw_draw(monkeypatch, j, at):
+    """Make the j-th stream of every raw batch draw an exact zero at ``at``."""
+    raw = rng.Streams.raw
+
+    def zeroing(self):
+        for i, r in enumerate(raw(self)):
+            yield _Zeroing(r, at) if i == j else r
+
+    monkeypatch.setattr(rng.Streams, "raw", zeroing)
+
+
+@pytest.mark.parametrize("half", ("times", "levels"))
+def test_a_raw_pattern_draw_with_an_exact_zero_is_drawn_again_from_its_key(half, monkeypatch):
+    # a raw draw skips the zero check, so the batch checks its joined draws
+    # once; a stream that drew a zero is drawn again as an RngStream, whose
+    # uniform redraws it, so the pattern is that of the stream's own draws
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    blk = plan_block(idx, 0.0, 1.0, Truncation("stationary", 3.0))
+    want = sample_pattern([RngStream(5, 100 + i) for i in range(8)], blk, idx)
+    assert want.counts[2] > 0
+    _zero_in_raw_draw(monkeypatch, 2, (lambda size: 0) if half == "times" else
+                      (lambda size: size // 2))
+    calls = []
+    real = ppp.sample_stationary
+
+    def recording(stream, b):
+        calls.append(stream)
+        return real(stream, b)
+
+    monkeypatch.setattr(ppp, "sample_stationary", recording)
+    got = sample_pattern(rng.Streams(5, 100, 8), blk, idx)
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
+    assert len(calls) == 9 and calls[-1].stream_id == 102
+
+
+def test_a_raw_arrival_draw_with_an_exact_zero_is_drawn_again_from_its_key(monkeypatch):
+    batch = rng.Streams(5, 200, 6)
+    e = np.array([[0.0, 1.0, 2.0]] * 6)
+    want = inverse_mfpp.time_changed_counts(batch, 3.0, 2.0, e)
+    # an arrival at 0 would count at e = 0
+    assert want[4].tolist()[0] == 0.0 < want[4, 2]
+    _zero_in_raw_draw(monkeypatch, 4, lambda size: 0)
+    assert inverse_mfpp.time_changed_counts(batch, 3.0, 2.0, e).tobytes() == want.tobytes()
+
+
+def test_a_stationary_kernel_call_keeps_one_generator(monkeypatch):
+    # its streams are drawn one after another on one re-keyed generator, not
+    # held open, since a new worker builds each generator afresh at 14 us
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    monkeypatch.setattr(rng, "_SPARE", [])
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    blk = plan_block(idx, 0.0, 1.0, Truncation("stationary", 12.5))
+    inc = experiments._increments_chunk(0, 2000, 42, 1, idx, blk, [(0.0, 0.5), (0.0, 1.0)])
+    assert inc["inc"].shape == (2000, 2) and len(built) <= 2
