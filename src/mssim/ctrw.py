@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .inverse_mfpp import first_passage
-from .quadrature import bisect
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,8 @@ def _jnk_from_uniforms(u, beta, beta_sup, L):
     at the support start and for all large t, so the regular variation that
     drives the limit theorems is untouched.  Levels at or above
     exp(-beta_sup) invert in closed form on the initial branch; smaller
-    levels invert the ultimately strictly decreasing branch by bisection in
-    ln t, to a few ulps of ln t, on a bracket that always holds the root."""
+    levels invert the ultimately strictly decreasing branch through the
+    lower branch of the Lambert W function."""
     u = np.asarray(u, dtype=float)
     beta = np.broadcast_to(np.asarray(beta, dtype=float), u.shape)
     if L.kind == "unit":
@@ -71,15 +70,21 @@ def _jnk_from_uniforms(u, beta, beta_sup, L):
 
 
 def _invert_log_tail(u, beta, beta_sup):
-    # in y = ln t the branch y >= 1/beta is (beta/beta_sup) * y * exp(-beta*y),
-    # strictly decreasing; y * exp(-beta*y) <= 2/(e*beta) * exp(-beta*y/2)
-    # puts the root below (2/beta) * ln(2/(e*beta_sup*u))
-    lo = 1.0 / beta
-    hi = np.maximum(lo, 2.0 / beta * np.log(2.0 / (math.e * beta_sup * u)))
-    log_u = np.log(u)
-    lo, hi = bisect(lambda y: np.log(beta / beta_sup * y) - beta * y >= log_u, lo, hi,
-                    lambda lo, hi: hi - lo <= 4.0 * np.spacing(hi))
-    return np.exp(0.5 * (lo + hi))
+    # in y = ln t the branch y >= 1/beta is (beta/beta_sup) * y * exp(-beta*y) = u, so z =
+    # -beta*y solves z * exp(z) = x = -beta_sup * u, in (-1/e, 0) as u < exp(-beta_sup): z is
+    # W_-1(x), the lower branch of Lambert's W (Corless et al. 1996), here by Halley steps
+    # from its branch-point series near x = -1/e and its asymptotic form elsewhere
+    x = -beta_sup * u
+    p = -np.sqrt(2.0 * (1.0 + math.e * x))
+    l1 = np.log(-x)
+    l2 = np.log(-l1)
+    w = np.where(x < -0.25, -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0)),
+                 l1 - l2 + l2 / l1)
+    for _ in range(6):
+        ew = np.exp(w)
+        f = w * ew - x
+        w = w - f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return np.exp(-w / beta)
 
 
 def norming_an(n, L, beta_sup):

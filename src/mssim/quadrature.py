@@ -1,5 +1,5 @@
-"""Adaptive Simpson integration and bisection, shared by every integral
-and every root search in the package.
+"""Adaptive Simpson integration, shared by every integral in the package,
+and the scalar bisection of the truncation solve.
 
 Integrands are vectorised: ``f`` takes a float array of nodes and returns
 an array of the same shape.  The quadrature refines breadth-first, so each
@@ -100,22 +100,16 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=(), pieces=False):
 
 
 def bisect(high_side, lo, hi, close):
-    """Shrink the brackets [lo, hi] of scalar roots by halving, elementwise
-    for arrays of brackets.
+    """Shrink the bracket [lo, hi] of a scalar root by halving.
 
-    ``high_side(mid)`` is true where the root lies above ``mid``.  A bracket
-    stops at the first halving that leaves ``close(lo, hi)`` true for it, as
-    it would alone, and the loop raises ValueError if 200 halvings leave one
-    open.  Returns the final brackets
-    (Python floats for a scalar bracket, which ``high_side`` also receives
-    as a float), so each caller picks the end (or midpoint) it needs."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    done = np.zeros(lo.shape, dtype=bool)
+    ``high_side(mid)`` is true where the root lies above ``mid``.  The loop
+    stops at the first halving that leaves ``close(lo, hi)`` true, and raises
+    ValueError if 200 halvings leave the bracket open.  Returns the final
+    bracket as Python floats, so the caller picks the end it needs."""
+    lo, hi = float(lo), float(hi)
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        up = high_side(mid if mid.ndim else float(mid))
-        lo, hi = np.where(up & ~done, mid, lo), np.where(up | done, hi, mid)
-        done |= close(lo, hi)
-        if done.all():
-            return (lo, hi) if lo.ndim else (float(lo), float(hi))
+        lo, hi = (mid, hi) if high_side(mid) else (lo, mid)
+        if close(lo, hi):
+            return lo, hi
     raise ValueError(f"bisection left a bracket open after {_BISECT_STEPS} halvings")

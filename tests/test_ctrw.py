@@ -87,16 +87,18 @@ def _log_survival(t, beta, beta_sup):
 
 @pytest.mark.parametrize("beta", [0.1, 0.2, 0.3, 0.5, 0.9])
 def test_log_tail_inverse_residual_down_to_tiny_levels(beta):
-    # at u = 1e-15 and beta = 0.1 the root is near e**380, far past the
-    # bracket a bisection in t can close in 200 halvings
-    u = np.logspace(-15.0, 0.0, 301)[:-1]
-    for beta_sup in (beta, 0.95):
+    # at u = 1e-15 and beta = 0.1 the root is near e**380; 2**-53 is the level
+    # RowPlan probes for overflow, and the levels just below the kink
+    # exp(-beta_sup) come next to the branch point of W_-1 at beta_sup = 0.99
+    for beta_sup in (beta, 0.95, 0.99):
+        below_kink = math.exp(-beta_sup) * (1.0 - 10.0 ** -np.arange(1.0, 16.0))
+        u = np.concatenate((np.logspace(-15.0, 0.0, 301)[:-1], [2.0**-53], below_kink))
         t = _jnk_from_uniforms(u, beta, beta_sup, LOG)
         assert (np.abs(_log_survival(t, beta, beta_sup) - u) <= 1e-12 * u).all()
 
 
 def test_log_summands_do_not_depend_on_their_batch():
-    # each cell's tail bisection stops where it closes, whatever cells share its call
+    # each cell's tail inverse is elementwise, whatever cells share its call
     u = RngStream(23, 0).uniform(20_000)
     beta = np.linspace(0.3, 0.7, u.size)
     whole = _jnk_from_uniforms(u, beta, 0.7, LOG)
@@ -270,7 +272,7 @@ def test_ctrw_rep_clamps_and_flags_an_unreached_level(monkeypatch):
                                     ("affine:0.4,0.2", UNIT)])
 def test_a_row_drawn_until_its_level_is_a_prefix_of_the_whole_row(spec, L):
     # horizon 2.5: a row draws its cells up to n * level, then n/4 at a time until
-    # its sum reaches the level; the log family's bisections run in other batches
+    # its sum reaches the level; the log family's tail inverse sees other batches
     idx = StabilityIndex.from_spec(spec, 2.5)
     for n in (20, 101):
         row = RowPlan(n, idx, L)

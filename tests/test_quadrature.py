@@ -189,20 +189,6 @@ def test_bisect_scalar_bracket_stays_float():
     assert lo <= math.sqrt(2.0) <= hi and hi - lo < 1e-12
 
 
-def test_bisect_is_elementwise():
-    # each bracket of an array halves exactly as the same bracket alone
-    targets = np.array([0.1, 2.0, 7.5, 30.0])
-    close = lambda lo, hi: hi - lo < 1e-9 * np.maximum(1.0, lo)  # noqa: E731
-    lo, hi = bisect(lambda mid: mid**2 < targets, np.zeros(4), np.full(4, 6.0), close)
-    assert lo.shape == hi.shape == (4,)
-    assert (close(lo, hi)).all()
-    for i, v in enumerate(targets):
-        one = bisect(lambda mid: mid**2 < v, 0.0, 6.0, lambda a, b: b - a < 1e-9 * max(1.0, a))
-        # a bracket stops where it closes, though the others halve on
-        assert (lo[i], hi[i]) == one
-    assert (lo <= np.sqrt(targets)).all() and (np.sqrt(targets) <= hi).all()
-
-
 def test_level_node_cap_raises_and_names_the_interval(monkeypatch):
     from mssim import quadrature
 
