@@ -6,6 +6,7 @@ never changes a single output byte.  Exit code 0 means every row passed.
 """
 
 import argparse
+import gc
 import sys
 
 from . import experiments
@@ -87,6 +88,13 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run the command in ``argv``, or in ``sys.argv`` as a process's entry.
+
+    At entry (``argv`` is ``None``) the heap that the imports built is
+    frozen, so no later collection, forked worker or interpreter exit walks
+    it again; a caller that passes a list keeps its collector as it was."""
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     kwargs = vars(parser.parse_args(argv))
     command, run = kwargs.pop("command"), kwargs.pop("run")

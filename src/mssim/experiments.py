@@ -14,7 +14,6 @@ criterion-5 kernels sort each stream's path with
 ``subordinator.build_path``.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import contextlib
 import csv
@@ -159,14 +158,37 @@ def _kernel_reps(blk):
     return _reps_for(ppp.drawn_count(blk))
 
 
+class ProcessPoolExecutor:
+    """``concurrent.futures.ProcessPoolExecutor``, imported when a pool is
+    built: a run that opens none never loads ``multiprocessing``."""
+
+    def __init__(self, max_workers):
+        from concurrent import futures
+
+        self._pool = futures.ProcessPoolExecutor(max_workers=max_workers)
+        self._max_workers = max_workers
+
+    def submit(self, fn, *args, **kwargs):
+        return self._pool.submit(fn, *args, **kwargs)
+
+    def __enter__(self):
+        self._pool.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self._pool.__exit__(*exc)
+
+
 def _open_pool(workers):
     """The one process pool of a run, for its plan and every replication
-    map: none (serial) at one worker, else at most one process per CPU.
-    Use it in a ``with`` block, which yields ``None`` for no pool; its
-    processes start at the first submit."""
-    if workers <= 1:
+    map, of at most ``workers`` processes and one per CPU.  Use it in a
+    ``with`` block, which yields ``None`` for no pool: where that cap is one
+    process the run is serial, and the pool's modules are never imported.
+    A pool's processes start at its first submit."""
+    size = min(workers, os.cpu_count() or 1)
+    if size <= 1:
         return contextlib.nullcontext()
-    return ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1))
+    return ProcessPoolExecutor(max_workers=size)
 
 
 def _map_chunk(fn, lo, hi, params, kernel_reps):
@@ -201,7 +223,8 @@ def _map_reps(fn, reps, pool, kernel_reps, **params):
     two chunks run serially."""
     if pool is None or reps < 2 * _MIN_CHUNK:
         return _map_chunk(fn, 0, reps, params, kernel_reps)
-    # _max_workers is the size the executor was built with
+    # _max_workers is the pool's size, at least two: _open_pool builds no
+    # pool of one process
     chunk = max(_MIN_CHUNK, -(-reps // (_CHUNKS_PER_WORKER * pool._max_workers)))
     parts = _results([pool.submit(_map_chunk, fn, lo, min(lo + chunk, reps), params, kernel_reps)
                       for lo in range(0, reps, chunk)])

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import gc
 import inspect
 import subprocess
 import sys
@@ -184,6 +185,52 @@ def test_the_cli_does_not_import_mpmath():
     res = subprocess.run([sys.executable, "-c", code], env=cli_env(), capture_output=True,
                          text=True, timeout=60)
     assert res.stdout.strip() == "False", res.stderr
+
+
+def _pool_modules_after(*argv):
+    """The pool modules loaded once ``cli.main(argv)`` returns, in a fresh
+    interpreter that reports two CPUs, so a two-worker run opens a pool."""
+    code = ("import os, sys\nfrom mssim import cli\nos.cpu_count = lambda: 2\n"
+            "cli.main(sys.argv[1:])\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", code, *argv], env=cli_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.splitlines()[-1]
+
+
+def test_the_pool_modules_load_only_when_a_pool_opens():
+    assert _pool_modules_after("laplace", "--beta", "constant:0.5", "--reps", "2",
+                               "--workers", "1") == "[]"
+    assert _pool_modules_after("ctrw", "--beta", "constant:0.5", "--n", "100", "--reps", "20",
+                               "--workers", "2") == "['multiprocessing', 'concurrent.futures']"
+
+
+def test_main_with_an_argv_leaves_the_collector_alone(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main(["laplace", "--beta", "constant:0.5", "--reps", "2"]) in (0, 1)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_main_without_an_argv_freezes_the_heap_once_before_the_run(monkeypatch, capsys):
+    # a recording freeze, so this process's own heap is never frozen
+    events = []
+    build = cli.build_parser
+
+    def building():
+        events.append("parser")
+        return build()
+
+    def record(**kwargs):
+        events.append("run")
+        return experiments.Report("laplace", {}, ("pass",), [(True,)])
+
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(cli, "build_parser", building)
+    monkeypatch.setattr(experiments, "run_laplace", record)
+    monkeypatch.setattr(sys, "argv", ["mssim", "laplace", "--beta", "constant:0.5"])
+    assert cli.main() == 0
+    assert events == ["freeze", "parser", "run"]
 
 
 def _oracle_at_k0(csv):

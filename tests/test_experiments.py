@@ -2,6 +2,7 @@
 
 from concurrent.futures import Future
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -646,6 +647,30 @@ def test_a_run_builds_one_pool_and_one_worker_builds_none(inline_pool):
     assert submitted == {experiments._map_chunk, experiments._passage_block}
     run_mfpp("constant:0.5", 1.0, [1.0], 64, 3, workers=2)
     assert inline_pool.sizes == [2, 2] and inline_pool.exits == 2
+
+
+def test_a_pool_capped_at_one_process_is_not_built(inline_pool, monkeypatch):
+    # on one CPU, two workers run serially: no pool, no chunk pickled
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+    with experiments._open_pool(2) as pool:
+        assert pool is None
+    ctrw_args = ("constant:0.5", "unit", [100, 1000], [1.0], 64, 3)
+    serial = experiments.run_ctrw(*ctrw_args, workers=1).to_csv()
+    assert experiments.run_ctrw(*ctrw_args, workers=2).to_csv() == serial
+    assert inline_pool.sizes == [] and inline_pool.calls == []
+
+
+def _failing_kernel(lo, hi):
+    raise ValueError(f"chunk [{lo}, {hi}) failed")
+
+
+def test_a_chunk_that_raises_in_a_real_pool_leaves_no_process_running(monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match=r"chunk \[0, 16\) failed"):
+        with experiments._open_pool(2) as pool:
+            assert pool is not None
+            _map_reps(_failing_kernel, 128, pool, experiments._KERNEL_REPS)
+    assert multiprocessing.active_children() == []
 
 
 def test_pooled_paths_write_the_serial_bytes(tmp_path, monkeypatch, capsys):
