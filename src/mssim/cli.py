@@ -55,10 +55,8 @@ def build_parser():
     lap.add_argument("--t", dest="ts", type=_list("--t"), help="comma-separated times t of D(t)")
     lap.add_argument("--trunc-m", type=float,
                      help="stationary truncation level M of the compensated block (default: "
-                     "the smallest M that keeps every row within the mass budget)")
-    lap.add_argument("--mass-budget", type=float,
-                     help="jump mass a pure-jump block may exclude; no row's bias bound may "
-                     "exceed theta times that block's excluded mass up to t")
+                     "the smallest M whose rows allow no more than a pure-jump block excluding "
+                     f"a jump mass of {experiments.DEFAULT_MASS_BUDGET:g})")
 
     mfpp = command("mfpp", experiments.run_mfpp, "marginal law of the time-changed count X(t)")
     mfpp.add_argument("--lambda", dest="lam", type=float, help=rate)

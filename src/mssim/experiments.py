@@ -149,8 +149,9 @@ _KERNEL_POINTS = 2**13
 def _reps_for(points):
     """The replications of one kernel call whose replications each draw
     ``points`` in the mean: at most ``_KERNEL_REPS`` and about
-    ``_KERNEL_POINTS`` points, or one where one replication draws more."""
-    return max(1, min(_KERNEL_REPS, int(_KERNEL_POINTS / points)))
+    ``_KERNEL_POINTS`` points, or one where one replication draws more; a
+    zero or subnormal mean, whose quotient is inf, gets ``_KERNEL_REPS``."""
+    return max(1, int(min(_KERNEL_REPS, _KERNEL_POINTS / points if points else math.inf)))
 
 
 def _kernel_reps(blk):
@@ -583,9 +584,9 @@ def _check_times(ts):
     return ts
 
 
-def _laplace_level(idx, ts, theta_max, mass_budget):
+def _laplace_level(idx, ts, theta_max):
     """The smallest stationary level M at which no compensated transform row
-    allows more than the pure-jump block at the excluded-mass budget does.
+    allows more than the pure-jump block at ``DEFAULT_MASS_BUDGET`` does.
 
     That block excludes the mass m(t) up to t, capped at the budget, and its
     rows allow theta * m(t).  A compensated row allows at most
@@ -593,10 +594,10 @@ def _laplace_level(idx, ts, theta_max, mass_budget):
     2 log1p(theta * m(t)) / theta**2 suffices, and the right side falls in
     theta.  The level is solved at the smallest t; a later t is checked at
     it, and solved for where the check fails."""
-    pure = ppp.solve_truncation(idx, ts[-1], "stationary", mass_budget)
+    pure = ppp.solve_truncation(idx, ts[-1], "stationary", DEFAULT_MASS_BUDGET)
     level = None
     for t in ts:
-        mass = min(ppp.small_jump_mass_window(idx, 0.0, t, pure), mass_budget)
+        mass = min(ppp.small_jump_mass_window(idx, 0.0, t, pure), DEFAULT_MASS_BUDGET)
         sd = math.sqrt(2.0 * math.log1p(theta_max * mass)) / theta_max
         # the variance falls in M, so t's own level is above one that fails it
         if level is None or ppp.small_jump_variance_window(idx, 0.0, t, level) > sd * sd:
@@ -626,26 +627,25 @@ def _d_reference(idx, ts, reps, seed, pool, blk, channel=CH_D_REFERENCE):
 
 
 def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, seed=0, workers=1,
-                trunc_m=None, mass_budget=DEFAULT_MASS_BUDGET):
+                trunc_m=None):
     """Monte Carlo transform values of D(t) against the closed form.
 
     D(t) is compensated: the jump sum of a stationary block up to t plus
     the mass it excludes up to t.  The block's level is ``trunc_m`` or, by
     default, the smallest one whose rows allow no more than a pure-jump
-    block at ``mass_budget`` would.  Row pass: |MC mean - closed form| <=
+    block at ``DEFAULT_MASS_BUDGET`` would.  Row pass: |MC mean - closed form| <=
     3*SE + bias_bound, the ``_compensated_allowance`` at t."""
     reps, seed = _check_common(reps, seed)
     thetas = [float(v) for v in thetas]
     _require(thetas and all(_positive(v) for v in thetas),
              f"theta values must be positive and finite, got {thetas}")
     ts = _check_times(ts)
-    _require(_positive(mass_budget), f"mass budget must be positive and finite, got {mass_budget}")
     _require(trunc_m is None or _positive(trunc_m),
              f"trunc-m must be positive and finite, got {trunc_m}")
     T = ts[-1]
     idx = StabilityIndex.from_spec(beta_spec, T)
     if trunc_m is None:
-        trunc_m = _laplace_level(idx, ts, max(thetas), mass_budget)
+        trunc_m = _laplace_level(idx, ts, max(thetas))
     trunc = ppp.Truncation("stationary", float(trunc_m))
     blk = ppp.plan_block(idx, 0.0, T, trunc)
     _check_run_points(reps, ppp.drawn_count(blk))
@@ -870,6 +870,8 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
                      monotone=200, mfpp=100_000, tail=1_000_000, ctrw=10_000)
         ctrw_ns = (100, 1000, 10_000)
         ctrw_alpha = 0.01
+    _require(max(sizes.values()) * scale < math.inf,
+             f"scale must keep every replication count finite, got {scale}")
     sizes = {k: _scaled(v, scale, floor=20 if k == "monotone" else 200)
              for k, v in sizes.items()}
     rows = []

@@ -13,7 +13,7 @@ def sample_poisson_path(stream, rate, horizon):
         raise ValueError(f"rate must be positive, got {rate}")
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    return np.sort(horizon * stream.uniform(stream.poisson(rate * horizon)))
+    return np.sort(horizon * _unit_arrivals(stream, rate * horizon)[0])
 
 
 def time_changed_counts(streams, rate, horizon, e):
@@ -22,22 +22,22 @@ def time_changed_counts(streams, rate, horizon, e):
     from the i-th stream of the ``rng.Streams`` batch ``streams``.
 
     Each stream draws what ``sample_poisson_path`` draws from it, through
-    ``Streams.raw`` with the mean and the draws checked once, and its
-    arrivals are left unsorted: a count is one comparison of the joined
-    arrivals with their stream's times, summed by stream."""
+    ``rng.draw_joined`` with the mean checked once, and its arrivals are
+    left unsorted: a count is one comparison of the joined arrivals with
+    their stream's times, summed by stream."""
     mean = rate * horizon
     rng.check_mean(mean)
-    draws = [s.uniform(s.poisson(mean)) for s in streams.raw()]
-    counts = np.array([len(u) for u in draws])
-    u = np.concatenate(draws)
-    for j in rng.zero_streams(counts, u):
-        s = streams[j]
-        draws[j] = s.uniform(s.poisson(mean))
-        u = np.concatenate(draws)
+    u, counts = rng.draw_joined(streams, _unit_arrivals, mean)
     owner = np.repeat(np.arange(len(streams)), counts)
     hits = horizon * u[:, None] <= e[owner]
     return np.stack([np.bincount(owner, weights=h, minlength=len(streams)) for h in hits.T],
                     axis=1)
+
+
+def _unit_arrivals(stream, mean):
+    """A Poisson(``mean``) count K of uniform arrivals on [0, 1], and K."""
+    k = stream.poisson(mean)
+    return stream.uniform(k), k
 
 
 def first_passage(times, prefix, levels, start=0.0, drift=0.0, t0=0.0, t1=np.inf):

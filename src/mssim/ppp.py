@@ -130,20 +130,13 @@ def sample_pattern(streams, blk, idx):
     K levels (``sample_stationary``) or K keep uniforms, and then the sizes
     of its kept points (``sample_threshold``).  The maps onto [t0, t1] and
     (0, M] run elementwise over the joined streams, so each stream's points
-    are the floats it draws alone.  A stationary batch is drawn through
-    ``Streams.raw``, one stream after another on one generator, and its mean
-    and its draws are checked once: a stream that drew an exact zero is
-    drawn again as an ``RngStream``, whose ``uniform`` redraws it.  Every
-    stream of a threshold list stays open."""
+    are the floats it draws alone.  A stationary batch is drawn by
+    ``rng.draw_joined``, one stream after another on one generator, with its
+    mean checked once.  Every stream of a threshold list stays open."""
     if blk.trunc.mode != "stationary":
         return sample_threshold(list(streams), blk, idx)
     rng.check_mean(blk.mean_count)
-    draws = streams.raw() if isinstance(streams, rng.Streams) else streams
-    pats = [sample_stationary(s, blk) for s in draws]
-    t, u, counts = _joined(pats)
-    for j in rng.zero_streams(counts, t, u):
-        pats[j] = sample_stationary(streams[j], blk)
-        t, u, counts = _joined(pats)
+    t, u, counts = rng.draw_joined(streams, sample_stationary, blk)
     t = blk.t0 + (blk.t1 - blk.t0) * t
     u *= blk.trunc.parameter
     return PointPattern(t, stationary_sizes(u, idx.evaluate_many(t)), counts)
@@ -157,13 +150,6 @@ def _unit_pattern(stream, mean):
     k = stream.poisson(mean)
     u = stream.uniform(2 * k)
     return PointPattern(u[:k], u[k:], k)
-
-
-def _joined(pats):
-    """The unit patterns ``pats`` joined in stream order: their first
-    coordinates, their second, and their counts."""
-    return (np.concatenate([p.times for p in pats]), np.concatenate([p.sizes for p in pats]),
-            np.array([p.counts for p in pats]))
 
 
 def sample_stationary(stream, blk):
@@ -212,8 +198,7 @@ def sample_threshold_times(streams, idx, blk):
     each, in one ``uniform`` call; a candidate is kept with probability
     eps**(sup beta - beta(t)), so the kept count is Poisson with the block's
     mean count.  The exact supremum makes the envelope dominate."""
-    mean = envelope_count(blk)
-    t, keep, counts = _joined([_unit_pattern(s, mean) for s in streams])
+    t, keep, counts = rng.draw_joined(streams, _unit_pattern, envelope_count(blk))
     t = blk.t0 + (blk.t1 - blk.t0) * t
     beta = idx.evaluate_many(t)
     kept = np.flatnonzero(thinned(blk, keep, beta))
@@ -355,7 +340,8 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
         return 10.0 ** (a if rises else b)
 
     if compensated:
-        p = solve(small_jump_variance_window, budget**2, mode == "threshold")
+        # budget**2 raises an OverflowError past 1.3e154, and an inf target is met anywhere
+        p = solve(small_jump_variance_window, budget * budget, mode == "threshold")
     else:
         p = solve(small_jump_mass_window, budget, mode == "threshold")
     if max_count < math.inf and expected_count_window(idx, t0, T, Truncation(mode, p)) > max_count:

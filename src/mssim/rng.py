@@ -4,7 +4,7 @@ Every replication gets its own stream derived statelessly from
 ``(master_seed, stream_id)``, so replications can be scheduled in any
 order on any number of workers and still produce identical output.  A
 chunk kernel takes the streams of its replications as one ``Streams``
-batch, whose key range is checked once.
+batch, whose key range is checked once, and ``draw_joined`` draws it.
 """
 
 import math
@@ -121,9 +121,8 @@ class Streams:
         """Each stream in turn as one object whose ``poisson`` and ``uniform``
         are a single generator's own draws, re-keyed for each stream, so a
         stream must be drawn before the next is taken.  They skip the checks
-        of ``RngStream``, so the caller runs them once over all the draws:
-        ``check_mean`` on the Poisson mean, and ``zero_streams`` for draws
-        of an exact zero, whose streams it draws again by index."""
+        of ``RngStream``: ``draw_joined`` checks the draws for an exact zero,
+        and the caller checks the Poisson mean with ``check_mean``."""
         gen, state = _spare(), _fresh_state()
         raw = SimpleNamespace(poisson=gen.poisson, uniform=gen.random)
         try:
@@ -135,12 +134,21 @@ class Streams:
             _SPARE.append(gen)
 
 
-def zero_streams(counts, *joined):
-    """The positions of the streams that drew an exact zero, where each of
-    the arrays ``joined`` holds ``counts[i]`` draws of the i-th stream, in
-    stream order; ``RngStream.uniform`` redraws a zero, a raw draw does
-    not (probability 2**-53 a draw)."""
-    if all(np.count_nonzero(a) == a.size for a in joined):
-        return []
-    zero = np.flatnonzero(np.logical_or.reduce([a == 0.0 for a in joined]))
-    return np.unique(np.searchsorted(np.cumsum(counts), zero, side="right")).tolist()
+def draw_joined(streams, draw, arg):
+    """``draw(stream, arg)`` from each of ``streams``, a ``Streams`` batch or
+    a list of live streams: a tuple of arrays that each hold the stream's K
+    draws, then K.  Each array is joined across the streams in stream order,
+    then the K make an array of the counts.
+
+    A batch is drawn through ``raw``, so the joined draws are checked once for
+    an exact zero (probability 2**-53 a draw): each stream that drew one is
+    drawn again from its key as an ``RngStream``, which never draws one."""
+    draws = [draw(s, arg) for s in (streams.raw() if isinstance(streams, Streams) else streams)]
+    while True:
+        *joined, counts = ([d[i] for d in draws] for i in range(len(draws[0])))
+        joined = [np.concatenate(a) for a in joined]
+        if all(np.count_nonzero(a) == a.size for a in joined):
+            return (*joined, np.array(counts))
+        zero = np.flatnonzero(np.logical_or.reduce([a == 0.0 for a in joined]))
+        for j in np.unique(np.searchsorted(np.cumsum(counts), zero, side="right")).tolist():
+            draws[j] = draw(streams[j], arg)

@@ -64,12 +64,41 @@ def test_bad_beta_spec_is_usage_error():
     ("laplace", "--beta", "constant:0.5", "--theta", "inf", "--reps", "10"),
     ("mfpp", "--beta", "constant:0.5", "--lambda", "inf", "--reps", "10"),
     ("verify", "--quick", "--scale", "inf"),
+    # finite, but it takes the replication counts past the float range
+    ("verify", "--quick", "--scale", "1.7976931348623157e308"),
 ])
 def test_non_finite_input_is_usage_error(args):
     res = run_cli(*args, timeout=5)
     assert res.returncode == 2
     assert "finite" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    # a subnormal or zero mean count of jumps, walk steps or arrivals per
+    # replication sizes the kernel calls
+    ("laplace", "--beta", "constant:0.5", "--t", "1e-310", "--reps", "10"),
+    ("ctrw", "--beta", "constant:0.5", "--n", "100", "--t", "1e-310", "--reps", "10"),
+    ("ctrw", "--beta", "constant:0.5", "--n", "100", "--lambda", "1e-310", "--reps", "10"),
+    ("paths", "--beta", "constant:0.5", "--t", "1e-310", "--reps", "2"),
+    ("mfpp", "--beta", "constant:0.5", "--lambda", "1e-310", "--reps", "10"),
+    ("laplace", "--beta", "constant:0.5", "--t", "5e-324", "--trunc-m", "0.5", "--reps", "10"),
+    # an excluded-sd target of about 4e158, whose square passes the float range
+    ("laplace", "--beta", "constant:0.5", "--theta", "1e-320", "--reps", "10"),
+])
+def test_vanishing_input_ends_in_a_report(args, tmp_path):
+    res = run_cli(*args, timeout=60, cwd=tmp_path, env=cli_env())
+    assert res.returncode in (0, 1), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_a_scale_past_the_float_range_is_rejected_before_any_criterion(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(experiments, "run_laplace", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--quick", "--scale", "1.7976931348623157e308"])
+    assert exc.value.code == 2 and not ran
+    assert "keep every replication count finite" in capsys.readouterr().err
 
 
 def test_tiny_index_reports_without_traceback():
@@ -96,8 +125,6 @@ WALK_ARGV = ("ctrw", "--beta", "constant:0.5", "--n", "100", "--lambda", "1e6", 
 
 
 @pytest.mark.parametrize("args", [
-    # a compensated block needs 6.6e10 points to keep every row within this budget
-    ("laplace", "--beta", "constant:0.95", "--mass-budget", "1e-12", "--reps", "10"),
     ("mfpp", "--beta", "constant:0.99", "--trunc-m", "1e12", "--reps", "10"),
     ("laplace", "--beta", "constant:0.5", "--trunc-m", "1e12", "--reps", "10"),
     ("ctrw", "--beta", "constant:0.5", "--n", "1000000000000", "--t", "1", "--reps", "2"),
@@ -305,8 +332,7 @@ def test_every_option_has_help():
 
 # every option of every command: a new option is added here on purpose
 OPTIONS = {
-    "laplace": ["--seed", "--workers", "--out", "--reps", "--beta", "--theta", "--t", "--trunc-m",
-                "--mass-budget"],
+    "laplace": ["--seed", "--workers", "--out", "--reps", "--beta", "--theta", "--t", "--trunc-m"],
     "mfpp": ["--seed", "--workers", "--out", "--reps", "--beta", "--lambda", "--t", "--trunc-m"],
     "ctrw": ["--seed", "--workers", "--out", "--reps", "--beta", "--lfamily", "--n", "--t",
              "--lambda", "--alpha"],
@@ -347,7 +373,7 @@ def test_absent_options_are_not_passed(monkeypatch, capsys):
 # defaults the parser used to state, spelled out
 DEFAULTED = {
     "laplace": (("laplace", "--beta", "affine:0.4,0.2", "--reps", "50"),
-                ("--theta", "0.5,1,2", "--t", "0.5,1", "--mass-budget", "0.001")),
+                ("--theta", "0.5,1,2", "--t", "0.5,1")),
     "mfpp": (("mfpp", "--beta", "constant:0.5", "--reps", "50"), ("--lambda", "1", "--t", "1")),
     "ctrw": (("ctrw", "--beta", "constant:0.5", "--reps", "20"),
              ("--lfamily", "unit", "--n", "100,1000", "--t", "1", "--lambda", "1",
@@ -463,8 +489,7 @@ BETAS = ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1", "sin:0.5,0.2,2", "si
 # a file, a file in a missing directory, and a directory
 OUTS = ("out.csv", "missing/out.csv", ".")
 FLAGS = {
-    "laplace": {"--theta": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS,
-                "--mass-budget": NUMBERS, "--out": OUTS},
+    "laplace": {"--theta": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS, "--out": OUTS},
     "mfpp": {"--lambda": NUMBERS, "--t": NUMBERS, "--trunc-m": NUMBERS, "--out": OUTS},
     "ctrw": {"--n": ("2", "100", "100,1000", "0", "-5", "x"), "--t": NUMBERS,
              "--lfamily": ("unit", "log", "poly"), "--lambda": NUMBERS, "--out": OUTS},

@@ -164,7 +164,7 @@ def test_compensated_laplace_rows_allow_no_more_than_pure_jump_rows(spec):
     thetas, ts = (0.5, 1.0, 2.0), (0.5, 1.0)
     idx = StabilityIndex.from_spec(spec, 1.0)
     pure = ppp.solve_truncation(idx, 1.0, "stationary", experiments.DEFAULT_MASS_BUDGET)
-    level = experiments._laplace_level(idx, ts, max(thetas), experiments.DEFAULT_MASS_BUDGET)
+    level = experiments._laplace_level(idx, ts, max(thetas))
     assert level < pure.parameter / 100.0
     comp = ppp.Truncation("stationary", level)
     for t in ts:
@@ -402,6 +402,20 @@ def test_block_passage_of_the_stationary_plan_equals_the_inline_kernel():
     # the plan of ``mfpp --trunc-m``: compensated stationary blocks at one level
     idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
     plan = plan_passage(idx, (0.05, 0.3, 1.0), trunc_m=2000.0)
+    for rep in range(12):
+        got = _block_passage([stream_for(5, CH_PASSAGE, rep)], plan)[0]
+        want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
+        np.testing.assert_array_equal(got, want)
+        assert not np.isnan(got).any()
+
+
+def test_block_passage_of_a_zero_drift_plan_equals_the_inline_kernel():
+    # at an index of 0.01, M = 1e4 excludes a mass of about 1e-398 per unit
+    # time, which underflows to 0 in every bin: every crossing takes the
+    # zero-drift bin sums
+    idx, _ = choose_horizon("constant:0.01", 1.0)
+    plan = plan_passage(idx, [1.0], trunc_m=10000.0)
+    assert all(blk.drift is not None and not blk.drift.any() for blk in plan.blocks)
     for rep in range(12):
         got = _block_passage([stream_for(5, CH_PASSAGE, rep)], plan)[0]
         want = _inline_block_passage(stream_for(5, CH_PASSAGE, rep), plan)
@@ -927,6 +941,18 @@ def test_increments_cross_kernel_calls_and_pools_bit_for_bit(mode, monkeypatch):
     monkeypatch.setattr(experiments, "_KERNEL_REPS", 7)
     assert _increments(40, None, **kwargs).tobytes() == want.tobytes()
     assert ranges == [(lo, min(lo + 7, 40)) for lo in range(0, 40, 7)]
+
+
+def test_kernel_reps_are_total_in_the_mean_point_count():
+    # a zero or subnormal mean gets the replication cap, not a division by
+    # zero or an overflowing int
+    full = experiments._KERNEL_POINTS / experiments._KERNEL_REPS
+    for points in (0.0, 5e-324, 1e-310, 1.0, full):
+        assert experiments._reps_for(points) == experiments._KERNEL_REPS, points
+    assert experiments._reps_for(np.nextafter(full, math.inf)) == experiments._KERNEL_REPS - 1
+    assert experiments._reps_for(1000.0) == 8
+    for points in (experiments._KERNEL_POINTS, 1e300, math.inf):
+        assert experiments._reps_for(points) == 1, points
 
 
 def test_keyed_sums_add_each_key_in_array_order():

@@ -196,6 +196,14 @@ def test_stationary_excluded_variance_overflows_to_inf_quietly():
     assert m.parameter == pytest.approx((1e-6 * 1.99 / 0.01) ** (-0.01 / 1.99), rel=1e-9)
 
 
+def test_a_compensated_solve_takes_an_sd_whose_square_passes_the_float_range():
+    # an sd of 4e158 has a variance of 1.6e317: every level of the bracket
+    # is within it, so the solve returns the end that excludes the most
+    for mode, edge in (("stationary", 1e-6), ("threshold", 10.0**-1e-9)):
+        trunc = solve_truncation(IDX_HALF, 1.0, mode, 4e158, compensated=True)
+        assert trunc == Truncation(mode, edge)
+
+
 def test_solve_truncation_caps_the_point_count():
     free = solve_truncation(IDX_AFFINE, 1.0, "threshold", 1e-3)
     count = expected_count_window(IDX_AFFINE, 0.0, 1.0, free)

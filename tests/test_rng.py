@@ -194,15 +194,27 @@ def test_sequential_streams_reuse_their_generators(monkeypatch):
     assert len(built) <= 2
 
 
-def test_zero_streams_names_each_stream_that_drew_an_exact_zero():
-    # streams of 2, 0, 3 and 1 draws in two joined arrays
-    counts = np.array([2, 0, 3, 1])
-    a = np.array([0.5, 0.25, 0.125, 0.0, 0.75, 0.375])
-    b = np.array([0.0, 0.5, 0.25, 0.5, 0.0, 0.5])
-    assert rng.zero_streams(counts, a, b) == [0, 2]
-    assert rng.zero_streams(counts, a[:0] + 1.0, b[:0]) == []
-    assert rng.zero_streams(counts, np.full(6, 0.5)) == []
-    assert rng.zero_streams(counts, np.array([0.5] * 5 + [0.0])) == [3]
+def test_draw_joined_draws_again_each_stream_that_drew_an_exact_zero():
+    # streams of 2, 0, 3 and 1 draws in two joined arrays, listed by their
+    # index, which a list hands back for the redraw; a second draw is halves
+    first = {0: ([0.5, 0.25], [0.0, 0.5]), 1: ([], []),
+             2: ([0.125, 0.0, 0.75], [0.25, 0.5, 0.0]), 3: ([0.375], [0.5])}
+    calls = []
+
+    def draw(i, zero_at):
+        calls.append(i)
+        a, b = first[i] if calls.count(i) == 1 else ([0.5] * len(first[i][0]),) * 2
+        a, b = np.array(a), np.array(b)
+        a[a == zero_at] = 0.0
+        return a, b, len(a)
+
+    a, b, counts = rng.draw_joined([0, 1, 2, 3], draw, -1.0)
+    assert calls == [0, 1, 2, 3, 0, 2] and counts.tolist() == [2, 0, 3, 1]
+    assert a.tolist() == [0.5] * 5 + [0.375] and b.tolist() == [0.5] * 6
+    calls.clear()
+    assert rng.draw_joined([3, 1], draw, -1.0)[0].tolist() == [0.375] and calls == [3, 1]
+    calls.clear()
+    assert rng.draw_joined([3, 1], draw, 0.375)[0].tolist() == [0.5] and calls == [3, 1, 3]
 
 
 BATCHES = ((42, (7 << 40) + 5, 6), (2**64 - 1, 2**64 - 3, 3), (3, 0, 1))
