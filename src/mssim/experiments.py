@@ -320,7 +320,7 @@ def _check_run_points(reps, drawn, plan=None):
                           for x, b in zip(points[1:], plan.blocks[1:])]
         drawn += sum(points)
     _require(reps * drawn <= _MAX_RUN_POINTS,
-             f"{reps} replications at {drawn:.3g} points per replication draw "
+             f"{reps:g} replications at {drawn:.3g} points per replication draw "
              f"{reps * drawn:.3g}, above the run cap of {_MAX_RUN_POINTS:g}; lower --reps")
 
 

@@ -37,13 +37,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .quadrature import bisect, integrate
+from .quadrature import integrate
 
 TRUNCATION_MODES = ("stationary", "threshold")
 
 # expected points one replication may draw; the pinned configurations stay
 # below 3e5, and numpy's Poisson sampler fails near 1e19
 MAX_POINTS = 1e7
+
+# steps a truncation solve may take (one that halves on every step, from a
+# target of 0, closes in 50), and how far a converged secant step moves past
+# its root, so that the next value closes the bracket
+_ROOT_STEPS = 100
+_PUSH = 5e-13
 
 
 @dataclass(frozen=True)
@@ -273,33 +279,6 @@ def expected_count_window(idx, t0, t1, trunc):
                      points=idx.critical_points(t0, t1))
 
 
-def _log_root(at, target, p, v, lo, hi):
-    """Where the window integral ``at`` meets ``target``: a secant on its
-    log10, nearly linear in log10 p, from the end p of [lo, hi], where it is
-    v, and one decade inside; a step that is not finite or leaves the values'
-    bracket halves it, but the first past the far end goes to that end, and
-    -inf or inf says the root lies beyond it too.  None if 12 steps leave it
-    moving by 1e-12 or more."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rises, p0, g0 = p == hi, p, np.log10(v) - np.log10(target)
-        far, p = (lo, p - 1.0) if rises else (hi, p + 1.0)
-        for _ in range(12):
-            g = np.log10(at(p)) - np.log10(target)
-            lo, hi = (lo, p) if (g > 0) == rises else (p, hi)
-            if lo == hi:  # p is the far end, on the edge's side of the root
-                return -math.inf if rises else math.inf
-            step = g * (p - p0) / (g - g0) if np.isfinite(g - g0) else math.nan
-            if abs(step) < 1e-12:
-                return float(p - step)
-            q = p - step
-            if far is not None and (q <= far if rises else q >= far):
-                q, far = far, None
-            elif not lo < q < hi:
-                q = 0.5 * (lo + hi)
-            p0, g0, p = p, g, q
-    return None
-
-
 def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensated=False):
     """The ``Truncation`` of ``mode`` whose excluded mass on [t0, T] equals
     ``budget``, or for a ``compensated`` block, whose excluded sd (the
@@ -308,13 +287,18 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
     parameter moves to where the count equals ``max_count``, which excludes
     more.
 
-    Bisection on the log10 p of eps in (1e-300, 1) or of M in [1e-6, 1e300],
-    to a 1e-12 bracket that lands within the target; the mass and the
-    variance rise in eps and fall in M, the count the other way.  Where the
-    whole bracket is within the target, its end with the largest integral is
-    returned.  Where two integrals confirm the root in p* +- 1e-11, p* from
-    ``_log_root``, or past the far end, a step outside that band follows from
-    monotonicity."""
+    A guarded secant on the log10 p of eps in (1e-300, 1) or of M in
+    [1e-6, 1e300], on which the log10 of the window integral is nearly
+    linear; the mass and the variance rise in eps and fall in M, the count
+    the other way.  It starts at the bracket end with the largest integral
+    and one decade inside, and keeps the bracket of the values seen: a step
+    that is not finite or leaves the bracket halves it, but the first past
+    the far end goes to that end, and a converged step (below ``_PUSH``)
+    moves ``_PUSH`` across the root.  A target of 0 (an sd whose square
+    underflows) has no log and halves on the sign.  Where the bracket is
+    narrower than 1e-12, its end within the target is returned: the far end
+    where none of it is, and the end with the largest integral where all of
+    it is.  A ValueError reports a bracket still open after ``_ROOT_STEPS``."""
     if budget <= 0:
         raise ValueError(f"truncation budget must be positive, got {budget}")
     lo, hi = (-300.0, -1e-9) if mode == "threshold" else (-6.0, 300.0)
@@ -323,21 +307,31 @@ def solve_truncation(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensat
         def at(p):
             return window_integral(idx, t0, T, Truncation(mode, 10.0**p))
 
-        def high_side(p):
-            return (at(p) > target) != rises
-
-        edge = hi if rises else lo
-        v = at(edge)
+        a, b = lo, hi  # the integral is above the target at b if it rises, else at a
+        p0, far = (b, a) if rises else (a, b)
+        v = at(p0)
         if v <= target:
-            return 10.0**edge
-        root = _log_root(at, target, edge, v, lo, hi) if target else None  # 0 has no log
-        up_to, down_from = -math.inf, math.inf  # where a step needs no integral
-        if root is not None and (math.isinf(root) or high_side(root - 1e-11)
-                                 and not high_side(root + 1e-11)):
-            up_to, down_from = root - 1e-11, root + 1e-11
-        a, b = bisect(lambda p: p <= up_to or (p < down_from and high_side(p)), lo, hi,
-                      lambda a, b: b - a < 1e-12)
-        return 10.0 ** (a if rises else b)
+            return 10.0**p0
+        p = p0 - 1.0 if rises else p0 + 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g0 = np.log10(v) - np.log10(target)
+            for _ in range(_ROOT_STEPS):
+                v = at(p)
+                g = np.log10(v) - np.log10(target)
+                a, b = (a, p) if (v > target) == rises else (p, b)
+                if b - a < 1e-12:
+                    return 10.0 ** (a if rises else b)
+                step = g * (p - p0) / (g - g0) if np.isfinite(g - g0) else math.nan
+                if abs(step) < _PUSH:
+                    step -= _PUSH if p == a else -_PUSH
+                q = p - step
+                if far == (a if rises else b) and (q <= far if rises else q >= far):
+                    q, far = far, None
+                elif not a < q < b:
+                    q = 0.5 * (a + b)
+                p0, g0, p = p, g, float(q)
+        raise ValueError(f"the truncation solve left its log10 bracket [{a}, {b}] open "
+                         f"after {_ROOT_STEPS} steps")
 
     if compensated:
         # budget**2 raises an OverflowError past 1.3e154, and an inf target is met anywhere

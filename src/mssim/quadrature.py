@@ -1,5 +1,4 @@
-"""Adaptive Simpson integration, shared by every integral in the package,
-and the scalar bisection of the truncation solve.
+"""Adaptive Simpson integration, shared by every integral in the package.
 
 Integrands are vectorised: ``f`` takes a float array of nodes and returns
 an array of the same shape.  The quadrature refines breadth-first, so each
@@ -22,8 +21,6 @@ _REL_FLOOR = 1e-14
 # nodes one level may evaluate: the pinned configurations peak near 16k, and
 # a level of 2**20 nodes keeps one integral within seconds and 0.5 GB
 _MAX_LEVEL_NODES = 2**20
-
-_BISECT_STEPS = 200
 
 
 def integrate(f, a, b, tol=DEFAULT_TOL, points=(), pieces=False):
@@ -98,18 +95,3 @@ def integrate(f, a, b, tol=DEFAULT_TOL, points=(), pieces=False):
         value = est
     return value if pieces else float(value.sum())
 
-
-def bisect(high_side, lo, hi, close):
-    """Shrink the bracket [lo, hi] of a scalar root by halving.
-
-    ``high_side(mid)`` is true where the root lies above ``mid``.  The loop
-    stops at the first halving that leaves ``close(lo, hi)`` true, and raises
-    ValueError if 200 halvings leave the bracket open.  Returns the final
-    bracket as Python floats, so the caller picks the end it needs."""
-    lo, hi = float(lo), float(hi)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if high_side(mid) else (lo, mid)
-        if close(lo, hi):
-            return lo, hi
-    raise ValueError(f"bisection left a bracket open after {_BISECT_STEPS} halvings")

@@ -171,6 +171,16 @@ def test_too_many_points_is_usage_error(args, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_run_cap_error_names_a_huge_count_compactly(tmp_path):
+    # the scale makes criterion 1's replication count an int of 304 digits
+    res = run_cli("verify", "--quick", "--scale", "1e300", timeout=10, cwd=tmp_path,
+                  env=cli_env())
+    assert res.returncode == 2
+    error = res.stderr.splitlines()[-1]
+    assert error.startswith("mssim: error: 8e+303 replications at ") and len(error) < 160
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("args", [
     # 7.3e5 points per compensated block, where a mass budget needed eps = 1e-300
     ("mfpp", "--beta", "constant:0.99", "--reps", "10"),

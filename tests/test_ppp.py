@@ -234,13 +234,53 @@ def _solve_sweep():
     return cases
 
 
-def test_a_replayed_truncation_solve_is_a_plain_bisection(monkeypatch):
-    # the replay answers the bisection's steps outside a confirmed band by
-    # monotonicity; without the secant's root, every step integrates
-    replayed = [solve_truncation(*case) for case in _solve_sweep()]
-    monkeypatch.setattr(ppp, "_log_root", lambda *args: None)
-    plain = [solve_truncation(*case) for case in _solve_sweep()]
-    assert [t.parameter.hex() for t in replayed] == [t.parameter.hex() for t in plain]
+def _bisected(idx, T, mode, budget, t0=0.0, max_count=math.inf, compensated=False):
+    """The reference for ``solve_truncation``: a plain bisection on log10 p to
+    a 1e-12 bracket, with the same brackets, edge return and count cap.  The
+    parameter, and the window integral and target of its last solve."""
+    lo, hi = (-300.0, -1e-9) if mode == "threshold" else (-6.0, 300.0)
+
+    def solve(window_integral, target, rises):
+        def above(p):
+            return window_integral(idx, t0, T, Truncation(mode, 10.0**p)) > target
+
+        a, b = lo, hi
+        if not above(b if rises else a):
+            return 10.0 ** (b if rises else a)
+        while b - a >= 1e-12:
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if above(mid) == rises else (mid, b)
+        return 10.0 ** (a if rises else b)
+
+    solved = ((small_jump_variance_window, budget * budget) if compensated
+              else (small_jump_mass_window, budget))
+    p = solve(*solved, mode == "threshold")
+    if expected_count_window(idx, t0, T, Truncation(mode, p)) > max_count:
+        solved = (expected_count_window, max_count)
+        p = solve(*solved, mode != "threshold")
+    return p, solved
+
+
+def test_a_truncation_solve_lands_next_to_a_plain_bisection():
+    # an index near 0 or 1 bends the log-log integral most; the 1e-200 cases
+    # lie past the far end, or have a variance target that underflows to 0
+    cases = _solve_sweep() + [
+        (StabilityIndex.from_spec(spec, 1.0), 1.0, mode, budget, 0.0, max_count, compensated)
+        for spec in ("constant:0.01", "constant:0.99")
+        for mode in ("threshold", "stationary")
+        for compensated in (False, True)
+        for budget, max_count in ((2.5e-4, math.inf), (1e3, math.inf), (1e-200, math.inf),
+                                  (2.5e-4, 1e3))]
+    bracket_ends = {10.0**p for p in (-300.0, -1e-9, -6.0, 300.0)}
+    for case in cases:
+        idx, T, mode, _, t0 = case[:5]
+        trunc = solve_truncation(*case)
+        p, (window_integral, target) = _bisected(*case)
+        assert type(trunc.parameter) is float
+        assert abs(math.log10(trunc.parameter) - math.log10(p)) <= 1e-12, case
+        # within the target, or at a bracket end where none of the bracket is
+        assert (window_integral(idx, t0, T, trunc) <= target
+                or trunc.parameter == p and p in bracket_ends), case
 
 
 def _counted_solve(monkeypatch, *args, **kwargs):
@@ -256,53 +296,69 @@ def _counted_solve(monkeypatch, *args, **kwargs):
         return solve_truncation(*args, **kwargs), len(calls)
 
 
-@pytest.mark.parametrize("beta, mode, compensated, replayed_integrals", [
+@pytest.mark.parametrize("beta, mode, far_end", [
     # a constant index excludes beta/(1-beta) * eps**(1-beta) of mass under
     # threshold truncation, and beta/(1-beta) * M**(1-1/beta) under stationary:
     # 1e-150 at beta = 0.5 and eps = 1e-300, and 9e-34 at beta = 0.9 and
     # M = 1e300, the far ends of the brackets, so the root of a 1e-200 mass
     # budget lies past them
-    (0.5, "threshold", False, 3),
-    (0.9, "stationary", False, 3),
-    # the variance target of a 1e-200 sd, 1e-400, underflows to 0: no log
-    (0.5, "threshold", True, 50),
+    (0.5, "threshold", 1e-300),
+    (0.9, "stationary", 1e300),
 ])
-def test_a_solve_past_its_bracket_takes_no_more_integrals_than_a_bisection(
-        monkeypatch, beta, mode, compensated, replayed_integrals):
+def test_a_root_past_the_far_end_costs_at_most_3_integrals(monkeypatch, beta, mode, far_end):
     case = (StabilityIndex.from_spec(f"constant:{beta}", 1.0), 1.0, mode, 1e-200)
-    replayed, n_replayed = _counted_solve(monkeypatch, *case, compensated=compensated)
-    monkeypatch.setattr(ppp, "_log_root", lambda *args: None)
-    plain, n_plain = _counted_solve(monkeypatch, *case, compensated=compensated)
-    assert replayed.parameter.hex() == plain.parameter.hex()
-    assert n_plain == 50 and n_replayed == replayed_integrals
+    trunc, integrals = _counted_solve(monkeypatch, *case)
+    assert trunc == Truncation(mode, far_end) and integrals <= 3
 
 
-def test_a_passage_plan_solve_takes_at_most_20_integrals(monkeypatch):
-    # the affine:0.4,0.2 passage plan at horizon 2.5: ten windows of 0.25; a
-    # solve bisects twice where its point cap binds
-    real_integrate, real_root, real_solve = ppp.integrate, ppp._log_root, ppp.solve_truncation
-    counts, per_call = {}, []
+def test_a_truncation_solve_raises_at_its_step_cap(monkeypatch):
+    # the edge, then one step an integral: a cap one step short of the
+    # solve's leaves its bracket open
+    case = (IDX_AFFINE, 1.0, "threshold", 1e-3)
+    trunc, integrals = _counted_solve(monkeypatch, *case)
+    monkeypatch.setattr(ppp, "_ROOT_STEPS", integrals - 1)
+    assert solve_truncation(*case) == trunc
+    monkeypatch.setattr(ppp, "_ROOT_STEPS", integrals - 2)
+    with pytest.raises(ValueError, match=f"open after {integrals - 2} steps"):
+        solve_truncation(*case)
 
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
+
+def _solve_integrals(monkeypatch, run):
+    """The integrals of each truncation solve that ``run()`` makes."""
+    real_integrate, real_solve = ppp.integrate, ppp.solve_truncation
+    calls, per_solve = [], []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_integrate(*args, **kwargs)
 
     def solve(*args, **kwargs):
-        counts.update(integrate=0, roots=0)
+        calls.clear()
         trunc = real_solve(*args, **kwargs)
-        per_call.append((counts["integrate"], counts["roots"]))
+        per_solve.append(len(calls))
         return trunc
 
-    monkeypatch.setattr(ppp, "integrate", counting("integrate", real_integrate))
-    monkeypatch.setattr(ppp, "_log_root", counting("roots", real_root))
-    monkeypatch.setattr(ppp, "solve_truncation", solve)
+    with monkeypatch.context() as m:
+        m.setattr(ppp, "integrate", counting)
+        m.setattr(ppp, "solve_truncation", solve)
+        run()
+    return per_solve
+
+
+def test_a_passage_plan_solve_takes_at_most_10_integrals(monkeypatch):
+    # the affine:0.4,0.2 passage plan at horizon 2.5: ten windows of 0.25,
+    # whose later ones also check their point cap
     idx, _ = experiments.choose_horizon("affine:0.4,0.2", 1.0, shortest=1.0)
     assert idx.horizon == 2.5
-    experiments.plan_passage(idx, [1.0])
-    assert len(per_call) == 10
-    assert all(1 <= roots and integrals <= 20 * roots for integrals, roots in per_call), per_call
+    per_solve = _solve_integrals(monkeypatch, lambda: experiments.plan_passage(idx, [1.0]))
+    assert len(per_solve) == 10 and max(per_solve) <= 10, per_solve
+
+
+def test_a_laplace_level_solve_takes_at_most_10_integrals(monkeypatch):
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    per_solve = _solve_integrals(
+        monkeypatch, lambda: experiments._laplace_level(idx, [0.5, 1.0], 2.0))
+    assert len(per_solve) == 2 and max(per_solve) <= 10, per_solve
 
 
 @pytest.mark.parametrize("c2", [2, 4, 8])

@@ -1,4 +1,4 @@
-"""Tests for the shared adaptive Simpson integrator and bisection."""
+"""Tests for the shared adaptive Simpson integrator."""
 
 import math
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mssim import StabilityIndex, Truncation, ppp
-from mssim.quadrature import _MAX_DEPTH, _REL_FLOOR, DEFAULT_TOL, bisect, integrate
+from mssim.quadrature import _MAX_DEPTH, _REL_FLOOR, DEFAULT_TOL, integrate
 
 
 def test_cubic_is_exact():
@@ -169,24 +169,6 @@ def test_points_split_the_rule_into_pieces():
     # points at or outside the ends leave the single-piece rule unchanged
     g = np.exp
     assert integrate(g, 0.0, 1.0, points=[-1.0, 0.0, 1.0, 2.0]) == integrate(g, 0.0, 1.0)
-
-
-def test_bisect_raises_on_a_bracket_that_never_closes():
-    with pytest.raises(ValueError, match="open after 200 halvings"):
-        bisect(lambda mid: mid < 0.5, 0.0, 1.0, lambda lo, hi: hi - lo < 0.0)
-
-
-def test_bisect_scalar_bracket_stays_float():
-    seen = []
-
-    def high_side(mid):
-        seen.append(type(mid))
-        return mid * mid < 2.0
-
-    lo, hi = bisect(high_side, 1.0, 2.0, lambda lo, hi: hi - lo < 1e-12)
-    assert type(lo) is float and type(hi) is float
-    assert set(seen) == {float}
-    assert lo <= math.sqrt(2.0) <= hi and hi - lo < 1e-12
 
 
 def test_level_node_cap_raises_and_names_the_interval(monkeypatch):
