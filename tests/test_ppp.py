@@ -283,6 +283,60 @@ def test_a_truncation_solve_lands_next_to_a_plain_bisection():
                 or trunc.parameter == p and p in bracket_ends), case
 
 
+def test_a_replayed_truncation_solve_is_a_plain_bisection(monkeypatch):
+    # a 1e-200 sd has a variance target that underflows to 0, which has no
+    # log: replaying the bracket end, one decade inside, then the midpoints
+    # of the bracket kept from the sign, integrates at the solve's every
+    # parameter, in order, and ends on its result
+    cases = [case for case in _solve_sweep() if case[6] and case[3] == 1e-200]
+    assert len(cases) == 8
+    real, seen = ppp.small_jump_variance_window, []
+
+    def recording(idx, t0, t1, trunc):
+        seen.append(trunc.parameter)
+        return real(idx, t0, t1, trunc)
+
+    monkeypatch.setattr(ppp, "small_jump_variance_window", recording)
+    for idx, T, mode, _, t0, _, _ in cases:
+        seen.clear()
+        trunc = solve_truncation(idx, T, mode, 1e-200, t0, compensated=True)
+        rises = mode == "threshold"
+        a, b = (-300.0, -1e-9) if rises else (-6.0, 300.0)
+        replayed, flips = [], set()
+        p = b if rises else a
+        while True:
+            replayed.append(10.0**p)
+            v = real(idx, t0, T, Truncation(mode, 10.0**p))
+            flips.add(v > 0.0)
+            if len(replayed) == 1:
+                if not v > 0.0:
+                    break
+                p = p - 1.0 if rises else p + 1.0
+                continue
+            a, b = (a, p) if (v > 0.0) == rises else (p, b)
+            if b - a < 1e-12:
+                break
+            p = 0.5 * (a + b)
+        assert seen == replayed and trunc.parameter == 10.0 ** (a if rises else b)
+        # the variance underflows to 0 inside the bracket: the sign flips
+        assert flips == {True, False} and len(seen) > 40
+
+
+def test_a_truncation_solve_steps_on_floats(monkeypatch):
+    # the secant's steps come out of numpy; each log10 p it integrates at,
+    # and the parameter it returns, is a Python float
+    seen = []
+    for name in ("small_jump_mass_window", "small_jump_variance_window",
+                 "expected_count_window"):
+        def recording(idx, t0, t1, trunc, real=getattr(ppp, name)):
+            seen.append(type(trunc.parameter))
+            return real(idx, t0, t1, trunc)
+
+        monkeypatch.setattr(ppp, name, recording)
+    returned = {type(solve_truncation(*case).parameter) for case in _solve_sweep()}
+    assert returned == {float} and set(seen) == {float} and len(seen) > len(_solve_sweep())
+
+
 def _counted_solve(monkeypatch, *args, **kwargs):
     """A truncation solve and the number of integrals it takes."""
     real, calls = ppp.integrate, []

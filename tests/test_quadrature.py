@@ -171,6 +171,23 @@ def test_points_split_the_rule_into_pieces():
     assert integrate(g, 0.0, 1.0, points=[-1.0, 0.0, 1.0, 2.0]) == integrate(g, 0.0, 1.0)
 
 
+def test_bisect_scalar_bracket_stays_float():
+    # the rule bisects [a, b] level by level; an int or numpy scalar bracket
+    # is halved on float64 nodes, and the integral comes back a Python float
+    seen = []
+
+    def f(x):
+        seen.append(x.dtype)
+        return np.exp(x)
+
+    exact = integrate(np.exp, 1.0, 2.0)
+    for a, b in ((1, 2), (np.int64(1), np.float32(2.0)), (np.float64(1.0), 2)):
+        value = integrate(f, a, b)
+        assert type(value) is float and value == exact
+    assert set(seen) == {np.dtype(np.float64)}
+    assert exact == pytest.approx(math.e * (math.e - 1.0), rel=1e-12)
+
+
 def test_level_node_cap_raises_and_names_the_interval(monkeypatch):
     from mssim import quadrature
 
