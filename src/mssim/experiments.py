@@ -20,6 +20,7 @@ import csv
 import io
 import math
 import os
+import sys
 
 import numpy as np
 
@@ -180,14 +181,21 @@ class ProcessPoolExecutor:
         return self._pool.__exit__(*exc)
 
 
-def _open_pool(workers):
+def _splits(reps):
+    """Whether a map of ``reps`` replications splits into at least two
+    chunks of ``_MIN_CHUNK``: the one rule for work worth a pool."""
+    return reps >= 2 * _MIN_CHUNK
+
+
+def _open_pool(workers, reps):
     """The one process pool of a run, for its plan and every replication
     map, of at most ``workers`` processes and one per CPU.  Use it in a
     ``with`` block, which yields ``None`` for no pool: where that cap is one
-    process the run is serial, and the pool's modules are never imported.
-    A pool's processes start at its first submit."""
+    process, or where the run's largest map of ``reps`` replications does not
+    ``_splits``, the run is serial, its plan included, and the pool's modules
+    are never imported.  A pool's processes start at its first submit."""
     size = min(workers, os.cpu_count() or 1)
-    if size <= 1:
+    if size <= 1 or not _splits(reps):
         return contextlib.nullcontext()
     return ProcessPoolExecutor(max_workers=size)
 
@@ -220,9 +228,10 @@ def _map_reps(fn, reps, pool, kernel_reps, **params):
     replication.  Chunks are reduced in replication order, and every
     replication owns its own stream, so the result is independent of the
     pool.  Replication costs are uneven, so the pool gets about eight chunks
-    per process, each of at least ``_MIN_CHUNK`` replications; fewer than
-    two chunks run serially."""
-    if pool is None or reps < 2 * _MIN_CHUNK:
+    per process, each of at least ``_MIN_CHUNK`` replications; a map that
+    does not ``_splits`` runs serially, which keeps ``_open_pool``'s rule for
+    the smaller maps of verify's shared pool."""
+    if pool is None or not _splits(reps):
         return _map_chunk(fn, 0, reps, params, kernel_reps)
     # _max_workers is the pool's size, at least two: _open_pool builds no
     # pool of one process
@@ -345,7 +354,9 @@ def plan_passage(idx, levels, pool=None, trunc_m=None):
     ``levels``, stationary at the level ``trunc_m`` or else threshold, each
     planned from its window alone, so on ``pool`` they are solved side by
     side and read back in time order, the latest windows first, since the
-    point-capped ones past t = 1 cost most; one that raises cancels the rest."""
+    point-capped ones past t = 1 cost most; one that raises cancels the rest.
+    A run whose largest map does not ``_splits`` has no pool (see
+    ``_open_pool``), so its plan is solved serially."""
     windows = []
     t0 = 0.0
     while t0 < idx.horizon - 1e-12:
@@ -574,6 +585,8 @@ def _check_seed(seed):
 
 def _check_common(reps, seed):
     _require(isinstance(reps, (int, np.integer)) and reps >= 2, f"reps must be >= 2, got {reps}")
+    _require(reps <= sys.float_info.max,
+             f"reps must be finite as a float, got a count of {int(math.log10(reps)) + 1} digits")
     return int(reps), _check_seed(seed)
 
 
@@ -654,7 +667,7 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
              f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
              "the float range, so no row could fail; raise trunc-m")
     variances = [ppp.small_jump_variance_window(idx, 0.0, t, trunc) for t in ts]
-    with _open_pool(workers) as pool:
+    with _open_pool(workers, reps) as pool:
         d = _d_reference(idx, ts, reps, seed, pool, blk, CH_LAPLACE)
     rows = []
     for theta in thetas:
@@ -692,7 +705,7 @@ def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trun
              f"trunc-m must be positive and finite, got {trunc_m}")
     idx, tail = choose_horizon(beta_spec, ts[-1])
     ppp.check_points(lam * idx.horizon, 0.0, idx.horizon, hint=_ARRIVALS_HINT)
-    with _open_pool(workers) as pool:
+    with _open_pool(workers, reps) as pool:
         plan = plan_passage(idx, ts, pool, trunc_m)
         _check_run_points(reps, lam * idx.horizon, plan)
         res = _map_reps(_passage_chunk, reps, pool, _reps_for(lam * idx.horizon), seed=seed,
@@ -767,7 +780,7 @@ def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, 
                          "steps; lower --lambda")
         rowplans.append((ctrw.RowPlan(n, idx, L), p_n))
     # reference samples, shared by every n
-    with _open_pool(workers) as pool:
+    with _open_pool(workers, reps) as pool:
         plan = plan_passage(idx, ts, pool)
         dblk = _d_reference_block(idx, ts[-1])
         # each replication draws every row's cells and walk steps, the
@@ -824,7 +837,7 @@ def run_paths(beta_spec, reps=10, seed=0, out="paths", workers=1, t=1.0, grid=10
     idx = StabilityIndex.from_spec(beta_spec, T)
     blk = _budget_block(idx, T, "threshold", reps)
     _check_run_points(reps, ppp.drawn_count(blk) + lam * T)
-    with _open_pool(workers) as pool:
+    with _open_pool(workers, reps) as pool:
         res = _map_reps(_paths_chunk, reps, pool, _kernel_reps(blk), seed=seed, idx=idx,
                         ts=np.linspace(0.0, T, grid), blk=blk, lam=lam, out_prefix=out)
     rows = list(zip(range(reps), res["file"].tolist(), res["nflag"].tolist(),
@@ -886,10 +899,10 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         rows.append((1, f"laplace {spec} worst error ratio", worst, 1.0, rep.all_pass()))
 
     # criteria 2 to 5 share one pool, closed before the nested runs open theirs
-    with _open_pool(workers) as pool:
+    n2, n3, n4, n5 = (sizes[k] for k in ("cross", "continuity", "increments", "monotone"))
+    with _open_pool(workers, max(n2, n3, n4, n5)) as pool:
         # 2: the two truncated samplers agree in law at t = 1
         idx_c = StabilityIndex.from_spec("constant:0.5", 1.0)
-        n2 = sizes["cross"]
         samples = {}
         for mode, ch in (("stationary", CH_CROSS_STATIONARY), ("threshold", CH_CROSS_THRESHOLD)):
             blk = _budget_block(idx_c, 1.0, mode, n2)
@@ -899,7 +912,6 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         rows.append((2, "sampler cross-validation KS at t=1", ks, crit, ks < crit))
 
         # 3: small-increment probability against the continuity constant C = 21
-        n3 = sizes["continuity"]
         windows = [(t, t + h) for t in (0.0, 0.4) for h in (0.01, 0.05, 0.1)]
         idx3 = StabilityIndex.from_spec("constant:0.5", 0.5)
         inc = _increments(n3, pool, seed, CH_CONTINUITY, idx3,
@@ -913,7 +925,6 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
             rows.append((3, f"continuity P(inc>0.1) t={a:g} h={h:g}", p, bound, p <= bound))
 
         # 4: increments on (0, 0.5] and (0.5, 1] are uncorrelated
-        n4 = sizes["increments"]
         inc4 = _increments(n4, pool, seed, CH_INCREMENTS, idx_c,
                            _budget_block(idx_c, 1.0, "stationary", n4), [(0.0, 0.5), (0.5, 1.0)])
         corr = abs(stats.increment_correlation(inc4[:, 0], inc4[:, 1]))
@@ -921,7 +932,6 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
         rows.append((4, "increment correlation (0,0.5] vs (0.5,1]", corr, bound4, corr <= bound4))
 
         # 5: strictly increasing prefixes and inverse consistency, zero tolerance
-        n5 = sizes["monotone"]
         for spec in _VERIFY_FAMILIES:
             idx5 = StabilityIndex.from_spec(spec, 1.0)
             blk5 = _budget_block(idx5, 1.0, "stationary", n5)

@@ -60,12 +60,20 @@ def test_bad_beta_spec_is_usage_error():
     assert "beta" in res.stderr or "zigzag" in res.stderr
 
 
+# a replication count past the float range
+HUGE_REPS = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("args", [
     ("laplace", "--beta", "constant:0.5", "--theta", "inf", "--reps", "10"),
     ("mfpp", "--beta", "constant:0.5", "--lambda", "inf", "--reps", "10"),
     ("verify", "--quick", "--scale", "inf"),
     # finite, but it takes the replication counts past the float range
     ("verify", "--quick", "--scale", "1.7976931348623157e308"),
+    ("laplace", "--beta", "constant:0.5", "--reps", HUGE_REPS),
+    ("mfpp", "--beta", "constant:0.5", "--reps", HUGE_REPS),
+    ("ctrw", "--beta", "constant:0.5", "--n", "100", "--reps", HUGE_REPS),
+    ("paths", "--beta", "constant:0.5", "--reps", HUGE_REPS),
 ])
 def test_non_finite_input_is_usage_error(args):
     res = run_cli(*args, timeout=5)
@@ -200,11 +208,12 @@ def test_compensated_blocks_keep_an_index_near_one_feasible(args, tmp_path):
 
 def test_a_plan_worker_error_is_a_usage_error():
     # no compensated block of a valid index passes the point cap, so the
-    # parent lowers it before the pool forks the plan workers that raise
+    # parent lowers it before the pool forks the plan workers that raise;
+    # 64 replications split into chunks, so the run opens its pool
     code = ("import sys\nfrom mssim import cli, ppp\nppp.MAX_POINTS = 1000.0\n"
             "sys.exit(cli.main(sys.argv[1:]))")
     res = subprocess.run([sys.executable, "-c", code, "mfpp", "--beta", "affine:0.2,0.56",
-                          "--t", "1", "--reps", "2", "--workers", "2"], env=cli_env(),
+                          "--t", "1", "--reps", "64", "--workers", "2"], env=cli_env(),
                          capture_output=True, text=True, timeout=10)
     assert res.returncode == 2
     assert "points per replication expected on [0.75, 1]" in res.stderr
@@ -237,10 +246,12 @@ def _pool_modules_after(*argv):
 
 
 def test_the_pool_modules_load_only_when_a_pool_opens():
+    # 32 replications make two chunks of 16, the fewest worth a pool
     assert _pool_modules_after("laplace", "--beta", "constant:0.5", "--reps", "2",
                                "--workers", "1") == "[]"
-    assert _pool_modules_after("ctrw", "--beta", "constant:0.5", "--n", "100", "--reps", "20",
-                               "--workers", "2") == "['multiprocessing', 'concurrent.futures']"
+    ctrw = ("ctrw", "--beta", "constant:0.5", "--n", "100", "--workers", "2", "--reps")
+    assert _pool_modules_after(*ctrw, "31") == "[]"
+    assert _pool_modules_after(*ctrw, "32") == "['multiprocessing', 'concurrent.futures']"
 
 
 def test_main_with_an_argv_leaves_the_collector_alone(capsys):

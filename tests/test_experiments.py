@@ -634,7 +634,7 @@ def test_pool_size_is_bounded_by_chunks_and_cpus(inline_pool, monkeypatch):
     serial = _increments(128, None, **kwargs)
     for workers, size in ((100_000, 3), (2, 2)):
         inline_pool.calls.clear()
-        with experiments._open_pool(workers) as pool:
+        with experiments._open_pool(workers, 128) as pool:
             pooled = _increments(128, pool, **kwargs)
         assert pooled.tobytes() == serial.tobytes()
         assert inline_pool.sizes[-1] == size
@@ -642,9 +642,13 @@ def test_pool_size_is_bounded_by_chunks_and_cpus(inline_pool, monkeypatch):
     # 128 replications on two processes make eight chunks of 16
     spans = [args[1:3] for fn, args in inline_pool.calls]
     assert spans == [(lo, lo + 16) for lo in range(0, 128, 16)]
-    # fewer than two chunks of 16 run serially
+    # fewer than two chunks of 16 run serially: a run of them builds no
+    # pool, and a smaller map on a shared pool submits nothing
     inline_pool.calls.clear()
-    with experiments._open_pool(2) as pool:
+    with experiments._open_pool(2, 31) as pool:
+        assert pool is None
+    assert inline_pool.sizes == [3, 2]
+    with experiments._open_pool(2, 128) as pool:
         _increments(31, pool, **kwargs)
     assert not inline_pool.calls
 
@@ -666,7 +670,7 @@ def test_a_run_builds_one_pool_and_one_worker_builds_none(inline_pool):
 def test_a_pool_capped_at_one_process_is_not_built(inline_pool, monkeypatch):
     # on one CPU, two workers run serially: no pool, no chunk pickled
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
-    with experiments._open_pool(2) as pool:
+    with experiments._open_pool(2, 64) as pool:
         assert pool is None
     ctrw_args = ("constant:0.5", "unit", [100, 1000], [1.0], 64, 3)
     serial = experiments.run_ctrw(*ctrw_args, workers=1).to_csv()
@@ -681,7 +685,7 @@ def _failing_kernel(lo, hi):
 def test_a_chunk_that_raises_in_a_real_pool_leaves_no_process_running(monkeypatch):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     with pytest.raises(ValueError, match=r"chunk \[0, 16\) failed"):
-        with experiments._open_pool(2) as pool:
+        with experiments._open_pool(2, 128) as pool:
             assert pool is not None
             _map_reps(_failing_kernel, 128, pool, experiments._KERNEL_REPS)
     assert multiprocessing.active_children() == []
@@ -720,7 +724,7 @@ def test_the_pool_is_shut_down_when_a_plan_block_raises(inline_pool, monkeypatch
 def test_the_plan_submits_its_latest_windows_first(inline_pool):
     idx, _ = choose_horizon("affine:0.4,0.2", 1.0)
     serial = plan_passage(idx, [1.0])
-    with experiments._open_pool(2) as pool:
+    with experiments._open_pool(2, 64) as pool:
         pooled = plan_passage(idx, [1.0], pool)
     starts = [args[1] for fn, args in inline_pool.calls]
     assert starts == [2.25, 2.0, 1.75, 1.5, 1.25, 1.0, 0.75, 0.5, 0.25, 0.0]
@@ -771,7 +775,8 @@ def test_a_plan_block_that_raises_cancels_the_queued_windows(inline_pool, monkey
     monkeypatch.setattr(_DeferredPool, "futures", [])
     monkeypatch.setattr(_DeferredPool, "exits", 0)
     with pytest.raises(SystemExit) as exit_:
-        cli.main(["mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"])
+        cli.main(["mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "64", "--workers",
+                  "2"])
     assert exit_.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 2  # usage + error
@@ -799,7 +804,7 @@ def test_a_replication_chunk_that_raises_cancels_the_queued_chunks(inline_pool, 
 
     # 128 replications make eight chunks of 16; the first one's error
     # surfaces, and the seven after it are cancelled unrun
-    with experiments._open_pool(2) as pool:
+    with experiments._open_pool(2, 128) as pool:
         with pytest.raises(ValueError, match="the first chunk failed"):
             _map_reps(kernel, 128, pool, experiments._KERNEL_REPS)
     assert ran == [0]
