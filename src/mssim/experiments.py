@@ -183,7 +183,8 @@ class ProcessPoolExecutor:
 
 def _splits(reps):
     """Whether a map of ``reps`` replications splits into at least two
-    chunks of ``_MIN_CHUNK``: the one rule for work worth a pool."""
+    chunks of ``_MIN_CHUNK``: the one rule for whether a run opens a pool.
+    It counts chunks only, not what a fork or a chunk's round trip costs."""
     return reps >= 2 * _MIN_CHUNK
 
 
@@ -586,7 +587,7 @@ def _check_seed(seed):
 def _check_common(reps, seed):
     _require(isinstance(reps, (int, np.integer)) and reps >= 2, f"reps must be >= 2, got {reps}")
     _require(reps <= sys.float_info.max,
-             f"reps must be finite as a float, got a count of {int(math.log10(reps)) + 1} digits")
+             f"reps must be finite as a float, got one past {sys.float_info.max:g}")
     return int(reps), _check_seed(seed)
 
 
