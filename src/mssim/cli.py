@@ -54,9 +54,9 @@ def build_parser():
     lap.add_argument("--theta", dest="thetas", type=_list("--theta"), help="transform arguments")
     lap.add_argument("--t", dest="ts", type=_list("--t"), help="comma-separated times t of D(t)")
     lap.add_argument("--trunc-m", type=float,
-                     help="stationary truncation level M of the compensated block (default: "
-                     "the smallest M whose rows allow no more than a pure-jump block excluding "
-                     f"a jump mass of {experiments.DEFAULT_MASS_BUDGET:g})")
+                     help="stationary truncation level M of the block whose jumps are summed; "
+                     "the dropped ones enter by their exact transform (default: "
+                     f"{experiments.LAPLACE_LEVEL:g})")
 
     mfpp = command("mfpp", experiments.run_mfpp, "marginal law of the time-changed count X(t)")
     mfpp.add_argument("--lambda", dest="lam", type=float, help=rate)

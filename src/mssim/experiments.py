@@ -51,6 +51,10 @@ CH_CTRW_JUMPS = 16  # + 2 * (index of n in the n list); walk channel is +1
 _CHANNEL_SHIFT = 40
 
 DEFAULT_MASS_BUDGET = 1e-3
+# laplace's default stationary level M: any level gives unbiased rows, but a
+# lower one leaves less of D to the sampler; at 8,000 replications a sampler
+# that reads its index 0.05 high misses by 4.3 times 3*SE here, 1.4 at M = 3
+LAPLACE_LEVEL = 12.5
 # points the replications of one run may draw in the mean, on whole-horizon
 # blocks, passage plans (each block past the first weighted by a bound on the
 # chance the top level is unreached at its start), ctrw cells and walk steps,
@@ -598,86 +602,40 @@ def _check_times(ts):
     return ts
 
 
-def _laplace_level(idx, ts, theta_max):
-    """The smallest stationary level M at which no compensated transform row
-    allows more than the pure-jump block at ``DEFAULT_MASS_BUDGET`` does.
-
-    That block excludes the mass m(t) up to t, capped at the budget, and its
-    rows allow theta * m(t).  A compensated row allows at most
-    expm1(theta**2 v(t) / 2) for the excluded variance v(t), so v(t) <=
-    2 log1p(theta * m(t)) / theta**2 suffices, and the right side falls in
-    theta.  The level is solved at the smallest t; a later t is checked at
-    it, and solved for where the check fails."""
-    pure = ppp.solve_truncation(idx, ts[-1], "stationary", DEFAULT_MASS_BUDGET)
-    level = None
-    for t in ts:
-        mass = min(ppp.small_jump_mass_window(idx, 0.0, t, pure), DEFAULT_MASS_BUDGET)
-        sd = math.sqrt(2.0 * math.log1p(theta_max * mass)) / theta_max
-        # the variance falls in M, so t's own level is above one that fails it
-        if level is None or ppp.small_jump_variance_window(idx, 0.0, t, level) > sd * sd:
-            level = ppp.solve_truncation(idx, t, "stationary", sd, compensated=True)
-    return level.parameter
-
-
-def _compensated_allowance(theta, mass, variance):
-    """A bound on |E exp(-theta D_c) - E exp(-theta D)| for a path D_c that
-    adds the excluded mean ``mass`` in place of jumps of that ``variance``:
-    exp(-theta m) expm1(theta**2 v / 2), or 1 - exp(-theta m) < theta m,
-    the gap of a pure-jump path, where that is smaller."""
-    jump = -math.expm1(-theta * mass)
-    spread = 0.5 * theta * theta * variance
-    if spread > 700.0:  # expm1 overflows; the jump bound alone holds
-        return jump
-    return min(jump, math.exp(-theta * mass) * math.expm1(spread))
-
-
-def _d_reference(idx, ts, reps, seed, pool, blk, channel=CH_D_REFERENCE):
-    """D(t) at each ascending t for every replication on ``channel``, from
-    the compensated block ``blk`` on [0, max t]: its jump sum up to t plus
-    the mass it excludes up to t, added in place."""
-    d = _increments(reps, pool, seed, channel, idx, blk, [(0.0, t) for t in ts])
-    d += [ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc) for t in ts]
-    return d
-
-
 def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, seed=0, workers=1,
-                trunc_m=None):
+                trunc_m=LAPLACE_LEVEL):
     """Monte Carlo transform values of D(t) against the closed form.
 
-    D(t) is compensated: the jump sum of a stationary block up to t plus
-    the mass it excludes up to t.  The block's level is ``trunc_m`` or, by
-    default, the smallest one whose rows allow no more than a pure-jump
-    block at ``DEFAULT_MASS_BUDGET`` would.  Row pass: |MC mean - closed form| <=
-    3*SE + bias_bound, the ``_compensated_allowance`` at t."""
+    The jumps a stationary block at the level ``trunc_m`` drops are
+    independent of those it keeps, so E exp(-theta D(t)) = F * E exp(-theta
+    D_kept(t)) exactly, for F = exp(-``subordinator.dropped_exponent``).  A
+    row reads F times the mean and the SE of exp(-theta D_kept(t)), its
+    variance floored at 1/reps, and passes if |mean - closed form| <= 3*SE."""
     reps, seed = _check_common(reps, seed)
     thetas = [float(v) for v in thetas]
     _require(thetas and all(_positive(v) for v in thetas),
              f"theta values must be positive and finite, got {thetas}")
     ts = _check_times(ts)
-    _require(trunc_m is None or _positive(trunc_m),
-             f"trunc-m must be positive and finite, got {trunc_m}")
+    _require(_positive(trunc_m), f"trunc-m must be positive and finite, got {trunc_m}")
     T = ts[-1]
     idx = StabilityIndex.from_spec(beta_spec, T)
-    if trunc_m is None:
-        trunc_m = _laplace_level(idx, ts, max(thetas))
     trunc = ppp.Truncation("stationary", float(trunc_m))
     blk = ppp.plan_block(idx, 0.0, T, trunc)
     _check_run_points(reps, ppp.drawn_count(blk))
-    masses = [ppp.small_jump_mass_window(idx, 0.0, t, trunc) for t in ts]
-    _require(masses[-1] < math.inf,
-             f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump mass beyond "
-             "the float range, so no row could fail; raise trunc-m")
-    variances = [ppp.small_jump_variance_window(idx, 0.0, t, trunc) for t in ts]
+    mass = ppp.small_jump_mass_window(idx, 0.0, T, trunc)
+    _require(mass < math.inf, f"the truncation {trunc.mode}:{trunc.parameter:g} excludes a jump "
+             "mass beyond the float range; raise trunc-m")
     with _open_pool(workers, reps) as pool:
-        d = _d_reference(idx, ts, reps, seed, pool, blk, CH_LAPLACE)
+        d = _increments(reps, pool, seed, CH_LAPLACE, idx, blk, [(0.0, t) for t in ts])
     rows = []
     for theta in thetas:
         for j, t in enumerate(ts):
             est = stats.empirical_laplace(d[:, j], theta)
+            factor = math.exp(-subordinator.dropped_exponent(idx, theta, t, trunc.parameter))
+            mean, se = factor * est.mean, factor * max(est.se, 1.0 / reps)
             oracle = subordinator.laplace_transform(idx, theta, t)
-            bias = _compensated_allowance(theta, masses[j], variances[j])
-            ok = abs(est.mean - oracle) <= 3.0 * est.se + bias
-            rows.append((idx.spec_string(), theta, t, est.mean, est.se, oracle, bias, ok))
+            rows.append((idx.spec_string(), theta, t, mean, se, oracle,
+                         abs(mean - oracle) <= 3.0 * se))
     header = {
         "beta": idx.spec_string(),
         "seed": seed,
@@ -685,12 +643,10 @@ def run_laplace(beta_spec, thetas=(0.5, 1.0, 2.0), ts=(0.5, 1.0), reps=10_000, s
         "theta": ",".join(_fmt(v) for v in thetas),
         "t": ",".join(_fmt(v) for v in ts),
         "truncation": f"{trunc.mode}:{trunc.parameter:.17g}",
-        "excluded_mass": masses[-1],
-        "excluded_variance": variances[-1],
+        "excluded_mass": mass,
     }
     return Report("laplace", header,
-                  ("beta_spec", "theta", "t", "mc_mean", "mc_se", "oracle", "bias_bound", "pass"),
-                  rows)
+                  ("beta_spec", "theta", "t", "mc_mean", "mc_se", "oracle", "pass"), rows)
 
 
 def run_mfpp(beta_spec, lam=1.0, ts=(1.0,), reps=10_000, seed=0, workers=1, trunc_m=None):
@@ -748,6 +704,15 @@ def _d_reference_block(idx, T):
     default budget."""
     trunc = ppp.solve_truncation(idx, T, "threshold", DEFAULT_MASS_BUDGET, compensated=True)
     return ppp.plan_block(idx, 0.0, T, trunc)
+
+
+def _d_reference(idx, ts, reps, seed, pool, blk):
+    """D(t) at each ascending t for every replication, from the compensated
+    block ``blk`` on [0, max t]: its jump sum up to t plus the mass it
+    excludes up to t, added in place."""
+    d = _increments(reps, pool, seed, CH_D_REFERENCE, idx, blk, [(0.0, t) for t in ts])
+    d += [ppp.small_jump_mass_window(idx, 0.0, t, blk.trunc) for t in ts]
+    return d
 
 
 def run_ctrw(beta_spec, lfamily="unit", ns=(100, 1000), ts=(1.0,), reps=10_000, seed=0, workers=1,
@@ -894,9 +859,7 @@ def run_verify(seed=0, workers=1, quick=False, scale=1.0):
     for spec in _VERIFY_FAMILIES:
         rep = run_laplace(spec, (0.5, 1.0, 2.0), (0.5, 1.0), sizes["laplace"], seed,
                           workers=workers)
-        worst = max(
-            abs(r[3] - r[5]) / (3.0 * r[4] + r[6]) for r in rep.rows
-        )
+        worst = max(abs(r[3] - r[5]) / (3.0 * r[4]) for r in rep.rows)
         rows.append((1, f"laplace {spec} worst error ratio", worst, 1.0, rep.all_pass()))
 
     # criteria 2 to 5 share one pool, closed before the nested runs open theirs

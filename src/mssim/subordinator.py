@@ -1,5 +1,5 @@
-"""The increasing pure-jump process built from a point pattern, and its
-closed-form Laplace transform used as the Monte Carlo oracle."""
+"""The increasing pure-jump process built from a point pattern, and the
+closed-form Laplace transforms of D and of its dropped jumps."""
 
 import math
 
@@ -55,3 +55,38 @@ def laplace_transform(idx, theta, t):
 
     exponent = integrate(f, 0.0, t, points=idx.critical_points(0.0, t))
     return math.exp(-exponent)
+
+
+def lower_gamma(s, z):
+    """int_0^z x**(s-1) exp(-x) dx for s in (0, 1) and z >= 0, elementwise:
+    below z = 40 the series z**s exp(-z) sum_n z**n / (s (s+1) ... (s+n)),
+    and from there Gamma(s), off by Gamma(s, z) <= z**(s-1) exp(-z) <
+    exp(-40) Gamma(s)."""
+    s, z = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(z, dtype=float))
+    far = z >= 40.0
+    z = np.where(far, 0.0, z)
+    term = total = 1.0 / s
+    n = 0
+    while (term > 1e-17 * total).any():
+        n += 1
+        term = term * z / (s + n)
+        total = total + term
+    out = np.array(z**s * np.exp(-z) * total)
+    out[far] = gamma_fn(s[far])
+    return out
+
+
+def dropped_exponent(idx, theta, t, level):
+    """-log E exp(-theta D_dropped(t)) for the jumps up to t that a stationary
+    block at ``level`` drops, those below c(s) = level**(-1/beta(s)): the
+    integral over [0, t] of int_0^c (1 - exp(-theta x)) beta x**(-beta-1) dx
+    = theta**beta gamma(1 - beta, z) - level (1 - exp(-z)), z = theta c."""
+
+    def f(s):
+        beta = idx.evaluate(s)
+        # a z past the float range is read as inf, where the closed form is exact
+        with np.errstate(over="ignore"):
+            z = np.exp(math.log(theta) - math.log(level) / beta)
+        return theta**beta * lower_gamma(1.0 - beta, z) + level * np.expm1(-z)
+
+    return integrate(f, 0.0, t, points=idx.critical_points(0.0, t))

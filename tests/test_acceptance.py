@@ -45,7 +45,8 @@ def _criterion(report, k, label):
 
 def test_criterion_1_transform_oracle(verify_report):
     # MC transform of D(t) vs the closed form, both index families,
-    # theta in {0.5, 1, 2}, t in {0.5, 1}, tolerance 3*SE + theta*1e-3
+    # theta in {0.5, 1, 2}, t in {0.5, 1}, tolerance 3*SE: the mean over the
+    # kept jumps times the exact transform of the dropped ones
     assert _criterion(verify_report, 1, "transform oracle")
 
 
@@ -116,11 +117,11 @@ def _shift_beta(monkeypatch, *transforms):
 
 @pytest.mark.parametrize("spec", experiments._VERIFY_FAMILIES)
 def test_criterion_1_fails_when_the_sampler_shifts_beta(spec, monkeypatch):
-    # criterion 1's run at the quick size; its worst ratio is 0.57 for the
-    # constant index and 0.31 for the affine one, and 2.54 and 3.82 shifted
-    # (2.06 to 2.54 and 3.78 to 4.04 over seeds 42 and 1 to 5)
+    # criterion 1's run at the quick size; its worst ratio is 0.30 for the
+    # constant index and 0.31 for the affine one, and 4.31 and 4.25 shifted
+    # (4.28 to 4.65 and 4.20 to 4.53 over seeds 42 and 1 to 5)
     def worst(rep):
-        return max(abs(r[3] - r[5]) / (3.0 * r[4] + r[6]) for r in rep.rows)
+        return max(abs(r[3] - r[5]) / (3.0 * r[4]) for r in rep.rows)
 
     args = (spec, (0.5, 1.0, 2.0), (0.5, 1.0), 8000, SEED)
     plain = experiments.run_laplace(*args)

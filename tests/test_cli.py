@@ -30,7 +30,7 @@ def test_laplace_roundtrip(tmp_path):
     assert res.returncode == 0, res.stderr
     text = out.read_text()
     assert text.startswith("# command=laplace\n")
-    assert "beta_spec,theta,t,mc_mean,mc_se,oracle,bias_bound,pass" in text
+    assert "beta_spec,theta,t,mc_mean,mc_se,oracle,pass" in text
     assert text.rstrip().endswith("true")
 
 
@@ -91,7 +91,7 @@ def test_non_finite_input_is_usage_error(args):
     ("paths", "--beta", "constant:0.5", "--t", "1e-310", "--reps", "2"),
     ("mfpp", "--beta", "constant:0.5", "--lambda", "1e-310", "--reps", "10"),
     ("laplace", "--beta", "constant:0.5", "--t", "5e-324", "--trunc-m", "0.5", "--reps", "10"),
-    # an excluded-sd target of about 4e158, whose square passes the float range
+    # a subnormal theta, in theta**beta and in z = theta * M**(-1/beta)
     ("laplace", "--beta", "constant:0.5", "--theta", "1e-320", "--reps", "10"),
 ])
 def test_vanishing_input_ends_in_a_report(args, tmp_path):
@@ -110,15 +110,24 @@ def test_a_scale_past_the_float_range_is_rejected_before_any_criterion(monkeypat
 
 
 def test_tiny_index_reports_without_traceback():
-    # the stationary mass bracket starts where M**(1 - 1/beta) overflows
+    # the dropped jumps' cutoff M**(-1/beta) is 1.9e-110 at the default M
     res = run_cli("laplace", "--beta", "constant:0.01", "--reps", "10", timeout=10)
     assert res.returncode in (0, 1), res.stderr
     assert "Traceback" not in res.stderr
 
 
+def test_a_row_whose_replications_keep_no_jump_passes():
+    # at M = 1e-6 no replication keeps a jump, so every exp(-theta D_kept) is
+    # 1 and the sample variance 0; the variance floor of 1/reps gives each
+    # row an SE of 1/reps against an error of about M * t
+    res = run_cli("laplace", "--beta", "constant:0.5", "--t", "1", "--reps", "200",
+                  "--trunc-m", "1e-6", timeout=10)
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
 def test_truncation_with_infinite_excluded_mass_is_usage_error():
-    # M**(1 - 1/beta) = 1e396 overflows: bias_bound would be inf and every row
-    # pass, and every bin of every passage block would drift to inf
+    # M**(1 - 1/beta) = 1e396 overflows: the dropped jumps' mass is inf, and
+    # every bin of every passage block would drift to inf
     for command in ("laplace", "mfpp"):
         res = run_cli(command, "--beta", "constant:0.01", "--t", "1", "--trunc-m", "1e-4",
                       "--reps", "10", timeout=10)
@@ -195,9 +204,9 @@ def test_a_run_cap_error_names_a_huge_count_compactly(tmp_path):
     # at most 2.6e4 and 1.1e3 points per block, where a mass budget needed 2.2e7
     ("mfpp", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
     ("ctrw", "--beta", "affine:0.2,0.56", "--t", "1", "--reps", "2", "--workers", "2"),
-    # a level of 1e81 under the mass budget, and of 470 compensated
+    # a level of 1e81 under the mass budget, and 12.5 by default
     ("laplace", "--beta", "constant:0.95", "--reps", "10"),
-    # 9.3e5 points per replication under the mass budget, and 14 compensated
+    # 9.3e5 points per replication under the mass budget, and 12.5 by default
     ("laplace", "--beta", "sin:0.5,0.2,2", "--theta", "0.5,2", "--t", "1", "--reps", "20000",
      "--seed", "3"),
 ])

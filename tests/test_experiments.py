@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from mssim import cli, ctrw, experiments, ppp
+from mssim import cli, ctrw, experiments, ppp, subordinator
 from mssim.experiments import (
     CH_PASSAGE,
     Report,
@@ -139,50 +139,31 @@ def test_plan_passage_budgets():
 
 def test_run_laplace_small():
     rep = run_laplace("constant:0.5", [1.0], [1.0], 400, 11)
-    assert rep.columns == (
-        "beta_spec", "theta", "t", "mc_mean", "mc_se", "oracle", "bias_bound", "pass",
-    )
+    assert rep.columns == ("beta_spec", "theta", "t", "mc_mean", "mc_se", "oracle", "pass")
     (row,) = rep.rows
     assert row[5] == pytest.approx(math.exp(-math.sqrt(math.pi)), abs=1e-9)
-    assert abs(row[3] - row[5]) <= 3.0 * row[4] + row[6]
+    assert abs(row[3] - row[5]) <= 3.0 * row[4]
     assert rep.all_pass()
 
 
 def test_run_laplace_honors_explicit_truncation():
     rep = run_laplace("constant:0.5", [1.0], [1.0], 50, 11, trunc_m=500.0)
     assert rep.header["truncation"] == "stationary:500"
-    # beta/(1-beta) * M**(1 - 1/beta) and beta/(2-beta) * M**(1 - 2/beta)
+    # beta/(1-beta) * M**(1 - 1/beta)
     assert rep.header["excluded_mass"] == pytest.approx(1.0 / 500.0, rel=1e-9)
-    assert rep.header["excluded_variance"] == pytest.approx(500.0**-3 / 3.0, rel=1e-9)
+    default = run_laplace("constant:0.5", [1.0], [1.0], 50, 11)
+    assert default.header["truncation"] == "stationary:12.5"
 
 
-@pytest.mark.parametrize("spec", ("constant:0.5", "affine:0.4,0.2", "sin:0.5,0.2,1",
-                                  "table:0,0.3;0.5,0.7;1,0.4"))
-def test_compensated_laplace_rows_allow_no_more_than_pure_jump_rows(spec):
-    # the pure-jump block at the same mass budget allowed theta * m(t) per
-    # row, and needed a level 144 to 67,000 times higher
+def test_run_laplace_rows_pass_where_the_dropped_jumps_carry_most_of_the_law():
+    # at M = 0.3 the block keeps only jumps above 0.3**(-1/beta), at least
+    # 7.4, so the exact factor exp(-R) carries most of each transform
     thetas, ts = (0.5, 1.0, 2.0), (0.5, 1.0)
-    idx = StabilityIndex.from_spec(spec, 1.0)
-    pure = ppp.solve_truncation(idx, 1.0, "stationary", experiments.DEFAULT_MASS_BUDGET)
-    level = experiments._laplace_level(idx, ts, max(thetas))
-    assert level < pure.parameter / 100.0
-    comp = ppp.Truncation("stationary", level)
-    for t in ts:
-        mass = ppp.small_jump_mass_window(idx, 0.0, t, comp)
-        var = ppp.small_jump_variance_window(idx, 0.0, t, comp)
-        for theta in thetas:
-            allowed = theta * ppp.small_jump_mass_window(idx, 0.0, t, pure)
-            assert experiments._compensated_allowance(theta, mass, var) <= allowed
-
-
-def test_compensated_allowance_never_exceeds_the_jump_gap():
-    for theta, mass, var in ((1.0, 0.1, 1e-3), (2.0, 1e-3, 1.0), (2.0, 3.0, 1e300),
-                             (0.5, 1e3, math.inf)):
-        gap = -math.expm1(-theta * mass)
-        bound = experiments._compensated_allowance(theta, mass, var)
-        assert bound <= gap <= theta * mass
-    assert experiments._compensated_allowance(1.0, 0.1, 1e-3) == pytest.approx(
-        math.exp(-0.1) * math.expm1(5e-4), rel=1e-12)
+    rep = run_laplace("affine:0.4,0.2", thetas, ts, 4000, 11, trunc_m=0.3)
+    assert rep.all_pass()
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    for _, theta, t, _, _, oracle, _ in rep.rows:
+        assert subordinator.dropped_exponent(idx, theta, t, 0.3) > -0.5 * math.log(oracle)
 
 
 def test_run_laplace_validates_inputs():
@@ -983,7 +964,7 @@ def test_a_serial_run_is_worked_in_bounded_kernel_calls(monkeypatch):
         return _increments_chunk(lo, hi, **params)
 
     monkeypatch.setattr(experiments, "_increments_chunk", recording)
-    rep = run_laplace("constant:0.5", [1.0], [1.0], 20_000, 1)
+    rep = run_laplace("constant:0.5", [1.0], [1.0], 20_000, 1, trunc_m=7.0)
     assert float(rep.header["truncation"].partition(":")[2]) < experiments._KERNEL_POINTS / 1024
     assert max(widest) == experiments._KERNEL_REPS == 1024 and sum(widest) == 20_000
     idx = StabilityIndex.from_spec("constant:0.5", 1.0)
@@ -1039,10 +1020,11 @@ def test_run_ctrw_rejects_a_bad_alpha_before_drawing(monkeypatch):
 
 
 def test_runaway_quadrature_is_a_usage_error():
-    # the stationary mass of this index refines one integral to 21M nodes
-    # on its deepest level; the node cap stops it at the first level past 2**20
+    # the mean count of this index's threshold block, eps**(-beta(s)) over
+    # [0, 1] at the solved eps, refines past 2**20 nodes on one level, and
+    # the node cap stops it there
     with pytest.raises(ValueError, match=r"over \[0, 1\] needs more than 1048576"):
-        run_laplace("sin:0.5,0.45,31", [1.0], [1.0], 2, 1)
+        experiments.run_paths("sin:0.5,0.45,31", reps=2)
 
 
 def test_the_pipelines_leave_numpy_ma_unimported():

@@ -408,13 +408,6 @@ def test_a_passage_plan_solve_takes_at_most_10_integrals(monkeypatch):
     assert len(per_solve) == 10 and max(per_solve) <= 10, per_solve
 
 
-def test_a_laplace_level_solve_takes_at_most_10_integrals(monkeypatch):
-    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
-    per_solve = _solve_integrals(
-        monkeypatch, lambda: experiments._laplace_level(idx, [0.5, 1.0], 2.0))
-    assert len(per_solve) == 2 and max(per_solve) <= 10, per_solve
-
-
 @pytest.mark.parametrize("c2", [2, 4, 8])
 def test_sin_index_integrals_see_every_period(c2):
     # the first Simpson nodes 0, 1/4, 1/2, 3/4 and 1 are zeros of

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from mssim import (
     sample_pattern,
 )
 from mssim.experiments import _increments, stream_for
+from mssim.subordinator import dropped_exponent, lower_gamma
 
 
 def _path(times, sizes):
@@ -113,6 +115,34 @@ def test_laplace_transform_constant_index_closed_form():
     idx3 = StabilityIndex.from_spec("constant:0.3", 1.0)
     expect = math.exp(-math.gamma(0.7) * 0.5 * 2.0**0.3)
     assert laplace_transform(idx3, 2.0, 0.5) == pytest.approx(expect, abs=1e-9)
+
+
+@pytest.mark.parametrize("s", [0.01, 0.2, 0.5, 0.8, 0.99])
+def test_lower_gamma_matches_mpmath(s):
+    # the series below z = 40 and Gamma(s) from there, on both sides of 40;
+    # the tolerance lets a subnormal value round differently
+    zs = np.array([0.0, 1e-320, 1e-300, 1e-8, 0.3, 1.0, 7.0, 25.0, 39.99, 40.0, 40.01, 100.0, 1e3])
+    want = [float(mpmath.gammainc(s, 0, z)) for z in zs]
+    np.testing.assert_allclose(lower_gamma(s, zs), want, rtol=1e-14, atol=1e-320)
+    assert float(lower_gamma(s, 2.0)) == pytest.approx(float(mpmath.gammainc(s, 0, 2)), rel=1e-14)
+
+
+@pytest.mark.parametrize("level", [3.0, 12.5])
+def test_dropped_exponent_matches_a_double_integral(level):
+    # R = int_0^t int_0^c (1 - exp(-theta x)) beta x**(-beta-1) dx ds with
+    # c = level**(-1/beta(s)), by quadrature in both variables; the
+    # tolerance is mpmath's own at its default precision (R itself matches
+    # a 25-digit quadrature to 2.4e-14 at level 12.5, which took 40 s)
+    idx = StabilityIndex.from_spec("affine:0.4,0.2", 1.0)
+    theta = 2.0
+
+    def inner(s):
+        beta = mpmath.mpf(0.4) + mpmath.mpf(0.2) * s
+        c = mpmath.mpf(level) ** (-1 / beta)
+        return mpmath.quad(lambda x: -mpmath.expm1(-theta * x) * beta * x ** (-beta - 1), [0, c])
+
+    want = float(mpmath.quad(inner, [0, 1]))
+    assert dropped_exponent(idx, theta, 1.0, level) == pytest.approx(want, rel=1e-10)
 
 
 def test_path_values_monotone_in_time():
